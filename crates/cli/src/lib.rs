@@ -186,7 +186,7 @@ pub fn usage() -> String {
      \x20 dataset  --name <borg|taxi|azure> --events <n> --out <events.csv>\n\
      \x20 ycsb     --workload <A|B|C|D|F> --records <n> --ops <n> --out <trace>\n\
      \x20 serve    --backend <mem|lsm|hashlog|btree|label>  serve any store over TCP (gadget-server)\n\
-     \x20          [--addr <host:port>] [--dir <path>] [--shards <n>] [--queue-depth <n>]\n\
+     \x20          [--addr <host:port>] [--dir <path>] [--shards <n>]\n\
      \x20          [--metrics-addr <host:port>]           Prometheus text scrape endpoint\n\
      \x20          [--trace-out <json>]                   server-side span timeline, written on drain\n\
      \x20 drive    --addr <host:port> --trace <trace>    fan a trace across many client connections\n\
@@ -1760,15 +1760,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let addr = flags.optional("addr").unwrap_or("127.0.0.1:4547");
     let (store, sharded) =
         open_store_maybe_sharded(&label, flags.optional("dir"), shard_count(flags)?)?;
-    let mut config = gadget_server::ServerConfig::default();
-    if let Some(depth) = flags.optional_parse::<usize>("queue-depth")? {
-        if depth == 0 {
-            return Err("--queue-depth must be at least 1".to_string());
-        }
-        config.queue_depth = depth;
-    }
-    let queue_depth = config.queue_depth;
-    // Server-side tracing: the session must be live *before* worker
+    let config = gadget_server::ServerConfig::default();
+    // Server-side tracing: the session must be live *before* connection
     // threads spawn so their per-thread rings register with it. The
     // timeline is written once the server drains.
     let trace_out = flags.optional("trace-out");
@@ -1782,7 +1775,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     // Exact line first so scripts can scrape the resolved port.
     println!("gadget-server listening on {}", server.local_addr());
-    println!("serving {label} (queue depth {queue_depth})");
+    println!("serving {label}");
     if let Some(sharded) = &sharded {
         println!(
             "sharded across {} shards (partition map {}); live `gadget reshard` enabled",

@@ -8,7 +8,7 @@
 //! (one in flight at a time); fan-in comes from many `NetStore`s, as
 //! driven by [`crate::driver::drive`].
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown as SockShutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -160,20 +160,21 @@ impl ClientTracing {
     }
 }
 
-/// One TCP connection's buffered halves.
+/// One TCP connection: the socket behind a read buffer (requests are
+/// written straight to it, one `write` per frame), and the buffer each
+/// request is encoded into and each reply's payload is staged in.
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    buf: Vec<u8>,
 }
 
 impl Conn {
     fn open(addr: &str) -> Result<Conn, StoreError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Conn {
-            reader,
-            writer: BufWriter::new(stream),
+            reader: BufReader::new(stream),
+            buf: Vec::new(),
         })
     }
 }
@@ -272,26 +273,32 @@ impl NetStore {
         Ok(())
     }
 
+    /// One control exchange: sends the frame `make` builds around a
+    /// fresh request id and returns that id with the reply. An `Error`
+    /// reply comes back as the store error it carries.
+    fn control(&self, make: impl FnOnce(u64) -> Frame) -> Result<(u64, Frame), StoreError> {
+        let mut conn = self.conn.lock().unwrap();
+        let Conn { reader, buf } = &mut *conn;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        wire::write_frame(reader.get_mut(), &make(id), buf)?;
+        match wire::read_frame(reader, buf)?.0 {
+            Frame::Error { code, message, .. } => Err(wire::decode_store_error(code, message)),
+            reply => Ok((id, reply)),
+        }
+    }
+
     /// Asks the server to drain and exit; returns once the server has
     /// acknowledged (at which point in-flight work is already answered
     /// and the listener no longer accepts).
     pub fn shutdown_server(&self) -> Result<(), StoreError> {
-        let mut conn = self.conn.lock().unwrap();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Shutdown { id };
-        wire::write_frame(&mut conn.writer, &frame)?;
-        conn.writer.flush()?;
-        match wire::read_frame(&mut conn.reader)? {
-            Frame::Shutdown { id: ack } if ack == id => {
+        match self.control(|id| Frame::Shutdown { id })? {
+            (id, Frame::Shutdown { id: ack }) if ack == id => {
                 // Politely close our half; the server is draining.
-                if let Ok(stream) = conn.writer.get_ref().try_clone() {
-                    let _ = stream.shutdown(SockShutdown::Both);
-                }
+                let conn = self.conn.lock().unwrap();
+                let _ = conn.reader.get_ref().shutdown(SockShutdown::Both);
                 Ok(())
             }
-            other => Err(StoreError::Corruption(format!(
-                "expected shutdown ack for {id}, got {other:?}"
-            ))),
+            (id, other) => Err(unexpected("shutdown ack", id, other)),
         }
     }
 
@@ -301,53 +308,41 @@ impl NetStore {
     /// Blocks until the migration completes and returns what it did.
     ///
     /// Issue this on a *dedicated control connection*: the request
-    /// occupies this connection's server-side worker for the whole
+    /// occupies this connection's server-side thread for the whole
     /// migration, while traffic on other connections keeps flowing
     /// through the transfer window.
     pub fn reshard(&self, from: u32, to: u32, at_op: u64) -> Result<ReshardEvent, StoreError> {
-        let mut conn = self.conn.lock().unwrap();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Reshard {
+        let request = |id| Frame::Reshard {
             id,
             from,
             to,
             at_op,
         };
-        wire::write_frame(&mut conn.writer, &frame)?;
-        conn.writer.flush()?;
-        match wire::read_frame(&mut conn.reader)? {
-            Frame::ReshardDone { id: got, event } if got == id => Ok(event),
-            Frame::Error { code, message, .. } => Err(wire::decode_store_error(code, message)),
-            other => Err(StoreError::Corruption(format!(
-                "expected reshard ack for {id}, got {other:?}"
-            ))),
+        match self.control(request)? {
+            (id, Frame::ReshardDone { id: got, event }) if got == id => Ok(event),
+            (id, other) => Err(unexpected("reshard ack", id, other)),
         }
     }
 
     /// Queries the server's current partition topology.
     pub fn topology(&self) -> Result<Topology, StoreError> {
-        let mut conn = self.conn.lock().unwrap();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Topology { id };
-        wire::write_frame(&mut conn.writer, &frame)?;
-        conn.writer.flush()?;
-        match wire::read_frame(&mut conn.reader)? {
-            Frame::TopologyInfo {
-                id: got,
-                shards,
-                map_version,
-                digest,
-                events,
-            } if got == id => Ok(Topology {
+        match self.control(|id| Frame::Topology { id })? {
+            (
+                id,
+                Frame::TopologyInfo {
+                    id: got,
+                    shards,
+                    map_version,
+                    digest,
+                    events,
+                },
+            ) if got == id => Ok(Topology {
                 shards,
                 map_version,
                 digest,
                 events,
             }),
-            Frame::Error { code, message, .. } => Err(wire::decode_store_error(code, message)),
-            other => Err(StoreError::Corruption(format!(
-                "expected topology info for {id}, got {other:?}"
-            ))),
+            (id, other) => Err(unexpected("topology info", id, other)),
         }
     }
 
@@ -356,49 +351,32 @@ impl NetStore {
     /// Like [`NetStore::reshard`], issue this on a dedicated control
     /// connection so traffic connections keep flowing meanwhile.
     pub fn checkpoint_server(&self, dir: &str) -> Result<RemoteCheckpoint, StoreError> {
-        let mut conn = self.conn.lock().unwrap();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Checkpoint {
-            id,
-            dir: dir.to_string(),
-        };
-        wire::write_frame(&mut conn.writer, &frame)?;
-        conn.writer.flush()?;
-        match wire::read_frame(&mut conn.reader)? {
-            Frame::CheckpointDone {
-                id: got,
-                files,
-                total_bytes,
-                reused,
-            } if got == id => Ok(RemoteCheckpoint {
+        let dir = dir.to_string();
+        match self.control(|id| Frame::Checkpoint { id, dir })? {
+            (
+                id,
+                Frame::CheckpointDone {
+                    id: got,
+                    files,
+                    total_bytes,
+                    reused,
+                },
+            ) if got == id => Ok(RemoteCheckpoint {
                 files,
                 total_bytes,
                 reused,
             }),
-            Frame::Error { code, message, .. } => Err(wire::decode_store_error(code, message)),
-            other => Err(StoreError::Corruption(format!(
-                "expected checkpoint ack for {id}, got {other:?}"
-            ))),
+            (id, other) => Err(unexpected("checkpoint ack", id, other)),
         }
     }
 
     /// Asks the server to restore its served store from the
     /// server-local checkpoint directory `dir`.
     pub fn restore_server(&self, dir: &str) -> Result<(), StoreError> {
-        let mut conn = self.conn.lock().unwrap();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Restore {
-            id,
-            dir: dir.to_string(),
-        };
-        wire::write_frame(&mut conn.writer, &frame)?;
-        conn.writer.flush()?;
-        match wire::read_frame(&mut conn.reader)? {
-            Frame::RestoreDone { id: got } if got == id => Ok(()),
-            Frame::Error { code, message, .. } => Err(wire::decode_store_error(code, message)),
-            other => Err(StoreError::Corruption(format!(
-                "expected restore ack for {id}, got {other:?}"
-            ))),
+        let dir = dir.to_string();
+        match self.control(|id| Frame::Restore { id, dir })? {
+            (id, Frame::RestoreDone { id: got }) if got == id => Ok(()),
+            (id, other) => Err(unexpected("restore ack", id, other)),
         }
     }
 
@@ -408,25 +386,21 @@ impl NetStore {
         let t0 = tracing.map(|_| trace::now_ns());
         let mut conn = self.conn.lock().unwrap();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // The send stamp (`t1`) is taken as late as the borrow rules
-        // allow — immediately before the frame is assembled for the
-        // encoder — so `client_queue` covers the lock wait while the
-        // batch copy and encode land on the outbound leg.
+        // The send stamp (`t1`) is taken immediately before the encode,
+        // so `client_queue` covers the lock wait while the encode lands
+        // on the outbound leg.
         let trace_ctx = tracing.map(|_| TraceContext {
             seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
             send_ns: trace::now_ns(),
         });
-        let request = Frame::Request {
-            id,
-            ops: ops.to_vec(),
-            trace: trace_ctx,
-        };
-        wire::write_frame(&mut conn.writer, &request)?;
-        conn.writer.flush().map_err(StoreError::Io)?;
-        self.bytes_out.add(request.encoded_len() as u64);
+        let Conn { reader, buf } = &mut *conn;
+        buf.clear();
+        let sent = wire::encode_request_into(buf, id, ops, trace_ctx);
+        reader.get_mut().write_all(buf)?;
+        self.bytes_out.add(sent as u64);
         self.requests.inc();
-        let reply = wire::read_frame(&mut conn.reader)?;
-        self.bytes_in.add(reply.encoded_len() as u64);
+        let (reply, received) = wire::read_frame(reader, buf)?;
+        self.bytes_in.add(received as u64);
         match reply {
             Frame::Response {
                 id: got,
@@ -466,9 +440,7 @@ impl NetStore {
                 }
                 Err(wire::decode_store_error(code, message))
             }
-            other => Err(StoreError::Corruption(format!(
-                "unexpected reply frame: {other:?}"
-            ))),
+            other => Err(unexpected("a response", id, other)),
         }
     }
 
@@ -477,6 +449,10 @@ impl NetStore {
         let mut results = self.call(std::slice::from_ref(&op))?;
         Ok(results.pop().expect("length checked in call"))
     }
+}
+
+fn unexpected(what: &str, id: u64, got: Frame) -> StoreError {
+    StoreError::Corruption(format!("expected {what} for {id}, got {got:?}"))
 }
 
 impl StateStore for NetStore {

@@ -10,11 +10,10 @@
 //! * [`wire`] — the length-prefixed, versioned binary protocol. Strict
 //!   decoding with typed errors; a malformed peer can't panic a server.
 //! * [`Server`] — a TCP front-end over any
-//!   [`StateStore`](gadget_kv::StateStore): thread-per-connection with
-//!   bounded per-connection request queues (backpressure degrades to
-//!   TCP flow control), graceful drain on shutdown, per-connection
-//!   metrics, and an optional Prometheus scrape endpoint
-//!   ([`MetricsServer`]).
+//!   [`StateStore`](gadget_kv::StateStore): one thread per connection
+//!   that reads, applies and replies (backpressure is TCP flow
+//!   control), graceful drain on shutdown, per-connection metrics, and
+//!   an optional Prometheus scrape endpoint ([`MetricsServer`]).
 //! * [`NetStore`] — the client side, itself a
 //!   [`StateStore`](gadget_kv::StateStore): every existing consumer
 //!   (replayer, driver, CLI) can point at a server unmodified.
@@ -23,9 +22,9 @@
 //!   order), with deterministic session churn and exactly-merged
 //!   per-connection latency histograms.
 //!
-//! The crate stays std-only on purpose — sockets, threads, and bounded
-//! channels from the standard library are enough for tens of thousands
-//! of connections on loopback, and there is nothing to vendor or shim.
+//! The crate stays std-only on purpose — sockets and threads from the
+//! standard library are enough for thousands of connections on
+//! loopback, and there is nothing to vendor or shim.
 
 pub mod client;
 pub mod driver;

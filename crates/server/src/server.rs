@@ -1,28 +1,27 @@
 //! The gadget network server: a TCP front-end over any [`StateStore`].
 //!
-//! Threading model: one accept thread, plus a **reader** and a
-//! **worker** thread per connection. The reader decodes frames off the
-//! socket into a bounded queue; the worker drains the queue, applies
-//! each batch to the store, and writes replies in arrival order. The
-//! queue (`queue_depth` frames) is the backpressure mechanism: when a
-//! connection has that many requests in flight the reader blocks, the
-//! kernel receive buffer fills, and the client's writes stall — flow
-//! control degrades to TCP's own, and server memory per connection
-//! stays bounded no matter how fast the client pipelines.
+//! Threading model: one accept thread plus **one thread per
+//! connection**, which reads a frame, applies it to the store, and
+//! writes the reply — a request never crosses a thread on the server.
+//! Nothing is queued in user space, so backpressure is TCP flow control
+//! alone: a client that pipelines faster than the store applies fills
+//! the kernel socket buffers and its writes stall. Server memory per
+//! connection is one decoded frame plus one reply buffer. Replies are
+//! written out when the connection's read buffer holds no further
+//! complete request, so a one-at-a-time client gets one write per
+//! reply and a pipelining client gets its replies coalesced.
 //!
 //! Shutdown is a drain, not a drop: the listener stops accepting, every
-//! connection's *read* side is shut down (readers see EOF and stop
-//! enqueueing), and workers finish answering everything already queued
-//! before exiting — a request that was accepted is always answered.
-//! Shutdown triggers are [`Server::shutdown`] (in-process) and the wire
+//! connection's *read* side is shut down, and each connection thread
+//! answers everything that had already arrived before it sees EOF and
+//! exits — a request that was accepted is always answered. Shutdown
+//! triggers are [`Server::shutdown`] (in-process) and the wire
 //! `Shutdown` frame (remote, acked before the drain starts).
 
-use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use gadget_kv::{Router, ShardedStore, SlotTable, StateStore, StoreError};
@@ -31,29 +30,22 @@ use gadget_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 
 use crate::wire::{self, Frame, ReplyTrace, WireError};
 
-/// Tunables for [`Server::start`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Per-connection bound on decoded-but-unanswered requests. When
-    /// full, the connection's reader stops pulling from the socket and
-    /// backpressure propagates to the client via TCP flow control.
-    pub queue_depth: usize,
-}
+/// Tunables for [`Server::start`]. There are none at present: the
+/// connection plane sizes itself (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct ServerConfig {}
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig { queue_depth: 64 }
-    }
-}
+/// Pending replies are written out once they reach this size even if
+/// more requests are already buffered, which bounds the reply buffer of
+/// a client that pipelines without reading.
+const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 
-/// What a reader hands its worker: a decoded frame (plus the
-/// monotonic-ns instant it came off the socket, 0 when untraced — the
-/// queue-enter timestamp of the per-request server timeline), or proof
-/// that the peer is speaking garbage (answered once, then the
-/// connection dies).
-enum ConnEvent {
-    Frame(Frame, u64),
-    Malformed(WireError),
+/// An accepted connection, as the accept loop tracks it: the socket
+/// (shared with its thread so a drain can shut the read side down) and
+/// the thread's handle.
+struct Conn {
+    stream: Arc<TcpStream>,
+    thread: JoinHandle<()>,
 }
 
 /// State shared by the accept loop, connection threads, and the handle.
@@ -65,22 +57,15 @@ struct Shared {
     /// control frames answer with a `Config` error / trivial topology.
     sharded: Option<Arc<ShardedStore>>,
     addr: SocketAddr,
-    queue_depth: usize,
     shutting_down: AtomicBool,
-    next_conn_id: AtomicU64,
-    /// Read-half clones of live connections, by id; shut down to make
-    /// readers see EOF during drain. Entries are removed as connections
-    /// close so churn does not leak file descriptors.
-    live: Mutex<HashMap<u64, TcpStream>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
     metrics: MetricsRegistry,
     connections: Counter,
     active: Gauge,
+    tracked: Gauge,
     bytes_in: Counter,
     bytes_out: Counter,
     requests: Counter,
     ops: Counter,
-    inflight: Gauge,
 }
 
 impl Shared {
@@ -99,9 +84,9 @@ impl Shared {
         snap
     }
 
-    /// Starts the drain exactly once: stop the accept loop and EOF
-    /// every connection's read side. Idempotent and callable from any
-    /// thread (including a connection's own worker).
+    /// Starts the drain exactly once. Idempotent and callable from any
+    /// thread (including a connection's own); the accept thread does
+    /// the draining.
     fn begin_shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -109,10 +94,6 @@ impl Shared {
         // Unblock the accept loop with a throwaway connection to
         // ourselves; the loop re-checks the flag after every accept.
         let _ = TcpStream::connect(self.addr);
-        let live = self.live.lock().unwrap();
-        for stream in live.values() {
-            let _ = stream.shutdown(SockShutdown::Read);
-        }
     }
 }
 
@@ -128,9 +109,9 @@ impl Server {
     pub fn start(
         addr: impl ToSocketAddrs,
         store: Arc<dyn StateStore>,
-        config: ServerConfig,
+        _config: ServerConfig,
     ) -> Result<Server, StoreError> {
-        Self::start_inner(addr, store, None, config)
+        Self::start_inner(addr, store, None)
     }
 
     /// Like [`Server::start`], but keeps hold of the store's sharded
@@ -139,16 +120,15 @@ impl Server {
     pub fn start_sharded(
         addr: impl ToSocketAddrs,
         store: Arc<ShardedStore>,
-        config: ServerConfig,
+        _config: ServerConfig,
     ) -> Result<Server, StoreError> {
-        Self::start_inner(addr, store.clone(), Some(store), config)
+        Self::start_inner(addr, store.clone(), Some(store))
     }
 
     fn start_inner(
         addr: impl ToSocketAddrs,
         store: Arc<dyn StateStore>,
         sharded: Option<Arc<ShardedStore>>,
-        config: ServerConfig,
     ) -> Result<Server, StoreError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -157,18 +137,14 @@ impl Server {
             store,
             sharded,
             addr,
-            queue_depth: config.queue_depth.max(1),
             shutting_down: AtomicBool::new(false),
-            next_conn_id: AtomicU64::new(0),
-            live: Mutex::new(HashMap::new()),
-            threads: Mutex::new(Vec::new()),
             connections: metrics.counter("net_connections"),
             active: metrics.gauge("net_active_connections"),
+            tracked: metrics.gauge("net_tracked_connections"),
             bytes_in: metrics.counter("net_bytes_in"),
             bytes_out: metrics.counter("net_bytes_out"),
             requests: metrics.counter("net_requests"),
             ops: metrics.counter("net_ops"),
-            inflight: metrics.gauge("net_inflight"),
             metrics,
         });
         let accept_shared = Arc::clone(&shared);
@@ -231,193 +207,161 @@ impl Server {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    // Every connection whose thread has not been joined yet. Finished
+    // ones are reaped on each accept, so churn leaks neither handles
+    // nor fds.
+    let mut live: Vec<Conn> = Vec::new();
+    let mut next_conn_id = 0;
     for stream in listener.incoming() {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
-        shared.connections.inc();
-        shared.active.add(1);
-        if let Ok(read_half) = stream.try_clone() {
-            shared.live.lock().unwrap().insert(conn_id, read_half);
+        // Dropping a finished connection closes its socket; its thread
+        // has nothing left to join.
+        live.retain(|conn| !conn.thread.is_finished());
+        if let Ok(stream) = stream {
+            live.extend(spawn_connection(&shared, next_conn_id, stream));
+            next_conn_id += 1;
         }
-        spawn_connection(&shared, conn_id, stream);
+        shared.tracked.set(live.len() as i64);
     }
-    // Drain: join every connection thread so `stop` returning means no
-    // request is still in flight anywhere.
-    let threads = std::mem::take(&mut *shared.threads.lock().unwrap());
-    for t in threads {
-        let _ = t.join();
+    // Drain: EOF every connection's read side, then join its thread,
+    // so `stop` returning means no request is still in flight anywhere.
+    for conn in &live {
+        let _ = conn.stream.shutdown(SockShutdown::Read);
     }
+    for conn in live {
+        let _ = conn.thread.join();
+    }
+    shared.tracked.set(0);
 }
 
-fn spawn_connection(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
-    let (tx, rx) = sync_channel::<ConnEvent>(shared.queue_depth);
-    let reader_shared = Arc::clone(shared);
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
+fn spawn_connection(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) -> Option<Conn> {
+    // A reply is one small write; Nagle would hold it for the ACK of
+    // the one before.
+    let _ = stream.set_nodelay(true);
+    let stream = Arc::new(stream);
+    shared.connections.inc();
+    shared.active.add(1);
+    let thread = {
+        let stream = Arc::clone(&stream);
+        let shared = Arc::clone(shared);
+        // Small stacks: with thousands of connections the default
+        // 8 MiB stacks would reserve absurd address space.
+        std::thread::Builder::new()
+            .name(format!("gadget-conn-{conn_id}"))
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                serve_connection(&stream, conn_id, &shared);
+                // The accept loop keeps the socket open until it joins
+                // this thread; the peer must see the close now.
+                let _ = stream.shutdown(SockShutdown::Both);
+                shared.active.add(-1);
+            })
+    };
+    match thread {
+        Ok(thread) => Some(Conn { stream, thread }),
         Err(_) => {
             shared.active.add(-1);
-            shared.live.lock().unwrap().remove(&conn_id);
-            return;
+            None
         }
-    };
-    // Small stacks: with thousands of connections (two threads each)
-    // the default 8 MiB stacks would reserve absurd address space.
-    let reader = std::thread::Builder::new()
-        .name(format!("gadget-conn-{conn_id}-r"))
-        .stack_size(256 * 1024)
-        .spawn(move || reader_loop(reader_stream, tx, reader_shared));
-    let worker_shared = Arc::clone(shared);
-    let worker = std::thread::Builder::new()
-        .name(format!("gadget-conn-{conn_id}-w"))
-        .stack_size(256 * 1024)
-        .spawn(move || worker_loop(stream, rx, conn_id, worker_shared));
-    let mut threads = shared.threads.lock().unwrap();
-    if let Ok(h) = reader {
-        threads.push(h);
-    }
-    if let Ok(h) = worker {
-        threads.push(h);
     }
 }
 
-/// Pulls frames off the socket into the bounded queue. Exits on EOF,
-/// socket error, or the first malformed frame (forwarded so the worker
-/// can answer it before closing).
-fn reader_loop(stream: TcpStream, tx: SyncSender<ConnEvent>, shared: Arc<Shared>) {
+fn error_frame(id: u64, e: &StoreError) -> Frame {
+    let (code, message) = wire::encode_store_error(e);
+    Frame::Error { id, code, message }
+}
+
+/// Serves one connection until EOF, a socket error, or the first
+/// malformed frame (answered with one `Error` frame, then closed).
+fn serve_connection(mut stream: &TcpStream, conn_id: u64, shared: &Shared) {
     let mut reader = BufReader::new(stream);
+    let mut scratch = Vec::new();
+    // Encoded replies not yet written to the socket.
+    let mut out = Vec::new();
     loop {
-        match wire::read_frame(&mut reader) {
-            Ok(frame) => {
-                shared.bytes_in.add(frame.encoded_len() as u64);
-                shared.inflight.add(1);
-                // Queue-enter stamp for traced requests only; the
-                // untraced hot path pays no clock read here.
-                let recv_ns = match &frame {
-                    Frame::Request { trace: Some(_), .. } => trace::now_ns(),
-                    _ => 0,
-                };
-                if tx.send(ConnEvent::Frame(frame, recv_ns)).is_err() {
-                    shared.inflight.add(-1);
-                    break;
-                }
-            }
-            Err(WireError::Truncated) => break, // EOF / drain
-            Err(WireError::Io(_)) => break,
+        // `recv_ns` opens the traced server timeline when the header
+        // is off the socket; untraced frames pay no clock read.
+        let decoded = wire::read_header(&mut reader).and_then(|header| {
+            let recv_ns = if header.version >= wire::VERSION {
+                trace::now_ns()
+            } else {
+                0
+            };
+            let (frame, len) = wire::read_payload(&mut reader, &header, &mut scratch)?;
+            Ok((frame, len, recv_ns))
+        });
+        let (frame, frame_len, recv_ns) = match decoded {
+            Ok(decoded) => decoded,
             Err(e) => {
-                let _ = tx.send(ConnEvent::Malformed(e));
-                break;
+                // EOF, a drain and a dead socket end the connection
+                // silently; a peer speaking garbage is told so once.
+                if !matches!(e, WireError::Truncated | WireError::Io(_)) {
+                    wire::encode_into(
+                        &mut out,
+                        &Frame::Error {
+                            id: 0,
+                            code: wire::ErrorCode::InvalidArgument,
+                            message: format!("malformed frame: {e}"),
+                        },
+                    );
+                }
+                // Replies to the valid requests pipelined ahead of it
+                // may still be pending.
+                let _ = stream.write_all(&out);
+                return;
             }
-        }
-    }
-    // Dropping `tx` lets the worker drain the queue and exit.
-}
-
-/// Applies queued requests to the store and writes replies in order.
-fn worker_loop(stream: TcpStream, rx: Receiver<ConnEvent>, conn_id: u64, shared: Arc<Shared>) {
-    let mut writer = BufWriter::new(stream);
-    while let Ok(event) = rx.recv() {
-        let mut reply = match event {
-            ConnEvent::Frame(
-                Frame::Request {
-                    id,
-                    ops,
-                    trace: None,
-                },
-                _,
-            ) => {
+        };
+        shared.bytes_in.add(frame_len as u64);
+        let mut reply = match frame {
+            Frame::Request {
+                id,
+                ops,
+                trace: ctx,
+            } => {
                 shared.requests.inc();
                 shared.ops.add(ops.len() as u64);
+                // Traced request: stamp the server-side timeline and
+                // echo it in the reply (`dequeue_ns` = apply start;
+                // `send_ns` is stamped just before the encode, below).
+                let dequeue_ns = ctx.map(|_| trace::now_ns());
                 let result = {
-                    let _span = span(Category::NetRequest, conn_id);
+                    let _span = dequeue_ns
+                        .is_none()
+                        .then(|| span(Category::NetRequest, conn_id));
                     shared.store.apply_batch(&ops)
                 };
+                let trace = ctx.zip(dequeue_ns).map(|(ctx, dequeue_ns)| ReplyTrace {
+                    seq: ctx.seq,
+                    client_send_ns: ctx.send_ns,
+                    recv_ns,
+                    dequeue_ns,
+                    apply_dur_ns: trace::now_ns().saturating_sub(dequeue_ns),
+                    send_ns: 0,
+                });
                 match result {
-                    Ok(results) => Frame::Response {
-                        id,
-                        results,
-                        trace: None,
-                    },
-                    Err(e) => {
-                        let (code, message) = wire::encode_store_error(&e);
-                        Frame::Error { id, code, message }
-                    }
+                    Ok(results) => Frame::Response { id, results, trace },
+                    Err(e) => error_frame(id, &e),
                 }
             }
-            ConnEvent::Frame(
-                Frame::Request {
-                    id,
-                    ops,
-                    trace: Some(ctx),
-                },
-                recv_ns,
-            ) => {
-                // Traced request: stamp the server-side timeline and
-                // echo it in the reply. `send_ns` is stamped at the
-                // last moment before the frame hits the wire (below),
-                // and the spans are recorded after the flush so the
-                // response-write segment is complete.
-                shared.requests.inc();
-                shared.ops.add(ops.len() as u64);
-                let dequeue_ns = trace::now_ns();
-                let result = shared.store.apply_batch(&ops);
-                let apply_dur_ns = trace::now_ns().saturating_sub(dequeue_ns);
-                match result {
-                    Ok(results) => Frame::Response {
-                        id,
-                        results,
-                        trace: Some(ReplyTrace {
-                            seq: ctx.seq,
-                            client_send_ns: ctx.send_ns,
-                            recv_ns,
-                            dequeue_ns,
-                            apply_dur_ns,
-                            send_ns: 0, // stamped just before the write
-                        }),
-                    },
-                    Err(e) => {
-                        let (code, message) = wire::encode_store_error(&e);
-                        Frame::Error { id, code, message }
-                    }
-                }
-            }
-            ConnEvent::Frame(Frame::Shutdown { id }, _) => {
-                // Ack first so the requester sees the drain begin, then
-                // trigger it (which EOFs our own reader too).
-                let ack = Frame::Shutdown { id };
-                shared.inflight.add(-1);
-                if wire::write_frame(&mut writer, &ack).is_ok() {
-                    shared.bytes_out.add(ack.encoded_len() as u64);
-                    let _ = writer.flush();
-                }
-                shared.begin_shutdown();
-                continue;
-            }
-            ConnEvent::Frame(
-                Frame::Reshard {
-                    id,
-                    from,
-                    to,
-                    at_op,
-                },
-                _,
-            ) => {
-                // Runs on this connection's worker thread: a dedicated
-                // control connection reshards without stalling traffic
-                // connections, whose workers keep applying batches
+            // Acked first so the requester sees the drain begin; the
+            // drain itself is triggered once the ack is on the wire.
+            Frame::Shutdown { id } => Frame::Shutdown { id },
+            Frame::Reshard {
+                id,
+                from,
+                to,
+                at_op,
+            } => {
+                // Runs on this connection's thread: a dedicated control
+                // connection reshards without stalling traffic
+                // connections, whose threads keep applying batches
                 // against the open transfer window.
                 match shared.sharded.as_ref() {
                     Some(sharded) => match sharded.reshard(from as usize, to as usize, at_op) {
                         Ok(event) => Frame::ReshardDone { id, event },
-                        Err(e) => {
-                            let (code, message) = wire::encode_store_error(&e);
-                            Frame::Error { id, code, message }
-                        }
+                        Err(e) => error_frame(id, &e),
                     },
                     None => Frame::Error {
                         id,
@@ -426,31 +370,26 @@ fn worker_loop(stream: TcpStream, rx: Receiver<ConnEvent>, conn_id: u64, shared:
                     },
                 }
             }
-            ConnEvent::Frame(Frame::Topology { id }, _) => match shared.sharded.as_ref() {
-                Some(sharded) => {
-                    let router = sharded.router();
-                    Frame::TopologyInfo {
-                        id,
-                        shards: sharded.shard_count() as u32,
-                        map_version: router.version(),
-                        digest: router.digest(),
-                        events: sharded.reshard_events(),
-                    }
+            Frame::Topology { id } => {
+                // An unsharded store is a fixed one-shard topology.
+                let (shards, router, events) = match shared.sharded.as_ref() {
+                    Some(s) => (s.shard_count() as u32, s.router(), s.reshard_events()),
+                    None => (
+                        1,
+                        Arc::new(SlotTable::identity(1)) as Arc<dyn Router>,
+                        Vec::new(),
+                    ),
+                };
+                Frame::TopologyInfo {
+                    id,
+                    shards,
+                    map_version: router.version(),
+                    digest: router.digest(),
+                    events,
                 }
-                None => {
-                    // An unsharded store is a fixed one-shard topology.
-                    let trivial = SlotTable::identity(1);
-                    Frame::TopologyInfo {
-                        id,
-                        shards: 1,
-                        map_version: trivial.version(),
-                        digest: trivial.digest(),
-                        events: Vec::new(),
-                    }
-                }
-            },
-            ConnEvent::Frame(Frame::Checkpoint { id, dir }, _) => {
-                // Runs on this connection's worker like a reshard: a
+            }
+            Frame::Checkpoint { id, dir } => {
+                // Runs on this connection's thread like a reshard: a
                 // dedicated control connection checkpoints while traffic
                 // connections keep applying batches (each backend's
                 // checkpoint takes its own consistent cut internally).
@@ -463,46 +402,22 @@ fn worker_loop(stream: TcpStream, rx: Receiver<ConnEvent>, conn_id: u64, shared:
                         total_bytes: manifest.total_bytes,
                         reused: manifest.reused_files,
                     },
-                    Err(e) => {
-                        let (code, message) = wire::encode_store_error(&e);
-                        Frame::Error { id, code, message }
-                    }
+                    Err(e) => error_frame(id, &e),
                 }
             }
-            ConnEvent::Frame(Frame::Restore { id, dir }, _) => {
-                match shared.store.restore(std::path::Path::new(&dir)) {
-                    Ok(()) => Frame::RestoreDone { id },
-                    Err(e) => {
-                        let (code, message) = wire::encode_store_error(&e);
-                        Frame::Error { id, code, message }
-                    }
-                }
-            }
-            ConnEvent::Frame(other, _) => {
-                // Clients must not send server-kind frames.
-                let id = other.id();
-                Frame::Error {
-                    id,
-                    code: wire::ErrorCode::InvalidArgument,
-                    message: "unexpected frame kind from client".to_string(),
-                }
-            }
-            ConnEvent::Malformed(e) => {
-                let reply = Frame::Error {
-                    id: 0,
-                    code: wire::ErrorCode::InvalidArgument,
-                    message: format!("malformed frame: {e}"),
-                };
-                if wire::write_frame(&mut writer, &reply).is_ok() {
-                    shared.bytes_out.add(reply.encoded_len() as u64);
-                    let _ = writer.flush();
-                }
-                break;
-            }
+            Frame::Restore { id, dir } => match shared.store.restore(std::path::Path::new(&dir)) {
+                Ok(()) => Frame::RestoreDone { id },
+                Err(e) => error_frame(id, &e),
+            },
+            // Clients must not send server-kind frames.
+            other => Frame::Error {
+                id: other.id(),
+                code: wire::ErrorCode::InvalidArgument,
+                message: "unexpected frame kind from client".to_string(),
+            },
         };
-        shared.inflight.add(-1);
         // Traced replies get their send timestamp at the last moment
-        // before the bytes leave, so the client's return-path segment
+        // before the encode, so the client's return-path segment
         // excludes none of the write.
         let traced = match &mut reply {
             Frame::Response { trace: Some(t), .. } => {
@@ -511,50 +426,40 @@ fn worker_loop(stream: TcpStream, rx: Receiver<ConnEvent>, conn_id: u64, shared:
             }
             _ => None,
         };
-        if wire::write_frame(&mut writer, &reply).is_err() {
-            break;
-        }
-        shared.bytes_out.add(reply.encoded_len() as u64);
-        if writer.flush().is_err() {
-            break;
+        let shutdown = matches!(reply, Frame::Shutdown { .. });
+        shared
+            .bytes_out
+            .add(wire::encode_into(&mut out, &reply) as u64);
+        // Another whole request already buffered means the client is
+        // pipelining: its reply can share this one's write.
+        if shutdown || out.len() >= REPLY_FLUSH_BYTES || !wire::frame_buffered(reader.buffer()) {
+            if stream.write_all(&out).is_err() {
+                return;
+            }
+            wire::recycle(&mut out);
         }
         if let Some(t) = traced {
-            // Child spans of the request, keyed (conn, seq): queue
-            // wait, store apply, response write, and the whole-request
-            // envelope. Recorded only while a trace session runs.
+            // Child spans of the request, keyed (conn, seq): payload
+            // read + decode, store apply, reply encode + write, and the
+            // whole-request envelope. Recorded only while a trace
+            // session runs.
             let write_end = trace::now_ns();
-            record_complete2(
-                Category::NetQueue,
-                conn_id,
-                t.seq,
-                t.recv_ns,
-                t.dequeue_ns.saturating_sub(t.recv_ns),
-            );
-            record_complete2(
+            let record = |category, start: u64, end: u64| {
+                record_complete2(category, conn_id, t.seq, start, end.saturating_sub(start));
+            };
+            record(Category::NetQueue, t.recv_ns, t.dequeue_ns);
+            record(
                 Category::NetApply,
-                conn_id,
-                t.seq,
                 t.dequeue_ns,
-                t.apply_dur_ns,
+                t.dequeue_ns + t.apply_dur_ns,
             );
-            record_complete2(
-                Category::NetWrite,
-                conn_id,
-                t.seq,
-                t.send_ns,
-                write_end.saturating_sub(t.send_ns),
-            );
-            record_complete2(
-                Category::NetRequest,
-                conn_id,
-                t.seq,
-                t.recv_ns,
-                write_end.saturating_sub(t.recv_ns),
-            );
+            record(Category::NetWrite, t.send_ns, write_end);
+            record(Category::NetRequest, t.recv_ns, write_end);
+        }
+        if shutdown {
+            shared.begin_shutdown();
         }
     }
-    shared.active.add(-1);
-    shared.live.lock().unwrap().remove(&conn_id);
 }
 
 #[cfg(test)]
@@ -742,6 +647,7 @@ mod tests {
             traffic.put(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
         }
         let stop = Arc::new(AtomicBool::new(false));
+        let (writing_tx, writing) = std::sync::mpsc::channel();
         let writer = {
             let stop = stop.clone();
             let addr = addr.clone();
@@ -752,11 +658,17 @@ mod tests {
                     for i in 0..300u64 {
                         conn.put(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
                         writes += 1;
+                        if writes == 1 {
+                            writing_tx.send(()).unwrap();
+                        }
                     }
                 }
                 writes
             })
         };
+        // The split must start under traffic, not before the writer
+        // has connected.
+        writing.recv().unwrap();
         let event = control.reshard(0, 4, 300).unwrap();
         stop.store(true, Ordering::Relaxed);
         let writes = writer.join().unwrap();
@@ -781,41 +693,6 @@ mod tests {
                 "key {i} lost in migration"
             );
         }
-        server.stop().unwrap();
-    }
-
-    #[test]
-    fn wire_checkpoint_and_restore_round_trip_server_side() {
-        let server = serve_mem();
-        let store = NetStore::connect(&server.local_addr().to_string()).unwrap();
-        for i in 0..100u64 {
-            store.put(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
-        }
-        let dir = std::env::temp_dir().join(format!("gadget-net-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let summary = store
-            .checkpoint_server(&dir.to_string_lossy())
-            .expect("server-side checkpoint");
-        assert!(summary.files > 0);
-        assert!(summary.total_bytes > 0);
-        // Diverge, then restore to the cut — all server-side.
-        for i in 0..100u64 {
-            store.put(&i.to_be_bytes(), b"diverged").unwrap();
-        }
-        store.restore_server(&dir.to_string_lossy()).unwrap();
-        for i in 0..100u64 {
-            assert_eq!(
-                store.get(&i.to_be_bytes()).unwrap().as_deref(),
-                Some(&i.to_le_bytes()[..]),
-                "key {i}"
-            );
-        }
-        // A bad directory surfaces as a typed error, not a dead conn.
-        let err = store.restore_server("/nonexistent/ckpt").unwrap_err();
-        assert!(matches!(err, StoreError::Io(_)), "got {err:?}");
-        assert!(store.get(&1u64.to_be_bytes()).unwrap().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
         server.stop().unwrap();
     }
 

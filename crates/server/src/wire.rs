@@ -222,10 +222,11 @@ pub struct ReplyTrace {
     pub seq: u64,
     /// Echoed client send timestamp (client clock).
     pub client_send_ns: u64,
-    /// Server: request frame decoded off the socket.
+    /// Server: request header read off the socket.
     pub recv_ns: u64,
-    /// Server: request dequeued by the connection worker (= store
-    /// apply start).
+    /// Server: payload read and decoded (= store apply start). The
+    /// name dates from the per-connection queue this stamp used to
+    /// close; the wire layout is unchanged.
     pub dequeue_ns: u64,
     /// Server: how long `apply_batch` ran, in ns.
     pub apply_dur_ns: u64,
@@ -401,20 +402,42 @@ impl From<WireError> for StoreError {
 
 // ---- encoding ----------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where the payload encoders put their bytes: a buffer, or a
+/// [`Count`] that only adds up lengths — which keeps
+/// [`Frame::encoded_len`] in step with the layouts without a second
+/// description of them.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_bytes(out: &mut impl Sink, b: &[u8]) {
     put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+    out.put(b);
 }
 
-fn put_reshard_event(out: &mut Vec<u8>, e: &ReshardEvent) {
+fn put_reshard_event(out: &mut impl Sink, e: &ReshardEvent) {
     put_u64(out, e.at_op);
     put_u32(out, e.from as u32);
     put_u32(out, e.to as u32);
@@ -425,73 +448,112 @@ fn put_reshard_event(out: &mut Vec<u8>, e: &ReshardEvent) {
     put_u64(out, e.map_version);
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut p = Vec::new();
+/// Closes `frame`, a header-sized gap followed by the payload: fills
+/// the header in, now that the payload length is known. Returns the
+/// frame's size on the wire.
+fn end_frame(frame: &mut [u8], version: u8, kind: u8, id: u64) -> usize {
+    frame[..2].copy_from_slice(&MAGIC.to_le_bytes());
+    frame[2] = version;
+    frame[3] = kind;
+    frame[4..12].copy_from_slice(&id.to_le_bytes());
+    let payload = (frame.len() - HEADER_LEN) as u32;
+    frame[12..HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
+    frame.len()
+}
+
+fn put_request(out: &mut impl Sink, ops: &[Op], trace: Option<TraceContext>) {
+    put_u32(out, ops.len() as u32);
+    for op in ops {
+        match op {
+            Op::Get { key } => {
+                out.put(&[0]);
+                put_bytes(out, key);
+            }
+            Op::Put { key, value } => {
+                out.put(&[1]);
+                put_bytes(out, key);
+                put_bytes(out, value);
+            }
+            Op::Merge { key, operand } => {
+                out.put(&[2]);
+                put_bytes(out, key);
+                put_bytes(out, operand);
+            }
+            Op::Delete { key } => {
+                out.put(&[3]);
+                put_bytes(out, key);
+            }
+        }
+    }
+    if let Some(t) = trace {
+        put_u64(out, t.seq);
+        put_u64(out, t.send_ns);
+    }
+}
+
+/// [`encode_into`] for a `Request` whose batch the caller only borrows,
+/// so a client need not copy its ops into a [`Frame`] first.
+pub fn encode_request_into(
+    out: &mut Vec<u8>,
+    id: u64,
+    ops: &[Op],
+    trace: Option<TraceContext>,
+) -> usize {
+    let start = out.len();
+    out.resize(start + HEADER_LEN, 0);
+    put_request(out, ops, trace);
+    let version = trace.map_or(VERSION_UNTRACED, |_| VERSION);
+    end_frame(&mut out[start..], version, KIND_REQUEST, id)
+}
+
+/// Writes `frame`'s payload and returns its kind byte.
+fn put_payload(out: &mut impl Sink, frame: &Frame) -> u8 {
     match frame {
         Frame::Request { ops, trace, .. } => {
-            put_u32(&mut p, ops.len() as u32);
-            for op in ops {
-                match op {
-                    Op::Get { key } => {
-                        p.push(0);
-                        put_bytes(&mut p, key);
-                    }
-                    Op::Put { key, value } => {
-                        p.push(1);
-                        put_bytes(&mut p, key);
-                        put_bytes(&mut p, value);
-                    }
-                    Op::Merge { key, operand } => {
-                        p.push(2);
-                        put_bytes(&mut p, key);
-                        put_bytes(&mut p, operand);
-                    }
-                    Op::Delete { key } => {
-                        p.push(3);
-                        put_bytes(&mut p, key);
-                    }
-                }
-            }
-            if let Some(t) = trace {
-                put_u64(&mut p, t.seq);
-                put_u64(&mut p, t.send_ns);
-            }
+            put_request(out, ops, *trace);
+            KIND_REQUEST
         }
         Frame::Response { results, trace, .. } => {
-            put_u32(&mut p, results.len() as u32);
+            put_u32(out, results.len() as u32);
             for r in results {
                 match r {
-                    BatchResult::Applied => p.push(0),
-                    BatchResult::Value(None) => p.push(1),
+                    BatchResult::Applied => out.put(&[0]),
+                    BatchResult::Value(None) => out.put(&[1]),
                     BatchResult::Value(Some(v)) => {
-                        p.push(2);
-                        put_bytes(&mut p, v);
+                        out.put(&[2]);
+                        put_bytes(out, v);
                     }
                 }
             }
             if let Some(t) = trace {
-                put_u64(&mut p, t.seq);
-                put_u64(&mut p, t.client_send_ns);
-                put_u64(&mut p, t.recv_ns);
-                put_u64(&mut p, t.dequeue_ns);
-                put_u64(&mut p, t.apply_dur_ns);
-                put_u64(&mut p, t.send_ns);
+                put_u64(out, t.seq);
+                put_u64(out, t.client_send_ns);
+                put_u64(out, t.recv_ns);
+                put_u64(out, t.dequeue_ns);
+                put_u64(out, t.apply_dur_ns);
+                put_u64(out, t.send_ns);
             }
+            KIND_RESPONSE
         }
         Frame::Error { code, message, .. } => {
-            p.push(*code as u8);
-            put_bytes(&mut p, message.as_bytes());
+            out.put(&[*code as u8]);
+            put_bytes(out, message.as_bytes());
+            KIND_ERROR
         }
-        Frame::Shutdown { .. } => {}
+        Frame::Shutdown { .. } => KIND_SHUTDOWN,
         Frame::Reshard {
             from, to, at_op, ..
         } => {
-            put_u32(&mut p, *from);
-            put_u32(&mut p, *to);
-            put_u64(&mut p, *at_op);
+            put_u32(out, *from);
+            put_u32(out, *to);
+            put_u64(out, *at_op);
+            KIND_RESHARD
         }
-        Frame::ReshardDone { event, .. } => put_reshard_event(&mut p, event),
-        Frame::Topology { .. } => {}
+        Frame::ReshardDone { event, .. } => {
+            put_reshard_event(out, event);
+            KIND_RESHARD_DONE
+        }
+        Frame::Topology { .. } => KIND_TOPOLOGY,
         Frame::TopologyInfo {
             shards,
             map_version,
@@ -499,16 +561,18 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             events,
             ..
         } => {
-            put_u32(&mut p, *shards);
-            put_u64(&mut p, *map_version);
-            put_u64(&mut p, *digest);
-            put_u32(&mut p, events.len() as u32);
+            put_u32(out, *shards);
+            put_u64(out, *map_version);
+            put_u64(out, *digest);
+            put_u32(out, events.len() as u32);
             for event in events {
-                put_reshard_event(&mut p, event);
+                put_reshard_event(out, event);
             }
+            KIND_TOPOLOGY_INFO
         }
-        Frame::Checkpoint { dir, .. } | Frame::Restore { dir, .. } => {
-            put_bytes(&mut p, dir.as_bytes());
+        Frame::Checkpoint { dir, .. } => {
+            put_bytes(out, dir.as_bytes());
+            KIND_CHECKPOINT
         }
         Frame::CheckpointDone {
             files,
@@ -516,13 +580,28 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             reused,
             ..
         } => {
-            put_u64(&mut p, *files);
-            put_u64(&mut p, *total_bytes);
-            put_u64(&mut p, *reused);
+            put_u64(out, *files);
+            put_u64(out, *total_bytes);
+            put_u64(out, *reused);
+            KIND_CHECKPOINT_DONE
         }
-        Frame::RestoreDone { .. } => {}
+        Frame::Restore { dir, .. } => {
+            put_bytes(out, dir.as_bytes());
+            KIND_RESTORE
+        }
+        Frame::RestoreDone { .. } => KIND_RESTORE_DONE,
     }
-    p
+}
+
+/// Appends `frame`'s canonical encoding (header plus payload, written
+/// in one pass) to `out` and returns its size on the wire. Bytes
+/// already in `out` are left alone, so a caller can reuse one buffer
+/// for every frame it sends, or queue several frames for one write.
+pub fn encode_into(out: &mut Vec<u8>, frame: &Frame) -> usize {
+    let start = out.len();
+    out.resize(start + HEADER_LEN, 0);
+    let kind = put_payload(out, frame);
+    end_frame(&mut out[start..], frame.wire_version(), kind, frame.id())
 }
 
 impl Frame {
@@ -559,34 +638,17 @@ impl Frame {
 
     /// Canonical byte encoding: header plus payload.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = encode_payload(self);
-        let kind = match self {
-            Frame::Request { .. } => KIND_REQUEST,
-            Frame::Response { .. } => KIND_RESPONSE,
-            Frame::Error { .. } => KIND_ERROR,
-            Frame::Shutdown { .. } => KIND_SHUTDOWN,
-            Frame::Reshard { .. } => KIND_RESHARD,
-            Frame::ReshardDone { .. } => KIND_RESHARD_DONE,
-            Frame::Topology { .. } => KIND_TOPOLOGY,
-            Frame::TopologyInfo { .. } => KIND_TOPOLOGY_INFO,
-            Frame::Checkpoint { .. } => KIND_CHECKPOINT,
-            Frame::CheckpointDone { .. } => KIND_CHECKPOINT_DONE,
-            Frame::Restore { .. } => KIND_RESTORE,
-            Frame::RestoreDone { .. } => KIND_RESTORE_DONE,
-        };
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(self.wire_version());
-        out.push(kind);
-        out.extend_from_slice(&self.id().to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        encode_into(&mut out, self);
         out
     }
 
-    /// Exact on-wire size of this frame's canonical encoding.
+    /// Exact on-wire size of this frame's canonical encoding: the sum
+    /// of the lengths the encoder would write, with nothing written.
     pub fn encoded_len(&self) -> usize {
-        HEADER_LEN + encode_payload(self).len()
+        let mut payload = Count(0);
+        put_payload(&mut payload, self);
+        HEADER_LEN + payload.0
     }
 }
 
@@ -654,7 +716,10 @@ pub const REQUEST_TRACE_LEN: usize = 16;
 /// Size of the encoded response trace extension (v3).
 pub const REPLY_TRACE_LEN: usize = 48;
 
-fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Frame, WireError> {
+fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, WireError> {
+    let Header {
+        version, kind, id, ..
+    } = *header;
     let mut c = Cursor::new(payload);
     let frame = match kind {
         KIND_REQUEST => {
@@ -746,9 +811,9 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Fram
             let map_version = c.u64()?;
             let digest = c.u64()?;
             let count = c.u32()? as usize;
-            // An encoded event is 44 bytes; reject impossible counts
+            // An encoded event is 52 bytes; reject impossible counts
             // before reserving capacity for them.
-            if count > payload.len() / 44 + 1 {
+            if count > payload.len() / 52 + 1 {
                 return Err(WireError::Truncated);
             }
             let mut events = Vec::with_capacity(count);
@@ -786,6 +851,38 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Fram
     Ok(frame)
 }
 
+/// A frame header that passed the checks made before any payload byte
+/// is trusted: magic, a supported version, a payload length within
+/// [`MAX_PAYLOAD`].
+pub(crate) struct Header {
+    pub(crate) version: u8,
+    kind: u8,
+    id: u64,
+    len: u32,
+}
+
+impl Header {
+    fn parse(raw: &[u8; HEADER_LEN]) -> Result<Header, WireError> {
+        let magic = u16::from_le_bytes([raw[0], raw[1]]);
+        if magic != MAGIC {
+            return Err(WireError::BadMagic(magic));
+        }
+        if !version_supported(raw[2]) {
+            return Err(WireError::BadVersion(raw[2]));
+        }
+        let len = u32::from_le_bytes(raw[12..16].try_into().unwrap());
+        if len > MAX_PAYLOAD {
+            return Err(WireError::Oversized(len));
+        }
+        Ok(Header {
+            version: raw[2],
+            kind: raw[3],
+            id: u64::from_le_bytes(raw[4..12].try_into().unwrap()),
+            len,
+        })
+    }
+}
+
 /// Decodes one frame from a complete byte buffer.
 ///
 /// The buffer must contain exactly one frame; leftover bytes after the
@@ -793,59 +890,76 @@ fn decode_payload(version: u8, kind: u8, id: u64, payload: &[u8]) -> Result<Fram
 /// strict-parsing entry the proptests hammer; [`read_frame`] is the
 /// streaming equivalent.
 pub fn decode(buf: &[u8]) -> Result<Frame, WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let magic = u16::from_le_bytes([buf[0], buf[1]]);
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    if !version_supported(buf[2]) {
-        return Err(WireError::BadVersion(buf[2]));
-    }
-    let kind = buf[3];
-    let id = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-    let len = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let body = &buf[HEADER_LEN..];
-    match body.len().cmp(&(len as usize)) {
+    let (raw, body) = buf
+        .split_first_chunk::<HEADER_LEN>()
+        .ok_or(WireError::Truncated)?;
+    let header = Header::parse(raw)?;
+    match body.len().cmp(&(header.len as usize)) {
         std::cmp::Ordering::Less => Err(WireError::Truncated),
-        std::cmp::Ordering::Greater => Err(WireError::Trailing(body.len() - len as usize)),
-        std::cmp::Ordering::Equal => decode_payload(buf[2], kind, id, body),
+        std::cmp::Ordering::Greater => Err(WireError::Trailing(body.len() - header.len as usize)),
+        std::cmp::Ordering::Equal => decode_payload(&header, body),
     }
 }
 
-/// Reads one frame from a stream.
+/// Whether `buffered` starts with a whole frame, going by the length
+/// its header declares: reading that frame cannot block.
+pub(crate) fn frame_buffered(buffered: &[u8]) -> bool {
+    buffered.get(12..HEADER_LEN).is_some_and(|len| {
+        let len = u32::from_le_bytes(len.try_into().unwrap());
+        buffered.len() - HEADER_LEN >= len as usize
+    })
+}
+
+/// Empties `buf` for reuse, giving back what a single large frame grew
+/// it by, so that frame does not pin its size on a connection for good.
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(64 * 1024);
+}
+
+/// Reads and checks one frame header.
 ///
 /// A clean EOF *before the first header byte* maps to
 /// [`WireError::Truncated`] too — callers treat it as connection end.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let magic = u16::from_le_bytes([header[0], header[1]]);
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    if !version_supported(header[2]) {
-        return Err(WireError::BadVersion(header[2]));
-    }
-    let kind = header[3];
-    let id = u64::from_le_bytes(header[4..12].try_into().unwrap());
-    let len = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode_payload(header[2], kind, id, &payload)
+pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<Header, WireError> {
+    let mut raw = [0u8; HEADER_LEN];
+    r.read_exact(&mut raw)?;
+    Header::parse(&raw)
 }
 
-/// Writes a frame's canonical encoding to a stream (no flush).
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> {
-    w.write_all(&frame.encode())?;
-    Ok(())
+/// Reads the payload `header` announces into `scratch` and decodes it;
+/// returns the frame with its size on the wire.
+pub(crate) fn read_payload<R: Read>(
+    r: &mut R,
+    header: &Header,
+    scratch: &mut Vec<u8>,
+) -> Result<(Frame, usize), WireError> {
+    recycle(scratch);
+    scratch.resize(header.len as usize, 0);
+    r.read_exact(scratch)?;
+    Ok((decode_payload(header, scratch)?, HEADER_LEN + scratch.len()))
+}
+
+/// Reads one frame from a stream, staging its payload in `scratch` (a
+/// buffer the caller keeps between frames), and returns it with its
+/// size on the wire.
+pub fn read_frame<R: Read>(r: &mut R, scratch: &mut Vec<u8>) -> Result<(Frame, usize), WireError> {
+    let header = read_header(r)?;
+    read_payload(r, &header, scratch)
+}
+
+/// Encodes `frame` into `buf` (a buffer the caller keeps between
+/// frames; its contents are replaced) and writes it to a stream in one
+/// `write_all`, without flushing. Returns the frame's size on the wire.
+pub fn write_frame<W: Write>(
+    w: &mut W,
+    frame: &Frame,
+    buf: &mut Vec<u8>,
+) -> Result<usize, WireError> {
+    recycle(buf);
+    let len = encode_into(buf, frame);
+    w.write_all(buf)?;
+    Ok(len)
 }
 
 #[cfg(test)]
@@ -973,10 +1087,15 @@ mod tests {
             stream.extend_from_slice(&frame.encode());
         }
         let mut r = io::Cursor::new(stream);
+        let mut scratch = Vec::new();
         for expected in sample_frames() {
-            assert_eq!(read_frame(&mut r).unwrap(), expected);
+            let len = expected.encoded_len();
+            assert_eq!(read_frame(&mut r, &mut scratch).unwrap(), (expected, len));
         }
-        assert!(matches!(read_frame(&mut r), Err(WireError::Truncated)));
+        assert!(matches!(
+            read_frame(&mut r, &mut scratch),
+            Err(WireError::Truncated)
+        ));
     }
 
     #[test]

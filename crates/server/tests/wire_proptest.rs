@@ -1,6 +1,6 @@
 //! Wire-protocol robustness properties.
 //!
-//! Two invariants hold for every frame the protocol can express:
+//! Three invariants hold for every frame the protocol can express:
 //!
 //! 1. **Canonical round-trip** — `decode(frame.encode())` returns an
 //!    equal frame, and re-encoding it reproduces the original bytes
@@ -11,9 +11,12 @@
 //!    version/kind/tag bytes, and oversized length fields all come back
 //!    as typed [`WireError`]s. Decoding arbitrary attacker-controlled
 //!    bytes must never panic or allocate unboundedly.
+//! 3. **One encoding** — the buffer-reusing encoder, the streaming
+//!    writer and `encoded_len()` all agree with `Frame::encode()`, and
+//!    `Frame::encode()` agrees with bytes captured from earlier builds.
 
 use bytes::Bytes;
-use gadget_kv::BatchResult;
+use gadget_kv::{BatchResult, ReshardEvent};
 use gadget_server::wire::{
     self, ErrorCode, Frame, ReplyTrace, TraceContext, WireError, MAX_PAYLOAD,
 };
@@ -54,11 +57,26 @@ fn results() -> impl Strategy<Value = Vec<BatchResult>> {
     })
 }
 
+/// Reshard events with every word derived from one seed.
+fn event(seed: u64) -> ReshardEvent {
+    ReshardEvent {
+        at_op: seed,
+        from: (seed % 7) as usize,
+        to: (seed % 11) as usize,
+        slots: (seed % 2521) as usize,
+        keys: seed.wrapping_mul(3),
+        pause_us: seed % 1_000,
+        copy_us: seed % 100_000,
+        map_version: seed % 64,
+    }
+}
+
 /// One frame of any kind, with ids across the u64 range. Kinds 4 and 5
-/// are the v3-traced twins of Request and Response, with trace words
-/// derived from `id` so the strategy stays cheap.
+/// are the v3-traced twins of Request and Response; the control frames'
+/// fields derive from `id`, `code` and `msg_len` so the strategy stays
+/// cheap.
 fn frames() -> impl Strategy<Value = Frame> {
-    (0u8..6, any::<u64>(), ops(), results(), 0u8..5, 0u8..40).prop_map(
+    (0u8..14, any::<u64>(), ops(), results(), 0u8..5, 0u8..40).prop_map(
         |(kind, id, ops, results, code, msg_len)| match kind {
             0 => Frame::Request {
                 id,
@@ -90,7 +108,7 @@ fn frames() -> impl Strategy<Value = Frame> {
                     send_ns: id.wrapping_mul(31),
                 }),
             },
-            _ => Frame::Response {
+            5 => Frame::Response {
                 id,
                 results,
                 trace: Some(ReplyTrace {
@@ -102,8 +120,179 @@ fn frames() -> impl Strategy<Value = Frame> {
                     send_ns: id.wrapping_add(5),
                 }),
             },
+            6 => Frame::Reshard {
+                id,
+                from: code as u32,
+                to: msg_len as u32,
+                at_op: id.rotate_left(7),
+            },
+            7 => Frame::ReshardDone {
+                id,
+                event: event(id),
+            },
+            8 => Frame::Topology { id },
+            9 => Frame::TopologyInfo {
+                id,
+                shards: msg_len as u32,
+                map_version: id % 64,
+                digest: id.rotate_left(13),
+                events: (0..code as u64)
+                    .map(|i| event(id.wrapping_add(i)))
+                    .collect(),
+            },
+            10 => Frame::Checkpoint {
+                id,
+                dir: "/d".repeat(msg_len as usize),
+            },
+            11 => Frame::CheckpointDone {
+                id,
+                files: msg_len as u64,
+                total_bytes: id.rotate_left(3),
+                reused: code as u64,
+            },
+            12 => Frame::Restore {
+                id,
+                dir: "/d".repeat(msg_len as usize),
+            },
+            _ => Frame::RestoreDone { id },
         },
     )
+}
+
+/// Canonical encodings captured from the build before the one-pass
+/// encoder (v2 untraced, v3 traced), one per frame kind.
+const FIXTURES: [&str; 14] = [
+    "5347020107000000000000002a0000000400000000020000006b3101020000006b32010000007602020000006b33030000000909090300000000",
+    "5347020207000000000000000e0000000300000001000203000000616263",
+    "5347020309000000000000000e0000000309000000656d707479206b6579",
+    "53470204ffffffffffffffff00000000",
+    "534702050b000000000000001000000000000000040000008813000000000000",
+    "534702060b0000000000000034000000881300000000000000000000040000003b0100003930000000000000b400000000000000f0550000000000000200000000000000",
+    "534702070c0000000000000000000000",
+    "534702080c000000000000004c0000000500000002000000000000000df0fecaefbeadde01000000881300000000000000000000040000003b0100003930000000000000b400000000000000f0550000000000000200000000000000",
+    "534702090e000000000000000f0000000b0000002f746d702f636b70742d31",
+    "5347020a0e0000000000000018000000090000000000000040e20100000000000400000000000000",
+    "5347020b0f000000000000000f0000000b0000002f746d702f636b70742d31",
+    "5347020c0f0000000000000000000000",
+    "5347030110000000000000001f0000000100000000060000007472616365642a0000000000000040420f0000000000",
+    "5347030210000000000000003500000001000000012a0000000000000040420f000000000080841e0000000000200b200000000000307500000000000060a7200000000000",
+];
+
+/// The frames [`FIXTURES`] encode, in order.
+fn fixture_frames() -> Vec<Frame> {
+    let event = ReshardEvent {
+        at_op: 5_000,
+        from: 0,
+        to: 4,
+        slots: 315,
+        keys: 12_345,
+        pause_us: 180,
+        copy_us: 22_000,
+        map_version: 2,
+    };
+    vec![
+        Frame::Request {
+            id: 7,
+            ops: vec![
+                Op::get(b"k1".to_vec()),
+                Op::put(b"k2".to_vec(), b"v".to_vec()),
+                Op::merge(b"k3".to_vec(), vec![9u8; 3]),
+                Op::delete(b"".to_vec()),
+            ],
+            trace: None,
+        },
+        Frame::Response {
+            id: 7,
+            results: vec![
+                BatchResult::Value(None),
+                BatchResult::Applied,
+                BatchResult::Value(Some(Bytes::copy_from_slice(b"abc"))),
+            ],
+            trace: None,
+        },
+        Frame::Error {
+            id: 9,
+            code: ErrorCode::InvalidArgument,
+            message: "empty key".to_string(),
+        },
+        Frame::Shutdown { id: u64::MAX },
+        Frame::Reshard {
+            id: 11,
+            from: 0,
+            to: 4,
+            at_op: 5_000,
+        },
+        Frame::ReshardDone {
+            id: 11,
+            event: event.clone(),
+        },
+        Frame::Topology { id: 12 },
+        Frame::TopologyInfo {
+            id: 12,
+            shards: 5,
+            map_version: 2,
+            digest: 0xDEAD_BEEF_CAFE_F00D,
+            events: vec![event],
+        },
+        Frame::Checkpoint {
+            id: 14,
+            dir: "/tmp/ckpt-1".to_string(),
+        },
+        Frame::CheckpointDone {
+            id: 14,
+            files: 9,
+            total_bytes: 123_456,
+            reused: 4,
+        },
+        Frame::Restore {
+            id: 15,
+            dir: "/tmp/ckpt-1".to_string(),
+        },
+        Frame::RestoreDone { id: 15 },
+        Frame::Request {
+            id: 16,
+            ops: vec![Op::get(b"traced".to_vec())],
+            trace: Some(TraceContext {
+                seq: 42,
+                send_ns: 1_000_000,
+            }),
+        },
+        Frame::Response {
+            id: 16,
+            results: vec![BatchResult::Value(None)],
+            trace: Some(ReplyTrace {
+                seq: 42,
+                client_send_ns: 1_000_000,
+                recv_ns: 2_000_000,
+                dequeue_ns: 2_100_000,
+                apply_dur_ns: 30_000,
+                send_ns: 2_140_000,
+            }),
+        },
+    ]
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn v1_v2_v3_fixtures_decode_and_encode_unchanged() {
+    for (hex, frame) in FIXTURES.iter().zip(fixture_frames()) {
+        let bytes = unhex(hex);
+        assert_eq!(frame.encode(), bytes, "encoding of {frame:?} moved");
+        assert_eq!(wire::decode(&bytes).expect("fixture decodes"), frame);
+        // The untraced layouts predate v2: a v1 peer's stamp on the
+        // same bytes decodes to the same frame.
+        if bytes[2] == wire::VERSION_UNTRACED {
+            let mut v1 = bytes.clone();
+            v1[2] = 1;
+            assert_eq!(wire::decode(&v1).expect("v1 stamp decodes"), frame);
+        }
+    }
 }
 
 proptest! {
@@ -114,6 +303,57 @@ proptest! {
         let decoded = wire::decode(&bytes).expect("canonical encoding decodes");
         prop_assert_eq!(&decoded, &frame);
         prop_assert_eq!(decoded.encode(), bytes);
+    }
+
+    #[test]
+    fn reused_buffer_and_streaming_codec_agree_with_encode(
+        first in frames(),
+        second in frames(),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let canonical = second.encode();
+        prop_assert_eq!(second.encoded_len(), canonical.len());
+
+        // Appending leaves what the buffer already held alone.
+        let mut buf = junk.clone();
+        prop_assert_eq!(wire::encode_into(&mut buf, &second), canonical.len());
+        prop_assert_eq!(&buf[..junk.len()], &junk[..]);
+        prop_assert_eq!(&buf[junk.len()..], &canonical[..]);
+
+        // A buffer that carried another frame before, cleared.
+        let mut buf = Vec::new();
+        wire::encode_into(&mut buf, &first);
+        buf.clear();
+        prop_assert_eq!(wire::encode_into(&mut buf, &second), canonical.len());
+        prop_assert_eq!(&buf, &canonical);
+
+        // The borrowed-ops entry is the same encoder.
+        if let Frame::Request { id, ops, trace } = &second {
+            buf.clear();
+            prop_assert_eq!(
+                wire::encode_request_into(&mut buf, *id, ops, *trace),
+                canonical.len()
+            );
+            prop_assert_eq!(&buf, &canonical);
+        }
+
+        // Streaming write then read, both through one dirty scratch.
+        let mut stream = Vec::new();
+        let mut scratch = junk;
+        prop_assert_eq!(
+            wire::write_frame(&mut stream, &first, &mut scratch).unwrap(),
+            first.encoded_len()
+        );
+        prop_assert_eq!(
+            wire::write_frame(&mut stream, &second, &mut scratch).unwrap(),
+            canonical.len()
+        );
+        prop_assert!(stream.ends_with(&canonical));
+        let mut r = std::io::Cursor::new(stream);
+        let (back, n) = wire::read_frame(&mut r, &mut scratch).unwrap();
+        prop_assert_eq!((&back, n), (&first, first.encoded_len()));
+        let (back, n) = wire::read_frame(&mut r, &mut scratch).unwrap();
+        prop_assert_eq!((&back, n), (&second, canonical.len()));
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //!    never-crashed twin that stopped at the checkpoint — regardless of
 //!    what the original store did afterwards.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
+
+use common::TestDir;
 
 use gadget_btree::{BTreeConfig, BTreeStore};
 use gadget_hashlog::{HashLogConfig, HashLogStore};
@@ -28,18 +32,6 @@ use gadget_types::Op;
 const BATCH_SIZES: [usize; 2] = [1, 64];
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 const KEYS: u8 = 16;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("gadget-recovery-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(format!(
-        "{name}-{}",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
 
 /// (kind, key, payload length) triples decoded into ops; payload bytes
 /// are a deterministic function of the op index.
@@ -98,8 +90,8 @@ fn sync_wal_cfg(shard: Option<u64>) -> LsmConfig {
 }
 
 /// Property 1: crash + WAL replay recovers exactly the applied prefix.
-fn check_crash_prefix(ops: &[Op], shards: usize, batch: usize) {
-    let base = tmp(&format!("crash-{shards}-{batch}"));
+fn check_crash_prefix(tmp: &TestDir, ops: &[Op], shards: usize, batch: usize) {
+    let base = tmp.path(&format!("crash-{shards}-{batch}"));
     let dirs: Vec<_> = (0..shards)
         .map(|i| base.join(format!("shard-{i}")))
         .collect();
@@ -150,6 +142,7 @@ fn check_crash_prefix(ops: &[Op], shards: usize, batch: usize) {
 /// Property 2: checkpoint/restore equals a never-crashed twin stopped
 /// at the checkpoint, regardless of post-checkpoint activity.
 fn check_checkpoint_roundtrip<S: StateStore>(
+    tmp: &TestDir,
     mk: impl Fn(&str) -> S,
     ops: &[Op],
     batch: usize,
@@ -160,7 +153,7 @@ fn check_checkpoint_roundtrip<S: StateStore>(
     for chunk in ops[..checkpoint_at].chunks(batch) {
         original.apply_batch(chunk).unwrap();
     }
-    let ckpt = tmp(&format!("ckpt-{label}-{batch}"));
+    let ckpt = tmp.path(&format!("ckpt-{label}-{batch}"));
     original.checkpoint(&ckpt).unwrap();
     // Post-checkpoint writes must not leak into the restored state.
     for chunk in ops[checkpoint_at..].chunks(batch) {
@@ -181,22 +174,22 @@ proptest! {
 
     #[test]
     fn sync_wal_crash_recovers_exactly_the_acknowledged_prefix(ops in op_seq()) {
+        let tmp = TestDir::new("recovery-eq-crash-prefix");
         for shards in SHARD_COUNTS {
             for batch in BATCH_SIZES {
-                check_crash_prefix(&ops, shards, batch);
+                check_crash_prefix(&tmp, &ops, shards, batch);
             }
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-recovery-eq-{}", std::process::id())),
-        );
     }
 
     #[test]
     fn checkpoint_restore_equals_never_crashed_twin(ops in op_seq()) {
+        let tmp = TestDir::new("recovery-eq-checkpoint");
         for batch in BATCH_SIZES {
             check_checkpoint_roundtrip(
+                &tmp,
                 |tag| {
-                    let dir = tmp(&format!("lsm-{tag}"));
+                    let dir = tmp.path(&format!("lsm-{tag}"));
                     std::fs::create_dir_all(&dir).unwrap();
                     LsmStore::open(&dir, sync_wal_cfg(None)).unwrap()
                 },
@@ -205,14 +198,16 @@ proptest! {
                 "lsm",
             );
             check_checkpoint_roundtrip(
+                &tmp,
                 |_| HashLogStore::new(HashLogConfig::small()),
                 &ops,
                 batch,
                 "hashlog",
             );
             check_checkpoint_roundtrip(
+                &tmp,
                 |tag| {
-                    BTreeStore::open(tmp(&format!("btree-{tag}.db")), BTreeConfig::small())
+                    BTreeStore::open(tmp.path(&format!("btree-{tag}.db")), BTreeConfig::small())
                         .unwrap()
                 },
                 &ops,
@@ -220,8 +215,5 @@ proptest! {
                 "btree",
             );
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-recovery-eq-{}", std::process::id())),
-        );
     }
 }

@@ -12,9 +12,13 @@
 //!    state identical to an unmigrated twin fed the same ops. Clients
 //!    never observe the copy window.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
+
+use common::TestDir;
 
 use gadget_btree::{BTreeConfig, BTreeStore};
 use gadget_hashlog::{HashLogConfig, HashLogStore};
@@ -31,18 +35,6 @@ const BATCH_SIZES: [usize; 2] = [1, 64];
 /// Single-byte keys 0..16: small enough to revisit (overwrites, merge
 /// stacking, delete-then-get) and to enumerate for final-state checks.
 const KEYS: u8 = 16;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("gadget-reshard-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(format!(
-        "{name}-{}",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
 
 fn op_seq() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec((0u8..4, 0u8..KEYS, 1u8..32), 1..300).prop_map(|raw| {
@@ -217,6 +209,7 @@ proptest! {
 
     #[test]
     fn identity_slot_table_matches_legacy_routing(ops in op_seq()) {
+        let tmp = TestDir::new("reshard-eq-identity");
         for shards in SHARD_COUNTS {
             for batch in BATCH_SIZES {
                 assert_identity_router_equivalent(
@@ -225,44 +218,39 @@ proptest! {
                     |_| HashLogStore::new(HashLogConfig::small()),
                     &ops, shards, batch, "hashlog");
                 assert_identity_router_equivalent(
-                    |i| BTreeStore::open(tmp(&format!("btree-{i}.db")), BTreeConfig::small())
+                    |i| BTreeStore::open(tmp.path(&format!("btree-{i}.db")), BTreeConfig::small())
                         .unwrap(),
                     &ops, shards, batch, "btree");
                 assert_identity_router_equivalent(
                     |i| {
-                        let dir = tmp(&format!("lsm-{i}"));
+                        let dir = tmp.path(&format!("lsm-{i}"));
                         std::fs::create_dir_all(&dir).unwrap();
                         LsmStore::open(&dir, lsm_cfg(i)).unwrap()
                     },
                     &ops, shards, batch, "lsm");
             }
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-reshard-eq-{}", std::process::id())),
-        );
     }
 
     #[test]
     fn live_migration_is_invisible_to_clients(ops in op_seq()) {
+        let tmp = TestDir::new("reshard-eq-migration");
         // Scannable backends only: migration copies the donor by scan,
         // so the append-only hashlog is excluded by construction.
         for batch in BATCH_SIZES {
             assert_migration_invisible(|_| MemStore::new(), &ops, 4, batch, "mem");
             assert_split_invisible(&ops, batch);
             assert_migration_invisible(
-                |i| BTreeStore::open(tmp(&format!("mig-btree-{i}.db")), BTreeConfig::small())
+                |i| BTreeStore::open(tmp.path(&format!("mig-btree-{i}.db")), BTreeConfig::small())
                     .unwrap(),
                 &ops, 4, batch, "btree");
             assert_migration_invisible(
                 |i| {
-                    let dir = tmp(&format!("mig-lsm-{i}"));
+                    let dir = tmp.path(&format!("mig-lsm-{i}"));
                     std::fs::create_dir_all(&dir).unwrap();
                     LsmStore::open(&dir, lsm_cfg(i)).unwrap()
                 },
                 &ops, 4, batch, "lsm");
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-reshard-eq-{}", std::process::id())),
-        );
     }
 }
