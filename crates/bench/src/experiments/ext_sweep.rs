@@ -22,7 +22,7 @@ use gadget_replay::{run_sweep, ReplayOptions, SweepOptions, TraceReplayer};
 use gadget_ycsb::{CoreWorkload, YcsbConfig};
 use serde::Serialize;
 
-use crate::{fresh_dir, kops, print_table, us, Scale, SharedStore};
+use crate::{fresh_dir, kops, print_table, us, Scale};
 
 /// One rung of one store's curve.
 #[derive(Debug, Serialize)]
@@ -100,11 +100,10 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     let (stores, lsm_dir) = subjects(64);
     for (label, shards, store) in stores {
-        let shared = SharedStore(store.clone());
         TraceReplayer::new(ReplayOptions::default())
-            .preload(&shared, cfg.preload_keys(), cfg.value_size)
+            .preload(&*store, cfg.preload_keys(), cfg.value_size)
             .expect("preload");
-        let outcome = run_sweep(&trace, &shared, "ycsb-a", &opts, None).expect("sweep");
+        let outcome = run_sweep(&trace, &*store, "ycsb-a", &opts, None).expect("sweep");
         let knee_rate = outcome.knee.map(|k| outcome.steps[k].offered);
         for step in &outcome.steps {
             rows.push(Row {

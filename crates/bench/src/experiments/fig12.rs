@@ -2,13 +2,15 @@
 //! D (read latest), and F (read-modify-write) on all four stores with
 //! 1K keys and zipfian requests.
 
+use std::sync::Arc;
+
 use gadget_kv::{ObservedStore, StateStore};
 use gadget_obs::trace;
 use gadget_replay::{ReplayOptions, TraceReplayer};
 use gadget_ycsb::{CoreWorkload, YcsbConfig};
 use serde::Serialize;
 
-use crate::{all_stores, dump_json, kops, print_table, us, Scale, SharedStore};
+use crate::{all_stores, dump_json, kops, print_table, us, Scale};
 
 /// One (workload, store) measurement.
 #[derive(Debug, Serialize)]
@@ -42,10 +44,10 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
         let cfg = YcsbConfig::core(workload, 1_000, scale.ops);
         let trace = cfg.generate();
         for inst in all_stores(64) {
-            let run_store: Box<dyn StateStore> = if session.is_some() {
-                Box::new(ObservedStore::new(SharedStore(inst.store.clone())))
+            let run_store: Arc<dyn StateStore> = if session.is_some() {
+                Arc::new(ObservedStore::new(inst.store.clone()))
             } else {
-                Box::new(SharedStore(inst.store.clone()))
+                inst.store.clone()
             };
             // `--batch-size N` routes the replay through apply_batch
             // (N > 1), exercising each store's native batch path.
@@ -54,11 +56,9 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 ..ReplayOptions::default()
             });
             replayer
-                .preload(run_store.as_ref(), cfg.preload_keys(), cfg.value_size)
+                .preload(&*run_store, cfg.preload_keys(), cfg.value_size)
                 .expect("preload");
-            let report = replayer
-                .replay(&trace, run_store.as_ref(), name)
-                .expect("replay");
+            let report = replayer.replay(&trace, &*run_store, name).expect("replay");
             if let Some(dir) = &scale.reports {
                 crate::emit_run_report(
                     dir,

@@ -346,59 +346,6 @@ pub fn bench_reports_dir() -> PathBuf {
         .join("results/reports")
 }
 
-/// Adapter: lets an `Arc<dyn StateStore>` zoo handle be wrapped by
-/// decorators that take ownership of a concrete store (notably
-/// `ObservedStore` when an experiment runs with `--trace`).
-pub struct SharedStore(pub Arc<dyn StateStore>);
-
-impl StateStore for SharedStore {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn get(&self, key: &[u8]) -> Result<Option<bytes::Bytes>, gadget_kv::StoreError> {
-        self.0.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.put(key, value)
-    }
-    fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.merge(key, operand)
-    }
-    fn delete(&self, key: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.delete(key)
-    }
-    fn scan(
-        &self,
-        lo: &[u8],
-        hi: &[u8],
-    ) -> Result<Vec<(bytes::Bytes, bytes::Bytes)>, gadget_kv::StoreError> {
-        self.0.scan(lo, hi)
-    }
-    fn supports_scan(&self) -> bool {
-        self.0.supports_scan()
-    }
-    fn supports_merge(&self) -> bool {
-        self.0.supports_merge()
-    }
-    fn flush(&self) -> Result<(), gadget_kv::StoreError> {
-        self.0.flush()
-    }
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.0.internal_counters()
-    }
-    // Must forward: the trait default would silently degrade batches to
-    // op-by-op, hiding the inner store's native group-commit path.
-    fn apply_batch(
-        &self,
-        batch: &[gadget_types::Op],
-    ) -> Result<Vec<gadget_kv::BatchResult>, gadget_kv::StoreError> {
-        self.0.apply_batch(batch)
-    }
-    fn metrics(&self) -> Option<gadget_obs::MetricsSnapshot> {
-        self.0.metrics()
-    }
-}
-
 /// Formats a ratio as a fixed-width percentage-like fraction.
 pub fn fr(x: f64) -> String {
     format!("{x:.3}")

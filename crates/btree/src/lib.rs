@@ -215,12 +215,6 @@ impl StateStore for BTreeStore {
         Ok(())
     }
 
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        let mut out = self.counters.snapshot();
-        out.extend(self.tree.lock().stats());
-        out
-    }
-
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
         // Single-op batches take the per-op methods directly.
         if batch.len() <= 1 {
@@ -356,10 +350,8 @@ mod tests {
         assert_eq!(s.get(b"big").unwrap().as_deref(), Some(&bigger[..]));
         s.delete(b"big").unwrap();
         assert_eq!(s.get(b"big").unwrap(), None);
-        let stats = s.internal_counters();
-        assert!(stats
-            .iter()
-            .any(|(k, v)| k == "overflow_pages_written" && *v > 0));
+        let snap = s.metrics().unwrap();
+        assert!(snap.counter("overflow_pages_written").unwrap() > 0);
     }
 
     #[test]

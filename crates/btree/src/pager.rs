@@ -320,21 +320,6 @@ impl Pager {
         self.root = root;
         self.meta_dirty = true;
     }
-
-    /// Internal statistics.
-    pub fn stats(&self) -> Vec<(String, u64)> {
-        vec![
-            ("page_cache_hits".to_string(), self.cache_hits.get()),
-            ("page_cache_misses".to_string(), self.cache_misses.get()),
-            ("pages_written".to_string(), self.pages_written.get()),
-            (
-                "overflow_pages_written".to_string(),
-                self.overflow_pages_written.get(),
-            ),
-            ("dirty_writebacks".to_string(), self.dirty_writebacks.get()),
-            ("page_splits".to_string(), self.page_splits.get()),
-        ]
-    }
 }
 
 impl Drop for Pager {

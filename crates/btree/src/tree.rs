@@ -338,11 +338,6 @@ impl Tree {
     pub fn flush(&mut self) -> io::Result<()> {
         self.pager.flush()
     }
-
-    /// Internal statistics.
-    pub fn stats(&self) -> Vec<(String, u64)> {
-        self.pager.stats()
-    }
 }
 
 /// Splits an oversized leaf in half; returns `(left, separator, right_pid)`.

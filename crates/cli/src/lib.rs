@@ -24,6 +24,7 @@ use gadget_analysis::{
 use gadget_core::GadgetConfig;
 use gadget_kv::StateStore;
 use gadget_obs::{MetricsSeries, SharedSnapshot, SnapshotEmitter};
+use gadget_replay::openloop::splitmix64;
 use gadget_replay::{
     run_online_observed_with, run_online_with, run_sweep, ArrivalMode, RateStep, ReplayOptions,
     SweepOptions, TraceReplayer,
@@ -362,7 +363,7 @@ fn open_store_at(
             if let Some(inner_label) = other.strip_prefix("remote-") {
                 let inner = open_store_at(inner_label, dir, shard)?;
                 return Ok(std::sync::Arc::new(gadget_kv::RemoteStore::new(
-                    ArcStore(inner),
+                    inner,
                     gadget_kv::NetworkProfile::datacenter(),
                 )));
             }
@@ -453,58 +454,6 @@ fn shard_count(flags: &Flags) -> Result<usize, String> {
         Some(0) => Err("--shards must be at least 1".to_string()),
         Some(n) => Ok(n),
         None => Ok(1),
-    }
-}
-
-/// Adapter: lets an `Arc<dyn StateStore>` be wrapped by decorators that
-/// take ownership of a concrete store.
-struct ArcStore(std::sync::Arc<dyn gadget_kv::StateStore>);
-
-impl gadget_kv::StateStore for ArcStore {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn get(&self, key: &[u8]) -> Result<Option<bytes::Bytes>, gadget_kv::StoreError> {
-        self.0.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.put(key, value)
-    }
-    fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.merge(key, operand)
-    }
-    fn delete(&self, key: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.delete(key)
-    }
-    fn scan(
-        &self,
-        lo: &[u8],
-        hi: &[u8],
-    ) -> Result<Vec<(bytes::Bytes, bytes::Bytes)>, gadget_kv::StoreError> {
-        self.0.scan(lo, hi)
-    }
-    fn supports_scan(&self) -> bool {
-        self.0.supports_scan()
-    }
-    fn supports_merge(&self) -> bool {
-        self.0.supports_merge()
-    }
-    fn flush(&self) -> Result<(), gadget_kv::StoreError> {
-        self.0.flush()
-    }
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.0.internal_counters()
-    }
-    // Must forward: the trait default would silently degrade batches to
-    // op-by-op, hiding the inner store's native group-commit path.
-    fn apply_batch(
-        &self,
-        batch: &[gadget_types::Op],
-    ) -> Result<Vec<gadget_kv::BatchResult>, gadget_kv::StoreError> {
-        self.0.apply_batch(batch)
-    }
-    fn metrics(&self) -> Option<gadget_obs::MetricsSnapshot> {
-        self.0.metrics()
     }
 }
 
@@ -725,9 +674,9 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
     // (its sampler emits the foreground op spans); untraced runs keep
     // the raw store.
     let trace_out = flags.optional("trace-out");
-    let run_store: Box<dyn gadget_kv::StateStore> = match trace_out {
-        Some(_) => Box::new(gadget_kv::ObservedStore::new(ArcStore(op_store.clone()))),
-        None => Box::new(ArcStore(op_store)),
+    let run_store: std::sync::Arc<dyn gadget_kv::StateStore> = match trace_out {
+        Some(_) => std::sync::Arc::new(gadget_kv::ObservedStore::new(op_store)),
+        None => op_store,
     };
     let session = trace_out.map(|_| gadget_obs::trace::start_session());
     // `--metrics-addr` needs an emitter too: its endpoint serves the
@@ -950,14 +899,8 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
             shared.publish(gadget_obs::flatten_registries(&registries));
         }
     };
-    let outcome = run_sweep(
-        &trace,
-        &ArcStore(store.clone()),
-        &workload,
-        &opts,
-        Some(&mut progress),
-    )
-    .map_err(|e| e.to_string())?;
+    let outcome = run_sweep(&trace, &*store, &workload, &opts, Some(&mut progress))
+        .map_err(|e| e.to_string())?;
     if let Some((_, endpoint)) = live {
         endpoint.stop();
     }
@@ -1003,9 +946,9 @@ fn cmd_online(flags: &Flags) -> Result<(), String> {
     let trace_out = flags
         .optional("trace")
         .or_else(|| flags.optional("trace-out"));
-    let run_store: Box<dyn gadget_kv::StateStore> = match trace_out {
-        Some(_) => Box::new(gadget_kv::ObservedStore::new(ArcStore(store.clone()))),
-        None => Box::new(ArcStore(store.clone())),
+    let run_store: std::sync::Arc<dyn gadget_kv::StateStore> = match trace_out {
+        Some(_) => std::sync::Arc::new(gadget_kv::ObservedStore::new(store.clone())),
+        None => store.clone(),
     };
     let session = trace_out.map(|_| gadget_obs::trace::start_session());
     let mut emitter = match (flags.optional("metrics"), flags.optional("metrics-addr")) {
@@ -1098,7 +1041,7 @@ fn cmd_observe(flags: &Flags) -> Result<(), String> {
                 continue;
             }
         };
-        let observed = gadget_kv::ObservedStore::new(ArcStore(store));
+        let observed = gadget_kv::ObservedStore::new(store);
         let mut emitter = SnapshotEmitter::every(interval);
         match replayer.replay_observed(&trace, &observed, label, &mut emitter) {
             Ok(report) => println!(
@@ -2024,16 +1967,6 @@ fn crash_label(raw: &str) -> &str {
     }
 }
 
-/// Deterministic splitmix64 step, for seeded kill-point jitter across
-/// repeated crash cycles.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The newest WAL segment (`wal_<gen>.log`, highest generation) in
 /// `dir`, if any — the file a torn write would land in.
 fn newest_wal(dir: &std::path::Path) -> Option<PathBuf> {
@@ -2861,6 +2794,30 @@ mod tests {
     }
 
     #[test]
+    fn remote_store_is_as_durable_as_the_backend_it_fronts() {
+        let dir =
+            std::env::temp_dir().join(format!("gadget-cli-remote-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let remote = open_store_at("remote-rocksdb-class", &dir.join("db"), None).unwrap();
+        let backend = open_store_at("rocksdb-class", &dir.join("twin"), None).unwrap();
+        assert_eq!(remote.durability(), backend.durability());
+        assert_ne!(remote.durability(), gadget_kv::Durability::Ephemeral);
+
+        remote.put(b"k", b"at-the-cut").unwrap();
+        let ckpt = dir.join("ckpt");
+        let manifest = remote.checkpoint(&ckpt).unwrap();
+        assert_eq!(manifest.store, "lsm");
+        remote.put(b"k", b"diverged").unwrap();
+        remote.restore(&ckpt).unwrap();
+        assert_eq!(
+            remote.get(b"k").unwrap().as_deref(),
+            Some(&b"at-the-cut"[..])
+        );
+        drop((remote, backend));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn batched_replay_group_commits_on_sync_lsm() {
         let dir = std::env::temp_dir().join(format!("gadget-cli-batch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2872,8 +2829,8 @@ mod tests {
             .save(&trace_path)
             .unwrap();
         // rocksdb-small runs with wal_sync=true: batching must reach the
-        // LSM's native apply_batch through ArcStore + ObservedStore so
-        // fsyncs are amortized over whole batches.
+        // LSM's native apply_batch through the Arc handle the CLI holds
+        // so fsyncs are amortized over whole batches.
         dispatch(&strs(&[
             "replay",
             "--trace",

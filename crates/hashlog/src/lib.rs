@@ -228,15 +228,6 @@ impl StateStore for HashLogStore {
         false
     }
 
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        let mut out = self.counters.snapshot();
-        for (k, v) in self.shard_stats() {
-            out.push((k.to_string(), v));
-        }
-        out.sort();
-        out
-    }
-
     fn durability(&self) -> Durability {
         // The log lives in process memory; only explicit checkpoints
         // survive a crash.

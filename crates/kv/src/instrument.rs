@@ -78,6 +78,12 @@ impl<S: StateStore> InstrumentedStore<S> {
 }
 
 impl<S: StateStore> StateStore for InstrumentedStore<S> {
+    // Lifecycle calls are inherited, so they pass through unrecorded:
+    // they are not state accesses and must not appear in the trace.
+    fn inner(&self) -> Option<&dyn StateStore> {
+        Some(&self.inner)
+    }
+
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -110,39 +116,6 @@ impl<S: StateStore> StateStore for InstrumentedStore<S> {
             self.record(OpType::Get, k, 0);
         }
         Ok(result)
-    }
-
-    fn supports_scan(&self) -> bool {
-        self.inner.supports_scan()
-    }
-
-    fn supports_merge(&self) -> bool {
-        self.inner.supports_merge()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-
-    fn durability(&self) -> crate::durability::Durability {
-        self.inner.durability()
-    }
-
-    // Lifecycle calls pass through unrecorded: they are not state
-    // accesses, so they must not appear in the trace.
-    fn checkpoint(
-        &self,
-        dir: &std::path::Path,
-    ) -> Result<crate::durability::CheckpointManifest, StoreError> {
-        self.inner.checkpoint(dir)
-    }
-
-    fn restore(&self, dir: &std::path::Path) -> Result<(), StoreError> {
-        self.inner.restore(dir)
-    }
-
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.inner.internal_counters()
     }
 
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {

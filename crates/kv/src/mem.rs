@@ -117,10 +117,6 @@ impl StateStore for MemStore {
         true
     }
 
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.counters.snapshot()
-    }
-
     fn metrics(&self) -> Option<MetricsSnapshot> {
         let mut snap = self.metrics.snapshot();
         snap.push_gauge("live_keys", self.len() as i64);
@@ -291,7 +287,7 @@ mod tests {
         assert_eq!(out, expect);
         assert_eq!(out[2].value().map(|v| v.as_ref()), Some(&b"12"[..]));
         assert!(!out[4].found());
-        assert_eq!(batched.internal_counters(), serial.internal_counters());
+        assert_eq!(batched.metrics(), serial.metrics());
     }
 
     #[test]
@@ -336,10 +332,9 @@ mod tests {
         s.get(b"a").unwrap();
         s.merge(b"a", b"2").unwrap();
         s.delete(b"a").unwrap();
-        let counters = s.internal_counters();
-        assert!(counters.contains(&("gets".to_string(), 1)));
-        assert!(counters.contains(&("puts".to_string(), 1)));
-        assert!(counters.contains(&("merges".to_string(), 1)));
-        assert!(counters.contains(&("deletes".to_string(), 1)));
+        let snap = s.metrics().unwrap();
+        for name in ["gets", "puts", "merges", "deletes"] {
+            assert_eq!(snap.counter(name), Some(1), "{name}");
+        }
     }
 }

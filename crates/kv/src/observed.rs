@@ -112,6 +112,10 @@ impl<S: StateStore> ObservedStore<S> {
 }
 
 impl<S: StateStore> StateStore for ObservedStore<S> {
+    fn inner(&self) -> Option<&dyn StateStore> {
+        Some(&self.inner)
+    }
+
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -147,37 +151,6 @@ impl<S: StateStore> StateStore for ObservedStore<S> {
         self.timers
             .scan
             .time_traced(Category::OpScan, 0, || self.inner.scan(lo, hi))
-    }
-
-    fn supports_scan(&self) -> bool {
-        self.inner.supports_scan()
-    }
-
-    fn supports_merge(&self) -> bool {
-        self.inner.supports_merge()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-
-    fn durability(&self) -> crate::durability::Durability {
-        self.inner.durability()
-    }
-
-    fn checkpoint(
-        &self,
-        dir: &std::path::Path,
-    ) -> Result<crate::durability::CheckpointManifest, StoreError> {
-        self.inner.checkpoint(dir)
-    }
-
-    fn restore(&self, dir: &std::path::Path) -> Result<(), StoreError> {
-        self.inner.restore(dir)
-    }
-
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.inner.internal_counters()
     }
 
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {

@@ -111,6 +111,13 @@ impl<S: StateStore> RemoteStore<S> {
 }
 
 impl<S: StateStore> StateStore for RemoteStore<S> {
+    // Lifecycle calls are inherited, so they pass through without a
+    // simulated round-trip: a checkpoint is an operator-plane action,
+    // not a per-op data path.
+    fn inner(&self) -> Option<&dyn StateStore> {
+        Some(&self.inner)
+    }
+
     fn name(&self) -> &'static str {
         "remote"
     }
@@ -151,39 +158,6 @@ impl<S: StateStore> StateStore for RemoteStore<S> {
             self.simulate_network(bytes);
             Ok(result)
         })
-    }
-
-    fn supports_scan(&self) -> bool {
-        self.inner.supports_scan()
-    }
-
-    fn supports_merge(&self) -> bool {
-        self.inner.supports_merge()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-
-    // Lifecycle calls pass through without a simulated round-trip: a
-    // checkpoint is an operator-plane action, not a per-op data path.
-    fn durability(&self) -> crate::durability::Durability {
-        self.inner.durability()
-    }
-
-    fn checkpoint(
-        &self,
-        dir: &std::path::Path,
-    ) -> Result<crate::durability::CheckpointManifest, StoreError> {
-        self.inner.checkpoint(dir)
-    }
-
-    fn restore(&self, dir: &std::path::Path) -> Result<(), StoreError> {
-        self.inner.restore(dir)
-    }
-
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.inner.internal_counters()
     }
 
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {

@@ -738,20 +738,6 @@ impl StateStore for ShardedStore {
         Ok(())
     }
 
-    /// Counters summed by name across shards.
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        for shard in self.shards.read().iter() {
-            for (name, value) in shard.internal_counters() {
-                match out.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, v)) => *v += value,
-                    None => out.push((name, value)),
-                }
-            }
-        }
-        out
-    }
-
     /// Per-shard snapshots aggregated into one: counters add,
     /// histograms merge, and gauges *sum* (shard gauges are sizes and
     /// occupancies, where the whole-store reading is the total — unlike
@@ -1042,11 +1028,9 @@ mod tests {
         for i in 0..10u64 {
             s.get(&i.to_be_bytes()).unwrap();
         }
-        let counters = s.internal_counters();
-        assert!(counters.contains(&("puts".to_string(), 40)));
-        assert!(counters.contains(&("gets".to_string(), 10)));
         let snap = s.metrics().unwrap();
         assert_eq!(snap.counter("puts"), Some(40));
+        assert_eq!(snap.counter("gets"), Some(10));
         // Gauges sum across shards: 40 distinct keys in total.
         assert_eq!(snap.gauge("live_keys"), Some(40));
         assert_eq!(snap.gauge("shards"), Some(4));

@@ -82,7 +82,37 @@ pub fn apply_ops_serially<S: StateStore + ?Sized>(
 /// it as `get` + concatenate + `put`, which is exactly the "reading and
 /// copying a growing vector" cost the paper attributes to FASTER and
 /// BerkeleyDB on holistic operators (§6.5).
+///
+/// # Decorators and pointers
+///
+/// A store that wraps another declares it once, through
+/// [`StateStore::inner`], and then writes only the methods it changes:
+///
+/// * The **data plane** — `get`/`put`/`merge`/`delete`/`scan`/
+///   `apply_batch` — and `name` are always explicit. They never reach the
+///   wrapped store unless the decorator's own code calls it, so a wrapper
+///   that counts, times or delays operations cannot be bypassed by a
+///   default (`apply_batch` in particular falls back to the decorator's
+///   *own* single-op methods, not to the wrapped store's batch path).
+/// * **Everything else** — `supports_scan`, `supports_merge`, `flush`,
+///   `metrics`, `durability`, `checkpoint`, `restore` — inherits: the
+///   default asks `inner()` and, only for a store that wraps nothing,
+///   falls back to the conservative answer documented on the method.
+///
+/// `Arc<T>`, `Box<T>` and `&T` are stores whenever `T` is (including
+/// `T = dyn StateStore`): the impls at the bottom of this file forward
+/// every method, and they are the one place outside this trait where all
+/// of them are listed.
 pub trait StateStore: Send + Sync {
+    /// The store this one decorates, if any.
+    ///
+    /// Backends keep the default `None`. A decorator returns its wrapped
+    /// store and thereby inherits every non-data-plane method it does not
+    /// override (see *Decorators and pointers* above).
+    fn inner(&self) -> Option<&dyn StateStore> {
+        None
+    }
+
     /// A short human-readable store name for reports (e.g. `"lsm"`).
     fn name(&self) -> &'static str;
 
@@ -115,32 +145,32 @@ pub trait StateStore: Send + Sync {
         Err(StoreError::Unsupported("range scan"))
     }
 
-    /// Whether [`StateStore::scan`] is implemented.
+    /// Whether [`StateStore::scan`] is implemented. Inherited from
+    /// [`inner`](StateStore::inner); `false` for a store that wraps nothing.
     fn supports_scan(&self) -> bool {
-        false
+        self.inner().is_some_and(|s| s.supports_scan())
     }
 
     /// Whether the store supports lazy merges natively.
     ///
     /// When `false`, the performance evaluator translates `merge` requests
-    /// into read-modify-write sequences before timing them.
+    /// into read-modify-write sequences before timing them. Inherited
+    /// from [`inner`](StateStore::inner); `false` for a store that wraps
+    /// nothing.
     fn supports_merge(&self) -> bool {
-        false
+        self.inner().is_some_and(|s| s.supports_merge())
     }
 
-    /// Flushes buffered writes to durable storage (no-op by default).
+    /// Flushes buffered writes to durable storage. Inherited from
+    /// [`inner`](StateStore::inner); a no-op for a store that wraps nothing.
     fn flush(&self) -> Result<(), StoreError> {
-        Ok(())
+        self.inner().map_or(Ok(()), |s| s.flush())
     }
 
-    /// Implementation-specific counters (compactions, cache hits, …) for
-    /// reports and ablation studies. Empty by default.
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        Vec::new()
-    }
-
-    /// A point-in-time snapshot of the store's metrics, or `None` for
-    /// stores that are not instrumented.
+    /// A point-in-time snapshot of the store's metrics — operation
+    /// counters plus every implementation-specific internal (compactions,
+    /// cache hits, write stalls, …) — or `None` for stores that are not
+    /// instrumented. Inherited from [`inner`](StateStore::inner).
     ///
     /// This returns a value (not live instrument handles) so callers
     /// can hold, merge, and serialize readings without worrying about
@@ -149,13 +179,15 @@ pub trait StateStore: Send + Sync {
     /// any computed gauges (e.g. live bytes derived from shard state)
     /// at call time.
     fn metrics(&self) -> Option<MetricsSnapshot> {
-        None
+        self.inner().and_then(|s| s.metrics())
     }
 
-    /// How this store survives process death. Defaults to
-    /// [`Durability::Ephemeral`]; file-backed stores override.
+    /// How this store survives process death. Inherited from
+    /// [`inner`](StateStore::inner); [`Durability::Ephemeral`] for a store
+    /// that wraps nothing — file-backed stores override.
     fn durability(&self) -> Durability {
-        Durability::Ephemeral
+        self.inner()
+            .map_or(Durability::Ephemeral, |s| s.durability())
     }
 
     /// Writes a point-in-time snapshot of the store's state into `dir`,
@@ -168,9 +200,14 @@ pub trait StateStore: Send + Sync {
     /// manifest's `reused_files` reports how many were skipped. The
     /// manifest is written last, so a directory with a readable manifest
     /// is always a complete checkpoint.
+    ///
+    /// Inherited from [`inner`](StateStore::inner);
+    /// [`StoreError::Unsupported`] for a store that wraps nothing.
     fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
-        let _ = dir;
-        Err(StoreError::Unsupported("checkpoint"))
+        match self.inner() {
+            Some(s) => s.checkpoint(dir),
+            None => Err(StoreError::Unsupported("checkpoint")),
+        }
     }
 
     /// Replaces the store's current state with the checkpoint in `dir`.
@@ -180,9 +217,14 @@ pub trait StateStore: Send + Sync {
     /// WAL tails) is discarded. Fails with
     /// [`StoreError::Corruption`] if the checkpoint is incomplete,
     /// fails validation, or was taken by an incompatible store.
+    ///
+    /// Inherited from [`inner`](StateStore::inner);
+    /// [`StoreError::Unsupported`] for a store that wraps nothing.
     fn restore(&self, dir: &Path) -> Result<(), StoreError> {
-        let _ = dir;
-        Err(StoreError::Unsupported("restore"))
+        match self.inner() {
+            Some(s) => s.restore(dir),
+            None => Err(StoreError::Unsupported("restore")),
+        }
     }
 
     /// Applies a batch of operations in order, returning one
@@ -194,7 +236,10 @@ pub trait StateStore: Send + Sync {
     /// hash store takes each shard mutex once per batch, the B+Tree holds
     /// its tree lock across the batch). The default falls back to op-by-op
     /// dispatch, so every store is batch-correct even before it is
-    /// batch-fast.
+    /// batch-fast. It dispatches to *this* store's single-op methods and
+    /// never to [`inner`](StateStore::inner): a decorator that forgets to
+    /// forward batches loses the native batch path, not its own per-op
+    /// behaviour.
     ///
     /// Errors fail the whole call; ops already applied before the failing
     /// one remain applied (same as issuing them individually).
@@ -203,13 +248,70 @@ pub trait StateStore: Send + Sync {
     }
 }
 
+/// Pointers to stores are stores: every method, `inner` included, goes
+/// straight to the pointee, so `Arc<dyn StateStore>` can be handed to a
+/// decorator (or a replay entry point) without an adapter type.
+macro_rules! forward_to_pointee {
+    ($($pointer:ty),+) => {$(
+        impl<T: StateStore + ?Sized> StateStore for $pointer {
+            fn inner(&self) -> Option<&dyn StateStore> {
+                (**self).inner()
+            }
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
+            fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
+                (**self).get(key)
+            }
+            fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+                (**self).put(key, value)
+            }
+            fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
+                (**self).merge(key, operand)
+            }
+            fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+                (**self).delete(key)
+            }
+            fn scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
+                (**self).scan(lo, hi)
+            }
+            fn supports_scan(&self) -> bool {
+                (**self).supports_scan()
+            }
+            fn supports_merge(&self) -> bool {
+                (**self).supports_merge()
+            }
+            fn flush(&self) -> Result<(), StoreError> {
+                (**self).flush()
+            }
+            fn metrics(&self) -> Option<MetricsSnapshot> {
+                (**self).metrics()
+            }
+            fn durability(&self) -> Durability {
+                (**self).durability()
+            }
+            fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
+                (**self).checkpoint(dir)
+            }
+            fn restore(&self, dir: &Path) -> Result<(), StoreError> {
+                (**self).restore(dir)
+            }
+            fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
+                (**self).apply_batch(batch)
+            }
+        }
+    )+};
+}
+
+forward_to_pointee!(std::sync::Arc<T>, Box<T>, &T);
+
 /// Cheap atomic operation counters shared by store implementations.
 ///
 /// Stores embed one of these and bump it per public operation so reports
 /// can show per-store request mixes without external instrumentation.
-/// Built via [`StoreCounters::registered`], the counters live in the
-/// store's [`MetricsRegistry`] and show up in its snapshots for free.
-#[derive(Debug, Default)]
+/// The counters live in the store's [`MetricsRegistry`] and show up in
+/// its snapshots (and so in [`StateStore::metrics`]) for free.
+#[derive(Debug)]
 pub struct StoreCounters {
     gets: Counter,
     puts: Counter,
@@ -218,11 +320,6 @@ pub struct StoreCounters {
 }
 
 impl StoreCounters {
-    /// Creates zeroed counters not tied to any registry.
-    pub fn new() -> Self {
-        StoreCounters::default()
-    }
-
     /// Creates counters registered as `gets`/`puts`/`merges`/`deletes`
     /// in `registry`, so registry snapshots include them.
     pub fn registered(registry: &MetricsRegistry) -> Self {
@@ -253,21 +350,6 @@ impl StoreCounters {
     pub fn record_delete(&self) {
         self.deletes.inc();
     }
-
-    /// Snapshot of all counters as (name, value) pairs.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        vec![
-            ("gets".to_string(), self.gets.get()),
-            ("puts".to_string(), self.puts.get()),
-            ("merges".to_string(), self.merges.get()),
-            ("deletes".to_string(), self.deletes.get()),
-        ]
-    }
-
-    /// Total operations recorded.
-    pub fn total(&self) -> u64 {
-        self.gets.get() + self.puts.get() + self.merges.get() + self.deletes.get()
-    }
 }
 
 #[cfg(test)]
@@ -275,16 +357,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let c = StoreCounters::new();
+    fn counters_accumulate_in_the_registry() {
+        let registry = MetricsRegistry::new();
+        let c = StoreCounters::registered(&registry);
         c.record_get();
         c.record_get();
         c.record_put();
         c.record_merge();
         c.record_delete();
-        assert_eq!(c.total(), 5);
-        let snap = c.snapshot();
-        assert!(snap.contains(&("gets".to_string(), 2)));
-        assert!(snap.contains(&("puts".to_string(), 1)));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("gets"), Some(2));
+        assert_eq!(snap.counter("puts"), Some(1));
+        assert_eq!(snap.counter("merges"), Some(1));
+        assert_eq!(snap.counter("deletes"), Some(1));
     }
 }

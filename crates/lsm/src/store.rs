@@ -989,42 +989,6 @@ impl StateStore for LsmStore {
         Ok(())
     }
 
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        let mut out = self.inner.counters.snapshot();
-        let (hits, misses) = self.inner.cache.stats();
-        out.extend([
-            ("flushes".to_string(), self.inner.flushes.get()),
-            (
-                "compactions_l0".to_string(),
-                self.inner.compactions_l0.get(),
-            ),
-            (
-                "compactions_size".to_string(),
-                self.inner.compactions_size.get(),
-            ),
-            (
-                "compactions_lethe".to_string(),
-                self.inner.compactions_lethe.get(),
-            ),
-            (
-                "tombstones_dropped".to_string(),
-                self.inner.tombstones_dropped.get(),
-            ),
-            (
-                "compaction_bytes_read".to_string(),
-                self.inner.compaction_bytes_read.get(),
-            ),
-            (
-                "compaction_bytes_written".to_string(),
-                self.inner.compaction_bytes_written.get(),
-            ),
-            ("block_cache_hits".to_string(), hits),
-            ("block_cache_misses".to_string(), misses),
-            ("write_stalls".to_string(), self.inner.write_stalls.get()),
-        ]);
-        out
-    }
-
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
         // Single-op batches take the per-op methods: the grouping
         // machinery has nothing to amortize over.
@@ -1153,8 +1117,7 @@ mod tests {
                 "key {i}"
             );
         }
-        let counters = s.internal_counters();
-        let flushes = counters.iter().find(|(k, _)| k == "flushes").unwrap().1;
+        let flushes = s.metrics().unwrap().counter("flushes").unwrap();
         assert!(flushes > 0, "expected at least one flush");
         drop(s);
         std::fs::remove_dir_all(&dir).ok();
@@ -1295,9 +1258,8 @@ mod tests {
             s.put(&i.to_be_bytes(), b"more").unwrap();
         }
         s.compact_and_wait().unwrap();
-        let counters = s.internal_counters();
-        let get = |name: &str| counters.iter().find(|(k, _)| k == name).unwrap().1;
-        assert!(get("tombstones_dropped") > 0, "no tombstones purged");
+        let dropped = s.metrics().unwrap().counter("tombstones_dropped").unwrap();
+        assert!(dropped > 0, "no tombstones purged");
         assert_eq!(s.name(), "lethe");
         drop(s);
         std::fs::remove_dir_all(&dir_l).ok();

@@ -8,12 +8,12 @@
 //!   [`StateStore`](gadget_kv::StateStore), optionally throttled to a
 //!   *service rate*, translating `merge` to read-modify-write for stores
 //!   without a native merge operator.
-//! * [`run_online`] — Gadget's *online* mode: generates and issues
+//! * [`run_online_with`] — Gadget's *online* mode: generates and issues
 //!   requests on the fly from a [`GadgetConfig`](gadget_core::GadgetConfig).
 //! * [`run_concurrent`] — the concurrent-operators experiment (§6.4):
 //!   several workloads hammer one shared store instance from separate
 //!   threads.
-//! * [`TraceReplayer::replay_observed`] / [`run_online_observed`] — the
+//! * [`TraceReplayer::replay_observed`] / [`run_online_observed_with`] — the
 //!   same runs with periodic metrics sampling into a
 //!   [`SnapshotEmitter`](gadget_obs::SnapshotEmitter) time series.
 //! * [`openloop`] — coordinated-omission-safe pacing: seeded
@@ -35,8 +35,8 @@ pub mod sweep;
 pub use histogram::LatencyHistogram;
 pub use openloop::{ArrivalMode, Pacer};
 pub use replayer::{
-    run_concurrent, run_online, run_online_observed, run_online_observed_with, run_online_with,
-    ConcurrentRunError, Measured, ReplayOptions, RunReport, TraceReplayer, DEFAULT_ARRIVAL_SEED,
+    run_concurrent, run_online_observed_with, run_online_with, ConcurrentRunError, Measured,
+    ReplayOptions, RunReport, TraceReplayer, DEFAULT_ARRIVAL_SEED,
 };
 pub use reshard::{ReshardPlan, ReshardingStore};
 pub use sweep::{run_sweep, RateStep, SweepOptions, SweepOutcome};

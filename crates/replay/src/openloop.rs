@@ -76,10 +76,11 @@ impl std::fmt::Display for ArrivalMode {
     }
 }
 
-/// splitmix64 step — the standard 64-bit mixer. Local copy so the
-/// schedule stream needs no RNG dependency and stays bit-identical
-/// across platforms.
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64 step — the standard 64-bit mixer, and the repo's one copy
+/// of it: arrival schedules, the driver's session churn and the crash
+/// harness's kill points all draw from it, so seeded runs need no RNG
+/// dependency and stay bit-identical across platforms.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

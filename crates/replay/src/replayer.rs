@@ -836,18 +836,10 @@ impl TraceReplayer {
 }
 
 /// Online mode: generate the workload and issue it to the store on the
-/// fly, without materializing the trace first.
-pub fn run_online(
-    config: &GadgetConfig,
-    store: &dyn StateStore,
-    workload: &str,
-) -> Result<RunReport, StoreError> {
-    run_online_inner(config, store, workload, &ReplayOptions::default(), None)
-}
-
-/// Like [`run_online`], but honouring `options` (currently `batch_size`:
-/// state accesses emitted by the operator are buffered and issued through
-/// [`StateStore::apply_batch`] in `batch_size` chunks).
+/// fly, without materializing the trace first, honouring `options`
+/// (currently `batch_size`: state accesses emitted by the operator are
+/// buffered and issued through [`StateStore::apply_batch`] in
+/// `batch_size` chunks).
 pub fn run_online_with(
     config: &GadgetConfig,
     store: &dyn StateStore,
@@ -857,24 +849,8 @@ pub fn run_online_with(
     run_online_inner(config, store, workload, options, None)
 }
 
-/// Like [`run_online`], but also samples metrics into `emitter` on its
+/// [`run_online_with`] plus metrics sampling into `emitter` on its
 /// op-count schedule (plus one final sample).
-pub fn run_online_observed(
-    config: &GadgetConfig,
-    store: &dyn StateStore,
-    workload: &str,
-    emitter: &mut SnapshotEmitter,
-) -> Result<RunReport, StoreError> {
-    run_online_inner(
-        config,
-        store,
-        workload,
-        &ReplayOptions::default(),
-        Some(emitter),
-    )
-}
-
-/// [`run_online_with`] plus metrics sampling into `emitter`.
 pub fn run_online_observed_with(
     config: &GadgetConfig,
     store: &dyn StateStore,
@@ -1136,7 +1112,7 @@ mod tests {
         );
         let offline = cfg.run();
         let store = MemStore::new();
-        let online = run_online(&cfg, &store, "agg").unwrap();
+        let online = run_online_with(&cfg, &store, "agg", &ReplayOptions::default()).unwrap();
         assert_eq!(online.operations, offline.len() as u64);
     }
 
@@ -1194,7 +1170,9 @@ mod tests {
         );
         let store = MemStore::new();
         let mut emitter = SnapshotEmitter::every(300);
-        let report = run_online_observed(&cfg, &store, "agg", &mut emitter).unwrap();
+        let report =
+            run_online_observed_with(&cfg, &store, "agg", &ReplayOptions::default(), &mut emitter)
+                .unwrap();
         let points = &emitter.series().points;
         assert!(points.len() >= 2);
         assert_eq!(points.last().unwrap().ops, report.operations);
@@ -1277,7 +1255,8 @@ mod tests {
             },
         );
         let unbatched_store = MemStore::new();
-        let unbatched = run_online(&cfg, &unbatched_store, "agg").unwrap();
+        let unbatched =
+            run_online_with(&cfg, &unbatched_store, "agg", &ReplayOptions::default()).unwrap();
         let batched_store = MemStore::new();
         let options = ReplayOptions {
             batch_size: 32,

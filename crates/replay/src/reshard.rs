@@ -21,7 +21,6 @@ use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use gadget_kv::{BatchResult, ReshardEvent, ShardedStore, StateStore, StoreError};
-use gadget_obs::MetricsSnapshot;
 use gadget_types::Op;
 
 /// A planned mid-run reshard: at absolute op index `at_op`, move slots
@@ -126,6 +125,10 @@ impl ReshardingStore {
 }
 
 impl StateStore for ReshardingStore {
+    fn inner(&self) -> Option<&dyn StateStore> {
+        Some(&*self.inner)
+    }
+
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -153,26 +156,6 @@ impl StateStore for ReshardingStore {
     fn scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
         self.tick(1);
         self.inner.scan(lo, hi)
-    }
-
-    fn supports_scan(&self) -> bool {
-        self.inner.supports_scan()
-    }
-
-    fn supports_merge(&self) -> bool {
-        self.inner.supports_merge()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.inner.internal_counters()
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        self.inner.metrics()
     }
 
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {

@@ -17,6 +17,7 @@ use std::sync::Mutex;
 
 use gadget_kv::{shard_of, ReshardEvent};
 use gadget_obs::trace::{phase, span, Category};
+use gadget_replay::openloop::splitmix64;
 use gadget_replay::{Measured, ReplayOptions, RunReport, TraceReplayer};
 use gadget_types::{StateAccess, Trace};
 
@@ -119,16 +120,6 @@ struct ConnOutcome {
     bytes_out: u64,
     ops: u64,
     decomposition: Option<crate::client::Decomposition>,
-}
-
-/// splitmix64 step — the standard 64-bit mixer; deterministic churn
-/// decisions without pulling a rand dependency into the server crate.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform draw in `[0, 1)` from the top 53 bits of a splitmix64 step.

@@ -77,9 +77,6 @@ impl Shared {
         if let Some(store) = self.store.metrics() {
             snap.merge(&store);
         }
-        for (name, value) in self.store.internal_counters() {
-            snap.push_counter(&name, value);
-        }
         snap.merge(&gadget_obs::trace_pressure_snapshot());
         snap
     }
@@ -604,6 +601,24 @@ mod tests {
         let snap = server.metrics();
         assert_eq!(snap.counter("net_connections"), Some(8));
         assert!(snap.counter("net_requests").unwrap() >= 8 * 100);
+        server.stop().unwrap();
+    }
+
+    #[test]
+    fn metrics_report_the_fronted_stores_counters_once() {
+        let backend = Arc::new(MemStore::new());
+        let server =
+            Server::start("127.0.0.1:0", backend.clone(), ServerConfig::default()).unwrap();
+        let store = NetStore::connect(&server.local_addr().to_string()).unwrap();
+        for i in 0..10u64 {
+            store.put(&i.to_be_bytes(), b"v").unwrap();
+        }
+        store.get(&0u64.to_be_bytes()).unwrap();
+        let own = backend.metrics().unwrap();
+        assert_eq!(own.counter("puts"), Some(10));
+        let served = server.metrics();
+        assert_eq!(served.counter("puts"), own.counter("puts"));
+        assert_eq!(served.counter("gets"), own.counter("gets"));
         server.stop().unwrap();
     }
 

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full pipeline from event generation
 //! through operator simulation to store replay.
 
+mod common;
+
 use gadget::core::{GadgetConfig, GeneratorConfig, OperatorKind};
 use gadget::datasets::DatasetSpec;
 use gadget::kv::MemStore;
@@ -80,9 +82,8 @@ fn aggregation_state_equals_input_keyspace() {
 
 #[test]
 fn trace_files_roundtrip_through_disk_and_replay() {
-    let dir = std::env::temp_dir().join(format!("gadget-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.gdt");
+    let tmp = common::TestDir::new("e2e-roundtrip");
+    let path = tmp.path("roundtrip.gdt");
 
     let trace = synthetic(OperatorKind::SlidingIncr, 2_000).run();
     trace.save(&path).unwrap();
@@ -94,7 +95,6 @@ fn trace_files_roundtrip_through_disk_and_replay() {
         .replay(&loaded, &store, "x")
         .unwrap();
     assert_eq!(report.operations, trace.len() as u64);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -136,7 +136,8 @@ fn online_and_offline_modes_agree() {
     let cfg = synthetic(OperatorKind::TumblingHol, 2_000);
     let offline = cfg.run();
     let store = MemStore::new();
-    let online = gadget::replay::run_online(&cfg, &store, "hol").unwrap();
+    let online =
+        gadget::replay::run_online_with(&cfg, &store, "hol", &ReplayOptions::default()).unwrap();
     assert_eq!(online.operations, offline.len() as u64);
     // Online mode also cleans up window state.
     assert!(store.is_empty());

@@ -5,9 +5,13 @@
 //! the serial trace's projection onto its keyspace, in order. Sharding
 //! is a parallelism optimization, never a semantic one.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
+
+use common::TestDir;
 
 use gadget_btree::{BTreeConfig, BTreeStore};
 use gadget_hashlog::{HashLogConfig, HashLogStore};
@@ -28,18 +32,6 @@ const BATCH_SIZES: [usize; 2] = [1, 64];
 /// Key universe: single-byte keys 0..16, small enough that sequences
 /// revisit keys (overwrites, merge stacking, delete-then-get).
 const KEYS: u8 = 16;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("gadget-shard-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(format!(
-        "{name}-{}",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
 
 /// (kind, key, payload length) triples decoded into ops; payload bytes
 /// are a deterministic function of the op index.
@@ -137,6 +129,7 @@ proptest! {
 
     #[test]
     fn sharding_is_invisible_on_every_store(ops in op_seq()) {
+        let tmp = TestDir::new("shard-eq");
         for shards in SHARD_COUNTS {
             for batch in BATCH_SIZES {
                 assert_equivalent(|_| MemStore::new(), &ops, shards, batch, "mem");
@@ -148,7 +141,7 @@ proptest! {
                     "hashlog",
                 );
                 assert_equivalent(
-                    |i| BTreeStore::open(tmp(&format!("btree-{i}.db")), BTreeConfig::small())
+                    |i| BTreeStore::open(tmp.path(&format!("btree-{i}.db")), BTreeConfig::small())
                         .unwrap(),
                     &ops,
                     shards,
@@ -159,7 +152,7 @@ proptest! {
                 // memtable rotation both fire inside the check.
                 assert_equivalent(
                     |i| {
-                        let dir = tmp(&format!("lsm-{i}"));
+                        let dir = tmp.path(&format!("lsm-{i}"));
                         std::fs::create_dir_all(&dir).unwrap();
                         let cfg = LsmConfig {
                             wal_sync: true,
@@ -180,8 +173,5 @@ proptest! {
                 );
             }
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-shard-eq-{}", std::process::id())),
-        );
     }
 }

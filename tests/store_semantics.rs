@@ -1,8 +1,14 @@
 //! Differential store testing: every substrate must agree with the
 //! in-memory reference store on arbitrary operation sequences, including
-//! property-based random sequences.
+//! property-based random sequences — and every pointer, decorator and
+//! CLI-buildable nesting must hand the whole `StateStore` contract through
+//! to the backend underneath ([`delegation`]).
+
+mod common;
 
 use proptest::prelude::*;
+
+use common::TestDir;
 
 use gadget::btree::{BTreeConfig, BTreeStore};
 use gadget::hashlog::{HashLogConfig, HashLogStore};
@@ -81,42 +87,21 @@ fn run_differential(ops: &[Op], store: &dyn StateStore, label: &str) {
     }
 }
 
-fn fresh_lsm(name: &str) -> (LsmStore, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!(
-        "gadget-difftest-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    (LsmStore::open(&dir, LsmConfig::small()).unwrap(), dir)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn lsm_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let (store, dir) = fresh_lsm("lsm");
+        let tmp = TestDir::new("difftest-lsm");
+        let store = LsmStore::open(tmp.root(), LsmConfig::small()).unwrap();
         run_differential(&ops, &store, "lsm");
-        drop(store);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn lethe_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let dir = std::env::temp_dir().join(format!(
-            "gadget-difftest-lethe-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = LsmStore::open(&dir, LsmConfig::small_lethe()).unwrap();
+        let tmp = TestDir::new("difftest-lethe");
+        let store = LsmStore::open(tmp.root(), LsmConfig::small_lethe()).unwrap();
         run_differential(&ops, &store, "lethe");
-        drop(store);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -127,16 +112,9 @@ proptest! {
 
     #[test]
     fn btree_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let path = std::env::temp_dir().join(format!(
-            "gadget-difftest-btree-{}-{}.db",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let store = BTreeStore::open(&path, BTreeConfig::small()).unwrap();
+        let tmp = TestDir::new("difftest-btree");
+        let store = BTreeStore::open(tmp.path("data.db"), BTreeConfig::small()).unwrap();
         run_differential(&ops, &store, "btree");
-        drop(store);
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -144,7 +122,8 @@ proptest! {
 /// the LSM while staying oracle-checked.
 #[test]
 fn lsm_differential_through_compactions() {
-    let (store, dir) = fresh_lsm("torture");
+    let tmp = TestDir::new("difftest-torture");
+    let store = LsmStore::open(tmp.root(), LsmConfig::small()).unwrap();
     let oracle = MemStore::new();
     let mut x = 7u64;
     for i in 0..30_000u64 {
@@ -185,12 +164,345 @@ fn lsm_differential_through_compactions() {
         );
     }
     let compactions: u64 = store
-        .internal_counters()
+        .metrics()
+        .expect("lsm exposes metrics")
+        .counters
         .iter()
         .filter(|(name, _)| name.starts_with("compactions"))
         .map(|(_, v)| *v)
         .sum();
     assert!(compactions > 0, "torture test never compacted");
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The delegation probe: a backend that records which trait methods
+/// reached it and answers each with a value no `inner() == None` default
+/// produces, driven through every pointer impl, every decorator, and
+/// every nesting the CLI can build.
+mod delegation {
+    use std::collections::BTreeSet;
+    use std::path::Path;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    use bytes::Bytes;
+    use gadget::kv::{
+        BatchResult, CheckpointManifest, Durability, InstrumentedStore, NetworkProfile,
+        ObservedStore, RemoteStore, ShardedStore, StateStore, StoreError,
+    };
+    use gadget::lsm::{LsmConfig, LsmStore};
+    use gadget::obs::MetricsSnapshot;
+    use gadget::replay::{ReshardPlan, ReshardingStore};
+    use gadget::types::Op;
+
+    use super::TestDir;
+
+    /// The trait's 14 methods (`inner` is the hook, not a call target).
+    const METHODS: [&str; 14] = [
+        "name",
+        "get",
+        "put",
+        "merge",
+        "delete",
+        "scan",
+        "supports_scan",
+        "supports_merge",
+        "flush",
+        "metrics",
+        "durability",
+        "checkpoint",
+        "restore",
+        "apply_batch",
+    ];
+
+    /// What a `ShardedStore` must hand to *every* shard, not just the
+    /// routed one or shard 0.
+    const EVERY_SHARD: [&str; 10] = [
+        "get",
+        "put",
+        "merge",
+        "delete",
+        "scan",
+        "flush",
+        "metrics",
+        "checkpoint",
+        "restore",
+        "apply_batch",
+    ];
+
+    const PROBE_DURABILITY: Durability = Durability::WalBacked { sync: true };
+
+    #[derive(Default)]
+    struct Probe {
+        seen: Mutex<BTreeSet<&'static str>>,
+    }
+
+    impl Probe {
+        fn hit(&self, method: &'static str) {
+            self.seen.lock().unwrap().insert(method);
+        }
+
+        fn saw(&self, method: &str) -> bool {
+            self.seen.lock().unwrap().contains(method)
+        }
+    }
+
+    impl StateStore for Probe {
+        fn name(&self) -> &'static str {
+            self.hit("name");
+            "probe"
+        }
+        fn get(&self, _key: &[u8]) -> Result<Option<Bytes>, StoreError> {
+            self.hit("get");
+            Ok(None)
+        }
+        fn put(&self, _key: &[u8], _value: &[u8]) -> Result<(), StoreError> {
+            self.hit("put");
+            Ok(())
+        }
+        fn merge(&self, _key: &[u8], _operand: &[u8]) -> Result<(), StoreError> {
+            self.hit("merge");
+            Ok(())
+        }
+        fn delete(&self, _key: &[u8]) -> Result<(), StoreError> {
+            self.hit("delete");
+            Ok(())
+        }
+        fn scan(&self, _lo: &[u8], _hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
+            self.hit("scan");
+            Ok(Vec::new())
+        }
+        fn supports_scan(&self) -> bool {
+            self.hit("supports_scan");
+            true
+        }
+        fn supports_merge(&self) -> bool {
+            self.hit("supports_merge");
+            true
+        }
+        fn flush(&self) -> Result<(), StoreError> {
+            self.hit("flush");
+            Ok(())
+        }
+        fn metrics(&self) -> Option<MetricsSnapshot> {
+            self.hit("metrics");
+            let mut snap = MetricsSnapshot::new();
+            snap.push_counter("probe_reached", 1);
+            Some(snap)
+        }
+        fn durability(&self) -> Durability {
+            self.hit("durability");
+            PROBE_DURABILITY
+        }
+        fn checkpoint(&self, _dir: &Path) -> Result<CheckpointManifest, StoreError> {
+            self.hit("checkpoint");
+            Ok(CheckpointManifest::new("probe"))
+        }
+        fn restore(&self, _dir: &Path) -> Result<(), StoreError> {
+            self.hit("restore");
+            Ok(())
+        }
+        fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
+            self.hit("apply_batch");
+            Ok(batch
+                .iter()
+                .map(|op| match op {
+                    Op::Get { .. } => BatchResult::Value(None),
+                    _ => BatchResult::Applied,
+                })
+                .collect())
+        }
+    }
+
+    fn probes(n: usize) -> Vec<Arc<Probe>> {
+        (0..n).map(|_| Arc::new(Probe::default())).collect()
+    }
+
+    fn erased(probe: &Arc<Probe>) -> Arc<dyn StateStore> {
+        probe.clone()
+    }
+
+    fn sharded(probes: &[Arc<Probe>]) -> Arc<ShardedStore> {
+        Arc::new(ShardedStore::from_stores(probes.iter().map(erased).collect()).unwrap())
+    }
+
+    /// A reshard that never fires: the wrapper only counts.
+    const NEVER: ReshardPlan = ReshardPlan {
+        at_op: u64::MAX,
+        from: 0,
+        to: 1,
+    };
+
+    fn resharding(probes: &[Arc<Probe>]) -> ReshardingStore {
+        ReshardingStore::new(sharded(probes), NEVER)
+    }
+
+    fn zero_latency() -> NetworkProfile {
+        NetworkProfile {
+            rtt: Duration::ZERO,
+            per_kb: Duration::ZERO,
+        }
+    }
+
+    /// Calls every trait method on `outer` and asserts each landed on the
+    /// probes underneath with the probe's answer coming back — so nothing
+    /// stopped at a default. `name` is the one method a decorator may
+    /// answer itself (`RemoteStore` says `"remote"`).
+    fn assert_reaches(label: &str, outer: &dyn StateStore, under: &[Arc<Probe>], name: &str) {
+        let tmp = TestDir::new(&format!("delegation-{label}"));
+        assert_eq!(outer.name(), name, "{label}: name");
+        // Enough keys that hash routing visits every shard.
+        for i in 0..64u64 {
+            let key = i.to_be_bytes();
+            outer.put(&key, b"v").unwrap();
+            outer.merge(&key, b"w").unwrap();
+            assert_eq!(outer.get(&key).unwrap(), None, "{label}: get");
+            outer.delete(&key).unwrap();
+        }
+        assert!(
+            outer.scan(&[], &[0xff; 9]).unwrap().is_empty(),
+            "{label}: scan"
+        );
+        let batch: Vec<Op> = (0..64u64)
+            .map(|i| Op::put(i.to_be_bytes().to_vec(), b"v".to_vec()))
+            .collect();
+        assert_eq!(
+            outer.apply_batch(&batch).unwrap(),
+            vec![BatchResult::Applied; 64],
+            "{label}: apply_batch"
+        );
+        assert!(outer.supports_scan(), "{label}: supports_scan");
+        assert!(outer.supports_merge(), "{label}: supports_merge");
+        outer.flush().unwrap();
+        let snap = outer
+            .metrics()
+            .unwrap_or_else(|| panic!("{label}: metrics"));
+        assert_eq!(
+            snap.counter("probe_reached"),
+            Some(under.len() as u64),
+            "{label}: metrics"
+        );
+        assert_eq!(outer.durability(), PROBE_DURABILITY, "{label}: durability");
+        outer
+            .checkpoint(tmp.root())
+            .unwrap_or_else(|e| panic!("{label}: checkpoint: {e}"));
+        outer
+            .restore(tmp.root())
+            .unwrap_or_else(|e| panic!("{label}: restore: {e}"));
+
+        for method in METHODS {
+            if method == "name" && name != "probe" {
+                continue;
+            }
+            assert!(
+                under.iter().any(|p| p.saw(method)),
+                "{label}: `{method}` never reached a probe"
+            );
+        }
+        for (i, probe) in under.iter().enumerate() {
+            for method in EVERY_SHARD {
+                assert!(probe.saw(method), "{label}: `{method}` skipped shard {i}");
+            }
+        }
+    }
+
+    /// `&arc` (not `&*arc`) on purpose: it coerces to the pointer's own
+    /// `impl StateStore`, which is what is under test.
+    #[test]
+    fn pointers_are_stores() {
+        let p = probes(1);
+        let arc: Arc<dyn StateStore> = erased(&p[0]);
+        assert_reaches("arc", &arc, &p, "probe");
+
+        let p = probes(1);
+        let boxed: Box<dyn StateStore> = Box::new(erased(&p[0]));
+        assert_reaches("box", &boxed, &p, "probe");
+
+        let p = probes(1);
+        let by_ref: &Probe = &p[0];
+        assert_reaches("ref", &by_ref, &p, "probe");
+    }
+
+    #[test]
+    fn each_decorator_hands_the_contract_through() {
+        let p = probes(1);
+        let store = InstrumentedStore::new(erased(&p[0]));
+        assert_reaches("instrumented", &store, &p, "probe");
+
+        let p = probes(1);
+        let store = ObservedStore::new(erased(&p[0]));
+        assert_reaches("observed", &store, &p, "probe");
+
+        let p = probes(1);
+        let store = RemoteStore::new(erased(&p[0]), zero_latency());
+        assert_reaches("remote", &store, &p, "remote");
+
+        let p = probes(2);
+        assert_reaches("resharding", &resharding(&p), &p, "probe");
+    }
+
+    #[test]
+    fn sharded_store_fans_out_to_every_shard() {
+        let p = probes(3);
+        assert_reaches("sharded", &*sharded(&p), &p, "probe");
+    }
+
+    /// `replay --store remote-<x> --trace-out`, `replay --shards N
+    /// --reshard-at .. --trace-out`, and `--store remote-<x> --shards N`:
+    /// the deepest stacks `open_store_maybe_sharded` + `cmd_replay` build.
+    #[test]
+    fn cli_nestings_hand_the_contract_through() {
+        let p = probes(1);
+        let remote: Arc<dyn StateStore> = Arc::new(RemoteStore::new(erased(&p[0]), zero_latency()));
+        assert_reaches("observed-remote", &ObservedStore::new(remote), &p, "remote");
+
+        let p = probes(2);
+        let op_store: Arc<dyn StateStore> = Arc::new(resharding(&p));
+        let store = ObservedStore::new(op_store);
+        assert_reaches("observed-resharding-sharded", &store, &p, "probe");
+
+        let p = probes(2);
+        let remotes = p
+            .iter()
+            .map(|probe| {
+                Arc::new(RemoteStore::new(erased(probe), zero_latency())) as Arc<dyn StateStore>
+            })
+            .collect();
+        let store = ShardedStore::from_stores(remotes).unwrap();
+        assert_reaches("sharded-remote", &store, &p, "remote");
+    }
+
+    /// `ReshardingStore` used to answer `Ephemeral`/`Unsupported` whatever
+    /// it wrapped.
+    #[test]
+    fn resharding_store_over_lsm_shards_is_as_durable_as_they_are() {
+        let tmp = TestDir::new("resharding-lsm-durability");
+        let shards = (0..2)
+            .map(|i| {
+                let cfg = LsmConfig::small().with_shard_id(i);
+                Arc::new(LsmStore::open(tmp.path("shard"), cfg).unwrap()) as Arc<dyn StateStore>
+            })
+            .collect();
+        let inner = Arc::new(ShardedStore::from_stores(shards).unwrap());
+        let store = ReshardingStore::new(inner.clone(), NEVER);
+        assert_eq!(store.durability(), inner.durability());
+        assert!(matches!(store.durability(), Durability::WalBacked { .. }));
+
+        for i in 0..200u64 {
+            store.put(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
+        }
+        let ckpt = tmp.path("ckpt");
+        let manifest = store.checkpoint(&ckpt).unwrap();
+        assert_eq!(manifest.shards, 2);
+        for i in 0..200u64 {
+            store.put(&i.to_be_bytes(), b"diverged").unwrap();
+        }
+        store.restore(&ckpt).unwrap();
+        for i in 0..200u64 {
+            assert_eq!(
+                store.get(&i.to_be_bytes()).unwrap().as_deref(),
+                Some(&i.to_le_bytes()[..]),
+                "key {i}"
+            );
+        }
+    }
 }
