@@ -3,26 +3,20 @@
 //! so it cannot run inside a unit test — the current executable there
 //! is the libtest runner, which rejects the child's flags.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
+use gadget_kv::testutil::TestDir;
 use gadget_report::RunReport;
 
 fn gadget() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gadget"))
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    let dir = std::env::temp_dir().join(format!(
-        "gadget-crash-{name}-{}-{nanos}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The test's scratch root; the harness gets a directory inside it that
+/// does not exist yet.
+fn tmp(name: &str) -> TestDir {
+    TestDir::new(&format!("crash-{name}"))
 }
 
 fn run_crash(dir: &Path, extra: &[&str]) -> RunReport {
@@ -52,7 +46,8 @@ fn run_crash(dir: &Path, extra: &[&str]) -> RunReport {
 
 #[test]
 fn sync_wal_lsm_recovers_with_zero_acknowledged_loss() {
-    let dir = tmp("wal");
+    let scratch = tmp("wal");
+    let dir = scratch.path("db");
     let report = run_crash(&dir, &["--store", "lsm", "--kill-at-frac", "0.5"]);
     let r = report
         .recovery
@@ -69,7 +64,6 @@ fn sync_wal_lsm_recovers_with_zero_acknowledged_loss() {
     assert_eq!(r.torn_tail, "none");
     assert_eq!(report.workload, "crash");
     assert_eq!(report.operations, r.acked_ops);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -77,7 +71,8 @@ fn torn_wal_tail_is_tolerated() {
     // Damaging the newest WAL segment's tail must not prevent recovery;
     // at worst the final acknowledged batch is lost (CRC-bounded
     // replay stops at the tear).
-    let dir = tmp("torn");
+    let scratch = tmp("torn");
+    let dir = scratch.path("db");
     let report = run_crash(
         &dir,
         &[
@@ -96,12 +91,12 @@ fn torn_wal_tail_is_tolerated() {
         "a garbled tail can cost at most the final unsynced record, lost {}",
         r.loss_window
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn checkpoint_restore_recovers_prefix_up_to_checkpoint() {
-    let dir = tmp("ckpt");
+    let scratch = tmp("ckpt");
+    let dir = scratch.path("db");
     let report = run_crash(
         &dir,
         &[
@@ -122,12 +117,12 @@ fn checkpoint_restore_recovers_prefix_up_to_checkpoint() {
         "checkpoint-only recovery cannot cover post-checkpoint writes"
     );
     assert!(r.loss_window < r.acked_ops);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sharded_sync_wal_recovers_with_zero_loss() {
-    let dir = tmp("sharded");
+    let scratch = tmp("sharded");
+    let dir = scratch.path("db");
     let report = run_crash(
         &dir,
         &[
@@ -144,12 +139,12 @@ fn sharded_sync_wal_recovers_with_zero_loss() {
     let r = report.recovery.expect("recovery section");
     assert_eq!(r.loss_window, 0, "sharded sync-WAL lost writes: {r:?}");
     assert_eq!(report.meta.shards, 4);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn btree_without_checkpoint_is_rejected() {
-    let dir = tmp("btree-reject");
+    let scratch = tmp("btree-reject");
+    let dir = scratch.path("db");
     let out = gadget()
         .args([
             "crash",
@@ -170,5 +165,4 @@ fn btree_without_checkpoint_is_rejected() {
         stderr.contains("checkpoint-at-frac"),
         "unhelpful error: {stderr}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,6 +42,8 @@ pub mod remote;
 pub mod router;
 pub mod sharded;
 pub mod store;
+#[doc(hidden)]
+pub mod testutil;
 
 pub use durability::{
     dir_fsync_count, fsync_dir, link_or_copy, shard_checkpoint_dir, CheckpointFile,

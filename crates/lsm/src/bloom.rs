@@ -66,7 +66,7 @@ impl BloomFilter {
 
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = double_hash(key);
+        let (h1, h2) = hash_pair(key);
         let mut h = h1;
         for _ in 0..self.num_probes {
             let bit = h % self.num_bits;
@@ -78,7 +78,13 @@ impl BloomFilter {
     /// Tests membership. False positives are possible; false negatives are
     /// not.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = double_hash(key);
+        self.may_contain_hashed(hash_pair(key))
+    }
+
+    /// [`BloomFilter::may_contain`] for a key whose [`hash_pair`] the
+    /// caller already has: a point read hashes its key once and probes
+    /// every table's filter with the same pair.
+    pub fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
         let mut h = h1;
         for _ in 0..self.num_probes {
             let bit = h % self.num_bits;
@@ -91,8 +97,9 @@ impl BloomFilter {
     }
 }
 
-/// Two independent 64-bit hashes of `key` (FNV-1a with different offsets).
-fn double_hash(key: &[u8]) -> (u64, u64) {
+/// Two independent 64-bit hashes of `key` (FNV-1a with different offsets):
+/// what every filter derives its probe positions from.
+pub fn hash_pair(key: &[u8]) -> (u64, u64) {
     let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
     let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
     for &b in key {

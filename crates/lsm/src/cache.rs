@@ -1,29 +1,128 @@
 //! A sharded LRU block cache.
 //!
-//! Caches decoded SSTable data blocks keyed by `(file number, block
-//! offset)`. The cache is sharded 16 ways to reduce lock contention when
-//! multiple operator tasks share one store (paper §6.4). Each shard keeps an
-//! exact LRU order via a monotone recency counter and a `BTreeMap` recency
-//! index — O(log n) per touch, which is dwarfed by block decode costs.
+//! Caches SSTable data blocks keyed by `(file number, block offset)` for
+//! the point-read path; whole-table sequential passes (compaction, scans)
+//! read their blocks straight from the file and never come here. The
+//! cache is sharded 16 ways to reduce lock contention when multiple
+//! operator tasks share one store (paper §6.4). Each shard keeps exact LRU
+//! order in a doubly linked list threaded through a slab by index, so a
+//! hit is one hash lookup and one relink under the shard lock.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
+use bytes::Bytes;
 use gadget_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 
 /// Cache key: file number and block offset within the file.
 pub type BlockKey = (u64, u64);
 
-/// A cached, decoded data block.
-pub type Block = Arc<Vec<u8>>;
+/// A cached data block; a point read returns [`Bytes::slice`]s of it.
+pub type Block = Bytes;
 
+/// Hashes a [`BlockKey`] with a multiply and a rotate per word. Both words
+/// are numbers this store made up (a file counter, an offset it wrote at),
+/// never bytes from outside, so the keyed default hasher would spend most
+/// of a cache hit guarding against collisions nobody can craft.
 #[derive(Default)]
+struct BlockKeyHasher(u64);
+
+impl Hasher for BlockKeyHasher {
+    fn finish(&self) -> u64 {
+        // The map indexes by the low bits, a product's weakest: fold the
+        // high half over them.
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+}
+
+/// "No slot": the end of a shard's list in either direction.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a cached block and its neighbours in recency order.
+struct Slot {
+    key: BlockKey,
+    /// `None` while the slot sits on the free list.
+    block: Option<Block>,
+    /// Towards more recently used.
+    prev: u32,
+    /// Towards less recently used.
+    next: u32,
+}
+
 struct Shard {
-    map: HashMap<BlockKey, (Block, u64)>,
-    recency: BTreeMap<u64, BlockKey>,
+    index: HashMap<BlockKey, u32, BuildHasherDefault<BlockKeyHasher>>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the next eviction victim.
+    tail: u32,
     bytes: usize,
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard {
+            index: HashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            bytes: 0,
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let (prev, next) = (self.slots[i as usize].prev, self.slots[i as usize].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn link_front(&mut self, i: u32) {
+        let old_head = self.head;
+        self.slots[i as usize].prev = NIL;
+        self.slots[i as usize].next = old_head;
+        match old_head {
+            NIL => self.tail = i,
+            h => self.slots[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.link_front(i);
+        }
+    }
+
+    /// Drops the block in slot `i` and recycles the slot.
+    fn remove(&mut self, i: u32) {
+        self.unlink(i);
+        let slot = &mut self.slots[i as usize];
+        if let Some(block) = slot.block.take() {
+            self.bytes -= block.len();
+        }
+        self.index.remove(&slot.key);
+        self.free.push(i);
+    }
 }
 
 /// A sharded LRU cache of data blocks with a global byte budget.
@@ -36,7 +135,6 @@ struct Shard {
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_budget: usize,
-    tick: AtomicU64,
     hits: Counter,
     misses: Counter,
     bloom_negatives: Counter,
@@ -49,11 +147,8 @@ impl BlockCache {
     pub fn new(capacity_bytes: usize) -> Self {
         let per_shard_budget = (capacity_bytes / NUM_SHARDS).max(1);
         BlockCache {
-            shards: (0..NUM_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
+            shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             per_shard_budget,
-            tick: AtomicU64::new(0),
             hits: Counter::new(),
             misses: Counter::new(),
             bloom_negatives: Counter::new(),
@@ -70,26 +165,28 @@ impl BlockCache {
         cache
     }
 
-    fn shard_for(&self, key: &BlockKey) -> &Mutex<Shard> {
+    fn shard_index(key: &BlockKey) -> usize {
         let h = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ key.1;
-        &self.shards[(h as usize) % NUM_SHARDS]
+        (h as usize) % NUM_SHARDS
+    }
+
+    fn shard_for(&self, key: &BlockKey) -> &Mutex<Shard> {
+        &self.shards[Self::shard_index(key)]
     }
 
     /// Looks up a block, refreshing its recency on hit.
     pub fn get(&self, key: &BlockKey) -> Option<Block> {
         let mut shard = self.shard_for(key).lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Some((block, rec)) = shard.map.get_mut(key) {
-            let block = block.clone();
-            let old = *rec;
-            *rec = tick;
-            shard.recency.remove(&old);
-            shard.recency.insert(tick, *key);
-            self.hits.inc();
-            Some(block)
-        } else {
-            self.misses.inc();
-            None
+        match shard.index.get(key).copied() {
+            Some(i) => {
+                shard.touch(i);
+                self.hits.inc();
+                shard.slots[i as usize].block.clone()
+            }
+            None => {
+                self.misses.inc();
+                None
+            }
         }
     }
 
@@ -99,26 +196,43 @@ impl BlockCache {
         self.bloom_negatives.inc();
     }
 
-    /// Inserts a block, evicting least-recently-used blocks if the shard
-    /// exceeds its byte budget.
+    /// Inserts a block as the most recently used, evicting
+    /// least-recently-used blocks while the shard exceeds its byte budget.
+    /// A block larger than the budget is kept until the next insert.
     pub fn insert(&self, key: BlockKey, block: Block) {
         let mut shard = self.shard_for(&key).lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Some((old_block, old_rec)) = shard.map.insert(key, (block.clone(), tick)) {
-            shard.bytes -= old_block.len();
-            shard.recency.remove(&old_rec);
-        }
         shard.bytes += block.len();
-        shard.recency.insert(tick, key);
-        while shard.bytes > self.per_shard_budget && shard.map.len() > 1 {
-            let (&oldest, &victim) = match shard.recency.iter().next() {
-                Some(kv) => kv,
-                None => break,
-            };
-            shard.recency.remove(&oldest);
-            if let Some((evicted, _)) = shard.map.remove(&victim) {
-                shard.bytes -= evicted.len();
+        match shard.index.get(&key).copied() {
+            Some(i) => {
+                if let Some(old) = shard.slots[i as usize].block.replace(block) {
+                    shard.bytes -= old.len();
+                }
+                shard.touch(i);
             }
+            None => {
+                let slot = Slot {
+                    key,
+                    block: Some(block),
+                    prev: NIL,
+                    next: NIL,
+                };
+                let i = match shard.free.pop() {
+                    Some(i) => {
+                        shard.slots[i as usize] = slot;
+                        i
+                    }
+                    None => {
+                        shard.slots.push(slot);
+                        (shard.slots.len() - 1) as u32
+                    }
+                };
+                shard.index.insert(key, i);
+                shard.link_front(i);
+            }
+        }
+        while shard.bytes > self.per_shard_budget && shard.tail != shard.head {
+            let victim = shard.tail;
+            shard.remove(victim);
         }
     }
 
@@ -127,17 +241,14 @@ impl BlockCache {
     pub fn evict_file(&self, file: u64) {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            let victims: Vec<(u64, BlockKey)> = shard
-                .recency
+            let victims: Vec<u32> = shard
+                .index
                 .iter()
-                .filter(|(_, k)| k.0 == file)
-                .map(|(&r, &k)| (r, k))
+                .filter(|(k, _)| k.0 == file)
+                .map(|(_, &i)| i)
                 .collect();
-            for (r, k) in victims {
-                shard.recency.remove(&r);
-                if let Some((evicted, _)) = shard.map.remove(&k) {
-                    shard.bytes -= evicted.len();
-                }
+            for i in victims {
+                shard.remove(i);
             }
         }
     }
@@ -161,9 +272,46 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn blk(n: usize) -> Block {
-        Arc::new(vec![0u8; n])
+        Bytes::from(vec![0u8; n])
+    }
+
+    /// `n` distinct keys of file 1 that all live in one shard, so their
+    /// relative recency decides eviction.
+    fn same_shard_keys(n: usize) -> Vec<BlockKey> {
+        (0..)
+            .map(|off| (1, off))
+            .filter(|k| BlockCache::shard_index(k) == 0)
+            .take(n)
+            .collect()
+    }
+
+    /// The shard's keys from most to least recently used, checking the
+    /// list against the index and the byte count on the way.
+    fn recency(c: &BlockCache, shard: usize) -> Vec<BlockKey> {
+        let shard = c.shards[shard].lock();
+        let mut out = Vec::new();
+        let (mut i, mut prev, mut bytes) = (shard.head, NIL, 0);
+        while i != NIL {
+            let slot = &shard.slots[i as usize];
+            assert_eq!(slot.prev, prev, "back link of slot {i}");
+            assert_eq!(shard.index.get(&slot.key), Some(&i));
+            bytes += slot
+                .block
+                .as_ref()
+                .expect("linked slot holds a block")
+                .len();
+            out.push(slot.key);
+            prev = i;
+            i = slot.next;
+        }
+        assert_eq!(shard.tail, prev);
+        assert_eq!(out.len(), shard.index.len());
+        assert_eq!(out.len() + shard.free.len(), shard.slots.len());
+        assert_eq!(bytes, shard.bytes);
+        out
     }
 
     #[test]
@@ -182,25 +330,86 @@ mod tests {
         for i in 0..200u64 {
             c.insert((1, i), blk(100));
         }
-        assert!(c.bytes() <= NUM_SHARDS * 1_000 + 100 * NUM_SHARDS);
+        assert!(c.bytes() <= NUM_SHARDS * 1_000);
     }
 
     #[test]
-    fn lru_keeps_recently_used() {
-        let c = BlockCache::new(NUM_SHARDS); // Tiny: each shard holds ~1 block.
-        c.insert((1, 0), blk(4));
-        c.insert((1, 0), blk(4)); // Re-insert same key must not double count.
-        assert!(c.get(&(1, 0)).is_some());
+    fn evicts_in_exact_lru_order() {
+        // Room for three 100-byte blocks per shard.
+        let c = BlockCache::new(NUM_SHARDS * 300);
+        let k = same_shard_keys(6);
+        for key in &k[..3] {
+            c.insert(*key, blk(100));
+        }
+        assert_eq!(recency(&c, 0), vec![k[2], k[1], k[0]]);
+        // A hit moves a block to the front; a hit on the front is a no-op.
+        assert!(c.get(&k[0]).is_some());
+        assert!(c.get(&k[0]).is_some());
+        assert_eq!(recency(&c, 0), vec![k[0], k[2], k[1]]);
+        // Each insert now evicts exactly the least recently used block.
+        c.insert(k[3], blk(100));
+        assert_eq!(recency(&c, 0), vec![k[3], k[0], k[2]]);
+        assert!(c.get(&k[1]).is_none());
+        assert!(c.get(&k[2]).is_some());
+        c.insert(k[4], blk(100));
+        assert_eq!(recency(&c, 0), vec![k[4], k[2], k[3]]);
+        // One bigger block can push out several.
+        c.insert(k[5], blk(250));
+        assert_eq!(recency(&c, 0), vec![k[5]]);
+        assert_eq!(c.bytes(), 250);
+    }
+
+    #[test]
+    fn oversized_insert_is_kept_until_the_next_insert() {
+        let c = BlockCache::new(NUM_SHARDS * 300);
+        let k = same_shard_keys(3);
+        c.insert(k[0], blk(100));
+        c.insert(k[1], blk(1_000)); // Over the shard's whole budget.
+        assert_eq!(recency(&c, 0), vec![k[1]]);
+        assert_eq!(c.get(&k[1]).map(|b| b.len()), Some(1_000));
+        c.insert(k[2], blk(100));
+        assert_eq!(recency(&c, 0), vec![k[2]]);
+        assert_eq!(c.bytes(), 100);
+    }
+
+    #[test]
+    fn reinsert_replaces_in_place_and_refreshes() {
+        let c = BlockCache::new(NUM_SHARDS * 300);
+        let k = same_shard_keys(3);
+        c.insert(k[0], blk(100));
+        c.insert(k[1], blk(100));
+        c.insert(k[0], blk(40)); // Same key: no double count, moves to front.
+        assert_eq!(recency(&c, 0), vec![k[0], k[1]]);
+        assert_eq!(c.bytes(), 140);
+        assert_eq!(c.get(&k[0]).map(|b| b.len()), Some(40));
+        // A re-insert that overflows the budget evicts the others, not itself.
+        c.insert(k[0], blk(290));
+        assert_eq!(recency(&c, 0), vec![k[0]]);
     }
 
     #[test]
     fn evict_file_purges_only_that_file() {
         let c = BlockCache::new(1 << 20);
-        c.insert((1, 0), blk(10));
-        c.insert((2, 0), blk(10));
+        for off in 0..64 {
+            c.insert((1, off), blk(10));
+            c.insert((2, off), blk(10));
+        }
         c.evict_file(1);
-        assert!(c.get(&(1, 0)).is_none());
-        assert!(c.get(&(2, 0)).is_some());
+        assert_eq!(c.bytes(), 640);
+        for off in 0..64 {
+            assert!(c.get(&(1, off)).is_none());
+            assert!(c.get(&(2, off)).is_some());
+        }
+        // Vacated slots are reused and the lists stay whole.
+        for off in 0..64 {
+            c.insert((1, off), blk(10));
+        }
+        let mut live = 0;
+        for shard in 0..NUM_SHARDS {
+            live += recency(&c, shard).len();
+            assert!(c.shards[shard].lock().free.is_empty());
+        }
+        assert_eq!(live, 128);
     }
 
     #[test]
@@ -233,6 +442,10 @@ mod tests {
         }
         for h in handles {
             h.join().unwrap();
+        }
+        assert!(c.bytes() <= 1 << 16);
+        for shard in 0..NUM_SHARDS {
+            recency(&c, shard);
         }
     }
 }

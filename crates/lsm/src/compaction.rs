@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::cache::BlockCache;
 use crate::config::LsmConfig;
 use crate::memtable::{fold_merge, FlushEntry};
 use crate::sstable::{TableHandle, TableIterator, TableWriter};
@@ -217,11 +216,10 @@ pub fn run_compaction(
     job: &CompactionJob,
     dir: &Path,
     config: &LsmConfig,
-    cache: &BlockCache,
     next_file_no: &mut u64,
     creation_seq: u64,
 ) -> io::Result<CompactionOutput> {
-    let mut iters: Vec<TableIterator<'_>> = job.inputs.iter().map(|t| t.iter(cache)).collect();
+    let mut iters: Vec<TableIterator<'_>> = job.inputs.iter().map(|t| t.iter()).collect();
     let mut heap = BinaryHeap::new();
     for (rank, it) in iters.iter_mut().enumerate() {
         if let Some((key, entry)) = it.next()? {
@@ -377,23 +375,21 @@ fn entry_size(e: &FlushEntry) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BlockCache;
     use crate::version::table_file_name;
-    use std::path::PathBuf;
+    use gadget_kv::testutil::TestDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-compact-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir(name: &str) -> TestDir {
+        TestDir::new(&format!("compact-{name}"))
     }
 
     fn write_table(
-        dir: &Path,
+        dir: &TestDir,
         level: usize,
         file_no: u64,
         entries: &[(u64, FlushEntry)],
     ) -> Arc<TableHandle> {
-        let path = dir.join(table_file_name(level, file_no));
+        let path = dir.root().join(table_file_name(level, file_no));
         let mut w = TableWriter::create(&path, 256, 10, entries.len()).unwrap();
         for (k, e) in entries {
             w.add(&k.to_be_bytes(), e).unwrap();
@@ -420,7 +416,7 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let cfg = LsmConfig::small();
         let mut next = 10;
-        let out = run_compaction(&job, &dir, &cfg, &cache, &mut next, 0).unwrap();
+        let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(out.new_tables.len(), 1);
         let t = &out.new_tables[0];
         assert_eq!(
@@ -431,7 +427,6 @@ mod tests {
             t.get(&2u64.to_be_bytes(), &cache).unwrap(),
             crate::memtable::Lookup::Value(Bytes::from_static(b"keep"))
         );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -439,7 +434,6 @@ mod tests {
         let dir = tmpdir("tomb");
         let t1 = write_table(&dir, 0, 2, &[(1, FlushEntry::Delete)]);
         let t2 = write_table(&dir, 0, 1, &[(1, put("old"))]);
-        let cache = BlockCache::new(1 << 20);
         let cfg = LsmConfig::small();
 
         let job = CompactionJob {
@@ -450,7 +444,7 @@ mod tests {
             reason: CompactionReason::L0FileCount,
         };
         let mut next = 10;
-        let out = run_compaction(&job, &dir, &cfg, &cache, &mut next, 0).unwrap();
+        let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(out.tombstones_dropped, 0);
         assert_eq!(out.new_tables[0].tombstones, 1);
 
@@ -462,10 +456,9 @@ mod tests {
             reason: CompactionReason::L0FileCount,
         };
         let mut next = 20;
-        let out = run_compaction(&job, &dir, &cfg, &cache, &mut next, 0).unwrap();
+        let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(out.tombstones_dropped, 1);
         assert!(out.new_tables.is_empty() || out.new_tables[0].tombstones == 0);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -494,12 +487,11 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let cfg = LsmConfig::small();
         let mut next = 10;
-        let out = run_compaction(&job, &dir, &cfg, &cache, &mut next, 0).unwrap();
+        let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(
             out.new_tables[0].get(&1u64.to_be_bytes(), &cache).unwrap(),
             crate::memtable::Lookup::Value(Bytes::from_static(b"abc"))
         );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -521,12 +513,11 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let cfg = LsmConfig::small();
         let mut next = 10;
-        let out = run_compaction(&job, &dir, &cfg, &cache, &mut next, 0).unwrap();
+        let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(
             out.new_tables[0].get(&1u64.to_be_bytes(), &cache).unwrap(),
             crate::memtable::Lookup::Operands(vec![Bytes::from_static(b"x")])
         );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -550,12 +541,11 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let cfg = LsmConfig::small();
         let mut next = 10;
-        let out = run_compaction(&job, &dir, &cfg, &cache, &mut next, 0).unwrap();
+        let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(
             out.new_tables[0].get(&1u64.to_be_bytes(), &cache).unwrap(),
             crate::memtable::Lookup::Value(Bytes::from_static(b"z"))
         );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -582,7 +572,6 @@ mod tests {
         // Same layout, vanilla config: no compaction is needed.
         let vanilla = LsmConfig::small();
         assert!(pick_compaction(&version, &vanilla, 10_000).is_none());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -595,6 +584,5 @@ mod tests {
         let job = pick_compaction(&version, &cfg, 0).expect("size job");
         assert_eq!(job.reason, CompactionReason::LevelSize);
         assert_eq!(job.output_level, 2);
-        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -27,6 +27,17 @@ pub enum Lookup {
     NotFound,
 }
 
+/// What a table that holds `entry` for a key answers a probe for it.
+impl From<FlushEntry> for Lookup {
+    fn from(entry: FlushEntry) -> Self {
+        match entry {
+            FlushEntry::Put(v) => Lookup::Value(v),
+            FlushEntry::Delete => Lookup::Deleted,
+            FlushEntry::Merge(ops) => Lookup::Operands(ops),
+        }
+    }
+}
+
 /// One entry in the memtable: the newest state of a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemEntry {

@@ -13,18 +13,24 @@
 //! put/delete/merge. Merge records hold a length-prefixed operand list so
 //! unresolved merges survive flushes without being folded.
 //!
-//! Readers keep the index and Bloom filter resident and fetch data blocks
-//! through the shared [`BlockCache`].
+//! Readers keep the index and Bloom filter resident. A point read
+//! ([`TableHandle::get`]) fetches its one data block through the shared
+//! [`BlockCache`], walks it by record header comparing keys in place, and
+//! decodes only the record that matches, as [`Bytes::slice`]s of the
+//! cached block. A sequential pass ([`TableIterator`]: compaction and
+//! scans) reads runs of blocks straight from the file and never looks at
+//! or fills the cache.
 
 use std::fs::File;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::bloom::BloomFilter;
+use crate::bloom::{hash_pair, BloomFilter};
 use crate::cache::{Block, BlockCache};
 use crate::crc::crc32c;
 use crate::memtable::{fold_merge, FlushEntry, Lookup};
@@ -36,72 +42,131 @@ const TAG_PUT: u8 = 0;
 const TAG_DELETE: u8 = 1;
 const TAG_MERGE: u8 = 2;
 
+const HEADER_LEN: usize = 7;
+
+/// How many bytes of a table one [`TableIterator`] read fetches: a run of
+/// whole blocks up to this size (one block if a single block is larger).
+const SEQ_READ_BYTES: usize = 64 << 10;
+
 /// Serializes one record into `out`.
 fn encode_record(out: &mut Vec<u8>, key: &[u8], entry: &FlushEntry) {
-    let (tag, value) = match entry {
-        FlushEntry::Put(v) => (TAG_PUT, v.to_vec()),
-        FlushEntry::Delete => (TAG_DELETE, Vec::new()),
-        FlushEntry::Merge(ops) => {
-            let mut v = Vec::with_capacity(4 + ops.iter().map(|o| o.len() + 4).sum::<usize>());
-            v.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-            for op in ops {
-                v.extend_from_slice(&(op.len() as u32).to_le_bytes());
-                v.extend_from_slice(op);
-            }
-            (TAG_MERGE, v)
-        }
+    let (tag, vlen) = match entry {
+        FlushEntry::Put(v) => (TAG_PUT, v.len()),
+        FlushEntry::Delete => (TAG_DELETE, 0),
+        FlushEntry::Merge(ops) => (
+            TAG_MERGE,
+            4 + ops.iter().map(|o| 4 + o.len()).sum::<usize>(),
+        ),
     };
     out.push(tag);
     out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(vlen as u32).to_le_bytes());
     out.extend_from_slice(key);
-    out.extend_from_slice(&value);
+    match entry {
+        FlushEntry::Put(v) => out.extend_from_slice(v),
+        FlushEntry::Delete => {}
+        FlushEntry::Merge(ops) => {
+            out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+            for op in ops {
+                out.extend_from_slice(&(op.len() as u32).to_le_bytes());
+                out.extend_from_slice(op);
+            }
+        }
+    }
 }
 
-/// Decodes the record starting at `pos`; returns `(key, entry, next_pos)`.
-fn decode_record(block: &[u8], pos: usize) -> io::Result<(&[u8], FlushEntry, usize)> {
-    let fail = || io::Error::new(io::ErrorKind::InvalidData, "truncated sstable record");
-    if pos + 7 > block.len() {
-        return Err(fail());
-    }
-    let tag = block[pos];
-    let klen = u16::from_le_bytes(block[pos + 1..pos + 3].try_into().unwrap()) as usize;
-    let vlen = u32::from_le_bytes(block[pos + 3..pos + 7].try_into().unwrap()) as usize;
-    let kstart = pos + 7;
-    let vstart = kstart + klen;
-    let end = vstart + vlen;
-    if end > block.len() {
-        return Err(fail());
-    }
-    let key = &block[kstart..vstart];
-    let value = &block[vstart..end];
-    let entry = match tag {
-        TAG_PUT => FlushEntry::Put(Bytes::copy_from_slice(value)),
-        TAG_DELETE => FlushEntry::Delete,
-        TAG_MERGE => {
-            if value.len() < 4 {
-                return Err(fail());
-            }
-            let count = u32::from_le_bytes(value[0..4].try_into().unwrap()) as usize;
-            let mut ops = Vec::with_capacity(count);
-            let mut p = 4;
-            for _ in 0..count {
-                if p + 4 > value.len() {
-                    return Err(fail());
-                }
-                let len = u32::from_le_bytes(value[p..p + 4].try_into().unwrap()) as usize;
-                p += 4;
-                if p + len > value.len() {
-                    return Err(fail());
-                }
-                ops.push(Bytes::copy_from_slice(&value[p..p + len]));
-                p += len;
-            }
-            FlushEntry::Merge(ops)
-        }
-        _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad record tag")),
+fn truncated() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "truncated sstable record")
+}
+
+/// One record's header, checked against the buffer it was read from: the
+/// tag and where the key and the value lie. The next record starts at
+/// `value.end`.
+struct RecordRef {
+    tag: u8,
+    key: Range<usize>,
+    value: Range<usize>,
+}
+
+/// Reads the header of the record starting at `pos` without touching its
+/// value.
+fn record_at(block: &[u8], pos: usize) -> io::Result<RecordRef> {
+    let Some((header, body)) = block
+        .get(pos..)
+        .and_then(|rest| rest.split_first_chunk::<HEADER_LEN>())
+    else {
+        return Err(truncated());
     };
-    Ok((key, entry, end))
+    let klen = u16::from_le_bytes([header[1], header[2]]) as usize;
+    let vlen = u32::from_le_bytes([header[3], header[4], header[5], header[6]]) as usize;
+    // Checked one length at a time, so no sum of unchecked lengths is formed.
+    if klen > body.len() || vlen > body.len() - klen {
+        return Err(truncated());
+    }
+    let kstart = pos + HEADER_LEN;
+    let vstart = kstart + klen;
+    Ok(RecordRef {
+        tag: header[0],
+        key: kstart..vstart,
+        value: vstart..vstart + vlen,
+    })
+}
+
+/// Decodes the value of `rec`. `bytes_of` turns a range of `block` into
+/// an owned buffer: a [`Bytes::slice`] of a cached block, or a copy out
+/// of a read buffer that is about to be reused.
+fn decode_entry(
+    block: &[u8],
+    rec: &RecordRef,
+    bytes_of: impl Fn(Range<usize>) -> Bytes,
+) -> io::Result<FlushEntry> {
+    match rec.tag {
+        TAG_PUT => Ok(FlushEntry::Put(bytes_of(rec.value.clone()))),
+        TAG_DELETE => Ok(FlushEntry::Delete),
+        TAG_MERGE => {
+            let Some((count, mut rest)) = block[rec.value.clone()].split_first_chunk::<4>() else {
+                return Err(truncated());
+            };
+            let count = u32::from_le_bytes(*count) as usize;
+            // An operand takes at least its length prefix, which bounds how
+            // many the value can hold whatever `count` claims.
+            let mut ops = Vec::with_capacity(count.min(rest.len() / 4));
+            for _ in 0..count {
+                let Some((len, tail)) = rest.split_first_chunk::<4>() else {
+                    return Err(truncated());
+                };
+                let len = u32::from_le_bytes(*len) as usize;
+                if len > tail.len() {
+                    return Err(truncated());
+                }
+                let start = rec.value.end - tail.len();
+                ops.push(bytes_of(start..start + len));
+                rest = &tail[len..];
+            }
+            Ok(FlushEntry::Merge(ops))
+        }
+        _ => Err(io::Error::new(io::ErrorKind::InvalidData, "bad record tag")),
+    }
+}
+
+/// Searches one data block for `key`: walks the records by header,
+/// compares keys where they lie, and decodes only a matching record, its
+/// value or operands as [`Bytes::slice`]s of `block` (shared with the
+/// block under the `bytes` crate; the offline shim's `slice` copies, so
+/// here they cost one copy each, of the matching record alone).
+fn find_in_block(block: &Block, key: &[u8]) -> io::Result<Lookup> {
+    let mut pos = 0;
+    while pos < block.len() {
+        let rec = record_at(block, pos)?;
+        match block[rec.key.clone()].cmp(key) {
+            std::cmp::Ordering::Less => pos = rec.value.end,
+            std::cmp::Ordering::Equal => {
+                return Ok(decode_entry(block, &rec, |r| block.slice(r))?.into());
+            }
+            std::cmp::Ordering::Greater => break,
+        }
+    }
+    Ok(Lookup::NotFound)
 }
 
 /// One index entry: the first key of a data block and its extent.
@@ -376,13 +441,13 @@ impl TableHandle {
             let mut block = vec![0u8; last.len as usize];
             file.read_exact_at(&mut block, last.offset)?;
             let mut pos = 0;
-            let mut largest = Vec::new();
+            let mut largest = 0..0;
             while pos < block.len() {
-                let (k, _, next) = decode_record(&block, pos)?;
-                largest = k.to_vec();
-                pos = next;
+                let rec = record_at(&block, pos)?;
+                pos = rec.value.end;
+                largest = rec.key;
             }
-            (smallest, largest)
+            (smallest, block[largest].to_vec())
         };
 
         // Reopen read-only for shared pread access.
@@ -412,6 +477,7 @@ impl TableHandle {
         !self.index.is_empty() && self.smallest.as_slice() <= hi && self.largest.as_slice() >= lo
     }
 
+    /// Fetches data block `idx` for a point read, through the cache.
     fn read_block(&self, idx: usize, cache: &BlockCache) -> io::Result<Block> {
         let e = &self.index[idx];
         let cache_key = (self.file_no, e.offset);
@@ -423,7 +489,7 @@ impl TableHandle {
         let _span = gadget_obs::trace::span(gadget_obs::trace::Category::CacheFill, e.len as u64);
         let mut buf = vec![0u8; e.len as usize];
         self.file.read_exact_at(&mut buf, e.offset)?;
-        let block: Block = Arc::new(buf);
+        let block = Block::from(buf);
         cache.insert(cache_key, block.clone());
         Ok(block)
     }
@@ -433,57 +499,57 @@ impl TableHandle {
         if !self.key_in_range(key) {
             return Ok(Lookup::NotFound);
         }
+        self.get_hashed(key, hash_pair(key), cache)
+    }
+
+    /// [`TableHandle::get`] for a caller that has already found `key`
+    /// inside this table's range and holds its [`hash_pair`]: a read
+    /// across many tables hashes its key once.
+    pub fn get_hashed(
+        &self,
+        key: &[u8],
+        hash: (u64, u64),
+        cache: &BlockCache,
+    ) -> io::Result<Lookup> {
         if let Some(bloom) = self.bloom.as_ref() {
-            if !bloom.may_contain(key) {
+            if !bloom.may_contain_hashed(hash) {
                 cache.note_bloom_negative();
                 return Ok(Lookup::NotFound);
             }
         }
         // Find the last block whose first key is <= key.
-        let idx = match self
+        match self
             .index
             .partition_point(|e| e.first_key.as_slice() <= key)
         {
-            0 => return Ok(Lookup::NotFound),
-            n => n - 1,
-        };
-        let block = self.read_block(idx, cache)?;
-        let mut pos = 0;
-        while pos < block.len() {
-            let (k, entry, next) = decode_record(&block, pos)?;
-            match k.cmp(key) {
-                std::cmp::Ordering::Less => pos = next,
-                std::cmp::Ordering::Equal => {
-                    return Ok(match entry {
-                        FlushEntry::Put(v) => Lookup::Value(v),
-                        FlushEntry::Delete => Lookup::Deleted,
-                        FlushEntry::Merge(ops) => Lookup::Operands(ops),
-                    })
-                }
-                std::cmp::Ordering::Greater => return Ok(Lookup::NotFound),
-            }
+            0 => Ok(Lookup::NotFound),
+            n => find_in_block(&self.read_block(n - 1, cache)?, key),
         }
-        Ok(Lookup::NotFound)
     }
 
-    /// Sequentially iterates every record (used by compaction).
-    pub fn iter<'a>(&'a self, cache: &'a BlockCache) -> TableIterator<'a> {
+    /// Sequentially iterates every record (compaction and scans).
+    pub fn iter(&self) -> TableIterator<'_> {
         TableIterator {
             table: self,
-            cache,
-            block_idx: 0,
-            block: None,
+            next_block: 0,
+            buf: Vec::new(),
             pos: 0,
         }
     }
 }
 
 /// Sequential iterator over all records of a table, in key order.
+///
+/// A whole-table pass would only flush the point reads' working set out
+/// of the block cache, so it reads the file itself, a run of blocks at a
+/// time into one buffer it reuses.
 pub struct TableIterator<'a> {
     table: &'a TableHandle,
-    cache: &'a BlockCache,
-    block_idx: usize,
-    block: Option<Block>,
+    /// The first block not yet read into `buf`.
+    next_block: usize,
+    /// The current run of whole blocks; records never straddle blocks, so
+    /// the run is walked as one.
+    buf: Vec<u8>,
     pos: usize,
 }
 
@@ -491,24 +557,38 @@ impl TableIterator<'_> {
     /// Returns the next `(key, entry)` pair, or `Ok(None)` at the end.
     #[allow(clippy::should_implement_trait)] // Fallible iterator.
     pub fn next(&mut self) -> io::Result<Option<(Vec<u8>, FlushEntry)>> {
-        loop {
-            if self.block.is_none() {
-                if self.block_idx >= self.table.index.len() {
-                    return Ok(None);
-                }
-                self.block = Some(self.table.read_block(self.block_idx, self.cache)?);
-                self.pos = 0;
+        while self.pos >= self.buf.len() {
+            if !self.read_run()? {
+                return Ok(None);
             }
-            let block = self.block.as_ref().expect("block loaded above").clone();
-            if self.pos >= block.len() {
-                self.block = None;
-                self.block_idx += 1;
-                continue;
-            }
-            let (k, entry, next) = decode_record(&block, self.pos)?;
-            self.pos = next;
-            return Ok(Some((k.to_vec(), entry)));
         }
+        let buf = self.buf.as_slice();
+        let rec = record_at(buf, self.pos)?;
+        self.pos = rec.value.end;
+        let entry = decode_entry(buf, &rec, |r| Bytes::copy_from_slice(&buf[r]))?;
+        Ok(Some((buf[rec.key].to_vec(), entry)))
+    }
+
+    /// Reads the next run of adjacent blocks, as many as fit in
+    /// [`SEQ_READ_BYTES`] and at least one; `Ok(false)` past the last.
+    fn read_run(&mut self) -> io::Result<bool> {
+        let index = &self.table.index;
+        let Some(first) = index.get(self.next_block) else {
+            return Ok(false);
+        };
+        let mut len = first.len as usize;
+        self.next_block += 1;
+        while let Some(e) = index.get(self.next_block) {
+            if e.offset != first.offset + len as u64 || len + e.len as usize > SEQ_READ_BYTES {
+                break;
+            }
+            len += e.len as usize;
+            self.next_block += 1;
+        }
+        self.buf.resize(len, 0);
+        self.table.file.read_exact_at(&mut self.buf, first.offset)?;
+        self.pos = 0;
+        Ok(true)
     }
 }
 
@@ -540,11 +620,10 @@ pub fn resolve_with(acc: &mut Vec<Bytes>, deeper: Lookup) -> Option<Option<Bytes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gadget_kv::testutil::TestDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-sst-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir(name: &str) -> TestDir {
+        TestDir::new(&format!("sst-{name}"))
     }
 
     fn build_table(path: &Path, n: u64) -> TableHandle {
@@ -564,7 +643,7 @@ mod tests {
     #[test]
     fn write_read_all_tags() {
         let dir = tmpdir("rw");
-        let path = dir.join("t1.sst");
+        let path = dir.root().join("t1.sst");
         let t = build_table(&path, 300);
         let cache = BlockCache::new(1 << 20);
         assert_eq!(t.num_entries, 300);
@@ -581,13 +660,12 @@ mod tests {
             t.get(&1_000u64.to_be_bytes(), &cache).unwrap(),
             Lookup::NotFound
         );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn reopen_matches_written_state() {
         let dir = tmpdir("reopen");
-        let path = dir.join("t2.sst");
+        let path = dir.root().join("t2.sst");
         let orig = build_table(&path, 100);
         let reopened = TableHandle::open(&path, 1).unwrap();
         assert_eq!(reopened.num_entries, orig.num_entries);
@@ -599,16 +677,14 @@ mod tests {
             reopened.get(&0u64.to_be_bytes(), &cache).unwrap(),
             Lookup::Value(Bytes::from_static(b"value-0"))
         );
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn iterator_visits_all_in_order() {
         let dir = tmpdir("iter");
-        let path = dir.join("t3.sst");
+        let path = dir.root().join("t3.sst");
         let t = build_table(&path, 250);
-        let cache = BlockCache::new(1 << 20);
-        let mut it = t.iter(&cache);
+        let mut it = t.iter();
         let mut prev: Option<Vec<u8>> = None;
         let mut count = 0;
         while let Some((k, _)) = it.next().unwrap() {
@@ -619,32 +695,131 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 250);
-        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// One block holding `key-a` (a put), `key-b` (two merge operands)
+    /// and `key-c` (a tombstone), and where the last two records start.
+    fn sample_block() -> (Vec<u8>, usize, usize) {
+        let mut block = Vec::new();
+        encode_record(
+            &mut block,
+            b"key-a",
+            &FlushEntry::Put(Bytes::from_static(b"va")),
+        );
+        let b_at = block.len();
+        let ops = vec![Bytes::from_static(b"op1"), Bytes::from_static(b"op22")];
+        encode_record(&mut block, b"key-b", &FlushEntry::Merge(ops));
+        let c_at = block.len();
+        encode_record(&mut block, b"key-c", &FlushEntry::Delete);
+        (block, b_at, c_at)
+    }
+
+    fn find(block: &[u8], key: &[u8]) -> io::Result<Lookup> {
+        find_in_block(&Block::copy_from_slice(block), key)
+    }
+
+    fn assert_invalid(block: &[u8], key: &[u8], what: &str) {
+        match find(block, key) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}"),
+            Ok(found) => panic!("{what}: read {found:?} out of a damaged block"),
+        }
+    }
+
+    #[test]
+    fn block_search_reads_slices_of_the_block() {
+        let (block, ..) = sample_block();
+        assert_eq!(
+            find(&block, b"key-a").unwrap(),
+            Lookup::Value(Bytes::from_static(b"va"))
+        );
+        assert_eq!(
+            find(&block, b"key-b").unwrap(),
+            Lookup::Operands(vec![
+                Bytes::from_static(b"op1"),
+                Bytes::from_static(b"op22")
+            ])
+        );
+        assert_eq!(find(&block, b"key-c").unwrap(), Lookup::Deleted);
+        for absent in [&b"key-"[..], b"key-aa", b"key-d", b""] {
+            assert_eq!(find(&block, absent).unwrap(), Lookup::NotFound);
+        }
+        assert_eq!(find(&[], b"key-a").unwrap(), Lookup::NotFound);
+    }
+
+    #[test]
+    fn hostile_blocks_are_invalid_data_not_panics() {
+        let (block, b_at, c_at) = sample_block();
+        // Cut anywhere: inside a header, a key, a value, an operand list.
+        // A search that has to cross the cut fails; it never reads past it.
+        for cut in 1..block.len() {
+            let torn = &block[..cut];
+            if cut == b_at || cut == c_at {
+                // Cut between two records: a shorter block, but a whole one.
+                assert_eq!(find(torn, b"key-c").unwrap(), Lookup::NotFound);
+            } else {
+                assert_invalid(torn, b"key-c", &format!("cut at {cut}"));
+            }
+            // A key ahead of the cut is still found, whole.
+            if cut > b_at {
+                assert_eq!(
+                    find(torn, b"key-a").unwrap(),
+                    Lookup::Value(Bytes::from_static(b"va"))
+                );
+            }
+        }
+
+        // Key length running past the block.
+        let mut bad = block.clone();
+        bad[b_at + 1..b_at + 3].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_invalid(&bad, b"key-b", "klen past the block");
+        // Value length running past the block, by one byte and by 4 GiB.
+        for vlen in [(block.len() - b_at) as u32, u32::MAX] {
+            let mut bad = block.clone();
+            bad[b_at + 3..b_at + 7].copy_from_slice(&vlen.to_le_bytes());
+            assert_invalid(&bad, b"key-b", "vlen past the block");
+        }
+        // An unknown tag on the record that matches.
+        let mut bad = block.clone();
+        bad[b_at] = 9;
+        assert_invalid(&bad, b"key-b", "bad tag");
+        // ... is not looked at on a record that is only stepped over.
+        assert_eq!(find(&bad, b"key-c").unwrap(), Lookup::Deleted);
+
+        // Inside the matching merge record: an operand count the value
+        // cannot hold, an operand length past the value, no count at all.
+        let value_at = b_at + HEADER_LEN + b"key-b".len();
+        let mut bad = block.clone();
+        bad[value_at..value_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_invalid(&bad, b"key-b", "operand count");
+        let mut bad = block.clone();
+        bad[value_at + 4..value_at + 8].copy_from_slice(&1_000u32.to_le_bytes());
+        assert_invalid(&bad, b"key-b", "operand length");
+        let mut bad = Vec::new();
+        bad.extend_from_slice(&[TAG_MERGE, 1, 0, 2, 0, 0, 0, b'k', 0xAA, 0xBB]);
+        assert_invalid(&bad, b"k", "merge value shorter than its count");
     }
 
     #[test]
     fn corrupted_footer_is_rejected() {
         let dir = tmpdir("corrupt");
-        let path = dir.join("t4.sst");
+        let path = dir.root().join("t4.sst");
         build_table(&path, 50);
         let mut data = std::fs::read(&path).unwrap();
         let n = data.len();
         data[n - 10] ^= 0xFF; // Flip a bit inside the footer.
         std::fs::write(&path, &data).unwrap();
         assert!(TableHandle::open(&path, 1).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn range_checks() {
         let dir = tmpdir("range");
-        let path = dir.join("t5.sst");
+        let path = dir.root().join("t5.sst");
         let t = build_table(&path, 10);
         assert!(t.key_in_range(&5u64.to_be_bytes()));
         assert!(!t.key_in_range(&100u64.to_be_bytes()));
         assert!(t.overlaps(&3u64.to_be_bytes(), &20u64.to_be_bytes()));
         assert!(!t.overlaps(&20u64.to_be_bytes(), &30u64.to_be_bytes()));
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -20,10 +20,10 @@ use gadget_types::Op;
 use crate::cache::BlockCache;
 use crate::compaction::{pick_compaction, run_compaction, CompactionReason};
 use crate::config::LsmConfig;
-use crate::memtable::{Lookup, MemTable};
+use crate::memtable::{FlushEntry, Lookup, MemTable};
 use crate::sstable::TableWriter;
 use crate::version::{recover_version, table_path, Version};
-use crate::wal::{Wal, WalMetrics, WalOp};
+use crate::wal::{Wal, WalMetrics, WalOp, WalRecord};
 
 /// Mutable write-side state, guarded by one mutex.
 struct WriteState {
@@ -71,6 +71,9 @@ struct Inner {
     compaction_bytes_read: Counter,
     compaction_bytes_written: Counter,
     write_stalls: Counter,
+    /// Flushes and compactions that failed; the worker backs off and
+    /// retries, and this is where the failure shows.
+    bg_errors: Counter,
 }
 
 /// An embedded LSM-tree key-value store (see the crate docs for the
@@ -137,11 +140,7 @@ impl LsmStore {
         let mut mem = MemTable::new();
         for gen in &wal_gens {
             for op in Wal::replay(&dir.join(wal_file_name(*gen)))? {
-                match op {
-                    WalOp::Put(k, v) => mem.put(&k, &v),
-                    WalOp::Delete(k) => mem.delete(&k),
-                    WalOp::Merge(k, v) => mem.merge(&k, &v),
-                }
+                apply_to_memtable(&mut mem, op.as_record());
             }
         }
         let mem_gen = wal_gens.last().copied().unwrap_or(0) + 1;
@@ -159,20 +158,7 @@ impl LsmStore {
             None
         };
         if let Some(w) = wal.as_mut() {
-            for (k, e) in mem.flush_iter() {
-                match e {
-                    crate::memtable::FlushEntry::Put(v) => {
-                        w.append(&WalOp::Put(k.to_vec(), v.to_vec()))?
-                    }
-                    crate::memtable::FlushEntry::Delete => w.append(&WalOp::Delete(k.to_vec()))?,
-                    crate::memtable::FlushEntry::Merge(ops) => {
-                        for op in ops {
-                            w.append(&WalOp::Merge(k.to_vec(), op.to_vec()))?;
-                        }
-                    }
-                }
-            }
-            w.flush()?;
+            log_memtable(w, &mem)?;
         }
         for gen in &wal_gens {
             let _ = std::fs::remove_file(dir.join(wal_file_name(*gen)));
@@ -206,6 +192,7 @@ impl LsmStore {
             compaction_bytes_read: metrics.counter("compaction_bytes_read"),
             compaction_bytes_written: metrics.counter("compaction_bytes_written"),
             write_stalls: metrics.counter("write_stalls"),
+            bg_errors: metrics.counter("bg_errors"),
             metrics,
             dir,
             config,
@@ -359,7 +346,7 @@ impl LsmStore {
                 if !table.overlaps(lo, hi) {
                     continue;
                 }
-                let mut it = table.iter(&self.inner.cache);
+                let mut it = table.iter();
                 while let Some((k, e)) = it.next()? {
                     if k.as_slice() > hi {
                         break;
@@ -392,7 +379,7 @@ impl LsmStore {
             .collect()
     }
 
-    fn write_op(&self, op: WalOp) -> Result<(), StoreError> {
+    fn write_op(&self, rec: WalRecord<'_>) -> Result<(), StoreError> {
         self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let inner = &self.inner;
         let mut state = inner.state.lock();
@@ -400,13 +387,10 @@ impl LsmStore {
             return Err(StoreError::Closed);
         }
         if let Some(wal) = state.wal.as_mut() {
-            wal.append(&op)?;
+            wal.append_slices(rec)?;
+            wal.commit()?;
         }
-        match &op {
-            WalOp::Put(k, v) => state.mem.put(k, v),
-            WalOp::Delete(k) => state.mem.delete(k),
-            WalOp::Merge(k, v) => state.mem.merge(k, v),
-        }
+        apply_to_memtable(&mut state.mem, rec);
         if state.mem.approximate_bytes() >= inner.config.memtable_bytes {
             rotate_memtable(inner, &mut state)?;
         }
@@ -457,11 +441,14 @@ impl LsmStore {
                 if state.closed {
                     return Err(StoreError::Closed);
                 }
-                let mut ops = Vec::new();
-                for (_, imm) in state.immutables.iter() {
-                    memtable_ops(imm, &mut ops);
+                let mut ops: Vec<WalOp> = Vec::new();
+                let tables = state.immutables.iter().map(|(_, imm)| &**imm);
+                for mem in tables.chain([&state.mem]) {
+                    for_each_record(mem, |rec| {
+                        ops.push(rec.into());
+                        Ok(())
+                    })?;
                 }
-                memtable_ops(&state.mem, &mut ops);
                 (ops, inner.version.read().clone())
             };
             let mut wanted: Vec<(String, PathBuf, u64)> = Vec::new();
@@ -615,11 +602,7 @@ impl LsmStore {
         // re-log it under a fresh generation, mirroring `open`.
         let mut mem = MemTable::new();
         for op in Wal::replay(&dir.join("wal_0.log"))? {
-            match op {
-                WalOp::Put(k, v) => mem.put(&k, &v),
-                WalOp::Delete(k) => mem.delete(&k),
-                WalOp::Merge(k, v) => mem.merge(&k, &v),
-            }
+            apply_to_memtable(&mut mem, op.as_record());
         }
         state.mem_gen += 1;
         if inner.config.wal {
@@ -628,13 +611,7 @@ impl LsmStore {
                 inner.config.wal_sync,
             )?;
             w.set_metrics(inner.wal_metrics.clone());
-            let mut ops = Vec::new();
-            memtable_ops(&mem, &mut ops);
-            for op in &ops {
-                w.append_record(op)?;
-            }
-            w.commit()?;
-            w.flush()?;
+            log_memtable(&mut w, &mem)?;
             state.wal = Some(w);
         }
         state.mem = mem;
@@ -643,48 +620,67 @@ impl LsmStore {
     }
 }
 
-/// Serializes a memtable's contents as WAL operations (one entry per
-/// key; merge operands in arrival order), appending to `out`.
-fn memtable_ops(mem: &MemTable, out: &mut Vec<WalOp>) {
+/// Applies one logged operation to a memtable.
+fn apply_to_memtable(mem: &mut MemTable, rec: WalRecord<'_>) {
+    match rec {
+        WalRecord::Put(k, v) => mem.put(k, v),
+        WalRecord::Delete(k) => mem.delete(k),
+        WalRecord::Merge(k, v) => mem.merge(k, v),
+    }
+}
+
+/// Visits a memtable's contents as WAL operations: one per key, except
+/// an unresolved merge stack, which is one per operand in arrival order.
+fn for_each_record(
+    mem: &MemTable,
+    mut visit: impl FnMut(WalRecord<'_>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     for (k, e) in mem.flush_iter() {
         match e {
-            crate::memtable::FlushEntry::Put(v) => out.push(WalOp::Put(k.to_vec(), v.to_vec())),
-            crate::memtable::FlushEntry::Delete => out.push(WalOp::Delete(k.to_vec())),
-            crate::memtable::FlushEntry::Merge(operands) => {
-                for op in operands {
-                    out.push(WalOp::Merge(k.to_vec(), op.to_vec()));
+            FlushEntry::Put(v) => visit(WalRecord::Put(k, &v))?,
+            FlushEntry::Delete => visit(WalRecord::Delete(k))?,
+            FlushEntry::Merge(operands) => {
+                for op in &operands {
+                    visit(WalRecord::Merge(k, op))?;
                 }
             }
         }
     }
+    Ok(())
 }
 
-/// Point lookup with the state lock already held (the batch read path).
-///
-/// Unlike [`StateStore::get`], which drops the lock before probing
-/// SSTables, this keeps it: a batch interleaving reads and writes must see
-/// its own earlier writes, and releasing the lock mid-batch would forfeit
-/// the single-acquisition batching contract.
-fn lookup_in_state(
-    inner: &Inner,
-    state: &WriteState,
-    key: &[u8],
-) -> Result<Option<Bytes>, StoreError> {
-    let mut pending: Vec<Bytes> = Vec::new();
-    match state.mem.get(key) {
-        Lookup::Value(v) => return Ok(Some(v)),
-        Lookup::Deleted => return Ok(None),
-        Lookup::Operands(ops) => pending = ops,
-        Lookup::NotFound => {}
-    }
+/// Re-logs a recovered memtable into a fresh WAL generation as one
+/// committed group, handed to the OS before the old generation goes.
+fn log_memtable(wal: &mut Wal, mem: &MemTable) -> std::io::Result<()> {
+    for_each_record(mem, |rec| wal.append_slices(rec))?;
+    wal.commit()?;
+    wal.flush()
+}
+
+/// What the write-side state alone says about a key.
+enum MemProbe {
+    /// The memtables settle it: the value, or `None` for deleted.
+    Resolved(Option<Bytes>),
+    /// They hold only these merge operands (application order, possibly
+    /// none); the base is in the SSTables, if anywhere.
+    Pending(Vec<Bytes>),
+}
+
+/// Probes the active memtable, then the immutables newest first. Every
+/// point read starts here, under the state lock.
+fn probe_memtables(state: &WriteState, key: &[u8]) -> MemProbe {
+    let mut pending = match state.mem.get(key) {
+        Lookup::Value(v) => return MemProbe::Resolved(Some(v)),
+        Lookup::Deleted => return MemProbe::Resolved(None),
+        Lookup::Operands(ops) => ops,
+        Lookup::NotFound => Vec::new(),
+    };
     for (_, imm) in state.immutables.iter().rev() {
-        let lookup = imm.get(key);
-        if let Some(r) = crate::sstable::resolve_with(&mut pending, lookup) {
-            return Ok(r);
+        if let Some(r) = crate::sstable::resolve_with(&mut pending, imm.get(key)) {
+            return MemProbe::Resolved(r);
         }
     }
-    let version = inner.version.read().clone();
-    Ok(version.get(key, &inner.cache, pending)?)
+    MemProbe::Pending(pending)
 }
 
 /// Rotates the active memtable into the immutable queue, stalling if the
@@ -731,7 +727,10 @@ fn worker_loop(inner: Arc<Inner>) {
         match flush_one(&inner) {
             Ok(true) => continue,
             Ok(false) => {}
-            Err(_) => continue, // Transient I/O errors retry on next pass.
+            Err(_) => {
+                back_off_after_error(&inner);
+                continue;
+            }
         }
         let version = inner.version.read().clone();
         let seq = inner.seq.load(Ordering::Relaxed);
@@ -741,14 +740,7 @@ fn worker_loop(inner: Arc<Inner>) {
             // Always-on background span: the attribution report joins
             // tail-latency ops against exactly these windows.
             let _span = trace::span(trace::Category::Compaction, job.level as u64);
-            match run_compaction(
-                &job,
-                &inner.dir,
-                &inner.config,
-                &inner.cache,
-                &mut next_no,
-                seq,
-            ) {
+            match run_compaction(&job, &inner.dir, &inner.config, &mut next_no, seq) {
                 Ok(out) => {
                     inner.next_file_no.store(next_no, Ordering::Relaxed);
                     match job.reason {
@@ -811,16 +803,7 @@ fn worker_loop(inner: Arc<Inner>) {
                     }
                     inner.stall_cv.notify_all();
                 }
-                Err(_) => {
-                    // Back off before retrying, but stay wakeable: shutdown
-                    // or new work signals `work_cv` and ends the wait early.
-                    let mut state = inner.state.lock();
-                    if !inner.shutdown.load(Ordering::SeqCst) {
-                        inner
-                            .work_cv
-                            .wait_for(&mut state, std::time::Duration::from_millis(10));
-                    }
-                }
+                Err(_) => back_off_after_error(&inner),
             }
             continue;
         }
@@ -831,6 +814,20 @@ fn worker_loop(inner: Arc<Inner>) {
                 .work_cv
                 .wait_for(&mut state, std::time::Duration::from_millis(50));
         }
+    }
+}
+
+/// A flush or compaction failed (a full or vanished disk, say): counts it
+/// where `metrics()` shows it and parks the worker before its retry, so a
+/// persistent failure costs a wake-up every 10 ms, not a core. Shutdown
+/// or new work signals `work_cv` and ends the wait early.
+fn back_off_after_error(inner: &Inner) {
+    inner.bg_errors.inc();
+    let mut state = inner.state.lock();
+    if !inner.shutdown.load(Ordering::SeqCst) {
+        inner
+            .work_cv
+            .wait_for(&mut state, std::time::Duration::from_millis(10));
     }
 }
 
@@ -906,49 +903,35 @@ impl StateStore for LsmStore {
 
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
         self.inner.counters.record_get();
-        let mut pending: Vec<Bytes> = Vec::new();
-        let version = {
+        let (pending, version) = {
             let state = self.inner.state.lock();
             if state.closed {
                 return Err(StoreError::Closed);
             }
-            match state.mem.get(key) {
-                Lookup::Value(v) => return Ok(Some(v)),
-                Lookup::Deleted => return Ok(None),
-                Lookup::Operands(ops) => pending = ops,
-                Lookup::NotFound => {}
+            match probe_memtables(&state, key) {
+                MemProbe::Resolved(r) => return Ok(r),
+                // Snapshot the version under the same lock so a concurrent
+                // flush cannot duplicate or hide data between the two
+                // probes; the SSTables are then read without it.
+                MemProbe::Pending(pending) => (pending, self.inner.version.read().clone()),
             }
-            let mut resolved: Option<Option<Bytes>> = None;
-            for (_, imm) in state.immutables.iter().rev() {
-                let lookup = imm.get(key);
-                if let Some(r) = crate::sstable::resolve_with(&mut pending, lookup) {
-                    resolved = Some(r);
-                    break;
-                }
-            }
-            if let Some(r) = resolved {
-                return Ok(r);
-            }
-            // Snapshot the version under the same lock so a concurrent
-            // flush cannot duplicate or hide data between the two probes.
-            self.inner.version.read().clone()
         };
         Ok(version.get(key, &self.inner.cache, pending)?)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         self.inner.counters.record_put();
-        self.write_op(WalOp::Put(key.to_vec(), value.to_vec()))
+        self.write_op(WalRecord::Put(key, value))
     }
 
     fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
         self.inner.counters.record_merge();
-        self.write_op(WalOp::Merge(key.to_vec(), operand.to_vec()))
+        self.write_op(WalRecord::Merge(key, operand))
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
         self.inner.counters.record_delete();
-        self.write_op(WalOp::Delete(key.to_vec()))
+        self.write_op(WalRecord::Delete(key))
     }
 
     fn scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
@@ -1008,34 +991,41 @@ impl StateStore for LsmStore {
             return Err(StoreError::Closed);
         }
         for op in batch {
-            match op {
+            let rec = match op {
                 Op::Get { key } => {
                     inner.counters.record_get();
-                    out.push(BatchResult::Value(lookup_in_state(inner, &state, key)?));
+                    // Unlike `get`, the SSTables are probed with the state
+                    // lock held: a batch interleaving reads and writes must
+                    // see its own earlier writes, and releasing the lock
+                    // mid-batch would forfeit the single-acquisition
+                    // batching contract.
+                    let value = match probe_memtables(&state, key) {
+                        MemProbe::Resolved(r) => r,
+                        MemProbe::Pending(pending) => {
+                            let version = inner.version.read().clone();
+                            version.get(key, &inner.cache, pending)?
+                        }
+                    };
+                    out.push(BatchResult::Value(value));
                     continue;
                 }
                 Op::Put { key, value } => {
                     inner.counters.record_put();
-                    if let Some(wal) = state.wal.as_mut() {
-                        wal.append_record(&WalOp::Put(key.to_vec(), value.to_vec()))?;
-                    }
-                    state.mem.put(key, value);
+                    WalRecord::Put(key, value)
                 }
                 Op::Merge { key, operand } => {
                     inner.counters.record_merge();
-                    if let Some(wal) = state.wal.as_mut() {
-                        wal.append_record(&WalOp::Merge(key.to_vec(), operand.to_vec()))?;
-                    }
-                    state.mem.merge(key, operand);
+                    WalRecord::Merge(key, operand)
                 }
                 Op::Delete { key } => {
                     inner.counters.record_delete();
-                    if let Some(wal) = state.wal.as_mut() {
-                        wal.append_record(&WalOp::Delete(key.to_vec()))?;
-                    }
-                    state.mem.delete(key);
+                    WalRecord::Delete(key)
                 }
+            };
+            if let Some(wal) = state.wal.as_mut() {
+                wal.append_slices(rec)?;
             }
+            apply_to_memtable(&mut state.mem, rec);
             out.push(BatchResult::Applied);
             if state.mem.approximate_bytes() >= inner.config.memtable_bytes {
                 // Close the open group before this WAL generation rotates
@@ -1078,11 +1068,10 @@ impl StateStore for LsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gadget_kv::testutil::TestDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-lsm-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    fn tmpdir(name: &str) -> TestDir {
+        TestDir::new(&format!("lsm-{name}"))
     }
 
     #[test]
@@ -1096,8 +1085,6 @@ mod tests {
         s.merge(b"m", b"x").unwrap();
         s.merge(b"m", b"y").unwrap();
         assert_eq!(s.get(b"m").unwrap().as_deref(), Some(&b"xy"[..]));
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1119,8 +1106,6 @@ mod tests {
         }
         let flushes = s.metrics().unwrap().counter("flushes").unwrap();
         assert!(flushes > 0, "expected at least one flush");
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1144,8 +1129,6 @@ mod tests {
                 "key {i}"
             );
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1174,8 +1157,6 @@ mod tests {
         // A merge above the flushed tombstone rebuilds from empty.
         s.merge(b"k", b"z").unwrap();
         assert_eq!(s.get(b"k").unwrap().as_deref(), Some(&b"z"[..]));
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1196,8 +1177,6 @@ mod tests {
         let text = String::from_utf8(v.to_vec()).unwrap();
         let expected: String = (0..20).map(|r| format!("[{r}]")).collect();
         assert_eq!(text, expected);
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1217,8 +1196,6 @@ mod tests {
         assert_eq!(s.get(b"alive").unwrap().as_deref(), Some(&b"1"[..]));
         assert_eq!(s.get(b"persisted").unwrap(), None);
         assert_eq!(s.get(b"ops").unwrap().as_deref(), Some(&b"ab"[..]));
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1238,8 +1215,6 @@ mod tests {
                 Some(format!("v{i}").as_bytes())
             );
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1261,8 +1236,6 @@ mod tests {
         let dropped = s.metrics().unwrap().counter("tombstones_dropped").unwrap();
         assert!(dropped > 0, "no tombstones purged");
         assert_eq!(s.name(), "lethe");
-        drop(s);
-        std::fs::remove_dir_all(&dir_l).ok();
     }
 
     #[test]
@@ -1292,8 +1265,6 @@ mod tests {
         for w in hits.windows(2) {
             assert!(w[0].0 < w[1].0);
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1303,8 +1274,6 @@ mod tests {
         s.put(b"a", b"1").unwrap();
         assert!(s.scan(b"x", b"z").unwrap().is_empty());
         assert!(s.supports_scan());
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1334,8 +1303,6 @@ mod tests {
             assert!(hits.iter().all(|(_, v)| v.as_ref() == b"stable"));
         }
         writer.join().unwrap();
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1359,8 +1326,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1380,8 +1345,6 @@ mod tests {
                 Some(&b"r9"[..])
             );
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1426,8 +1389,6 @@ mod tests {
             s.get(&7u64.to_be_bytes()).unwrap().as_deref(),
             Some(&b"v7"[..])
         );
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1446,8 +1407,6 @@ mod tests {
         for i in (0..2_000u64).step_by(113) {
             assert_eq!(s.get(&i.to_be_bytes()).unwrap().map(|v| v.len()), Some(64));
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1465,7 +1424,7 @@ mod tests {
         s.merge(b"acc", b"a").unwrap();
         s.merge(b"acc", b"b").unwrap();
         s.delete(&7u64.to_be_bytes()).unwrap();
-        let manifest = s.checkpoint(&ckpt).unwrap();
+        let manifest = s.checkpoint(ckpt.root()).unwrap();
         assert!(manifest.files.iter().any(|f| f.name.ends_with(".sst")));
         assert!(manifest.files.iter().any(|f| f.name == "wal_0.log"));
 
@@ -1473,7 +1432,7 @@ mod tests {
         s.put(b"memtable-only", b"clobbered").unwrap();
         s.put(b"post-checkpoint", b"x").unwrap();
         s.delete(b"acc").unwrap();
-        s.restore(&ckpt).unwrap();
+        s.restore(ckpt.root()).unwrap();
         assert_eq!(
             s.get(b"memtable-only").unwrap().as_deref(),
             Some(&b"fresh"[..])
@@ -1498,9 +1457,6 @@ mod tests {
             Some(&b"fresh"[..])
         );
         assert_eq!(s.get(b"post-checkpoint").unwrap(), None);
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&ckpt).ok();
     }
 
     #[test]
@@ -1512,22 +1468,19 @@ mod tests {
             s.put(&i.to_be_bytes(), b"value-bytes-here").unwrap();
         }
         s.compact_and_wait().unwrap();
-        let first = s.checkpoint(&ckpt).unwrap();
+        let first = s.checkpoint(ckpt.root()).unwrap();
         assert_eq!(first.reused_files, 0);
         // No new flushes between checkpoints: every table is reusable.
         s.put(b"small-delta", b"1").unwrap();
-        let second = s.checkpoint(&ckpt).unwrap();
+        let second = s.checkpoint(ckpt.root()).unwrap();
         let tables = second
             .files
             .iter()
             .filter(|f| f.name.ends_with(".sst"))
             .count() as u64;
         assert_eq!(second.reused_files, tables, "all tables reused");
-        s.restore(&ckpt).unwrap();
+        s.restore(ckpt.root()).unwrap();
         assert_eq!(s.get(b"small-delta").unwrap().as_deref(), Some(&b"1"[..]));
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&ckpt).ok();
     }
 
     #[test]
@@ -1550,8 +1503,6 @@ mod tests {
                 "acknowledged write {i} lost"
             );
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1580,8 +1531,95 @@ mod tests {
                 None => seen_missing = true,
             }
         }
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sequential_passes_stay_out_of_the_block_cache() {
+        let dir = tmpdir("seq-no-cache");
+        let s = LsmStore::open(&dir, LsmConfig::small()).unwrap();
+        for i in 0..3_000u64 {
+            s.put(&i.to_be_bytes(), format!("v{i}").as_bytes()).unwrap();
+        }
+        s.compact_and_wait().unwrap();
+        // Point reads warm the cache and move its counters.
+        for i in (0..3_000u64).step_by(7) {
+            s.get(&i.to_be_bytes()).unwrap();
+        }
+        let cache = &s.inner.cache;
+        let warm = (cache.stats(), cache.bytes());
+        assert!(warm.0 .0 + warm.0 .1 > 0 && warm.1 > 0);
+
+        // A scan reads every flushed table from one end to the other.
+        let all = s
+            .scan(&0u64.to_be_bytes(), &u64::MAX.to_be_bytes())
+            .unwrap();
+        assert_eq!(all.len(), 3_000);
+        assert_eq!(
+            (cache.stats(), cache.bytes()),
+            warm,
+            "scan touched the cache"
+        );
+
+        // So does a compaction of the whole tree (written to one side, so
+        // that the store's own tables and their cached blocks stay).
+        let version = s.inner.version.read().clone();
+        let job = crate::compaction::CompactionJob {
+            level: 0,
+            inputs: version.levels.iter().flatten().cloned().collect(),
+            output_level: 1,
+            bottom_most: true,
+            reason: CompactionReason::L0FileCount,
+        };
+        assert!(job.inputs.len() > 1);
+        let out_dir = dir.path("compacted");
+        std::fs::create_dir_all(&out_dir).unwrap();
+        let out = run_compaction(&job, &out_dir, &s.inner.config, &mut 1_000, 0).unwrap();
+        assert_eq!(
+            out.new_tables.iter().map(|t| t.num_entries).sum::<u64>(),
+            3_000
+        );
+        assert_eq!(
+            (cache.stats(), cache.bytes()),
+            warm,
+            "compaction touched the cache"
+        );
+    }
+
+    #[test]
+    fn failed_flush_parks_the_worker_and_is_counted() {
+        // No WAL, so the write path never touches the directory and only
+        // the background flush can notice that it is gone.
+        let mut config = LsmConfig::small();
+        config.wal = false;
+        let dir = tmpdir("flush-error");
+        let s = LsmStore::open(dir.path("db"), config.clone()).unwrap();
+        std::fs::remove_dir_all(&s.inner.dir).unwrap();
+        // One memtable's worth: rotates once, well short of a write stall.
+        let value = vec![b'x'; 256];
+        for i in 0..(config.memtable_bytes / value.len()) as u64 + 1 {
+            s.put(&i.to_be_bytes(), &value).unwrap();
+        }
+        let errors = || s.metrics().unwrap().counter("bg_errors").unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while errors() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "flush error never counted"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Parked between retries: a handful of attempts in 200 ms, where a
+        // worker spinning on the error makes tens of thousands.
+        let before = errors();
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let retries = errors() - before;
+        assert!((1..=60).contains(&retries), "{retries} retries in 200 ms");
+        // The unflushed memtable still serves reads, and the store still
+        // shuts down.
+        assert_eq!(
+            s.get(&0u64.to_be_bytes()).unwrap().map(|v| v.len()),
+            Some(256)
+        );
     }
 
     #[test]
@@ -1612,7 +1650,5 @@ mod tests {
             snap.histogram("wal_fsync_ns").is_some(),
             "fsync histogram exported even when sync is off"
         );
-        drop(s);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use crate::bloom::hash_pair;
 use crate::cache::BlockCache;
 use crate::sstable::{resolve_with, TableHandle};
 
@@ -60,21 +61,23 @@ impl Version {
         cache: &BlockCache,
         mut pending: Vec<Bytes>,
     ) -> std::io::Result<Option<Bytes>> {
-        // L0: newest file first; files may overlap.
-        for table in &self.levels[0] {
-            let lookup = table.get(key, cache)?;
+        // Hashed for the bloom filters on the first table whose range holds
+        // the key, then handed to every later one.
+        let mut hash = None;
+        // L0 newest file first (files may overlap), then L1+, where at most
+        // one file per level can contain the key.
+        let l0 = self.levels[0].iter();
+        let deeper = self.levels[1..]
+            .iter()
+            .filter_map(|level| level.get(level.partition_point(|t| t.largest.as_slice() < key)));
+        for table in l0.chain(deeper) {
+            if !table.key_in_range(key) {
+                continue;
+            }
+            let hash = *hash.get_or_insert_with(|| hash_pair(key));
+            let lookup = table.get_hashed(key, hash, cache)?;
             if let Some(resolved) = resolve_with(&mut pending, lookup) {
                 return Ok(resolved);
-            }
-        }
-        // L1+: at most one file can contain the key.
-        for level in &self.levels[1..] {
-            let idx = level.partition_point(|t| t.largest.as_slice() < key);
-            if idx < level.len() && level[idx].key_in_range(key) {
-                let lookup = level[idx].get(key, cache)?;
-                if let Some(resolved) = resolve_with(&mut pending, lookup) {
-                    return Ok(resolved);
-                }
             }
         }
         // Bottom reached: operands (if any) fold over an empty base.
@@ -160,6 +163,7 @@ pub fn table_path(dir: &Path, level: usize, file_no: u64) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gadget_kv::testutil::TestDir;
 
     #[test]
     fn file_name_roundtrip() {
@@ -186,11 +190,10 @@ mod tests {
     fn apply_maintains_l0_recency_order() {
         use crate::memtable::FlushEntry;
         use crate::sstable::TableWriter;
-        let dir = std::env::temp_dir().join(format!("gadget-version-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("version-l0-order");
         let mut handles = Vec::new();
         for file_no in 1..=3u64 {
-            let path = table_path(&dir, 0, file_no);
+            let path = table_path(dir.root(), 0, file_no);
             let mut w = TableWriter::create(&path, 256, 10, 1).unwrap();
             w.add(b"k", &FlushEntry::Put(Bytes::from(format!("v{file_no}"))))
                 .unwrap();
@@ -212,27 +215,24 @@ mod tests {
             v.get(b"k", &cache, Vec::new()).unwrap(),
             Some(Bytes::from_static(b"v3"))
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn recover_rebuilds_levels() {
         use crate::memtable::FlushEntry;
         use crate::sstable::TableWriter;
-        let dir = std::env::temp_dir().join(format!("gadget-recover-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("version-recover");
         for (level, file_no) in [(0usize, 5u64), (1, 3), (1, 4)] {
-            let path = table_path(&dir, level, file_no);
+            let path = table_path(dir.root(), level, file_no);
             let mut w = TableWriter::create(&path, 256, 10, 1).unwrap();
             let key = format!("key-{file_no}");
             w.add(key.as_bytes(), &FlushEntry::Put(Bytes::from_static(b"v")))
                 .unwrap();
             w.finish(file_no).unwrap();
         }
-        let (version, max_no) = recover_version(&dir, 3).unwrap();
+        let (version, max_no) = recover_version(dir.root(), 3).unwrap();
         assert_eq!(version.level_files(0), 1);
         assert_eq!(version.level_files(1), 2);
         assert_eq!(max_no, 5);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

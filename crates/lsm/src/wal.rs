@@ -23,7 +23,8 @@ const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
 const OP_MERGE: u8 = 2;
 
-/// One logical operation recorded in the WAL.
+/// One logical operation read back from a WAL (replay) or held for one
+/// (a checkpoint's memtable cut).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalOp {
     /// Full-value write.
@@ -32,6 +33,39 @@ pub enum WalOp {
     Delete(Vec<u8>),
     /// Merge operand.
     Merge(Vec<u8>, Vec<u8>),
+}
+
+/// One logical operation as the write path has it: the caller's key and
+/// value, borrowed. What [`Wal::append_slices`] encodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalRecord<'a> {
+    /// Full-value write.
+    Put(&'a [u8], &'a [u8]),
+    /// Tombstone.
+    Delete(&'a [u8]),
+    /// Merge operand.
+    Merge(&'a [u8], &'a [u8]),
+}
+
+impl From<WalRecord<'_>> for WalOp {
+    fn from(rec: WalRecord<'_>) -> Self {
+        match rec {
+            WalRecord::Put(k, v) => WalOp::Put(k.to_vec(), v.to_vec()),
+            WalRecord::Delete(k) => WalOp::Delete(k.to_vec()),
+            WalRecord::Merge(k, v) => WalOp::Merge(k.to_vec(), v.to_vec()),
+        }
+    }
+}
+
+impl WalOp {
+    /// This operation, borrowed.
+    pub fn as_record(&self) -> WalRecord<'_> {
+        match self {
+            WalOp::Put(k, v) => WalRecord::Put(k, v),
+            WalOp::Delete(k) => WalRecord::Delete(k),
+            WalOp::Merge(k, v) => WalRecord::Merge(k, v),
+        }
+    }
 }
 
 /// Durability instruments shared by successive WAL generations.
@@ -75,6 +109,8 @@ pub struct Wal {
     /// Bytes appended since the last [`Wal::commit`]; nonzero means the
     /// current group has records whose durability is still pending.
     pending_bytes: u64,
+    /// The record being appended, framing included; reused by every append.
+    record: Vec<u8>,
 }
 
 impl Wal {
@@ -94,6 +130,7 @@ impl Wal {
             sync,
             metrics: None,
             pending_bytes: 0,
+            record: Vec::new(),
         })
     }
 
@@ -125,35 +162,35 @@ impl Wal {
     /// by one `commit` is the group-commit protocol — every record in the
     /// group shares a single fsync.
     pub fn append_record(&mut self, op: &WalOp) -> io::Result<()> {
-        let mut payload = Vec::new();
-        match op {
-            WalOp::Put(k, v) => {
-                payload.push(OP_PUT);
-                payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                payload.extend_from_slice(k);
-                payload.extend_from_slice(v);
-            }
-            WalOp::Delete(k) => {
-                payload.push(OP_DELETE);
-                payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                payload.extend_from_slice(k);
-            }
-            WalOp::Merge(k, v) => {
-                payload.push(OP_MERGE);
-                payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                payload.extend_from_slice(k);
-                payload.extend_from_slice(v);
-            }
-        }
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc32c(&payload).to_le_bytes())?;
-        self.writer.write_all(&payload)?;
+        self.append_slices(op.as_record())
+    }
+
+    /// [`Wal::append_record`] from borrowed key and value: the record is
+    /// laid out once in a buffer this log reuses, its length and CRC
+    /// filled in once the payload is known, and handed on in one write.
+    pub fn append_slices(&mut self, rec: WalRecord<'_>) -> io::Result<()> {
+        let (tag, key, value) = match rec {
+            WalRecord::Put(k, v) => (OP_PUT, k, v),
+            WalRecord::Delete(k) => (OP_DELETE, k, &[][..]),
+            WalRecord::Merge(k, v) => (OP_MERGE, k, v),
+        };
+        self.record.clear();
+        self.record.extend_from_slice(&[0; 8]);
+        self.record.push(tag);
+        self.record
+            .extend_from_slice(&(key.len() as u32).to_le_bytes());
+        self.record.extend_from_slice(key);
+        self.record.extend_from_slice(value);
+        let (header, payload) = self.record.split_at_mut(8);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32c(payload).to_le_bytes());
+        self.writer.write_all(&self.record)?;
+        let bytes = self.record.len() as u64;
         if let Some(m) = &self.metrics {
             m.appends.inc();
-            m.bytes.add(8 + payload.len() as u64);
+            m.bytes.add(bytes);
         }
-        self.pending_bytes += 8 + payload.len() as u64;
+        self.pending_bytes += bytes;
         Ok(())
     }
 
@@ -323,17 +360,20 @@ fn decode_payload(payload: &[u8]) -> Option<WalOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gadget_kv::testutil::TestDir;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
+    /// A log path in a directory of the test's own, which goes when the
+    /// returned guard does.
+    fn tmp(name: &str) -> (TestDir, PathBuf) {
+        let dir = TestDir::new(&format!("wal-{name}"));
+        let path = dir.root().join(name);
+        (dir, path)
     }
 
     #[test]
     fn append_replay_roundtrip() {
-        let path = tmp("roundtrip.wal");
+        let (_dir, path) = tmp("roundtrip.wal");
         let ops = vec![
             WalOp::Put(b"k1".to_vec(), b"v1".to_vec()),
             WalOp::Merge(b"k1".to_vec(), b"+x".to_vec()),
@@ -347,12 +387,11 @@ mod tests {
             wal.flush().unwrap();
         }
         assert_eq!(Wal::replay(&path).unwrap(), ops);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_tail_is_ignored() {
-        let path = tmp("torn.wal");
+        let (_dir, path) = tmp("torn.wal");
         {
             let mut wal = Wal::create(&path, false).unwrap();
             wal.append(&WalOp::Put(b"a".to_vec(), b"1".to_vec()))
@@ -366,12 +405,11 @@ mod tests {
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
         let ops = Wal::replay(&path).unwrap();
         assert_eq!(ops, vec![WalOp::Put(b"a".to_vec(), b"1".to_vec())]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_crc_stops_replay() {
-        let path = tmp("crc.wal");
+        let (_dir, path) = tmp("crc.wal");
         {
             let mut wal = Wal::create(&path, false).unwrap();
             wal.append(&WalOp::Put(b"a".to_vec(), b"1".to_vec()))
@@ -386,12 +424,11 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let ops = Wal::replay(&path).unwrap();
         assert_eq!(ops.len(), 1);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_mid_log_is_a_hard_error() {
-        let path = tmp("midlog.wal");
+        let (_dir, path) = tmp("midlog.wal");
         let first_len;
         {
             let mut wal = Wal::create(&path, false).unwrap();
@@ -412,12 +449,11 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let err = Wal::replay(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn garbage_tail_after_bad_record_is_clean_end() {
-        let path = tmp("garbagetail.wal");
+        let (_dir, path) = tmp("garbagetail.wal");
         {
             let mut wal = Wal::create(&path, false).unwrap();
             wal.append(&WalOp::Put(b"a".to_vec(), b"1".to_vec()))
@@ -435,13 +471,12 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let ops = Wal::replay(&path).unwrap();
         assert_eq!(ops, vec![WalOp::Put(b"a".to_vec(), b"1".to_vec())]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn tear_tail_injection_bounds_recovery() {
         for (mode, label) in [(TearMode::Truncate, "trunc"), (TearMode::Garble, "garble")] {
-            let path = tmp(&format!("tear-{label}.wal"));
+            let (_dir, path) = tmp(&format!("tear-{label}.wal"));
             {
                 let mut wal = Wal::create(&path, false).unwrap();
                 wal.append(&WalOp::Put(b"a".to_vec(), b"1".to_vec()))
@@ -454,17 +489,15 @@ mod tests {
             // Recovery is CRC-bounded: exactly the undamaged prefix.
             let ops = Wal::replay(&path).unwrap();
             assert_eq!(ops, vec![WalOp::Put(b"a".to_vec(), b"1".to_vec())]);
-            std::fs::remove_file(&path).ok();
         }
         // Nothing to tear in a missing file.
-        let missing = tmp("tear-missing.wal");
-        std::fs::remove_file(&missing).ok();
+        let (_dir, missing) = tmp("tear-missing.wal");
         assert!(!tear_tail(&missing, TearMode::Truncate).unwrap());
     }
 
     #[test]
     fn discard_loses_the_buffered_tail_only() {
-        let path = tmp("discard.wal");
+        let (_dir, path) = tmp("discard.wal");
         let mut wal = Wal::create(&path, false).unwrap();
         wal.append(&WalOp::Put(b"a".to_vec(), b"1".to_vec()))
             .unwrap();
@@ -474,29 +507,26 @@ mod tests {
         wal.discard();
         let ops = Wal::replay(&path).unwrap();
         assert_eq!(ops, vec![WalOp::Put(b"a".to_vec(), b"1".to_vec())]);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn create_fsyncs_parent_directory() {
         let before = gadget_kv::dir_fsync_count();
-        let path = tmp("dirsync.wal");
+        let (_dir, path) = tmp("dirsync.wal");
         let wal = Wal::create(&path, false).unwrap();
         assert!(gadget_kv::dir_fsync_count() > before);
         wal.discard();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_file_is_empty_log() {
-        let path = tmp("never-created.wal");
-        std::fs::remove_file(&path).ok();
+        let (_dir, path) = tmp("never-created.wal");
         assert_eq!(Wal::replay(&path).unwrap(), Vec::new());
     }
 
     #[test]
     fn group_commit_amortizes_fsync() {
-        let path = tmp("group.wal");
+        let (_dir, path) = tmp("group.wal");
         let reg = MetricsRegistry::new();
         {
             let mut wal = Wal::create(&path, true).unwrap();
@@ -512,12 +542,11 @@ mod tests {
         assert_eq!(snap.counter("wal_appends"), Some(16));
         assert_eq!(snap.counter("wal_fsyncs"), Some(1));
         assert_eq!(Wal::replay(&path).unwrap().len(), 16);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn metrics_count_appends_and_fsyncs() {
-        let path = tmp("metrics.wal");
+        let (_dir, path) = tmp("metrics.wal");
         let reg = MetricsRegistry::new();
         let metrics = WalMetrics::registered(&reg);
         {
@@ -533,6 +562,5 @@ mod tests {
         // Framing (8 bytes) + tag (1) + klen (4) + key + value, per op.
         assert_eq!(snap.counter("wal_bytes"), Some(21 + 16));
         assert_eq!(metrics.fsync_ns.count(), 2);
-        std::fs::remove_file(&path).ok();
     }
 }

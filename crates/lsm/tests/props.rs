@@ -3,21 +3,68 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use gadget_kv::testutil::TestDir;
 use gadget_lsm::cache::BlockCache;
 use gadget_lsm::memtable::{FlushEntry, Lookup, MemTable};
 use gadget_lsm::sstable::{TableHandle, TableWriter};
 use gadget_lsm::wal::{Wal, WalOp};
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("gadget-lsm-props-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(format!(
-        "{name}-{}",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
+/// The record decoder as it stood before point reads stopped decoding the
+/// records they step over: key and whole value of the record at `pos`,
+/// every operand copied out. Kept as the reference the new read path is
+/// compared with.
+fn reference_decode(block: &[u8], pos: usize) -> Option<(&[u8], FlushEntry, usize)> {
+    if pos + 7 > block.len() {
+        return None;
+    }
+    let tag = block[pos];
+    let klen = u16::from_le_bytes(block[pos + 1..pos + 3].try_into().unwrap()) as usize;
+    let vlen = u32::from_le_bytes(block[pos + 3..pos + 7].try_into().unwrap()) as usize;
+    let kstart = pos + 7;
+    let vstart = kstart + klen;
+    let end = vstart + vlen;
+    if end > block.len() {
+        return None;
+    }
+    let key = &block[kstart..vstart];
+    let value = &block[vstart..end];
+    let entry = match tag {
+        0 => FlushEntry::Put(Bytes::copy_from_slice(value)),
+        1 => FlushEntry::Delete,
+        2 => {
+            let count = u32::from_le_bytes(value.get(0..4)?.try_into().unwrap()) as usize;
+            let mut ops = Vec::new();
+            let mut p = 4;
+            for _ in 0..count {
+                let len = u32::from_le_bytes(value.get(p..p + 4)?.try_into().unwrap()) as usize;
+                p += 4;
+                ops.push(Bytes::copy_from_slice(value.get(p..p + len)?));
+                p += len;
+            }
+            FlushEntry::Merge(ops)
+        }
+        _ => return None,
+    };
+    Some((key, entry, end))
+}
+
+/// Point lookup by decoding every record of the table file in turn. The
+/// data blocks lie back to back from offset 0 to the bloom block (whose
+/// offset is bytes 16..24 of the 56-byte footer), and no record straddles
+/// two of them.
+fn reference_get(file: &[u8], key: &[u8]) -> Lookup {
+    let footer = &file[file.len() - 56..];
+    let data_end = u64::from_le_bytes(footer[16..24].try_into().unwrap()) as usize;
+    let data = &file[..data_end];
+    let mut pos = 0;
+    while pos < data.len() {
+        let (k, entry, next) = reference_decode(data, pos).expect("the writer's own records");
+        if k == key {
+            return entry.into();
+        }
+        pos = next;
+    }
+    Lookup::NotFound
 }
 
 /// Arbitrary sorted, deduplicated entries for an SSTable.
@@ -36,15 +83,81 @@ fn sorted_entries() -> impl Strategy<Value = Vec<(Vec<u8>, FlushEntry)>> {
     .prop_map(|m| m.into_iter().collect())
 }
 
+/// Tables whose records do not fit their blocks: values and operand
+/// stacks from empty to several blocks long, up to 5 000 operands deep.
+fn awkward_entries() -> impl Strategy<Value = Vec<(Vec<u8>, FlushEntry)>> {
+    let operand = || proptest::collection::vec(any::<u8>(), 0..6);
+    proptest::collection::btree_map(
+        proptest::collection::vec(any::<u8>(), 1..12),
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..40)
+                .prop_map(|v| FlushEntry::Put(Bytes::from(v))),
+            proptest::collection::vec(any::<u8>(), 0..700)
+                .prop_map(|v| FlushEntry::Put(Bytes::from(v))),
+            Just(FlushEntry::Delete),
+            proptest::collection::vec(operand(), 1..5)
+                .prop_map(|ops| FlushEntry::Merge(ops.into_iter().map(Bytes::from).collect())),
+            proptest::collection::vec(operand(), 1..5001)
+                .prop_map(|ops| FlushEntry::Merge(ops.into_iter().map(Bytes::from).collect())),
+        ],
+        1..40,
+    )
+    .prop_map(|m| m.into_iter().collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A point read that compares keys in place and decodes only the
+    /// matching record answers exactly as one that decodes every record
+    /// in full: for every key of the table, for keys that fall between
+    /// two records, and for keys outside `[smallest, largest]`; with a
+    /// cache that holds the whole table and with one that holds a block.
+    #[test]
+    fn point_read_equals_full_decode_reference(
+        entries in awkward_entries(),
+        block_bytes in 64usize..512,
+    ) {
+        let dir = TestDir::new("lsm-props-point-read");
+        let path = dir.path("sst");
+        let mut w = TableWriter::create(&path, block_bytes, 10, entries.len()).unwrap();
+        for (k, e) in &entries {
+            w.add(k, e).unwrap();
+        }
+        let written = w.finish(1).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let reopened = TableHandle::open(&path, 1).unwrap();
+
+        let mut probes: Vec<Vec<u8>> = vec![Vec::new()];
+        for (k, _) in &entries {
+            probes.push(k.clone());
+            // The closest key above `k`: between it and the next record
+            // (or past the largest), unless that is the next record.
+            probes.push([k.as_slice(), &[0]].concat());
+            // And one below it.
+            let mut below = k.clone();
+            *below.last_mut().unwrap() = below.last().unwrap().wrapping_sub(1);
+            probes.push(below);
+        }
+        let roomy = BlockCache::new(1 << 22);
+        let cramped = BlockCache::new(1 << 10);
+        for key in &probes {
+            let expected = reference_get(&file, key);
+            for table in [&written, &reopened] {
+                for cache in [&roomy, &cramped] {
+                    prop_assert_eq!(&table.get(key, cache).unwrap(), &expected);
+                }
+            }
+        }
+    }
 
     /// Every record written to an SSTable reads back identically, both
     /// through point gets and through full iteration, and again after
     /// reopening the file from disk.
     #[test]
     fn sstable_roundtrip(entries in sorted_entries(), block_bytes in 64usize..2048) {
-        let path = tmp("sst");
+        let dir = TestDir::new("lsm-props-sst");
+        let path = dir.path("sst");
         let mut w = TableWriter::create(&path, block_bytes, 10, entries.len()).unwrap();
         for (k, e) in &entries {
             w.add(k, e).unwrap();
@@ -54,24 +167,18 @@ proptest! {
 
         for (k, e) in &entries {
             let got = table.get(k, &cache).unwrap();
-            let expected = match e {
-                FlushEntry::Put(v) => Lookup::Value(v.clone()),
-                FlushEntry::Delete => Lookup::Deleted,
-                FlushEntry::Merge(ops) => Lookup::Operands(ops.clone()),
-            };
-            prop_assert_eq!(got, expected);
+            prop_assert_eq!(got, Lookup::from(e.clone()));
         }
 
         // Reopen from disk and iterate: same entries, same order.
         let reopened = TableHandle::open(&path, 1).unwrap();
         prop_assert_eq!(reopened.num_entries, entries.len() as u64);
-        let mut it = reopened.iter(&cache);
+        let mut it = reopened.iter();
         let mut seen = Vec::new();
         while let Some((k, e)) = it.next().unwrap() {
             seen.push((k, e));
         }
         prop_assert_eq!(seen, entries);
-        std::fs::remove_file(&path).ok();
     }
 
     /// WAL append/replay is lossless for arbitrary operation sequences.
@@ -92,7 +199,8 @@ proptest! {
                 _ => WalOp::Merge(k, v),
             })
             .collect();
-        let path = tmp("wal");
+        let dir = TestDir::new("lsm-props-wal");
+        let path = dir.path("wal");
         {
             let mut wal = Wal::create(&path, false).unwrap();
             for op in &ops {
@@ -101,7 +209,6 @@ proptest! {
             wal.flush().unwrap();
         }
         prop_assert_eq!(Wal::replay(&path).unwrap(), ops);
-        std::fs::remove_file(&path).ok();
     }
 
     /// The memtable agrees with a model: the last full write wins and

@@ -89,7 +89,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Uniform draw in `[0, 1)` from the top 53 bits of a splitmix64 step.
-fn unit_f64(state: &mut u64) -> f64 {
+pub fn unit_f64(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 
 use gadget_btree::{BTreeConfig, BTreeStore};
 use gadget_hashlog::{HashLogConfig, HashLogStore};
+use gadget_kv::testutil::TestDir;
 use gadget_kv::{apply_ops_serially, InstrumentedStore, MemStore, StateStore};
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_types::Op;
@@ -21,18 +22,6 @@ const BATCH_SIZES: [usize; 4] = [1, 7, 64, 1000];
 /// Key universe: single-byte keys 0..16, small enough that sequences
 /// revisit keys (overwrites, merge stacking, delete-then-get).
 const KEYS: u8 = 16;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("gadget-batch-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(format!(
-        "{name}-{}",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
 
 /// (kind, key, payload length) triples decoded into ops; payload bytes
 /// are a deterministic function of the op index.
@@ -87,6 +76,7 @@ proptest! {
 
     #[test]
     fn batched_application_is_invisible_on_every_store(ops in op_seq()) {
+        let scratch = TestDir::new("batch-eq");
         for batch in BATCH_SIZES {
             assert_equivalent(MemStore::new, &ops, batch, "mem");
             assert_equivalent(
@@ -96,7 +86,7 @@ proptest! {
                 "hashlog",
             );
             assert_equivalent(
-                || BTreeStore::open(tmp("btree.db"), BTreeConfig::small()).unwrap(),
+                || BTreeStore::open(scratch.path("btree.db"), BTreeConfig::small()).unwrap(),
                 &ops,
                 batch,
                 "btree",
@@ -105,10 +95,8 @@ proptest! {
             // memtable rotation both fire inside the equivalence check.
             assert_equivalent(
                 || {
-                    let dir = tmp("lsm");
-                    std::fs::create_dir_all(&dir).unwrap();
                     LsmStore::open(
-                        &dir,
+                        scratch.path("lsm"),
                         LsmConfig {
                             wal_sync: true,
                             memtable_bytes: 2 << 10,
@@ -122,8 +110,5 @@ proptest! {
                 "lsm",
             );
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-batch-eq-{}", std::process::id())),
-        );
     }
 }

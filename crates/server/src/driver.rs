@@ -17,7 +17,7 @@ use std::sync::Mutex;
 
 use gadget_kv::{shard_of, ReshardEvent};
 use gadget_obs::trace::{phase, span, Category};
-use gadget_replay::openloop::splitmix64;
+use gadget_replay::openloop::unit_f64;
 use gadget_replay::{Measured, ReplayOptions, RunReport, TraceReplayer};
 use gadget_types::{StateAccess, Trace};
 
@@ -120,11 +120,6 @@ struct ConnOutcome {
     bytes_out: u64,
     ops: u64,
     decomposition: Option<crate::client::Decomposition>,
-}
-
-/// Uniform draw in `[0, 1)` from the top 53 bits of a splitmix64 step.
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Drives `trace` against the server at `addr` over
