@@ -155,7 +155,7 @@ fn emit_bench_report(store: &dyn StateStore, ops: Vec<Op>, batch: usize, workloa
         &gadget_bench::bench_reports_dir(),
         "batch_sweep",
         "lsm-sync",
-        &run,
+        run,
         store.metrics(),
         &format!("batch_sweep workload={workload} batch={batch}"),
         batch,

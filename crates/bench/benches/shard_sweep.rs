@@ -155,13 +155,12 @@ fn emit_bench_report(store: &dyn StateStore, ops: Vec<Op>, workload: &str, shard
         }
         m.executed += chunk.len() as u64;
     }
-    let mut run = m.to_report(store.name(), workload, started.elapsed().as_secs_f64());
-    run.store = "lsm-sync-sharded".to_string();
+    let run = m.to_report(store.name(), workload, started.elapsed().as_secs_f64());
     gadget_bench::emit_run_report(
         &gadget_bench::bench_reports_dir(),
         "shard_sweep",
         "lsm-sync-sharded",
-        &run,
+        run,
         store.metrics(),
         &format!("shard_sweep workload={workload} shards={shards} batch={BATCH}"),
         BATCH,

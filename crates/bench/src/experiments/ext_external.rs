@@ -66,7 +66,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 workload: kind.name().to_string(),
                 deployment: name.to_string(),
                 throughput: report.throughput,
-                p999_ns: report.latency.p999_ns,
+                p999_ns: report.latency_hist.percentile(99.9),
             });
         }
     }

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use gadget_kv::{MemStore, ShardedStore, StateStore};
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_replay::{run_sweep, ReplayOptions, SweepOptions, TraceReplayer};
+use gadget_report::ReportFile;
 use gadget_ycsb::{CoreWorkload, YcsbConfig};
 use serde::Serialize;
 
@@ -111,8 +112,8 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 offered: step.offered,
                 achieved: step.achieved,
                 sustainable: step.sustainable,
-                p50_ns: step.run.latency.p50_ns,
-                p99_ns: step.run.latency.p99_ns,
+                p50_ns: step.run.latency_hist.percentile(50.0),
+                p99_ns: step.run.latency_hist.percentile(99.0),
                 knee: Some(step.offered) == knee_rate,
             });
         }
@@ -124,7 +125,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
             meta.shards = shards;
             meta.batch_size = opts.batch_size as u64;
             meta.arrival = opts.arrival.name().to_string();
-            let mut report = gadget_report::SweepReport::from_sweep(&outcome, &opts, meta);
+            let mut report = gadget_report::SweepReport::from_sweep(outcome, &opts, meta);
             report.store = label.to_string();
             let path = dir.join(format!("ext-sweep-ycsb-a-{label}.json"));
             match report.save(&path) {

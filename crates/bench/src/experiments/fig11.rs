@@ -63,7 +63,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                     source: source.to_string(),
                     store: inst.label.to_string(),
                     throughput: report.throughput,
-                    p999_ns: report.latency.p999_ns,
+                    p999_ns: report.latency_hist.percentile(99.9),
                 });
             }
         }

@@ -59,12 +59,18 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 .preload(&*run_store, cfg.preload_keys(), cfg.value_size)
                 .expect("preload");
             let report = replayer.replay(&trace, &*run_store, name).expect("replay");
+            rows.push(Row {
+                workload: name.to_string(),
+                store: inst.label.to_string(),
+                throughput: report.throughput,
+                p999_ns: report.latency_hist.percentile(99.9),
+            });
             if let Some(dir) = &scale.reports {
                 crate::emit_run_report(
                     dir,
                     "fig12",
                     inst.label,
-                    &report,
+                    report,
                     inst.store.metrics(),
                     &format!(
                         "fig12 workload={name} ops={} batch={}",
@@ -73,12 +79,6 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                     scale.batch,
                 );
             }
-            rows.push(Row {
-                workload: name.to_string(),
-                store: inst.label.to_string(),
-                throughput: report.throughput,
-                p999_ns: report.latency.p999_ns,
-            });
             if scale.metrics.is_some() {
                 if let Some(snap) = inst.store.metrics() {
                     snapshots.push((format!("{name}/{}", inst.label), snap));

@@ -73,8 +73,8 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 workload: kind.name().to_string(),
                 store: inst.label.to_string(),
                 throughput: report.throughput,
-                p999_ns: report.latency.p999_ns,
-                mean_ns: report.latency.mean_ns,
+                p999_ns: report.latency_hist.percentile(99.9),
+                mean_ns: report.latency_hist.mean(),
             });
         }
     }

@@ -55,7 +55,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
             operator: name.to_string(),
             deployment: "isolated".to_string(),
             throughput: report.throughput,
-            p999_ns: report.latency.p999_ns,
+            p999_ns: report.latency_hist.percentile(99.9),
         });
     }
 
@@ -76,7 +76,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
             operator: name.to_string(),
             deployment: "concurrent-A".to_string(),
             throughput: reports[0].throughput,
-            p999_ns: reports[0].latency.p999_ns,
+            p999_ns: reports[0].latency_hist.percentile(99.9),
         });
     }
 
@@ -98,7 +98,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 operator: report.workload.clone(),
                 deployment: "concurrent-B".to_string(),
                 throughput: report.throughput,
-                p999_ns: report.latency.p999_ns,
+                p999_ns: report.latency_hist.percentile(99.9),
             });
         }
     }

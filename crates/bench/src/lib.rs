@@ -18,6 +18,7 @@ use gadget_btree::{BTreeConfig, BTreeStore};
 use gadget_hashlog::{HashLogConfig, HashLogStore};
 use gadget_kv::StateStore;
 use gadget_lsm::{LsmConfig, LsmStore};
+use gadget_report::ReportFile;
 
 /// Command-line scale options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -311,18 +312,13 @@ pub fn emit_run_report(
     dir: &std::path::Path,
     experiment: &str,
     store_label: &str,
-    run: &gadget_replay::RunReport,
+    mut run: gadget_replay::RunReport,
     metrics: Option<gadget_obs::MetricsSnapshot>,
     config: &str,
     batch: usize,
 ) {
     let mut meta = gadget_report::capture(config);
     meta.batch_size = batch as u64;
-    let mut report = gadget_report::RunReport::from_run(run, meta);
-    report.store = store_label.to_string();
-    if let Some(snapshot) = metrics {
-        report.metrics = snapshot;
-    }
     let slug = |s: &str| {
         s.to_lowercase()
             .replace(|c: char| !c.is_ascii_alphanumeric() && c != '-', "-")
@@ -332,6 +328,9 @@ pub fn emit_run_report(
         slug(&run.workload),
         slug(store_label)
     ));
+    run.store = store_label.to_string();
+    let mut report = gadget_report::RunReport::from_run(run, meta);
+    report.metrics = metrics.unwrap_or_default();
     match report.save(&path) {
         Ok(()) => println!("(run report saved to {})", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),

@@ -7,7 +7,7 @@ use std::path::Path;
 use std::process::Command;
 
 use gadget_kv::testutil::TestDir;
-use gadget_report::RunReport;
+use gadget_report::{ReportFile, RunReport};
 
 fn gadget() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gadget"))
@@ -62,8 +62,8 @@ fn sync_wal_lsm_recovers_with_zero_acknowledged_loss() {
     assert!(r.replayed_wal_bytes > 0, "WAL recovery replayed no bytes");
     assert!(!r.checkpoint_restored);
     assert_eq!(r.torn_tail, "none");
-    assert_eq!(report.workload, "crash");
-    assert_eq!(report.operations, r.acked_ops);
+    assert_eq!(report.run.workload, "crash");
+    assert_eq!(report.run.operations, r.acked_ops);
 }
 
 #[test]

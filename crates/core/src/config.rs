@@ -177,16 +177,21 @@ impl GadgetConfig {
         }
     }
 
+    /// The driver this config describes: its operator under its allowed
+    /// lateness. `None` for an unknown operator name.
+    pub fn driver(&self) -> Option<Driver> {
+        let operator = self.operator_kind()?.build(&self.operator_params());
+        Some(Driver::new(operator).with_allowed_lateness(self.allowed_lateness))
+    }
+
     /// Runs the configured workload end to end, producing its trace.
     ///
     /// This is Gadget's *offline mode*: the trace can be saved and later
     /// replayed against any store by the performance evaluator.
     pub fn run(&self) -> Trace {
-        let kind = self
-            .operator_kind()
+        let mut driver = self
+            .driver()
             .unwrap_or_else(|| panic!("unknown operator {}", self.operator));
-        let operator = kind.build(&self.operator_params());
-        let mut driver = Driver::new(operator).with_allowed_lateness(self.allowed_lateness);
         driver.run(self.build_stream().into_iter())
     }
 }

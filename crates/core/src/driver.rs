@@ -2,12 +2,15 @@
 //!
 //! The driver pulls stream elements, routes data events to the operator's
 //! state machines, tracks the watermark, discards events later than the
-//! allowed lateness, and assembles the resulting state-access [`Trace`].
+//! allowed lateness, and hands each element's state accesses to a sink:
+//! a [`Trace`] under construction (offline mode) or a store being
+//! measured (online mode, `gadget-replay`).
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
-use gadget_obs::{MetricsSnapshot, SnapshotEmitter};
-use gadget_types::{StateAccess, StreamElement, Timestamp, Trace};
+use gadget_obs::MetricsSnapshot;
+use gadget_types::{Event, StateAccess, StreamElement, Timestamp, Trace};
 
 use crate::operator::Operator;
 
@@ -48,11 +51,6 @@ impl Driver {
         self.dropped_late
     }
 
-    /// The operator's workload name.
-    pub fn operator_name(&self) -> &'static str {
-        self.operator.name()
-    }
-
     /// The driver's own instruments: progress counters plus the current
     /// watermark as a gauge.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -72,108 +70,86 @@ impl Driver {
     where
         I: Iterator<Item = StreamElement>,
     {
-        self.run_inner(stream, 1, None)
+        let mut trace = Trace::new();
+        let mut input_keys: HashSet<u64> = HashSet::new();
+        let _phase = gadget_obs::trace::span(
+            gadget_obs::trace::Category::Phase,
+            gadget_obs::trace::phase::DRIVE,
+        );
+        let events_before = self.events_in;
+        let _: Option<()> = self.drive(stream, &mut trace.accesses, |_, event, _| {
+            if let Some(event) = event {
+                input_keys.insert(event.key);
+            }
+            ControlFlow::Continue(())
+        });
+        trace.input_events = self.events_in - events_before;
+        trace.input_distinct_keys = input_keys.len() as u64;
+        trace
     }
 
-    /// Like [`run`](Driver::run), but pulls stream elements in
-    /// micro-batches of `batch_size` before routing them, mirroring the
-    /// batch-aware replay pipeline (`--batch-size`). Elements are still
-    /// processed strictly in stream order, so the resulting trace is
-    /// identical to an unbatched run; what changes is the pull loop's
-    /// shape (one wakeup drains a whole micro-batch).
-    pub fn run_batched<I>(&mut self, stream: I, batch_size: usize) -> Trace
-    where
-        I: Iterator<Item = StreamElement>,
-    {
-        self.run_inner(stream, batch_size, None)
-    }
-
-    /// Like [`run`](Driver::run), but also samples
-    /// [`metrics_snapshot`](Driver::metrics_snapshot) into `emitter` on
-    /// its op-count schedule (ops = state accesses emitted), plus one
-    /// final sample.
-    pub fn run_observed<I>(&mut self, stream: I, emitter: &mut SnapshotEmitter) -> Trace
-    where
-        I: Iterator<Item = StreamElement>,
-    {
-        self.run_inner(stream, 1, Some(emitter))
-    }
-
-    /// Routes one stream element to the operator (Algorithm 1 body).
-    fn route(
+    /// Algorithm 1, streaming: routes every element of `stream` in order,
+    /// appending the accesses each one produces to `out`, and then calls
+    /// `sink` with the driver (for its counters), the event when the
+    /// element was an admitted data event, and `out`. A sink that only
+    /// collects leaves `out` alone (it becomes the trace, with no copy);
+    /// one that consumes drains it, so `out` always holds exactly what
+    /// the sink has not taken yet. Elements that produce nothing — late
+    /// events, regressing watermarks — never reach the sink.
+    ///
+    /// When the stream ends the operator flushes its remaining state
+    /// through the sink and `None` is returned. A sink that returns
+    /// [`ControlFlow::Break`] stops the run there: nothing further is
+    /// routed or flushed, and the break value comes back as `Some`.
+    pub fn drive<I, B>(
         &mut self,
-        element: StreamElement,
-        accesses: &mut Vec<StateAccess>,
-        input_events: &mut u64,
-        input_keys: &mut HashSet<u64>,
-    ) {
+        stream: I,
+        out: &mut Vec<StateAccess>,
+        mut sink: impl FnMut(&Driver, Option<&Event>, &mut Vec<StateAccess>) -> ControlFlow<B>,
+    ) -> Option<B>
+    where
+        I: Iterator<Item = StreamElement>,
+    {
+        for element in stream {
+            let before = out.len();
+            let event = self.route(element, out);
+            if out.len() == before && event.is_none() {
+                continue;
+            }
+            self.accesses_out += (out.len() - before) as u64;
+            if let ControlFlow::Break(b) = sink(self, event.as_ref(), out) {
+                return Some(b);
+            }
+        }
+        let before = out.len();
+        self.operator.on_end(out);
+        self.accesses_out += (out.len() - before) as u64;
+        match sink(self, None, out) {
+            ControlFlow::Break(b) => Some(b),
+            ControlFlow::Continue(()) => None,
+        }
+    }
+
+    /// Routes one stream element to the operator (Algorithm 1 body);
+    /// returns the event when it was admitted.
+    fn route(&mut self, element: StreamElement, accesses: &mut Vec<StateAccess>) -> Option<Event> {
         match element {
             StreamElement::Event(event) => {
                 if self.watermark > 0 && event.timestamp + self.allowed_lateness <= self.watermark {
                     self.dropped_late += 1;
-                    return;
+                    return None;
                 }
-                *input_events += 1;
                 self.events_in += 1;
-                input_keys.insert(event.key);
                 self.operator.on_event(&event, accesses);
+                Some(event)
             }
             StreamElement::Watermark(ts) => {
                 if ts > self.watermark {
                     self.watermark = ts;
                     self.operator.on_watermark(ts, accesses);
                 }
+                None
             }
-        }
-    }
-
-    fn run_inner<I>(
-        &mut self,
-        stream: I,
-        batch_size: usize,
-        mut emitter: Option<&mut SnapshotEmitter>,
-    ) -> Trace
-    where
-        I: Iterator<Item = StreamElement>,
-    {
-        let batch_size = batch_size.max(1);
-        let mut stream = stream;
-        let mut accesses: Vec<StateAccess> = Vec::new();
-        let mut input_events = 0u64;
-        let mut input_keys: HashSet<u64> = HashSet::new();
-        let mut pending: Vec<StreamElement> = Vec::with_capacity(batch_size);
-
-        let _phase = gadget_obs::trace::span(
-            gadget_obs::trace::Category::Phase,
-            gadget_obs::trace::phase::DRIVE,
-        );
-        loop {
-            pending.extend(stream.by_ref().take(batch_size));
-            if pending.is_empty() {
-                break;
-            }
-            for element in pending.drain(..) {
-                self.route(element, &mut accesses, &mut input_events, &mut input_keys);
-            }
-            self.accesses_out = accesses.len() as u64;
-            if let Some(em) = emitter.as_deref_mut() {
-                let snap = || vec![("driver".to_string(), self.metrics_snapshot())];
-                em.poll(accesses.len() as u64, snap);
-            }
-        }
-        self.operator.on_end(&mut accesses);
-        self.accesses_out = accesses.len() as u64;
-        if let Some(em) = emitter {
-            em.finish(
-                accesses.len() as u64,
-                vec![("driver".to_string(), self.metrics_snapshot())],
-            );
-        }
-
-        Trace {
-            accesses,
-            input_events,
-            input_distinct_keys: input_keys.len() as u64,
         }
     }
 }
@@ -232,47 +208,64 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_samples_driver_metrics() {
+    fn a_sink_can_sample_driver_metrics_mid_run() {
         let op = OperatorKind::Aggregation.build(&OperatorParams::default());
         let mut driver = Driver::new(op).with_allowed_lateness(1_000);
-        let mut emitter = SnapshotEmitter::every(2);
+        let mut emitter = gadget_obs::SnapshotEmitter::every(2);
         let elements: Vec<StreamElement> = (0..10u64)
             .map(|i| StreamElement::Event(Event::new(i % 3, 1_000 * i, 10)))
             .chain([StreamElement::Watermark(10_000)])
             .collect();
-        driver.run_observed(stream(elements), &mut emitter);
+        let _: Option<()> = driver.drive(stream(elements), &mut Vec::new(), |driver, _, _| {
+            let snap = driver.metrics_snapshot();
+            let accesses = snap.counter("accesses_out").unwrap();
+            emitter.poll(accesses, || vec![("driver".to_string(), snap)]);
+            ControlFlow::Continue(())
+        });
         let points = &emitter.series().points;
         assert!(points.len() >= 2);
-        let last = points.last().unwrap();
-        let driver_snap = last.registry("driver").unwrap();
+        let driver_snap = points.last().unwrap().registry("driver").unwrap();
         assert_eq!(driver_snap.counter("events_in"), Some(10));
         assert!(driver_snap.counter("accesses_out").unwrap() >= 20);
-        assert_eq!(driver_snap.gauge("watermark"), Some(10_000));
+        assert_eq!(driver.metrics_snapshot().gauge("watermark"), Some(10_000));
     }
 
     #[test]
-    fn batched_pull_produces_identical_traces() {
-        let elements: Vec<StreamElement> = (0..500u64)
-            .flat_map(|i| {
-                let mut v = vec![StreamElement::Event(Event::new(i % 7, 100 * i, 10))];
-                if i % 50 == 49 {
-                    v.push(StreamElement::Watermark(100 * i));
-                }
-                v
-            })
-            .collect();
-        let baseline = Driver::new(OperatorKind::TumblingIncr.build(&OperatorParams::default()))
-            .with_allowed_lateness(1_000)
-            .run(stream(elements.clone()));
-        for batch_size in [2, 64, 1_000] {
-            let mut driver =
-                Driver::new(OperatorKind::TumblingIncr.build(&OperatorParams::default()))
-                    .with_allowed_lateness(1_000);
-            let trace = driver.run_batched(stream(elements.clone()), batch_size);
-            assert_eq!(trace.accesses, baseline.accesses, "batch {batch_size}");
-            assert_eq!(trace.input_events, baseline.input_events);
-            assert_eq!(trace.input_distinct_keys, baseline.input_distinct_keys);
-        }
+    fn drive_hands_over_accesses_per_element_and_stops_on_break() {
+        let elements = vec![
+            StreamElement::Event(Event::new(1, 1_000, 10)),
+            StreamElement::Event(Event::new(2, 2_000, 10)),
+            StreamElement::Watermark(6_000),
+            StreamElement::Event(Event::new(3, 7_000, 10)),
+        ];
+        let build = || Driver::new(OperatorKind::TumblingIncr.build(&OperatorParams::default()));
+        let whole = build().run(stream(elements.clone()));
+
+        // Streamed to the end, a draining sink sees exactly the trace,
+        // in order, a piece at a time.
+        let (mut seen, mut pending) = (Vec::new(), Vec::new());
+        let stopped: Option<()> =
+            build().drive(stream(elements.clone()), &mut pending, |_, _, accesses| {
+                seen.append(accesses);
+                ControlFlow::Continue(())
+            });
+        assert_eq!(stopped, None);
+        assert!(pending.is_empty());
+        assert_eq!(seen, whole.accesses);
+
+        // A break stops routing: no later element, no end-of-stream flush.
+        let mut calls = 0;
+        let mut driver = build();
+        let stopped = driver.drive(stream(elements), &mut Vec::new(), |_, event, _| {
+            calls += 1;
+            match event {
+                Some(e) if e.key == 2 => ControlFlow::Break("enough"),
+                _ => ControlFlow::Continue(()),
+            }
+        });
+        assert_eq!(stopped, Some("enough"));
+        assert_eq!(calls, 2);
+        assert_eq!(driver.metrics_snapshot().gauge("watermark"), Some(0));
     }
 
     #[test]

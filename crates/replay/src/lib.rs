@@ -8,14 +8,18 @@
 //!   [`StateStore`](gadget_kv::StateStore), optionally throttled to a
 //!   *service rate*, translating `merge` to read-modify-write for stores
 //!   without a native merge operator.
-//! * [`run_online_with`] — Gadget's *online* mode: generates and issues
-//!   requests on the fly from a [`GadgetConfig`](gadget_core::GadgetConfig).
+//! * [`run_online_with`] — Gadget's *online* mode: the driver
+//!   (`gadget_core::Driver`, Algorithm 1) generates requests from a
+//!   [`GadgetConfig`](gadget_core::GadgetConfig) and pushes them through
+//!   the same measuring loop a replay uses.
+//! * [`TraceReplayer::run`] — the one entry point behind both: a
+//!   [`Load`] (trace or config), a store, and optionally a
+//!   [`SnapshotEmitter`](gadget_obs::SnapshotEmitter) to sample metrics
+//!   into a time series; `replay`, `replay_observed` and
+//!   `run_online_with` are its shorthands.
 //! * [`run_concurrent`] — the concurrent-operators experiment (§6.4):
 //!   several workloads hammer one shared store instance from separate
 //!   threads.
-//! * [`TraceReplayer::replay_observed`] / [`run_online_observed_with`] — the
-//!   same runs with periodic metrics sampling into a
-//!   [`SnapshotEmitter`](gadget_obs::SnapshotEmitter) time series.
 //! * [`openloop`] — coordinated-omission-safe pacing: seeded
 //!   constant-rate and Poisson arrival schedules whose latency is
 //!   anchored to each op's *intended* arrival time.
@@ -35,8 +39,8 @@ pub mod sweep;
 pub use histogram::LatencyHistogram;
 pub use openloop::{ArrivalMode, Pacer};
 pub use replayer::{
-    run_concurrent, run_online_observed_with, run_online_with, ConcurrentRunError, Measured,
-    ReplayOptions, RunReport, TraceReplayer, DEFAULT_ARRIVAL_SEED,
+    run_concurrent, run_online_with, ConcurrentRunError, Load, Measured, ReplayOptions, RunReport,
+    TraceReplayer, DEFAULT_ARRIVAL_SEED,
 };
-pub use reshard::{ReshardPlan, ReshardingStore};
+pub use reshard::{parse_reshard_spec, ReshardPlan, ReshardingStore};
 pub use sweep::{run_sweep, RateStep, SweepOptions, SweepOutcome};

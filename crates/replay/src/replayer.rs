@@ -1,13 +1,14 @@
 //! Trace replay, online execution, and concurrent-operator runs.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use gadget_core::GadgetConfig;
 use gadget_kv::{BatchResult, StateStore, StoreError};
+use gadget_obs::trace::phase::{ONLINE, PRELOAD, REPLAY};
 use gadget_obs::{MetricsSnapshot, SnapshotEmitter};
 use gadget_types::{Op, OpType, StateAccess, Trace};
 
@@ -51,58 +52,6 @@ fn sleep_until(deadline: Instant) {
     while Instant::now() < deadline {
         std::hint::spin_loop();
     }
-}
-
-/// Applies a buffered batch through [`StateStore::apply_batch`], charging
-/// each op the amortized batch latency and classifying get results into
-/// hits/misses. Clears `ops`/`kinds`, folds the measurements into `m`
-/// (including `executed`), and returns how many ops ran.
-///
-/// Under open-loop pacing, `waits` carries each op's scheduler lag —
-/// how long past its intended arrival the batch was released — and the
-/// recorded latency becomes `wait + amortized service`, so a batch that
-/// drains late charges every op its full queueing delay. `None` keeps
-/// the closed-loop behaviour (service time only).
-fn flush_batch(
-    store: &dyn StateStore,
-    ops: &mut Vec<Op>,
-    kinds: &mut Vec<OpType>,
-    m: &mut Measured,
-    waits: Option<&[u64]>,
-) -> Result<u64, StoreError> {
-    if ops.is_empty() {
-        return Ok(0);
-    }
-    let started = Instant::now();
-    let results = store.apply_batch(ops)?;
-    let per_ns = started.elapsed().as_nanos() as u64 / ops.len() as u64;
-    for (i, (kind, res)) in kinds.iter().zip(&results).enumerate() {
-        if *kind == OpType::Get {
-            if matches!(res, BatchResult::Value(Some(_))) {
-                m.hits += 1;
-            } else {
-                m.misses += 1;
-            }
-        }
-        match waits {
-            Some(w) => {
-                let wait = w.get(i).copied().unwrap_or(0);
-                m.overall.record(wait + per_ns);
-                m.per_op[op_index(*kind)].record(wait + per_ns);
-                m.lag.record(wait);
-                m.service.record(per_ns);
-            }
-            None => {
-                m.overall.record(per_ns);
-                m.per_op[op_index(*kind)].record(per_ns);
-            }
-        }
-    }
-    let n = ops.len() as u64;
-    m.executed += n;
-    ops.clear();
-    kinds.clear();
-    Ok(n)
 }
 
 /// Assembles the per-tick observation: the store's internal metrics plus
@@ -200,7 +149,7 @@ impl Default for ReplayOptions {
 }
 
 /// Measurements from one replay run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Store the run executed against.
     pub store: String,
@@ -212,77 +161,37 @@ pub struct RunReport {
     pub seconds: f64,
     /// Throughput in operations per second.
     pub throughput: f64,
-    /// Overall latency profile.
-    pub latency: LatencySummary,
-    /// Per-operation-type latency profiles, keyed by op name.
-    pub per_op: Vec<(String, LatencySummary)>,
     /// `get`s that found a value.
     pub hits: u64,
     /// `get`s that found nothing.
     pub misses: u64,
-    /// Full overall latency histogram. Unlike [`RunReport::latency`]
-    /// (derived percentiles, for printing), the histogram is mergeable
-    /// and comparable — `gadget-report` runs its KS/Wasserstein
-    /// regression statistics on the decoded buckets.
-    #[serde(default)]
+    /// Full overall latency histogram: mergeable and comparable —
+    /// `gadget-report` runs its KS/Wasserstein regression statistics on
+    /// the decoded buckets; the printable percentiles are its
+    /// `percentile(..)`, `mean()` and `max()`.
     pub latency_hist: LatencyHistogram,
     /// Full per-op-type latency histograms, keyed by op name; only ops
     /// that actually ran appear.
-    #[serde(default)]
     pub per_op_hist: Vec<(String, LatencyHistogram)>,
     /// Scheduler-lag histogram: how far past each op's *intended*
     /// arrival it was actually sent. Empty outside open-loop runs.
-    #[serde(default)]
     pub lag_hist: LatencyHistogram,
     /// Pure service-time histogram (send → completion). In open-loop
     /// runs this is what closed-loop measurement *would* have reported;
     /// the gap between it and [`RunReport::latency_hist`] is the
     /// coordinated-omission error. Empty outside open-loop runs.
-    #[serde(default)]
     pub service_hist: LatencyHistogram,
     /// Offered load in ops/s when the run was paced (`None` = full
     /// speed).
-    #[serde(default)]
     pub offered_rate: Option<f64>,
-    /// Arrival model name (`closed`, `constant`, `poisson`); `None` on
-    /// reports from before arrival modes existed.
-    #[serde(default)]
+    /// Arrival model name (`closed`, `constant`, `poisson`); `None`
+    /// when the producer did not say.
     pub arrival: Option<String>,
     /// Cross-process latency decomposition, keyed by segment name in
     /// pipeline order (`client_queue`, `outbound`, `service`,
     /// `return_path`, `end_to_end`). Populated only by network drives
-    /// with client tracing enabled; empty everywhere else and on
-    /// reports from before distributed tracing existed.
-    #[serde(default)]
+    /// with client tracing enabled; empty everywhere else.
     pub decomposition: Vec<(String, LatencyHistogram)>,
-}
-
-/// Percentile summary extracted from a histogram.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct LatencySummary {
-    /// Mean latency in nanoseconds.
-    pub mean_ns: f64,
-    /// Median.
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile (the paper's tail metric).
-    pub p999_ns: u64,
-    /// Maximum.
-    pub max_ns: u64,
-}
-
-impl LatencySummary {
-    /// Builds a summary from a histogram.
-    pub fn from_histogram(h: &LatencyHistogram) -> Self {
-        LatencySummary {
-            mean_ns: h.mean(),
-            p50_ns: h.percentile(50.0),
-            p99_ns: h.percentile(99.0),
-            p999_ns: h.percentile(99.9),
-            max_ns: h.max(),
-        }
-    }
 }
 
 /// Mid-run progress callback fed by the measuring core after every op
@@ -293,7 +202,7 @@ type ProgressFn<'a> = &'a mut dyn FnMut(&Measured);
 /// in shard-affine mode, the whole run otherwise. Kept as histograms
 /// (not summaries) so per-thread results merge exactly and downstream
 /// consumers (`gadget-report`) get full distributions, not percentiles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Measured {
     /// Overall latency histogram (ns).
     pub overall: LatencyHistogram,
@@ -317,30 +226,25 @@ pub struct Measured {
     pub decomposition: Vec<(String, LatencyHistogram)>,
 }
 
-impl Default for Measured {
-    fn default() -> Self {
-        Measured::new()
-    }
-}
-
 impl Measured {
     /// Creates an empty measurement.
     pub fn new() -> Self {
-        Measured {
-            overall: LatencyHistogram::new(),
-            per_op: [
-                LatencyHistogram::new(),
-                LatencyHistogram::new(),
-                LatencyHistogram::new(),
-                LatencyHistogram::new(),
-            ],
-            hits: 0,
-            misses: 0,
-            executed: 0,
-            lag: LatencyHistogram::new(),
-            service: LatencyHistogram::new(),
-            decomposition: Vec::new(),
+        Measured::default()
+    }
+
+    /// Records one completed op. `lag_ns` is its scheduler lag — how far
+    /// past its intended arrival it was sent — under open-loop pacing,
+    /// where latency is anchored to the intended arrival; `None` charges
+    /// the service time alone.
+    fn record(&mut self, op: OpType, lag_ns: Option<u64>, service_ns: u64) {
+        let latency = lag_ns.unwrap_or(0) + service_ns;
+        self.overall.record(latency);
+        self.per_op[op_index(op)].record(latency);
+        if let Some(lag) = lag_ns {
+            self.lag.record(lag);
+            self.service.record(service_ns);
         }
+        self.executed += 1;
     }
 
     /// Folds another worker's measurements into this one.
@@ -369,8 +273,7 @@ impl Measured {
         }
     }
 
-    /// Renders the measurements as a [`RunReport`], carrying both the
-    /// printable percentile summaries and the full histograms.
+    /// Renders the measurements as a [`RunReport`].
     pub fn to_report(&self, store: &str, workload: &str, seconds: f64) -> RunReport {
         RunReport {
             store: store.to_string(),
@@ -382,13 +285,6 @@ impl Measured {
             } else {
                 0.0
             },
-            latency: LatencySummary::from_histogram(&self.overall),
-            per_op: OpType::ALL
-                .iter()
-                .zip(self.per_op.iter())
-                .filter(|(_, h)| h.count() > 0)
-                .map(|(op, h)| (op.name().to_string(), LatencySummary::from_histogram(h)))
-                .collect(),
             hits: self.hits,
             misses: self.misses,
             latency_hist: self.overall.clone(),
@@ -421,6 +317,17 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> StoreError {
     StoreError::Corruption(format!("replay worker panicked: {msg}"))
 }
 
+/// What a run issues to the store.
+#[derive(Clone, Copy)]
+pub enum Load<'a> {
+    /// Offline mode: a recorded trace, replayed access by access.
+    Trace(&'a Trace),
+    /// Online mode: the configured source and operator run through the
+    /// driver (Algorithm 1) and every state access is issued as it is
+    /// produced, without materializing the trace first.
+    Online(&'a GadgetConfig),
+}
+
 /// Replays traces against stores, measuring latency and throughput.
 pub struct TraceReplayer {
     options: ReplayOptions,
@@ -431,6 +338,170 @@ pub struct TraceReplayer {
 impl Default for TraceReplayer {
     fn default() -> Self {
         TraceReplayer::new(ReplayOptions::default())
+    }
+}
+
+/// The measuring loop: one per run, per shard-affine worker, or per
+/// network connection. Accesses are pushed in through
+/// [`step`](Measuring::step) — by a trace iterator or by the driver's
+/// sink, the loop cannot tell which — and each is paced against the
+/// pacer's absolute arrival schedule, issued (op-by-op, or buffered into
+/// `batch_size` chunks for [`StateStore::apply_batch`]), timed and
+/// recorded; `progress` fires after every op or batch so callers can
+/// sample metrics mid-run.
+///
+/// Pacing is anchored to the schedule start, never the previous op's
+/// send time, so error cannot accumulate over a run. In closed-loop
+/// mode op `i` may not start before its schedule slot and its latency
+/// is the service time; in open-loop mode latency is `send − intended
+/// arrival + service`, charging every op the queueing delay a stalled
+/// store inflicted on it.
+struct Measuring<'a> {
+    replayer: &'a TraceReplayer,
+    store: &'a dyn StateStore,
+    /// Op cap ([`ReplayOptions::max_ops`]).
+    limit: u64,
+    pacer: &'a mut Pacer,
+    progress: Option<ProgressFn<'a>>,
+    m: Measured,
+    batch_size: usize,
+    // The pending micro-batch (unused at `batch_size == 1`). Accesses
+    // are buffered across calls and flushed whenever `batch_size` have
+    // accumulated, so batching is independent of how they arrive.
+    ops: Vec<Op>,
+    deadlines: Vec<Instant>,
+}
+
+impl<'a> Measuring<'a> {
+    fn new(
+        replayer: &'a TraceReplayer,
+        store: &'a dyn StateStore,
+        pacer: &'a mut Pacer,
+        progress: Option<ProgressFn<'a>>,
+    ) -> Self {
+        let batch_size = replayer.options.batch_size.max(1);
+        let buffer = if batch_size == 1 { 0 } else { batch_size };
+        Measuring {
+            replayer,
+            store,
+            limit: replayer.options.max_ops.unwrap_or(u64::MAX),
+            pacer,
+            progress,
+            m: Measured::new(),
+            batch_size,
+            ops: Vec::with_capacity(buffer),
+            deadlines: Vec::with_capacity(buffer),
+        }
+    }
+
+    /// Issues (or buffers) one access. `Ok(false)` means the op cap is
+    /// reached and `access` was not taken: stop feeding.
+    #[inline]
+    fn step(&mut self, access: &StateAccess) -> Result<bool, StoreError> {
+        if self.m.executed + self.ops.len() as u64 >= self.limit {
+            return Ok(false);
+        }
+        if self.batch_size > 1 {
+            self.ops.push(self.replayer.materialize(access));
+            if let Some(d) = self.pacer.next_deadline() {
+                self.deadlines.push(d);
+            }
+            if self.ops.len() >= self.batch_size {
+                self.flush()?;
+            }
+            return Ok(true);
+        }
+        let deadline = self.pacer.next_deadline();
+        if let Some(d) = deadline {
+            sleep_until(d);
+        }
+        let lag_ns = match deadline {
+            // `sleep_until` never returns early, so `now` is at or past
+            // the deadline; the saturation only guards clock weirdness.
+            Some(d) if self.pacer.open_loop() => {
+                Some(Instant::now().saturating_duration_since(d).as_nanos() as u64)
+            }
+            _ => None,
+        };
+        let m = &mut self.m;
+        let service_ns = self
+            .replayer
+            .apply(self.store, access, &mut m.hits, &mut m.misses)?;
+        m.record(access.op, lag_ns, service_ns);
+        if let Some(p) = self.progress.as_mut() {
+            p(m);
+        }
+        Ok(true)
+    }
+
+    /// [`step`](Measuring::step)s through `accesses`; `Ok(false)` once
+    /// the op cap stops it.
+    #[inline]
+    fn feed<'t>(
+        &mut self,
+        accesses: impl IntoIterator<Item = &'t StateAccess>,
+    ) -> Result<bool, StoreError> {
+        for access in accesses {
+            if !self.step(access)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Releases the pending micro-batch, if any, through
+    /// [`StateStore::apply_batch`], charging each op the amortized batch
+    /// service time.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        if self.ops.is_empty() {
+            return Ok(());
+        }
+        let release = match (self.deadlines.first(), self.deadlines.last()) {
+            // Open loop: the batch drains once every op in it has arrived;
+            // each op then waited from its own intended arrival to that
+            // release, so a batch that drains late charges every op its
+            // full queueing delay.
+            (_, Some(last)) if self.pacer.open_loop() => {
+                sleep_until(*last);
+                Some(Instant::now())
+            }
+            // Closed loop: the whole batch is released at its first op's
+            // slot, modelling a poll loop that drains a micro-batch per
+            // wakeup.
+            (Some(first), _) => {
+                sleep_until(*first);
+                None
+            }
+            _ => None,
+        };
+        let started = Instant::now();
+        let results = self.store.apply_batch(&self.ops)?;
+        let per_ns = started.elapsed().as_nanos() as u64 / self.ops.len() as u64;
+        for (i, (op, res)) in self.ops.iter().zip(&results).enumerate() {
+            let kind = op.op_type();
+            if kind == OpType::Get {
+                if matches!(res, BatchResult::Value(Some(_))) {
+                    self.m.hits += 1;
+                } else {
+                    self.m.misses += 1;
+                }
+            }
+            let lag =
+                release.map(|r| r.saturating_duration_since(self.deadlines[i]).as_nanos() as u64);
+            self.m.record(kind, lag, per_ns);
+        }
+        self.ops.clear();
+        self.deadlines.clear();
+        if let Some(p) = self.progress.as_mut() {
+            p(&self.m);
+        }
+        Ok(())
+    }
+
+    /// Drains the final partial batch and hands back the measurements.
+    fn finish(mut self) -> Result<Measured, StoreError> {
+        self.flush()?;
+        Ok(self.m)
     }
 }
 
@@ -500,40 +571,30 @@ impl TraceReplayer {
     }
 
     /// Replays a plain slice of accesses against `store`, returning the
-    /// raw [`Measured`] aggregate instead of a full report.
+    /// raw [`Measured`] aggregate instead of a full report, pacing
+    /// against a caller-owned [`Pacer`].
     ///
     /// This is the building block for drivers that manage their own
     /// partitioning and session lifecycle — `gadget-server`'s
     /// multi-connection driver splits a trace across N connections and
-    /// replays each slice through its own `NetStore`, then merges the
-    /// per-connection `Measured`s with [`Measured::absorb`]. Honors
-    /// `batch_size`, `service_rate` pacing, and `max_ops` from
-    /// [`ReplayOptions`]; does not emit a replay phase span (callers
-    /// wrap the whole drive in their own phase).
-    pub fn replay_accesses(
-        &self,
-        accesses: &[StateAccess],
-        store: &dyn StateStore,
-    ) -> Result<Measured, StoreError> {
-        let mut pacer = self.pacer(Instant::now());
-        self.replay_accesses_paced(accesses, store, &mut pacer)
-    }
-
-    /// Like [`replay_accesses`](TraceReplayer::replay_accesses), but
-    /// pacing against a caller-owned [`Pacer`], so a driver that replays
-    /// in segments (e.g. `gadget-server`'s connection loop, which flips
-    /// a churn coin between segments) keeps one absolute schedule across
-    /// all of them instead of re-anchoring — and, in open-loop modes,
-    /// charges ops their intended-arrival latency across segment
-    /// boundaries too.
+    /// replays each slice segment by segment through its own `NetStore`
+    /// (flipping a churn coin between segments), then merges the
+    /// per-connection `Measured`s with [`Measured::absorb`]. One pacer
+    /// across all segments keeps one absolute schedule instead of
+    /// re-anchoring — and, in open-loop modes, charges ops their
+    /// intended-arrival latency across segment boundaries too. Honors
+    /// `batch_size` and `max_ops` from [`ReplayOptions`]; does not emit a
+    /// replay phase span (callers wrap the whole drive in their own
+    /// phase).
     pub fn replay_accesses_paced(
         &self,
         accesses: &[StateAccess],
         store: &dyn StateStore,
         pacer: &mut Pacer,
     ) -> Result<Measured, StoreError> {
-        let limit = self.options.max_ops.unwrap_or(u64::MAX);
-        self.run_accesses(accesses.iter(), store, limit, pacer, None)
+        let mut measuring = Measuring::new(self, store, pacer, None);
+        measuring.feed(accesses)?;
+        measuring.finish()
     }
 
     /// Builds the arrival pacer these options describe, anchored at
@@ -569,7 +630,7 @@ impl TraceReplayer {
         store: &dyn StateStore,
         workload: &str,
     ) -> Result<RunReport, StoreError> {
-        self.replay_inner(trace, store, workload, None)
+        self.run(Load::Trace(trace), store, workload, None)
     }
 
     /// Like [`replay`](TraceReplayer::replay), but also samples metrics
@@ -581,54 +642,109 @@ impl TraceReplayer {
         workload: &str,
         emitter: &mut SnapshotEmitter,
     ) -> Result<RunReport, StoreError> {
-        self.replay_inner(trace, store, workload, Some(emitter))
+        self.run(Load::Trace(trace), store, workload, Some(emitter))
     }
 
-    fn replay_inner(
+    /// The one measured run: issues `load` to `store` under these
+    /// options and reports what the store did with it. With an
+    /// `emitter`, the store's and the replayer's metrics are sampled
+    /// into it on its op-count schedule, plus one final sample.
+    pub fn run(
         &self,
-        trace: &Trace,
+        load: Load<'_>,
+        store: &dyn StateStore,
+        workload: &str,
+        emitter: Option<&mut SnapshotEmitter>,
+    ) -> Result<RunReport, StoreError> {
+        let threads = self.options.replay_threads.max(1);
+        match load {
+            Load::Trace(trace) if threads > 1 => {
+                self.replay_shard_affine(trace, store, workload, threads, emitter)
+            }
+            Load::Trace(trace) => {
+                self.run_measured(REPLAY, store, workload, emitter, |measuring| {
+                    measuring.feed(trace.iter()).map(|_| ())
+                })
+            }
+            Load::Online(_) if threads > 1 => Err(StoreError::InvalidArgument(format!(
+                "online mode drives one operator in stream order and cannot split it \
+                 across {threads} replay threads"
+            ))),
+            Load::Online(config) => {
+                let mut driver = config.driver().ok_or_else(|| {
+                    StoreError::InvalidArgument(format!("unknown operator {}", config.operator))
+                })?;
+                let stream = config.build_stream();
+                self.run_measured(ONLINE, store, workload, emitter, |measuring| {
+                    let mut pending = Vec::with_capacity(64);
+                    let stopped =
+                        driver.drive(stream.into_iter(), &mut pending, |_, _, accesses| {
+                            let fed = measuring.feed(accesses.iter());
+                            accesses.clear();
+                            match fed {
+                                Ok(true) => ControlFlow::Continue(()),
+                                Ok(false) => ControlFlow::Break(Ok(())),
+                                Err(e) => ControlFlow::Break(Err(e)),
+                            }
+                        });
+                    stopped.unwrap_or(Ok(()))
+                })
+            }
+        }
+    }
+
+    /// Times `feed` pushing accesses through one [`Measuring`] loop on
+    /// the calling thread, and renders the result.
+    fn run_measured(
+        &self,
+        phase: u64,
         store: &dyn StateStore,
         workload: &str,
         mut emitter: Option<&mut SnapshotEmitter>,
+        feed: impl FnOnce(&mut Measuring<'_>) -> Result<(), StoreError>,
     ) -> Result<RunReport, StoreError> {
-        let threads = self.options.replay_threads.max(1);
-        if threads > 1 {
-            return self.replay_shard_affine(trace, store, workload, threads, emitter);
-        }
-        let limit = self.options.max_ops.unwrap_or(u64::MAX);
         let offered = self.options.service_rate;
-
-        let _phase = gadget_obs::trace::span(
-            gadget_obs::trace::Category::Phase,
-            gadget_obs::trace::phase::REPLAY,
-        );
+        let _phase = gadget_obs::trace::span(gadget_obs::trace::Category::Phase, phase);
         let started = Instant::now();
         let mut pacer = self.pacer(started);
         let measured = {
-            let mut progress = |m: &Measured| {
-                if let Some(em) = emitter.as_deref_mut() {
+            // No emitter, no per-op callback: an unobserved run pays
+            // nothing for the ability to be observed.
+            let mut sample = emitter.as_deref_mut().map(|em| {
+                move |m: &Measured| {
                     em.poll(m.executed, || observe(store, m, offered, started));
                 }
-            };
-            self.run_accesses(trace.iter(), store, limit, &mut pacer, Some(&mut progress))?
+            });
+            let progress = sample.as_mut().map(|f| f as ProgressFn<'_>);
+            let mut measuring = Measuring::new(self, store, &mut pacer, progress);
+            feed(&mut measuring)?;
+            measuring.finish()?
         };
+        Ok(self.report(measured, store, workload, started, emitter))
+    }
+
+    /// Closes a run: final emitter sample, then the report stamped with
+    /// the arrival model and offered rate this replayer was configured
+    /// with.
+    fn report(
+        &self,
+        measured: Measured,
+        store: &dyn StateStore,
+        workload: &str,
+        started: Instant,
+        emitter: Option<&mut SnapshotEmitter>,
+    ) -> RunReport {
         let seconds = started.elapsed().as_secs_f64();
         if let Some(em) = emitter {
             em.finish(
                 measured.executed,
-                observe(store, &measured, offered, started),
+                observe(store, &measured, self.options.service_rate, started),
             );
         }
         let mut report = measured.to_report(store.name(), workload, seconds);
-        self.stamp(&mut report);
-        Ok(report)
-    }
-
-    /// Stamps a report with the arrival model and offered rate this
-    /// replayer was configured with.
-    fn stamp(&self, report: &mut RunReport) {
         report.arrival = Some(self.options.arrival.name().to_string());
         report.offered_rate = self.options.service_rate;
+        report
     }
 
     /// Shard-affine parallel replay: partitions the trace by key shard
@@ -657,10 +773,7 @@ impl TraceReplayer {
             parts[gadget_kv::shard_of(&access.key.encode(), threads)].push(*access);
         }
 
-        let _phase = gadget_obs::trace::span(
-            gadget_obs::trace::Category::Phase,
-            gadget_obs::trace::phase::REPLAY,
-        );
+        let _phase = gadget_obs::trace::span(gadget_obs::trace::Category::Phase, REPLAY);
         let started = Instant::now();
         let results: Vec<Result<Measured, StoreError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = parts
@@ -671,10 +784,11 @@ impl TraceReplayer {
                         // Tag this worker's trace spans with its shard so
                         // hot-shard attribution sees replay threads too.
                         let _shard = gadget_obs::trace::shard_scope(shard as u64);
-                        // The op cap was applied while partitioning, so
-                        // each worker drains its whole subsequence.
+                        // The op cap was applied while partitioning (each
+                        // part is at most `max_ops` long), so every worker
+                        // drains its whole subsequence.
                         let mut pacer = self.worker_pacer(shard, threads, started);
-                        self.run_accesses(part.iter(), store, u64::MAX, &mut pacer, None)
+                        self.replay_accesses_paced(part, store, &mut pacer)
                     })
                 })
                 .collect();
@@ -687,128 +801,7 @@ impl TraceReplayer {
         for result in results {
             merged.absorb(&result?);
         }
-        let seconds = started.elapsed().as_secs_f64();
-        if let Some(em) = emitter {
-            em.finish(
-                merged.executed,
-                observe(store, &merged, self.options.service_rate, started),
-            );
-        }
-        let mut report = merged.to_report(store.name(), workload, seconds);
-        self.stamp(&mut report);
-        Ok(report)
-    }
-
-    /// The measuring core shared by single-threaded and shard-affine
-    /// replay: drains `accesses` (op-by-op, or in `batch_size` chunks
-    /// through [`StateStore::apply_batch`]), pacing each op against the
-    /// pacer's absolute arrival schedule and invoking `progress` after
-    /// every op or batch so callers can sample metrics mid-run.
-    ///
-    /// Pacing is anchored to the schedule start, never the previous
-    /// op's send time, so error cannot accumulate over a run. In
-    /// closed-loop mode op `i` may not start before its schedule slot
-    /// and its latency is the service time; in open-loop mode latency
-    /// is `send − intended arrival + service`, charging every op the
-    /// queueing delay a stalled store inflicted on it.
-    fn run_accesses<'t>(
-        &self,
-        accesses: impl Iterator<Item = &'t StateAccess>,
-        store: &dyn StateStore,
-        limit: u64,
-        pacer: &mut Pacer,
-        mut progress: Option<ProgressFn<'_>>,
-    ) -> Result<Measured, StoreError> {
-        let mut m = Measured::new();
-        let batch_size = self.options.batch_size.max(1);
-        if batch_size == 1 {
-            for access in accesses {
-                if m.executed >= limit {
-                    break;
-                }
-                let deadline = pacer.next_deadline();
-                if let Some(d) = deadline {
-                    sleep_until(d);
-                }
-                let lag_ns = match deadline {
-                    // `sleep_until` never returns early, so `now` is at
-                    // or past the deadline; the saturation only guards
-                    // clock weirdness.
-                    Some(d) if pacer.open_loop() => {
-                        Some(Instant::now().saturating_duration_since(d).as_nanos() as u64)
-                    }
-                    _ => None,
-                };
-                let service_ns = self.apply(store, access, &mut m.hits, &mut m.misses)?;
-                match lag_ns {
-                    Some(lag) => {
-                        m.overall.record(lag + service_ns);
-                        m.per_op[op_index(access.op)].record(lag + service_ns);
-                        m.lag.record(lag);
-                        m.service.record(service_ns);
-                    }
-                    None => {
-                        m.overall.record(service_ns);
-                        m.per_op[op_index(access.op)].record(service_ns);
-                    }
-                }
-                m.executed += 1;
-                if let Some(p) = progress.as_mut() {
-                    p(&m);
-                }
-            }
-        } else {
-            let mut ops: Vec<Op> = Vec::with_capacity(batch_size);
-            let mut kinds: Vec<OpType> = Vec::with_capacity(batch_size);
-            let mut deadlines: Vec<Instant> = Vec::with_capacity(batch_size);
-            let mut waits: Vec<u64> = Vec::with_capacity(batch_size);
-            let mut iter = accesses;
-            loop {
-                while ops.len() < batch_size && m.executed + (ops.len() as u64) < limit {
-                    match iter.next() {
-                        Some(access) => {
-                            ops.push(self.materialize(access));
-                            kinds.push(access.op);
-                            if let Some(d) = pacer.next_deadline() {
-                                deadlines.push(d);
-                            }
-                        }
-                        None => break,
-                    }
-                }
-                if ops.is_empty() {
-                    break;
-                }
-                let batch_waits = if deadlines.is_empty() {
-                    None
-                } else if pacer.open_loop() {
-                    // The batch drains once every op in it has arrived;
-                    // each op then waited from its own intended arrival
-                    // to that release.
-                    sleep_until(*deadlines.last().unwrap());
-                    let release = Instant::now();
-                    waits.clear();
-                    waits.extend(
-                        deadlines
-                            .iter()
-                            .map(|d| release.saturating_duration_since(*d).as_nanos() as u64),
-                    );
-                    Some(waits.as_slice())
-                } else {
-                    // Closed loop: the whole batch is released at its
-                    // first op's slot, modelling a poll loop that drains
-                    // a micro-batch per wakeup.
-                    sleep_until(deadlines[0]);
-                    None
-                };
-                flush_batch(store, &mut ops, &mut kinds, &mut m, batch_waits)?;
-                deadlines.clear();
-                if let Some(p) = progress.as_mut() {
-                    p(&m);
-                }
-            }
-        }
-        Ok(m)
+        Ok(self.report(merged, store, workload, started, emitter))
     }
 
     /// Preloads `keys` with `value_size`-byte values (YCSB-style load
@@ -822,10 +815,7 @@ impl TraceReplayer {
     where
         I: IntoIterator<Item = gadget_types::StateKey>,
     {
-        let _phase = gadget_obs::trace::span(
-            gadget_obs::trace::Category::Phase,
-            gadget_obs::trace::phase::PRELOAD,
-        );
+        let _phase = gadget_obs::trace::span(gadget_obs::trace::Category::Phase, PRELOAD);
         let mut n = 0;
         for key in keys {
             store.put(&key.encode(), self.payload_of(value_size))?;
@@ -836,116 +826,17 @@ impl TraceReplayer {
 }
 
 /// Online mode: generate the workload and issue it to the store on the
-/// fly, without materializing the trace first, honouring `options`
-/// (currently `batch_size`: state accesses emitted by the operator are
-/// buffered and issued through [`StateStore::apply_batch`] in
-/// `batch_size` chunks).
+/// fly, without materializing the trace first. Every option means what
+/// it means for a replay — `batch_size`, `service_rate`/`arrival`
+/// pacing, `max_ops` — except `replay_threads`, which must be 1: one
+/// operator consumes one stream in order.
 pub fn run_online_with(
     config: &GadgetConfig,
     store: &dyn StateStore,
     workload: &str,
     options: &ReplayOptions,
 ) -> Result<RunReport, StoreError> {
-    run_online_inner(config, store, workload, options, None)
-}
-
-/// [`run_online_with`] plus metrics sampling into `emitter` on its
-/// op-count schedule (plus one final sample).
-pub fn run_online_observed_with(
-    config: &GadgetConfig,
-    store: &dyn StateStore,
-    workload: &str,
-    options: &ReplayOptions,
-    emitter: &mut SnapshotEmitter,
-) -> Result<RunReport, StoreError> {
-    run_online_inner(config, store, workload, options, Some(emitter))
-}
-
-fn run_online_inner(
-    config: &GadgetConfig,
-    store: &dyn StateStore,
-    workload: &str,
-    options: &ReplayOptions,
-    mut emitter: Option<&mut SnapshotEmitter>,
-) -> Result<RunReport, StoreError> {
-    let kind = config.operator_kind().ok_or_else(|| {
-        StoreError::InvalidArgument(format!("unknown operator {}", config.operator))
-    })?;
-    let stream = config.build_stream();
-    let mut operator = kind.build(&config.operator_params());
-    let replayer = TraceReplayer::default();
-    let batch_size = options.batch_size.max(1);
-
-    let _phase = gadget_obs::trace::span(
-        gadget_obs::trace::Category::Phase,
-        gadget_obs::trace::phase::ONLINE,
-    );
-    let mut m = Measured::new();
-    let mut buf: Vec<StateAccess> = Vec::with_capacity(64);
-    // Pending micro-batch (only used when batch_size > 1). Accesses are
-    // buffered across events and flushed whenever `batch_size` have
-    // accumulated, so batching is independent of per-event fan-out.
-    let mut ops: Vec<Op> = Vec::new();
-    let mut kinds: Vec<OpType> = Vec::new();
-    let mut watermark = 0;
-    let started = Instant::now();
-    for element in stream {
-        buf.clear();
-        match element {
-            gadget_types::StreamElement::Event(e) => {
-                if watermark > 0 && e.timestamp + config.allowed_lateness <= watermark {
-                    continue;
-                }
-                operator.on_event(&e, &mut buf);
-            }
-            gadget_types::StreamElement::Watermark(ts) => {
-                if ts > watermark {
-                    watermark = ts;
-                    operator.on_watermark(ts, &mut buf);
-                }
-            }
-        }
-        for access in &buf {
-            if batch_size > 1 {
-                ops.push(replayer.materialize(access));
-                kinds.push(access.op);
-                if ops.len() >= batch_size {
-                    flush_batch(store, &mut ops, &mut kinds, &mut m, None)?;
-                }
-            } else {
-                let ns = replayer.apply(store, access, &mut m.hits, &mut m.misses)?;
-                m.overall.record(ns);
-                m.per_op[op_index(access.op)].record(ns);
-                m.executed += 1;
-            }
-            if let Some(em) = emitter.as_deref_mut() {
-                em.poll(m.executed, || observe(store, &m, None, started));
-            }
-        }
-    }
-    buf.clear();
-    operator.on_end(&mut buf);
-    for access in &buf {
-        if batch_size > 1 {
-            ops.push(replayer.materialize(access));
-            kinds.push(access.op);
-            if ops.len() >= batch_size {
-                flush_batch(store, &mut ops, &mut kinds, &mut m, None)?;
-            }
-        } else {
-            let ns = replayer.apply(store, access, &mut m.hits, &mut m.misses)?;
-            m.overall.record(ns);
-            m.per_op[op_index(access.op)].record(ns);
-            m.executed += 1;
-        }
-    }
-    // Drain the final partial batch.
-    flush_batch(store, &mut ops, &mut kinds, &mut m, None)?;
-    let seconds = started.elapsed().as_secs_f64();
-    if let Some(em) = emitter {
-        em.finish(m.executed, observe(store, &m, None, started));
-    }
-    Ok(m.to_report(store.name(), workload, seconds))
+    TraceReplayer::new(options.clone()).run(Load::Online(config), store, workload, None)
 }
 
 /// Error from [`run_concurrent`]: the first worker failure plus the
@@ -1043,8 +934,8 @@ mod tests {
             .unwrap();
         assert_eq!(report.operations, trace.len() as u64);
         assert!(report.throughput > 0.0);
-        assert!(report.latency.p999_ns >= report.latency.p50_ns);
-        assert!(!report.per_op.is_empty());
+        assert!(report.latency_hist.percentile(99.9) >= report.latency_hist.percentile(50.0));
+        assert!(!report.per_op_hist.is_empty());
     }
 
     #[test]
@@ -1117,6 +1008,46 @@ mod tests {
     }
 
     #[test]
+    fn online_mode_honours_every_replay_option() {
+        let cfg = GadgetConfig::synthetic(
+            OperatorKind::Aggregation,
+            GeneratorConfig {
+                events: 1_000,
+                ..GeneratorConfig::default()
+            },
+        );
+        for batch_size in [1, 64] {
+            let capped = ReplayOptions {
+                max_ops: Some(100),
+                batch_size,
+                ..ReplayOptions::default()
+            };
+            let report = run_online_with(&cfg, &MemStore::new(), "agg", &capped).unwrap();
+            assert_eq!(report.operations, 100, "batch {batch_size}");
+        }
+
+        // 60 ops at 2k/s take 30ms; unpaced they take microseconds.
+        let paced = ReplayOptions {
+            service_rate: Some(2_000.0),
+            arrival: ArrivalMode::Poisson,
+            max_ops: Some(60),
+            ..ReplayOptions::default()
+        };
+        let report = run_online_with(&cfg, &MemStore::new(), "agg", &paced).unwrap();
+        assert_eq!(report.offered_rate, Some(2_000.0));
+        assert_eq!(report.arrival.as_deref(), Some("poisson"));
+        assert_eq!(report.lag_hist.count(), 60, "open-loop lag recorded");
+        assert!(report.seconds >= 0.02, "ran too fast: {}s", report.seconds);
+
+        let threaded = ReplayOptions {
+            replay_threads: 2,
+            ..ReplayOptions::default()
+        };
+        let err = run_online_with(&cfg, &MemStore::new(), "agg", &threaded).unwrap_err();
+        assert!(err.to_string().contains("replay threads"), "got: {err}");
+    }
+
+    #[test]
     fn concurrent_runs_share_a_store() {
         let t1 = small_trace(OperatorKind::SlidingIncr);
         let t2 = small_trace(OperatorKind::SlidingHol);
@@ -1170,9 +1101,9 @@ mod tests {
         );
         let store = MemStore::new();
         let mut emitter = SnapshotEmitter::every(300);
-        let report =
-            run_online_observed_with(&cfg, &store, "agg", &ReplayOptions::default(), &mut emitter)
-                .unwrap();
+        let report = TraceReplayer::default()
+            .run(Load::Online(&cfg), &store, "agg", Some(&mut emitter))
+            .unwrap();
         let points = &emitter.series().points;
         assert!(points.len() >= 2);
         assert_eq!(points.last().unwrap().ops, report.operations);
@@ -1225,7 +1156,7 @@ mod tests {
             assert_eq!(report.operations, serial.operations, "batch {batch_size}");
             assert_eq!(report.hits, serial.hits, "batch {batch_size}");
             assert_eq!(report.misses, serial.misses, "batch {batch_size}");
-            assert_eq!(report.per_op.len(), serial.per_op.len());
+            assert_eq!(report.per_op_hist.len(), serial.per_op_hist.len());
             // Tumbling windows delete every pane on firing, so both
             // replays must leave the store empty.
             assert!(store.is_empty());
@@ -1412,7 +1343,7 @@ mod tests {
             // shard-affine partitioning preserves exactly.
             assert_eq!(report.hits, baseline.hits, "threads {threads}");
             assert_eq!(report.misses, baseline.misses, "threads {threads}");
-            assert_eq!(report.per_op.len(), baseline.per_op.len());
+            assert_eq!(report.per_op_hist.len(), baseline.per_op_hist.len());
             // Per-key order is intact, so every tumbling pane still
             // fires and deletes its state.
             assert!(

@@ -41,30 +41,37 @@ impl ReshardPlan {
     /// `frac` of `total_ops`, moving slots from shard `from` to shard
     /// `to`.
     pub fn parse(spec: &str, total_ops: u64) -> Result<ReshardPlan, String> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let [frac, from, to] = parts.as_slice() else {
-            return Err(format!(
-                "reshard spec '{spec}' is not of the form <op-frac>:<from>:<to>"
-            ));
-        };
-        let frac: f64 = frac
-            .parse()
-            .map_err(|_| format!("reshard op fraction '{frac}' is not a number"))?;
-        if !(0.0..=1.0).contains(&frac) {
-            return Err(format!("reshard op fraction {frac} outside 0.0..=1.0"));
-        }
-        let from: usize = from
-            .parse()
-            .map_err(|_| format!("reshard source shard '{from}' is not an index"))?;
-        let to: usize = to
-            .parse()
-            .map_err(|_| format!("reshard target shard '{to}' is not an index"))?;
+        let (frac, from, to) = parse_reshard_spec(spec)?;
         Ok(ReshardPlan {
             at_op: (frac * total_ops as f64) as u64,
-            from,
-            to,
+            from: from as usize,
+            to: to as usize,
         })
     }
+}
+
+/// Splits the CLI form `frac:from:to` into its checked parts: an op
+/// fraction in `0.0..=1.0`, a source shard and a target shard.
+pub fn parse_reshard_spec(spec: &str) -> Result<(f64, u32, u32), String> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    let [frac, from, to] = parts.as_slice() else {
+        return Err(format!(
+            "reshard spec '{spec}' is not of the form <op-frac>:<from>:<to>"
+        ));
+    };
+    let frac: f64 = frac
+        .parse()
+        .map_err(|_| format!("reshard op fraction '{frac}' is not a number"))?;
+    if !(0.0..=1.0).contains(&frac) {
+        return Err(format!("reshard op fraction {frac} outside 0.0..=1.0"));
+    }
+    let from = from
+        .parse()
+        .map_err(|_| format!("reshard source shard '{from}' is not an index"))?;
+    let to = to
+        .parse()
+        .map_err(|_| format!("reshard target shard '{to}' is not an index"))?;
+    Ok((frac, from, to))
 }
 
 /// A [`StateStore`] that counts ops through an inner [`ShardedStore`]

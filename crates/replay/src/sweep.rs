@@ -132,7 +132,7 @@ fn run_step(
     let run = replayer.replay(trace, store, workload)?;
     let achieved = run.throughput;
     let sustainable = achieved >= opts.sustainable_fraction * rate
-        && (opts.p99_bound_ns == 0 || run.latency.p99_ns <= opts.p99_bound_ns);
+        && (opts.p99_bound_ns == 0 || run.latency_hist.percentile(99.0) <= opts.p99_bound_ns);
     Ok(RateStep {
         offered: rate,
         achieved,

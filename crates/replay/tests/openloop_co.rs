@@ -95,7 +95,7 @@ fn intended_time_p99_exposes_stalls_send_time_hides() {
     assert_eq!(report.operations, 600);
     assert_eq!(report.arrival.as_deref(), Some("constant"));
 
-    let intended_p99 = report.latency.p99_ns;
+    let intended_p99 = report.latency_hist.percentile(99.0);
     let send_p99 = report.service_hist.percentile(99.0);
     assert!(
         report.service_hist.count() == 600 && report.lag_hist.count() == 600,
@@ -122,9 +122,9 @@ fn intended_time_p99_exposes_stalls_send_time_hides() {
     .replay(&trace, &closed_store, "stall")
     .unwrap();
     assert!(
-        intended_p99 >= 10 * closed.latency.p99_ns.max(1),
+        intended_p99 >= 10 * closed.latency_hist.percentile(99.0).max(1),
         "closed-loop p99 {}ns should hide what open-loop p99 {intended_p99}ns exposes",
-        closed.latency.p99_ns
+        closed.latency_hist.percentile(99.0)
     );
     assert_eq!(closed.lag_hist.count(), 0, "closed loop records no lag");
 }

@@ -479,8 +479,8 @@ pub(crate) fn compare_decomposition(
     tol: &Tolerance,
 ) -> Vec<MetricComparison> {
     let mut out = Vec::new();
-    for (name, base_hist) in &baseline.decomposition {
-        if let Some((_, cand_hist)) = candidate.decomposition.iter().find(|(n, _)| n == name) {
+    for (name, base_hist) in &baseline.run.decomposition {
+        if let Some((_, cand_hist)) = candidate.run.decomposition.iter().find(|(n, _)| n == name) {
             let mut cmp =
                 compare_histograms(&format!("decomposition/{name}"), base_hist, cand_hist, tol);
             if cmp.status == Status::Regressed {
@@ -540,8 +540,8 @@ pub fn compare_reports(
     tol: &Tolerance,
 ) -> ComparisonReport {
     let mut metrics = Vec::new();
-    if baseline.store != candidate.store
-        || baseline.workload != candidate.workload
+    if baseline.run.store != candidate.run.store
+        || baseline.run.workload != candidate.run.workload
         || baseline.meta.transport != candidate.meta.transport
         || baseline.meta.arrival != candidate.meta.arrival
     {
@@ -556,12 +556,12 @@ pub fn compare_reports(
             status: Status::Regressed,
             note: format!(
                 "baseline is {}/{} over {} ({} arrivals), candidate is {}/{} over {} ({} arrivals)",
-                baseline.store,
-                baseline.workload,
+                baseline.run.store,
+                baseline.run.workload,
                 baseline.meta.transport,
                 baseline.meta.arrival,
-                candidate.store,
-                candidate.workload,
+                candidate.run.store,
+                candidate.run.workload,
                 candidate.meta.transport,
                 candidate.meta.arrival
             ),
@@ -573,18 +573,18 @@ pub fn compare_reports(
     metrics.extend(compare_recovery(baseline, candidate, tol));
     metrics.push(compare_rate(
         "throughput",
-        baseline.throughput,
-        candidate.throughput,
+        baseline.run.throughput,
+        candidate.run.throughput,
         tol.throughput_pct,
     ));
     metrics.push(compare_histograms(
         "latency",
-        &baseline.latency,
-        &candidate.latency,
+        &baseline.run.latency_hist,
+        &candidate.run.latency_hist,
         tol,
     ));
-    for (name, base_hist) in &baseline.per_op {
-        if let Some((_, cand_hist)) = candidate.per_op.iter().find(|(n, _)| n == name) {
+    for (name, base_hist) in &baseline.run.per_op_hist {
+        if let Some((_, cand_hist)) = candidate.run.per_op_hist.iter().find(|(n, _)| n == name) {
             metrics.push(compare_histograms(
                 &format!("latency/{name}"),
                 base_hist,
@@ -617,50 +617,11 @@ pub fn compare_reports(
     }
 }
 
-/// Finds the baseline report in `dir` matching `store`/`workload`.
-///
-/// Scans every `*.json` in the directory, parses those that are valid
-/// reports, and picks the newest (by `created_unix_ms`) whose identity
-/// matches. Unparseable files are skipped — a baseline directory may
-/// hold other artifacts.
-pub fn find_baseline(
-    dir: &std::path::Path,
-    store: &str,
-    workload: &str,
-) -> Result<(std::path::PathBuf, RunReport), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut best: Option<(std::path::PathBuf, RunReport)> = None;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let Ok(report) = RunReport::load(&path) else {
-            continue;
-        };
-        if report.store != store || report.workload != workload {
-            continue;
-        }
-        let newer = match &best {
-            Some((_, b)) => report.meta.created_unix_ms > b.meta.created_unix_ms,
-            None => true,
-        };
-        if newer {
-            best = Some((path, report));
-        }
-    }
-    best.ok_or_else(|| {
-        format!(
-            "no baseline report for {store}/{workload} in {}",
-            dir.display()
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{RunMeta, SCHEMA_VERSION};
+    use crate::schema::RunMeta;
+    use crate::ReportFile;
     use gadget_obs::MetricsSnapshot;
 
     fn report_with_latency(shift: u64, throughput: f64) -> RunReport {
@@ -670,24 +631,15 @@ mod tests {
         }
         let mut metrics = MetricsSnapshot::new();
         metrics.push_counter("flushes", 10 + shift / 1_000);
-        RunReport {
-            version: SCHEMA_VERSION,
-            store: "mem".to_string(),
-            workload: "unit".to_string(),
-            meta: RunMeta::default(),
-            operations: 2_000,
-            seconds: 1.0,
-            throughput,
-            hits: 0,
-            misses: 0,
-            latency: latency.clone(),
-            per_op: vec![("get".to_string(), latency)],
-            lag: LogHistogram::new(),
-            metrics,
-            attribution: None,
-            recovery: None,
-            decomposition: Vec::new(),
-        }
+        let mut m = gadget_replay::Measured::new();
+        m.overall = latency.clone();
+        m.per_op[0] = latency;
+        m.executed = 2_000;
+        let mut run = m.to_report("mem", "unit", 1.0);
+        run.throughput = throughput;
+        let mut report = RunReport::from_run(run, RunMeta::default());
+        report.metrics = metrics;
+        report
     }
 
     #[test]
@@ -704,11 +656,11 @@ mod tests {
             }
             h
         };
-        base.decomposition = vec![
+        base.run.decomposition = vec![
             ("outbound".to_string(), seg(0)),
             ("service".to_string(), seg(0)),
         ];
-        cand.decomposition = vec![
+        cand.run.decomposition = vec![
             ("outbound".to_string(), seg(0)),
             ("service".to_string(), seg(40_000)),
         ];
@@ -729,7 +681,7 @@ mod tests {
         assert!(!cmp.regressed(), "WARN does not fail the gate");
 
         // Untraced candidate: the section contributes nothing.
-        cand.decomposition.clear();
+        cand.run.decomposition.clear();
         let cmp = compare_reports(&base, &cand, "a", "b", &Tolerance::default());
         assert!(!cmp
             .metrics
@@ -829,7 +781,7 @@ mod tests {
     fn mismatched_identity_regresses() {
         let base = report_with_latency(0, 10_000.0);
         let mut other = report_with_latency(0, 10_000.0);
-        other.store = "lsm".to_string();
+        other.run.store = "lsm".to_string();
         let cmp = compare_reports(&base, &other, "a", "b", &Tolerance::default());
         assert!(cmp.regressed());
         assert_eq!(cmp.metrics[0].metric, "identity");
@@ -968,8 +920,8 @@ mod tests {
 
     #[test]
     fn find_baseline_picks_matching_newest() {
-        let dir = std::env::temp_dir().join(format!("gadget-report-bl-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = gadget_kv::testutil::TestDir::new("report-find-baseline");
+        let dir = scratch.root();
         let mut old = report_with_latency(0, 5_000.0);
         old.meta.created_unix_ms = 1_000;
         old.save(&dir.join("old.json")).unwrap();
@@ -977,14 +929,13 @@ mod tests {
         new.meta.created_unix_ms = 2_000;
         new.save(&dir.join("new.json")).unwrap();
         let mut other = report_with_latency(0, 9_000.0);
-        other.workload = "other".to_string();
+        other.run.workload = "other".to_string();
         other.meta.created_unix_ms = 3_000;
         other.save(&dir.join("other.json")).unwrap();
         std::fs::write(dir.join("junk.json"), "not a report").unwrap();
-        let (path, report) = find_baseline(&dir, "mem", "unit").unwrap();
+        let (path, report) = RunReport::find_baseline(dir, "mem", "unit").unwrap();
         assert!(path.ends_with("new.json"));
-        assert_eq!(report.throughput, 6_000.0);
-        assert!(find_baseline(&dir, "mem", "absent").is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(report.run.throughput, 6_000.0);
+        assert!(RunReport::find_baseline(dir, "mem", "absent").is_err());
     }
 }

@@ -70,6 +70,12 @@ fn git(dir: &Path, args: &[&str]) -> String {
 
 /// 64-bit FNV-1a digest, lowercase hex. Not cryptographic — it only has
 /// to distinguish configurations, cheaply and with no dependencies.
+///
+/// Not a duplicate of `gadget_kv::hash::fnv1a`: this one multiplies by
+/// the canonical FNV prime `0x100_0000_01b3` (the `b"a"` vector below
+/// pins it), that one by the frozen transcription `0x1000_0000_01b3`
+/// that routes every key to its shard. Merging them either way changes
+/// every committed `config_digest` or re-routes every key, so both stay.
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -103,15 +109,12 @@ mod tests {
 
     #[test]
     fn capture_outside_git_falls_back_to_unknown() {
-        let dir =
-            std::env::temp_dir().join(format!("gadget-report-envtest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let meta = capture_in(&dir, "");
+        let dir = gadget_kv::testutil::TestDir::new("report-env-outside-git");
+        let meta = capture_in(dir.root(), "");
         assert_eq!(meta.git_sha, "unknown");
         assert_eq!(meta.git_describe, "unknown");
         assert_eq!(meta.config_digest, "unknown");
         assert!(meta.cpu_count >= 1, "cpu_count still captured");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -23,14 +23,12 @@
 
 pub mod compare;
 pub mod env;
+pub mod file;
 pub mod schema;
 pub mod sweep;
 
-pub use compare::{
-    compare_reports, find_baseline, ComparisonReport, MetricComparison, Status, Tolerance,
-};
+pub use compare::{compare_reports, ComparisonReport, MetricComparison, Status, Tolerance};
 pub use env::{capture, capture_in, fnv1a_hex};
+pub use file::ReportFile;
 pub use schema::{RecoveryReport, ReshardRecord, RunMeta, RunReport, SCHEMA_VERSION};
-pub use sweep::{
-    compare_sweeps, find_sweep_baseline, KneePoint, SweepReport, SweepStep, SWEEP_SCHEMA_VERSION,
-};
+pub use sweep::{compare_sweeps, KneePoint, SweepReport, SweepStep, SWEEP_SCHEMA_VERSION};

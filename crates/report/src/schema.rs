@@ -156,36 +156,27 @@ impl Default for RunMeta {
     }
 }
 
-/// A complete, versioned record of one measured execution.
+/// A complete, versioned record of one measured execution: what the
+/// replay layer measured, plus what only the producer knows about it.
+///
+/// The wire form is flat — `run`'s fields sit beside `meta` under the
+/// names schema version 1 gave them (`latency`, `per_op` and `lag` are
+/// the histograms) — and carries neither the service-time histogram nor
+/// pacing as anything but `meta.arrival`/`meta.offered_rate`, so
+/// [`RunReport::from_run`] puts `run` into that form and a report equals
+/// what its own JSON parses back to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Schema version ([`SCHEMA_VERSION`] when produced by this build).
     pub version: u32,
-    /// Store the run executed against (e.g. `"mem"`, `"lsm"`).
-    pub store: String,
-    /// Workload label (e.g. `"ycsb-a"`).
-    pub workload: String,
     /// Provenance.
     pub meta: RunMeta,
-    /// Operations executed.
-    pub operations: u64,
-    /// Wall-clock duration in seconds.
-    pub seconds: f64,
-    /// Operations per second.
-    pub throughput: f64,
-    /// `get`s that found a value.
-    pub hits: u64,
-    /// `get`s that found nothing.
-    pub misses: u64,
-    /// Overall latency histogram (nanoseconds, log-bucketed, mergeable).
-    pub latency: LogHistogram,
-    /// Per-op-type latency histograms, keyed by op name; only ops that
-    /// actually ran appear.
-    pub per_op: Vec<(String, LogHistogram)>,
-    /// Scheduler-lag histogram (intended arrival → send) from open-loop
-    /// runs; empty for closed-loop and full-speed runs, and for reports
-    /// predating open-loop support.
-    pub lag: LogHistogram,
+    /// The measured numbers and full latency histograms: store and
+    /// workload identity, throughput, hit counts, overall / per-op / lag
+    /// distributions and, for traced network drives, the cross-process
+    /// decomposition (segments telescope: the first four sum to
+    /// `end_to_end` for every sample).
+    pub run: gadget_replay::RunReport,
     /// Final store metrics snapshot (empty if the producer did not
     /// collect metrics).
     pub metrics: MetricsSnapshot,
@@ -195,82 +186,48 @@ pub struct RunReport {
     /// harness; `None` for ordinary runs (and for reports predating the
     /// section).
     pub recovery: Option<RecoveryReport>,
-    /// Cross-process latency decomposition from a traced network drive:
-    /// per-segment histograms keyed by name, in pipeline order
-    /// (`client_queue`, `outbound`, `service`, `return_path`,
-    /// `end_to_end`). Segments telescope — for every sample the first
-    /// four sum to the fifth — so the section answers "where did the
-    /// wall-clock go" without a second run. Empty for embedded runs,
-    /// untraced drives, and reports predating distributed tracing.
-    pub decomposition: Vec<(String, LogHistogram)>,
 }
 
 impl RunReport {
-    /// Lifts a replay-layer run result into a report.
+    /// Wraps a replay-layer run result into a report — the one place a
+    /// report is assembled, by producers and by the parser alike.
     ///
-    /// The replay [`gadget_replay::RunReport`] carries the measured
-    /// numbers and full histograms; `meta` supplies provenance the
-    /// replay layer cannot know (git state, config digest, machine
-    /// shape). Metrics and attribution start empty — callers that
-    /// collected them attach them afterwards.
-    pub fn from_run(run: &gadget_replay::RunReport, meta: RunMeta) -> Self {
-        let mut meta = meta;
-        // The replay layer knows how the run was paced; fold that into
-        // the provenance unless the caller already set it.
-        if let Some(arrival) = &run.arrival {
-            meta.arrival = arrival.clone();
+    /// `meta` supplies provenance the replay layer cannot know (git
+    /// state, config digest, machine shape); how the run was paced is
+    /// the replay layer's to say, so `run.arrival`/`run.offered_rate`
+    /// override `meta`'s when set and mirror it when not. Metrics,
+    /// attribution and recovery start empty — producers that collected
+    /// them attach them afterwards.
+    pub fn from_run(mut run: gadget_replay::RunReport, mut meta: RunMeta) -> Self {
+        match &run.arrival {
+            Some(arrival) => meta.arrival.clone_from(arrival),
+            None => run.arrival = Some(meta.arrival.clone()),
         }
-        if let Some(rate) = run.offered_rate {
-            meta.offered_rate = rate;
+        match run.offered_rate {
+            Some(rate) => meta.offered_rate = rate,
+            None => run.offered_rate = (meta.offered_rate > 0.0).then_some(meta.offered_rate),
         }
+        run.service_hist = LogHistogram::new();
         RunReport {
             version: SCHEMA_VERSION,
-            store: run.store.clone(),
-            workload: run.workload.clone(),
             meta,
-            operations: run.operations,
-            seconds: run.seconds,
-            throughput: run.throughput,
-            hits: run.hits,
-            misses: run.misses,
-            latency: run.latency_hist.clone(),
-            per_op: run.per_op_hist.clone(),
-            lag: run.lag_hist.clone(),
+            run,
             metrics: MetricsSnapshot::new(),
             attribution: None,
             recovery: None,
-            decomposition: run.decomposition.clone(),
         }
     }
+}
 
-    /// Serializes to pretty JSON with a trailing newline (the canonical
-    /// on-disk form).
-    pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("report serialization is infallible");
-        s.push('\n');
-        s
-    }
+impl crate::ReportFile for RunReport {
+    const BASELINE: &'static str = "baseline report";
 
-    /// Parses a report from JSON, enforcing the schema version.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str::<RunReport>(text).map_err(|e| e.to_string())
-    }
-
-    /// Writes the canonical JSON form to `path`, creating parent
-    /// directories as needed.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads and parses a report from `path`.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        RunReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+    fn identity(&self) -> (&str, &str, u64) {
+        (
+            &self.run.store,
+            &self.run.workload,
+            self.meta.created_unix_ms,
+        )
     }
 }
 
@@ -441,29 +398,16 @@ impl Deserialize for RunMeta {
             threads: u64::from_value(field("threads")?)?,
             shards: u64::from_value(field("shards")?)?,
             batch_size: u64::from_value(field("batch_size")?)?,
-            // Absent in reports written before the field existed (all of
-            // which were embedded runs), so missing means "embedded", not
-            // a parse error — committed baselines keep loading.
-            transport: match serde::find_field(members, "transport") {
-                Some(v) => String::from_value(v)?,
-                None => "embedded".to_string(),
-            },
-            // Absent in reports predating open-loop pacing, all of
-            // which were closed-loop full-speed runs.
-            arrival: match serde::find_field(members, "arrival") {
-                Some(v) => String::from_value(v)?,
-                None => "closed".to_string(),
-            },
-            offered_rate: match serde::find_field(members, "offered_rate") {
-                Some(v) => f64::from_value(v)?,
-                None => 0.0,
-            },
-            // Absent in reports predating live topology changes: their
-            // partition map was never recorded, and nothing resharded.
-            partition_digest: match serde::find_field(members, "partition_digest") {
-                Some(v) => String::from_value(v)?,
-                None => "unknown".to_string(),
-            },
+            // The next four are absent in reports written before each
+            // existed, all of which were embedded, closed-loop, full-speed
+            // runs over a partition map nobody recorded: missing means
+            // exactly that, not a parse error — committed baselines keep
+            // loading.
+            transport: field_or(members, "transport", || "embedded".to_string())?,
+            arrival: field_or(members, "arrival", || "closed".to_string())?,
+            offered_rate: field_or(members, "offered_rate", || 0.0)?,
+            partition_digest: field_or(members, "partition_digest", || "unknown".to_string())?,
+            // Likewise: before live topology changes nothing resharded.
             reshard_events: match serde::find_field(members, "reshard_events") {
                 Some(Value::Array(items)) => {
                     let mut events = Vec::with_capacity(items.len());
@@ -501,43 +445,52 @@ const REPORT_FIELDS: &[&str] = &[
     "decomposition",
 ];
 
+/// `{name: histogram}` in the order given.
+fn named_histograms(hists: &[(String, LogHistogram)]) -> Value {
+    Value::Object(
+        hists
+            .iter()
+            .map(|(name, h)| (name.clone(), h.to_value()))
+            .collect(),
+    )
+}
+
+fn parse_named_histograms(
+    members: &[(String, Value)],
+) -> Result<Vec<(String, LogHistogram)>, Error> {
+    members
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), LogHistogram::from_value(v)?)))
+        .collect()
+}
+
+fn nullable<T: Serialize>(value: &Option<T>) -> Value {
+    value.as_ref().map_or(Value::Null, Serialize::to_value)
+}
+
 impl Serialize for RunReport {
     fn to_value(&self) -> Value {
-        let per_op = self
-            .per_op
-            .iter()
-            .map(|(name, h)| (name.clone(), h.to_value()))
-            .collect();
-        let attribution = match &self.attribution {
-            Some(snap) => snap.to_value(),
-            None => Value::Null,
-        };
-        let recovery = match &self.recovery {
-            Some(r) => r.to_value(),
-            None => Value::Null,
-        };
-        let decomposition = self
-            .decomposition
-            .iter()
-            .map(|(name, h)| (name.clone(), h.to_value()))
-            .collect();
+        let run = &self.run;
         Value::Object(vec![
             ("version".to_string(), self.version.to_value()),
-            ("store".to_string(), self.store.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
+            ("store".to_string(), run.store.to_value()),
+            ("workload".to_string(), run.workload.to_value()),
             ("meta".to_string(), self.meta.to_value()),
-            ("operations".to_string(), self.operations.to_value()),
-            ("seconds".to_string(), self.seconds.to_value()),
-            ("throughput".to_string(), self.throughput.to_value()),
-            ("hits".to_string(), self.hits.to_value()),
-            ("misses".to_string(), self.misses.to_value()),
-            ("latency".to_string(), self.latency.to_value()),
-            ("per_op".to_string(), Value::Object(per_op)),
-            ("lag".to_string(), self.lag.to_value()),
+            ("operations".to_string(), run.operations.to_value()),
+            ("seconds".to_string(), run.seconds.to_value()),
+            ("throughput".to_string(), run.throughput.to_value()),
+            ("hits".to_string(), run.hits.to_value()),
+            ("misses".to_string(), run.misses.to_value()),
+            ("latency".to_string(), run.latency_hist.to_value()),
+            ("per_op".to_string(), named_histograms(&run.per_op_hist)),
+            ("lag".to_string(), run.lag_hist.to_value()),
             ("metrics".to_string(), self.metrics.to_value()),
-            ("attribution".to_string(), attribution),
-            ("recovery".to_string(), recovery),
-            ("decomposition".to_string(), Value::Object(decomposition)),
+            ("attribution".to_string(), nullable(&self.attribution)),
+            ("recovery".to_string(), nullable(&self.recovery)),
+            (
+                "decomposition".to_string(),
+                named_histograms(&run.decomposition),
+            ),
         ])
     }
 }
@@ -558,60 +511,60 @@ impl Deserialize for RunReport {
                 "unsupported report version {version} (this build reads version {SCHEMA_VERSION})"
             )));
         }
-        let per_op_members = field("per_op")?
+        let per_op = field("per_op")?
             .as_object()
             .ok_or_else(|| Error::custom("field `per_op` must be an object"))?;
-        let mut per_op = Vec::with_capacity(per_op_members.len());
-        for (name, v) in per_op_members {
-            per_op.push((name.clone(), LogHistogram::from_value(v)?));
-        }
-        let attribution = match field("attribution")? {
-            Value::Null => None,
-            other => Some(MetricsSnapshot::from_value(other)?),
-        };
-        Ok(RunReport {
-            version,
+        let run = gadget_replay::RunReport {
             store: String::from_value(field("store")?)?,
             workload: String::from_value(field("workload")?)?,
-            meta: RunMeta::from_value(field("meta")?)?,
             operations: u64::from_value(field("operations")?)?,
             seconds: f64::from_value(field("seconds")?)?,
             throughput: f64::from_value(field("throughput")?)?,
             hits: u64::from_value(field("hits")?)?,
             misses: u64::from_value(field("misses")?)?,
-            latency: LogHistogram::from_value(field("latency")?)?,
-            per_op,
+            latency_hist: LogHistogram::from_value(field("latency")?)?,
+            per_op_hist: parse_named_histograms(per_op)?,
             // Absent in reports predating open-loop pacing → no lag
             // was recorded.
-            lag: match serde::find_field(members, "lag") {
-                Some(v) => LogHistogram::from_value(v)?,
-                None => LogHistogram::new(),
-            },
-            metrics: MetricsSnapshot::from_value(field("metrics")?)?,
-            attribution,
-            // Absent in reports predating the crash harness → the run
-            // measured no recovery.
-            recovery: match serde::find_field(members, "recovery") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(RecoveryReport::from_value(v)?),
-            },
+            lag_hist: field_or(members, "lag", LogHistogram::new)?,
+            service_hist: LogHistogram::new(),
+            // Pacing travels in `meta`; `from_run` mirrors it here.
+            offered_rate: None,
+            arrival: None,
             // Absent in reports predating distributed tracing → the
             // run recorded no decomposition.
             decomposition: match serde::find_field(members, "decomposition") {
-                Some(Value::Object(segments)) => {
-                    let mut out = Vec::with_capacity(segments.len());
-                    for (name, v) in segments {
-                        out.push((name.clone(), LogHistogram::from_value(v)?));
-                    }
-                    out
-                }
+                Some(Value::Object(segments)) => parse_named_histograms(segments)?,
                 Some(Value::Null) | None => Vec::new(),
                 Some(other) => {
                     return Err(Error::expected("object", other, "RunReport.decomposition"))
                 }
             },
-        })
+        };
+        let mut report = RunReport::from_run(run, RunMeta::from_value(field("meta")?)?);
+        report.metrics = MetricsSnapshot::from_value(field("metrics")?)?;
+        report.attribution = match field("attribution")? {
+            Value::Null => None,
+            other => Some(MetricsSnapshot::from_value(other)?),
+        };
+        // Absent in reports predating the crash harness → the run
+        // measured no recovery.
+        report.recovery = match serde::find_field(members, "recovery") {
+            Some(Value::Null) | None => None,
+            Some(v) => Some(RecoveryReport::from_value(v)?),
+        };
+        Ok(report)
     }
+}
+
+/// The member `name`, or `default()` for a document written before the
+/// field existed.
+fn field_or<T: Deserialize>(
+    members: &[(String, Value)],
+    name: &str,
+    default: impl FnOnce() -> T,
+) -> Result<T, Error> {
+    serde::find_field(members, name).map_or_else(|| Ok(default()), T::from_value)
 }
 
 /// Errors if `members` holds any key outside `known` — schema drift is
@@ -634,6 +587,7 @@ pub(crate) fn reject_unknown(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReportFile;
 
     pub(crate) fn sample_report() -> RunReport {
         let mut latency = LogHistogram::new();
@@ -651,60 +605,26 @@ mod tests {
         let mut metrics = MetricsSnapshot::new();
         metrics.push_counter("flushes", 3);
         metrics.push_gauge("live_bytes", 4096);
-        RunReport {
-            version: SCHEMA_VERSION,
+        let run = gadget_replay::RunReport {
             store: "mem".to_string(),
             workload: "ycsb-a".to_string(),
-            meta: RunMeta {
-                git_sha: "0123abcd".to_string(),
-                git_describe: "v0.1.0-5-g0123abcd".to_string(),
-                config_digest: "deadbeefdeadbeef".to_string(),
-                cpu_count: 8,
-                threads: 2,
-                shards: 4,
-                batch_size: 64,
-                transport: "embedded".to_string(),
-                arrival: "poisson".to_string(),
-                offered_rate: 5_000.0,
-                partition_digest: "00000000deadbeef".to_string(),
-                reshard_events: vec![ReshardRecord {
-                    at_op: 250,
-                    from: 0,
-                    to: 4,
-                    slots: 315,
-                    keys: 120,
-                    pause_us: 85,
-                    copy_us: 1_900,
-                    map_version: 2,
-                }],
-                created_unix_ms: 1_700_000_000_000,
-            },
             operations: 500,
             seconds: 0.125,
             throughput: 4000.0,
             hits: 240,
             misses: 10,
-            latency,
-            per_op: vec![("get".to_string(), get), ("put".to_string(), put)],
-            lag: {
+            latency_hist: latency,
+            per_op_hist: vec![("get".to_string(), get), ("put".to_string(), put)],
+            lag_hist: {
                 let mut lag = LogHistogram::new();
                 for i in 0..500u64 {
                     lag.record(50 + i * 3);
                 }
                 lag
             },
-            metrics,
-            attribution: None,
-            recovery: Some(RecoveryReport {
-                recovery_us: 18_400,
-                replayed_wal_bytes: 65_536,
-                loss_window: 0,
-                acked_ops: 250,
-                kill_at_op: 250,
-                checkpoint_restored: true,
-                torn_tail: "truncate".to_string(),
-                crashes: 1,
-            }),
+            service_hist: LogHistogram::new(),
+            offered_rate: None,
+            arrival: None,
             decomposition: ["client_queue", "outbound", "service", "return_path"]
                 .iter()
                 .enumerate()
@@ -716,7 +636,44 @@ mod tests {
                     (name.to_string(), h)
                 })
                 .collect(),
-        }
+        };
+        let meta = RunMeta {
+            git_sha: "0123abcd".to_string(),
+            git_describe: "v0.1.0-5-g0123abcd".to_string(),
+            config_digest: "deadbeefdeadbeef".to_string(),
+            cpu_count: 8,
+            threads: 2,
+            shards: 4,
+            batch_size: 64,
+            transport: "embedded".to_string(),
+            arrival: "poisson".to_string(),
+            offered_rate: 5_000.0,
+            partition_digest: "00000000deadbeef".to_string(),
+            reshard_events: vec![ReshardRecord {
+                at_op: 250,
+                from: 0,
+                to: 4,
+                slots: 315,
+                keys: 120,
+                pause_us: 85,
+                copy_us: 1_900,
+                map_version: 2,
+            }],
+            created_unix_ms: 1_700_000_000_000,
+        };
+        let mut report = RunReport::from_run(run, meta);
+        report.metrics = metrics;
+        report.recovery = Some(RecoveryReport {
+            recovery_us: 18_400,
+            replayed_wal_bytes: 65_536,
+            loss_window: 0,
+            acked_ops: 250,
+            kill_at_op: 250,
+            checkpoint_restored: true,
+            torn_tail: "truncate".to_string(),
+            crashes: 1,
+        });
+        report
     }
 
     #[test]
@@ -782,7 +739,7 @@ mod tests {
         let back = RunReport::from_json(&json).unwrap();
         assert_eq!(back.meta.arrival, "closed");
         assert_eq!(back.meta.offered_rate, 0.0);
-        assert_eq!(back.lag.count(), 0);
+        assert_eq!(back.run.lag_hist.count(), 0);
     }
 
     #[test]
@@ -845,7 +802,7 @@ mod tests {
         let json = format!("{}\n{}", &j[..start], &j[end..]);
         assert!(!json.contains("decomposition"), "field removed");
         let back = RunReport::from_json(&json).unwrap();
-        assert!(back.decomposition.is_empty());
+        assert!(back.run.decomposition.is_empty());
         // Re-serialization writes the (empty) section from then on.
         assert!(back.to_json().contains("\"decomposition\": {}"));
     }
@@ -854,13 +811,18 @@ mod tests {
     fn decomposition_round_trips_in_order() {
         let report = sample_report();
         let back = RunReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back.decomposition, report.decomposition);
-        let names: Vec<&str> = back.decomposition.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(back.run.decomposition, report.run.decomposition);
+        let names: Vec<&str> = back
+            .run
+            .decomposition
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
         assert_eq!(
             names,
             vec!["client_queue", "outbound", "service", "return_path"]
         );
-        for (_, h) in &back.decomposition {
+        for (_, h) in &back.run.decomposition {
             assert_eq!(h.count(), 500);
         }
     }
@@ -881,19 +843,34 @@ mod tests {
     }
 
     #[test]
-    fn from_run_lifts_replay_output() {
+    fn from_run_wraps_replay_output_and_reconciles_pacing() {
         let mut m = gadget_replay::Measured::new();
         m.overall.record(1_000);
         m.per_op[0].record(1_000);
+        m.service.record(900);
         m.hits = 1;
         m.executed = 1;
         let run = m.to_report("mem", "unit", 0.5);
-        let report = RunReport::from_run(&run, RunMeta::default());
+        let report = RunReport::from_run(run.clone(), RunMeta::default());
         assert_eq!(report.version, SCHEMA_VERSION);
-        assert_eq!(report.operations, 1);
-        assert_eq!(report.latency.count(), 1);
-        assert_eq!(report.per_op.len(), 1);
-        assert_eq!(report.per_op[0].0, "get");
+        assert_eq!(report.run.operations, 1);
+        assert_eq!(report.run.latency_hist.count(), 1);
+        assert_eq!(report.run.per_op_hist.len(), 1);
+        assert_eq!(report.run.per_op_hist[0].0, "get");
         assert_eq!(report.meta.git_sha, "unknown");
+        // An unstamped run takes its pacing from the provenance...
+        assert_eq!(report.run.arrival.as_deref(), Some("closed"));
+        assert_eq!(report.run.offered_rate, None);
+        // ...a stamped one overrides it; either way the two agree, and
+        // the report equals what its JSON parses back to.
+        let paced = gadget_replay::RunReport {
+            arrival: Some("poisson".to_string()),
+            offered_rate: Some(5_000.0),
+            ..run
+        };
+        let report = RunReport::from_run(paced, RunMeta::default());
+        assert_eq!(report.meta.arrival, "poisson");
+        assert_eq!(report.meta.offered_rate, 5_000.0);
+        assert_eq!(RunReport::from_json(&report.to_json()).unwrap(), report);
     }
 }

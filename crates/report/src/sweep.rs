@@ -90,28 +90,28 @@ impl SweepReport {
     /// supplies provenance; each step's report inherits it with the
     /// step's own pacing stamped in by [`RunReport::from_run`].
     pub fn from_sweep(
-        outcome: &gadget_replay::SweepOutcome,
+        outcome: gadget_replay::SweepOutcome,
         opts: &gadget_replay::SweepOptions,
         meta: RunMeta,
     ) -> Self {
         let steps: Vec<SweepStep> = outcome
             .steps
-            .iter()
+            .into_iter()
             .map(|s| SweepStep {
                 offered_rate: s.offered,
                 achieved_rate: s.achieved,
                 sustainable: s.sustainable,
-                report: RunReport::from_run(&s.run, meta.clone()),
+                report: RunReport::from_run(s.run, meta.clone()),
             })
             .collect();
         let knee = outcome.knee.map(|i| KneePoint {
             step_index: i as u64,
             offered_rate: steps[i].offered_rate,
             achieved_rate: steps[i].achieved_rate,
-            p99_ns: steps[i].report.latency.percentile(99.0),
+            p99_ns: steps[i].report.run.latency_hist.percentile(99.0),
         });
         let (store, workload) = match steps.first() {
-            Some(s) => (s.report.store.clone(), s.report.workload.clone()),
+            Some(s) => (s.report.run.store.clone(), s.report.run.workload.clone()),
             None => ("unknown".to_string(), "unknown".to_string()),
         };
         SweepReport {
@@ -127,35 +127,13 @@ impl SweepReport {
             knee,
         }
     }
+}
 
-    /// Serializes to pretty JSON with a trailing newline (the canonical
-    /// on-disk form).
-    pub fn to_json(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("report serialization is infallible");
-        s.push('\n');
-        s
-    }
+impl crate::ReportFile for SweepReport {
+    const BASELINE: &'static str = "sweep baseline";
 
-    /// Parses a sweep report from JSON, enforcing the schema version.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str::<SweepReport>(text).map_err(|e| e.to_string())
-    }
-
-    /// Writes the canonical JSON form to `path`, creating parent
-    /// directories as needed.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads and parses a sweep report from `path`.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        SweepReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+    fn identity(&self) -> (&str, &str, u64) {
+        (&self.store, &self.workload, self.meta.created_unix_ms)
     }
 }
 
@@ -382,8 +360,8 @@ pub fn compare_sweeps(
         ));
         metrics.push(compare_histograms(
             &format!("latency@{label}"),
-            &b.report.latency,
-            &c.report.latency,
+            &b.report.run.latency_hist,
+            &c.report.run.latency_hist,
             tol,
         ));
     }
@@ -432,47 +410,10 @@ pub fn compare_sweeps(
     }
 }
 
-/// Finds the newest sweep baseline in `dir` matching `store`/`workload`
-/// (by `meta.created_unix_ms`), mirroring
-/// [`find_baseline`](crate::compare::find_baseline) for curves.
-pub fn find_sweep_baseline(
-    dir: &std::path::Path,
-    store: &str,
-    workload: &str,
-) -> Result<(std::path::PathBuf, SweepReport), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut best: Option<(std::path::PathBuf, SweepReport)> = None;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let Ok(report) = SweepReport::load(&path) else {
-            continue;
-        };
-        if report.store != store || report.workload != workload {
-            continue;
-        }
-        let newer = match &best {
-            Some((_, b)) => report.meta.created_unix_ms > b.meta.created_unix_ms,
-            None => true,
-        };
-        if newer {
-            best = Some((path, report));
-        }
-    }
-    best.ok_or_else(|| {
-        format!(
-            "no sweep baseline for {store}/{workload} in {}",
-            dir.display()
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::SCHEMA_VERSION;
+    use crate::ReportFile;
     use gadget_obs::LogHistogram;
 
     /// A sweep with three steps whose latency grows toward saturation;
@@ -492,28 +433,25 @@ mod tests {
                 offered_rate: rate,
                 achieved_rate: achieved,
                 sustainable,
-                report: RunReport {
-                    version: SCHEMA_VERSION,
-                    store: "mem".to_string(),
-                    workload: "ycsb-a".to_string(),
-                    meta: RunMeta {
-                        arrival: "poisson".to_string(),
-                        offered_rate: rate,
-                        ..RunMeta::default()
+                report: RunReport::from_run(
+                    gadget_replay::RunReport {
+                        store: "mem".to_string(),
+                        workload: "ycsb-a".to_string(),
+                        operations: 1_500,
+                        seconds: 1_500.0 / achieved,
+                        throughput: achieved,
+                        hits: 700,
+                        misses: 50,
+                        latency_hist: latency.clone(),
+                        per_op_hist: vec![("put".to_string(), latency)],
+                        lag_hist: lag,
+                        service_hist: LogHistogram::new(),
+                        offered_rate: Some(rate),
+                        arrival: Some("poisson".to_string()),
+                        decomposition: Vec::new(),
                     },
-                    operations: 1_500,
-                    seconds: 1_500.0 / achieved,
-                    throughput: achieved,
-                    hits: 700,
-                    misses: 50,
-                    latency: latency.clone(),
-                    per_op: vec![("put".to_string(), latency)],
-                    lag,
-                    metrics: gadget_obs::MetricsSnapshot::new(),
-                    attribution: None,
-                    recovery: None,
-                    decomposition: Vec::new(),
-                },
+                    RunMeta::default(),
+                ),
             }
         };
         let steps: Vec<SweepStep> = [2_000.0, 4_000.0, 8_000.0]
@@ -528,7 +466,7 @@ mod tests {
                 step_index: i as u64,
                 offered_rate: s.offered_rate,
                 achieved_rate: s.achieved_rate,
-                p99_ns: s.report.latency.percentile(99.0),
+                p99_ns: s.report.run.latency_hist.percentile(99.0),
             });
         SweepReport {
             version: SWEEP_SCHEMA_VERSION,
@@ -662,8 +600,8 @@ mod tests {
 
     #[test]
     fn find_sweep_baseline_picks_matching_newest() {
-        let dir = std::env::temp_dir().join(format!("gadget-sweep-bl-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = gadget_kv::testutil::TestDir::new("report-find-sweep-baseline");
+        let dir = scratch.root();
         let mut old = sample_sweep(0, 4_000.0);
         old.meta.created_unix_ms = 1_000;
         old.save(&dir.join("old.json")).unwrap();
@@ -672,10 +610,9 @@ mod tests {
         new.save(&dir.join("new.json")).unwrap();
         // A RunReport in the same directory must be skipped, not crash.
         std::fs::write(dir.join("junk.json"), "{}").unwrap();
-        let (path, report) = find_sweep_baseline(&dir, "mem", "ycsb-a").unwrap();
+        let (path, report) = SweepReport::find_baseline(dir, "mem", "ycsb-a").unwrap();
         assert!(path.ends_with("new.json"));
         assert_eq!(report.knee.as_ref().unwrap().offered_rate, 8_000.0);
-        assert!(find_sweep_baseline(&dir, "lsm", "ycsb-a").is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(SweepReport::find_baseline(dir, "lsm", "ycsb-a").is_err());
     }
 }

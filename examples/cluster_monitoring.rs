@@ -61,7 +61,7 @@ fn main() {
             "sessions on {:>8}: {:>8.0} ops/s, p99.9 {:>7.1}us",
             report.store,
             report.throughput,
-            report.latency.p999_ns as f64 / 1_000.0
+            report.latency_hist.percentile(99.9) as f64 / 1_000.0
         );
     }
     drop(lsm);

@@ -61,7 +61,7 @@ fn main() {
         "replayed on {}: {:.0} ops/s, p99.9 = {:.1}us",
         report.store,
         report.throughput,
-        report.latency.p999_ns as f64 / 1_000.0
+        report.latency_hist.percentile(99.9) as f64 / 1_000.0
     );
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

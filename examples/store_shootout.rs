@@ -83,7 +83,7 @@ fn main() {
                 kind.name(),
                 label,
                 report.throughput / 1_000.0,
-                report.latency.p999_ns as f64 / 1_000.0
+                report.latency_hist.percentile(99.9) as f64 / 1_000.0
             );
         }
         println!("{:>14} > winner: {}", "", best.0);

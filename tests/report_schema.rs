@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use gadget::report::{ReshardRecord, RunMeta, RunReport, SCHEMA_VERSION};
+use gadget::report::{ReportFile, ReshardRecord, RunMeta, RunReport, SCHEMA_VERSION};
 
 /// A fully deterministic report: every field pinned, no clocks, no
 /// environment probes — byte-stable across machines.
@@ -34,7 +34,7 @@ fn golden_report() -> RunReport {
     run.arrival = Some("poisson".to_string());
     run.offered_rate = Some(5_000.0);
     let mut report = RunReport::from_run(
-        &run,
+        run,
         RunMeta {
             git_sha: "f00dfacef00dfacef00dfacef00dfacef00dface".to_string(),
             git_describe: "v0.1.0-12-gf00dface".to_string(),

@@ -11,8 +11,8 @@
 use std::path::PathBuf;
 
 use gadget::report::{
-    compare_sweeps, KneePoint, RunMeta, RunReport, Status, SweepReport, SweepStep, Tolerance,
-    SCHEMA_VERSION, SWEEP_SCHEMA_VERSION,
+    compare_sweeps, KneePoint, ReportFile, RunMeta, RunReport, Status, SweepReport, SweepStep,
+    Tolerance, SWEEP_SCHEMA_VERSION,
 };
 
 /// A fully deterministic three-step sweep: every field pinned, no
@@ -45,27 +45,25 @@ fn golden_sweep() -> SweepReport {
             offered_rate: rate,
             achieved_rate: achieved,
             sustainable,
-            report: RunReport {
-                version: SCHEMA_VERSION,
-                store: "mem".to_string(),
-                workload: "ycsb-a".to_string(),
-                meta: RunMeta {
-                    offered_rate: rate,
-                    ..meta.clone()
+            report: RunReport::from_run(
+                gadget::replay::RunReport {
+                    store: "mem".to_string(),
+                    workload: "ycsb-a".to_string(),
+                    operations: 1_000,
+                    seconds: 1_000.0 / achieved,
+                    throughput: achieved,
+                    hits: 500,
+                    misses: 20,
+                    latency_hist: latency.clone(),
+                    per_op_hist: vec![("put".to_string(), latency)],
+                    lag_hist: lag,
+                    service_hist: gadget::replay::LatencyHistogram::new(),
+                    offered_rate: Some(rate),
+                    arrival: None,
+                    decomposition: Vec::new(),
                 },
-                operations: 1_000,
-                seconds: 1_000.0 / achieved,
-                throughput: achieved,
-                hits: 500,
-                misses: 20,
-                latency: latency.clone(),
-                per_op: vec![("put".to_string(), latency)],
-                lag,
-                metrics: gadget::obs::MetricsSnapshot::new(),
-                attribution: None,
-                recovery: None,
-                decomposition: Vec::new(),
-            },
+                meta.clone(),
+            ),
         }
     };
     let steps = vec![
@@ -77,7 +75,7 @@ fn golden_sweep() -> SweepReport {
         step_index: 1,
         offered_rate: 4_000.0,
         achieved_rate: 4_000.0,
-        p99_ns: steps[1].report.latency.percentile(99.0),
+        p99_ns: steps[1].report.run.latency_hist.percentile(99.0),
     });
     SweepReport {
         version: SWEEP_SCHEMA_VERSION,
@@ -181,7 +179,7 @@ fn curve_compare_gates_on_the_fixture() {
         step_index: 0,
         offered_rate: 2_000.0,
         achieved_rate: 2_000.0,
-        p99_ns: shifted.steps[0].report.latency.percentile(99.0),
+        p99_ns: shifted.steps[0].report.run.latency_hist.percentile(99.0),
     });
     let cmp = compare_sweeps(&sweep, &shifted, "a", "b", &Tolerance::default());
     assert!(cmp.regressed(), "{}", cmp.to_table());
