@@ -299,12 +299,6 @@ pub fn run_compaction(
         new_tables.push(Arc::new(handle));
     }
 
-    // The new tables' data is synced by `finish`; their *names* need the
-    // directory synced too, or a crash could lose the files entirely.
-    if !new_tables.is_empty() {
-        gadget_kv::fsync_dir(dir).map_err(io::Error::other)?;
-    }
-
     Ok(CompactionOutput {
         new_tables,
         bytes_read,

@@ -8,7 +8,15 @@
 //! folded, so a `merge` costs O(operand) regardless of how large the
 //! accumulated value already is. Operands are folded with their base value
 //! only when a read needs the full value or when the memtable is flushed.
+//!
+//! The table owns its bytes: values and operands are copied into an
+//! [`Arena`] of a few large chunks and the sorted map holds only indices
+//! into it (and keys of up to 22 bytes inline), so a write allocates when
+//! a chunk or a tree node fills, not per operation, and the flush thread
+//! dropping a flushed table frees those chunks and nodes instead of two
+//! or three heap blocks per write that the writer allocated.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
@@ -38,31 +46,6 @@ impl From<FlushEntry> for Lookup {
     }
 }
 
-/// One entry in the memtable: the newest state of a key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MemEntry {
-    /// Full value.
-    Put(Bytes),
-    /// Tombstone.
-    Delete,
-    /// Stacked merge operands (oldest first) over an optional base.
-    Merge {
-        /// Base value, if one was present in this memtable.
-        base: Option<BaseRepr>,
-        /// Operands in application (oldest-first) order.
-        operands: Vec<Bytes>,
-    },
-}
-
-/// The base beneath a stack of merge operands; see [`MemEntry::Merge`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BaseRepr {
-    /// Merge on top of a full value.
-    Value(Bytes),
-    /// Merge on top of a tombstone (rebuild from empty).
-    Tombstone,
-}
-
 /// Folds a base value and merge operands into the full value, using the
 /// list-append merge operator.
 pub fn fold_merge(base: Option<&[u8]>, operands: &[Bytes]) -> Bytes {
@@ -77,10 +60,240 @@ pub fn fold_merge(base: Option<&[u8]>, operands: &[Bytes]) -> Bytes {
     Bytes::from(out)
 }
 
+/// Size of the chunks values and operands are bump-copied into.
+const CHUNK_BYTES: usize = 256 << 10;
+
+/// Anything larger gets a chunk of exactly its own size, so the tail a
+/// bump chunk wastes when the next value does not fit stays under a
+/// quarter of it.
+const OVERSIZED_BYTES: usize = CHUNK_BYTES / 4;
+
+/// Longest key stored in the tree node itself; makes [`Key`] 24 bytes,
+/// the size of the `Vec` header it replaces.
+const INLINE_KEY_BYTES: usize = 22;
+
+/// Header of an operand record in the arena: chunk and offset of the
+/// record stacked before it, then this operand's length, each a
+/// little-endian `u32`. The operand's bytes follow.
+const OPERAND_HEADER_BYTES: usize = 12;
+
+/// Narrows a chunk index, an offset into a chunk or a value length. The
+/// SSTable record format already caps a value at `u32::MAX` bytes.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("memtable values and chunk counts fit in 32 bits")
+}
+
+/// Where a value lies in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    chunk: u32,
+    off: u32,
+    len: u32,
+}
+
+/// Where an operand record starts in the arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct OperandRef {
+    chunk: u32,
+    off: u32,
+}
+
+/// The bytes a memtable owns. Every value and operand is copied into one
+/// of a few large chunks and addressed by index, so a write allocates
+/// only when a chunk fills, and dropping the table frees chunks, not
+/// values.
+#[derive(Debug, Default)]
+struct Arena {
+    /// Filled up to their capacity and never beyond, so no chunk is ever
+    /// reallocated.
+    chunks: Vec<Vec<u8>>,
+    /// The chunk bump allocation continues in.
+    bump: Option<usize>,
+}
+
+impl Arena {
+    /// The chunk the next `len` bytes go to, and its index.
+    fn chunk_for(&mut self, len: usize) -> (u32, &mut Vec<u8>) {
+        let fits = |c: &Vec<u8>| c.capacity() - c.len() >= len;
+        let idx = match self.bump {
+            Some(bump) if len <= OVERSIZED_BYTES && fits(&self.chunks[bump]) => bump,
+            _ => {
+                let oversized = len > OVERSIZED_BYTES;
+                let capacity = if oversized { len } else { CHUNK_BYTES };
+                self.chunks.push(Vec::with_capacity(capacity));
+                let idx = self.chunks.len() - 1;
+                if !oversized {
+                    self.bump = Some(idx);
+                }
+                idx
+            }
+        };
+        (narrow(idx), &mut self.chunks[idx])
+    }
+
+    fn push_value(&mut self, value: &[u8]) -> Span {
+        let (chunk, buf) = self.chunk_for(value.len());
+        let off = narrow(buf.len());
+        buf.extend_from_slice(value);
+        Span {
+            chunk,
+            off,
+            len: narrow(value.len()),
+        }
+    }
+
+    /// Appends an operand record linked to `prev`, the record stacked
+    /// before it (any value when this is a stack's first operand: readers
+    /// stop by count).
+    fn push_operand(&mut self, prev: OperandRef, operand: &[u8]) -> OperandRef {
+        let (chunk, buf) = self.chunk_for(OPERAND_HEADER_BYTES + operand.len());
+        let off = narrow(buf.len());
+        buf.extend_from_slice(&prev.chunk.to_le_bytes());
+        buf.extend_from_slice(&prev.off.to_le_bytes());
+        buf.extend_from_slice(&narrow(operand.len()).to_le_bytes());
+        buf.extend_from_slice(operand);
+        OperandRef { chunk, off }
+    }
+
+    fn value(&self, span: Span) -> &[u8] {
+        &self.chunks[span.chunk as usize][span.off as usize..][..span.len as usize]
+    }
+
+    /// The operand record at `at`: its bytes, and the record before it.
+    fn operand(&self, at: OperandRef) -> (&[u8], OperandRef) {
+        let record = &self.chunks[at.chunk as usize][at.off as usize..];
+        let word = |i: usize| {
+            let bytes = record[4 * i..][..4].try_into().expect("4-byte slice");
+            u32::from_le_bytes(bytes)
+        };
+        let prev = OperandRef {
+            chunk: word(0),
+            off: word(1),
+        };
+        (&record[OPERAND_HEADER_BYTES..][..word(2) as usize], prev)
+    }
+
+    /// The `count` operands stacked up to `newest`, newest first.
+    fn stack(&self, newest: OperandRef, count: u32) -> impl Iterator<Item = &[u8]> {
+        let mut at = newest;
+        (0..count).map(move |_| {
+            let (operand, prev) = self.operand(at);
+            at = prev;
+            operand
+        })
+    }
+}
+
+/// A key as the tree stores it: up to [`INLINE_KEY_BYTES`] (every
+/// `StateKey` is 16) inside the node, so looking a key up or inserting
+/// it touches no other allocation. A longer key is boxed by the write
+/// that carries it, before the tree says whether it is new. Ordered as
+/// its bytes.
+#[derive(Debug)]
+enum Key {
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_KEY_BYTES],
+    },
+    Heap(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+impl Key {
+    fn new(key: &[u8]) -> Key {
+        if key.len() <= INLINE_KEY_BYTES {
+            let mut bytes = [0; INLINE_KEY_BYTES];
+            bytes[..key.len()].copy_from_slice(key);
+            Key::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            Key::Heap(key.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..*len as usize],
+            Key::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl Borrow<[u8]> for Key {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+/// What a key's merge operands are stacked on.
+#[derive(Debug, Clone, Copy)]
+enum Base {
+    /// Nothing this memtable knows of: older data decides.
+    Absent,
+    /// A full value.
+    Value(Span),
+    /// A tombstone (operands rebuild from empty).
+    Tombstone,
+}
+
+/// The newest state of one key: a base and the merge operands stacked on
+/// it since. A plain put or delete is a `Value` or `Tombstone` base under
+/// no operands; `Absent` occurs only under at least one.
+#[derive(Debug)]
+struct Slot {
+    base: Base,
+    /// The newest operand's record, which links to the one before it, and
+    /// so on for `operands` records. Appending is O(operand): nothing
+    /// older is touched.
+    newest: OperandRef,
+    operands: u32,
+    /// Total length of the stacked operands.
+    operand_bytes: usize,
+}
+
+impl Slot {
+    fn new(base: Base) -> Slot {
+        Slot {
+            base,
+            newest: OperandRef::default(),
+            operands: 0,
+            operand_bytes: 0,
+        }
+    }
+
+    fn is_tombstone(&self) -> bool {
+        matches!(self.base, Base::Tombstone) && self.operands == 0
+    }
+}
+
 /// An in-memory sorted write buffer.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    entries: BTreeMap<Vec<u8>, MemEntry>,
+    entries: BTreeMap<Key, Slot>,
+    arena: Arena,
     approximate_bytes: usize,
     /// Number of tombstones currently buffered (drives Lethe accounting).
     tombstones: u64,
@@ -112,56 +325,83 @@ impl MemTable {
         self.tombstones
     }
 
+    /// Replaces whatever `key` held with `base` under no operands.
+    fn set(&mut self, key: &[u8], base: Base) {
+        let slot = Slot::new(base);
+        let now = slot.is_tombstone();
+        let was = self
+            .entries
+            .insert(Key::new(key), slot)
+            .is_some_and(|prev| prev.is_tombstone());
+        self.tombstones = self.tombstones + u64::from(now) - u64::from(was);
+    }
+
     /// Records a full-value write.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
         self.approximate_bytes += key.len() + value.len() + 16;
-        let entry = MemEntry::Put(Bytes::copy_from_slice(value));
-        if let Some(MemEntry::Delete) = self.entries.insert(key.to_vec(), entry) {
-            self.tombstones -= 1;
-        }
+        let value = self.arena.push_value(value);
+        self.set(key, Base::Value(value));
     }
 
     /// Records a tombstone.
     pub fn delete(&mut self, key: &[u8]) {
         self.approximate_bytes += key.len() + 16;
-        let prev = self.entries.insert(key.to_vec(), MemEntry::Delete);
-        if !matches!(prev, Some(MemEntry::Delete)) {
-            self.tombstones += 1;
-        }
+        self.set(key, Base::Tombstone);
     }
 
     /// Records a merge operand on top of whatever the key's newest state
     /// in this memtable is.
     pub fn merge(&mut self, key: &[u8], operand: &[u8]) {
         self.approximate_bytes += key.len() + operand.len() + 16;
-        let op = Bytes::copy_from_slice(operand);
-        match self.entries.get_mut(key) {
-            None => {
-                self.entries.insert(
-                    key.to_vec(),
-                    MemEntry::Merge {
-                        base: None,
-                        operands: vec![op],
-                    },
-                );
+        // One descent finds the key's slot or makes it.
+        let slot = self
+            .entries
+            .entry(Key::new(key))
+            .or_insert(Slot::new(Base::Absent));
+        if slot.is_tombstone() {
+            self.tombstones -= 1;
+        }
+        slot.newest = self.arena.push_operand(slot.newest, operand);
+        slot.operands += 1;
+        slot.operand_bytes += operand.len();
+    }
+
+    /// Copies the slot's operands out of the arena, oldest first.
+    fn operands(&self, slot: &Slot) -> Vec<Bytes> {
+        let stack = self.arena.stack(slot.newest, slot.operands);
+        let mut out: Vec<Bytes> = stack.map(Bytes::copy_from_slice).collect();
+        out.reverse();
+        out
+    }
+
+    /// `base` followed by the slot's operands, oldest first, in one buffer.
+    fn folded(&self, base: &[u8], slot: &Slot) -> Bytes {
+        let total = base.len() + slot.operand_bytes;
+        let mut out = Vec::with_capacity(total);
+        out.extend_from_slice(base);
+        out.resize(total, 0);
+        // The stack is linked newest to oldest: fill from the back.
+        let mut end = total;
+        for operand in self.arena.stack(slot.newest, slot.operands) {
+            out[end - operand.len()..end].copy_from_slice(operand);
+            end -= operand.len();
+        }
+        Bytes::from(out)
+    }
+
+    /// What `slot` says about its key, folding a resolved merge stack into
+    /// a full value. Everything returned is copied out of the arena by the
+    /// calling thread, so it is freed by the thread that allocated it and
+    /// the arena's chunks are never shared.
+    fn resolve(&self, slot: &Slot) -> FlushEntry {
+        match slot.base {
+            Base::Value(v) if slot.operands == 0 => {
+                FlushEntry::Put(Bytes::copy_from_slice(self.arena.value(v)))
             }
-            Some(entry) => match entry {
-                MemEntry::Merge { operands, .. } => operands.push(op),
-                MemEntry::Put(v) => {
-                    let base = BaseRepr::Value(std::mem::take(v));
-                    *entry = MemEntry::Merge {
-                        base: Some(base),
-                        operands: vec![op],
-                    };
-                }
-                MemEntry::Delete => {
-                    self.tombstones -= 1;
-                    *entry = MemEntry::Merge {
-                        base: Some(BaseRepr::Tombstone),
-                        operands: vec![op],
-                    };
-                }
-            },
+            Base::Value(v) => FlushEntry::Put(self.folded(self.arena.value(v), slot)),
+            Base::Tombstone if slot.operands == 0 => FlushEntry::Delete,
+            Base::Tombstone => FlushEntry::Put(self.folded(&[], slot)),
+            Base::Absent => FlushEntry::Merge(self.operands(slot)),
         }
     }
 
@@ -169,13 +409,7 @@ impl MemTable {
     pub fn get(&self, key: &[u8]) -> Lookup {
         match self.entries.get(key) {
             None => Lookup::NotFound,
-            Some(MemEntry::Put(v)) => Lookup::Value(v.clone()),
-            Some(MemEntry::Delete) => Lookup::Deleted,
-            Some(MemEntry::Merge { base, operands }) => match base {
-                Some(BaseRepr::Value(v)) => Lookup::Value(fold_merge(Some(v), operands)),
-                Some(BaseRepr::Tombstone) => Lookup::Value(fold_merge(None, operands)),
-                None => Lookup::Operands(operands.clone()),
-            },
+            Some(slot) => self.resolve(slot).into(),
         }
     }
 
@@ -186,18 +420,9 @@ impl MemTable {
     /// so this is semantics-preserving), while unresolved stacks remain
     /// merge records that must keep their merge tag on disk.
     pub fn flush_iter(&self) -> impl Iterator<Item = (&[u8], FlushEntry)> + '_ {
-        self.entries.iter().map(|(k, e)| {
-            let fe = match e {
-                MemEntry::Put(v) => FlushEntry::Put(v.clone()),
-                MemEntry::Delete => FlushEntry::Delete,
-                MemEntry::Merge { base, operands } => match base {
-                    Some(BaseRepr::Value(v)) => FlushEntry::Put(fold_merge(Some(v), operands)),
-                    Some(BaseRepr::Tombstone) => FlushEntry::Put(fold_merge(None, operands)),
-                    None => FlushEntry::Merge(operands.clone()),
-                },
-            };
-            (k.as_slice(), fe)
-        })
+        self.entries
+            .iter()
+            .map(|(k, slot)| (k.as_slice(), self.resolve(slot)))
     }
 }
 

@@ -177,10 +177,18 @@ struct IndexEntry {
     len: u32,
 }
 
+/// Suffix of a table still being written. [`TableWriter::finish`] renames
+/// it away once the whole file is synced, so a name ending in `.sst` is
+/// always a complete table and a crash leaves a torn one only under this
+/// suffix, where recovery deletes it.
+pub(crate) const TMP_SUFFIX: &str = ".tmp";
+
 /// Writes a sorted stream of records into an SSTable file.
 pub struct TableWriter {
     file: File,
+    /// The table's final name; until `finish` the bytes are in `tmp_path`.
     path: PathBuf,
+    tmp_path: PathBuf,
     block_bytes: usize,
     buf: Vec<u8>,
     offset: u64,
@@ -188,7 +196,8 @@ pub struct TableWriter {
     block_first_key: Option<Vec<u8>>,
     bloom: Option<BloomFilter>,
     smallest: Option<Vec<u8>>,
-    largest: Option<Vec<u8>>,
+    /// The last key added; one buffer reused for every record.
+    largest: Vec<u8>,
     num_entries: u64,
     tombstones: u64,
 }
@@ -201,9 +210,13 @@ impl TableWriter {
         bloom_bits_per_key: u32,
         expected_keys: usize,
     ) -> io::Result<Self> {
+        let mut tmp_path = path.as_os_str().to_owned();
+        tmp_path.push(TMP_SUFFIX);
+        let tmp_path = PathBuf::from(tmp_path);
         Ok(TableWriter {
-            file: File::create(path)?,
+            file: File::create(&tmp_path)?,
             path: path.to_path_buf(),
+            tmp_path,
             block_bytes: block_bytes.max(64),
             buf: Vec::with_capacity(block_bytes * 2),
             offset: 0,
@@ -211,7 +224,7 @@ impl TableWriter {
             block_first_key: None,
             bloom: BloomFilter::new(expected_keys, bloom_bits_per_key),
             smallest: None,
-            largest: None,
+            largest: Vec::new(),
             num_entries: 0,
             tombstones: 0,
         })
@@ -220,13 +233,14 @@ impl TableWriter {
     /// Appends one record. Keys must arrive in strictly increasing order.
     pub fn add(&mut self, key: &[u8], entry: &FlushEntry) -> io::Result<()> {
         debug_assert!(
-            self.largest.as_deref().is_none_or(|l| l < key),
+            self.num_entries == 0 || self.largest.as_slice() < key,
             "keys must be added in strictly increasing order"
         );
         if self.smallest.is_none() {
             self.smallest = Some(key.to_vec());
         }
-        self.largest = Some(key.to_vec());
+        self.largest.clear();
+        self.largest.extend_from_slice(key);
         if self.block_first_key.is_none() {
             self.block_first_key = Some(key.to_vec());
         }
@@ -263,7 +277,10 @@ impl TableWriter {
         Ok(())
     }
 
-    /// Finalizes the file and returns its metadata handle.
+    /// Finalizes the file and returns its metadata handle. The table
+    /// appears under its final name, and that name is durable, only once
+    /// every byte of it is: synced, then renamed, then the directory
+    /// synced.
     pub fn finish(mut self, file_no: u64) -> io::Result<TableHandle> {
         self.finish_block()?;
         let bloom_bytes = self
@@ -299,6 +316,10 @@ impl TableWriter {
         debug_assert_eq!(footer.len(), FOOTER_LEN);
         self.file.write_all(&footer)?;
         self.file.sync_data()?;
+        std::fs::rename(&self.tmp_path, &self.path)?;
+        if let Some(dir) = self.path.parent() {
+            gadget_kv::fsync_dir(dir).map_err(io::Error::other)?;
+        }
         let size = self.offset + FOOTER_LEN as u64;
         let read_handle = File::open(&self.path)?;
 
@@ -307,7 +328,7 @@ impl TableWriter {
             path: self.path,
             size,
             smallest: self.smallest.unwrap_or_default(),
-            largest: self.largest.unwrap_or_default(),
+            largest: self.largest,
             num_entries: self.num_entries,
             tombstones: self.tombstones,
             index: Arc::new(self.index),

@@ -863,8 +863,6 @@ fn flush_one(inner: &Inner) -> Result<bool, StoreError> {
     }
     let mut handle = writer.finish(file_no)?;
     handle.creation_seq = inner.seq.load(Ordering::Relaxed);
-    // The table's data is synced by `finish`; sync its directory entry too.
-    fsync_dir(&inner.dir)?;
     {
         // Install the new table and retire the memtable atomically w.r.t.
         // readers, so no key is visible twice or not at all.
@@ -1530,6 +1528,48 @@ mod tests {
                 }
                 None => seen_missing = true,
             }
+        }
+    }
+
+    #[test]
+    fn torn_table_from_a_crashed_flush_is_discarded_on_open() {
+        let mut config = LsmConfig::small();
+        config.wal_sync = true;
+        let dir = tmpdir("torn-table");
+        let s = LsmStore::open(&dir, config.clone()).unwrap();
+        let value = |i: u64| format!("value-{i}").into_bytes();
+        for i in 0..500u64 {
+            s.put(&i.to_be_bytes(), &value(i)).unwrap();
+        }
+        s.simulate_crash();
+        drop(s);
+        // What a kill in the middle of the flush of those writes leaves
+        // beside their WAL generation: the first blocks of the table, the
+        // last of them cut short, and no index, footer or final name.
+        let table = table_path(dir.root(), 0, 1);
+        let mut w = TableWriter::create(&table, config.block_bytes, 10, 500).unwrap();
+        for i in 0..500u64 {
+            w.add(&i.to_be_bytes(), &FlushEntry::Put(Bytes::from(value(i))))
+                .unwrap();
+        }
+        drop(w);
+        assert!(!table.exists(), "a table has its name before it is whole");
+        let torn = dir.root().join("L0_1.sst.tmp");
+        let written = std::fs::metadata(&torn).unwrap().len();
+        assert!(written > config.block_bytes as u64, "no block was written");
+        let file = std::fs::File::options().write(true).open(&torn).unwrap();
+        file.set_len(written - 7).unwrap();
+        drop(file);
+
+        let s = LsmStore::open(&dir, config).unwrap();
+        assert!(!torn.exists(), "torn table left behind");
+        assert_eq!(s.level_file_counts().iter().sum::<usize>(), 0);
+        for i in 0..500u64 {
+            assert_eq!(
+                s.get(&i.to_be_bytes()).unwrap().as_deref(),
+                Some(&value(i)[..]),
+                "acknowledged write {i} lost"
+            );
         }
     }
 

@@ -128,7 +128,8 @@ pub fn parse_table_file_name(name: &str) -> Option<(usize, u64)> {
     Some((level.parse().ok()?, file_no.parse().ok()?))
 }
 
-/// Scans `dir` for SSTables and reconstructs a version.
+/// Scans `dir` for SSTables and reconstructs a version, deleting any
+/// table a crash left half-written under its temporary name.
 ///
 /// Returns the version and the largest file number seen.
 pub fn recover_version(dir: &Path, num_levels: usize) -> std::io::Result<(Version, u64)> {
@@ -138,6 +139,15 @@ pub fn recover_version(dir: &Path, num_levels: usize) -> std::io::Result<(Versio
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
+        if let Some(table) = name.strip_suffix(crate::sstable::TMP_SUFFIX) {
+            // A flush or compaction died before its commit point. The
+            // table was never installed, so what it would have held is
+            // still in its WAL generation or its input tables.
+            if parse_table_file_name(table).is_some() {
+                std::fs::remove_file(entry.path())?;
+            }
+            continue;
+        }
         let Some((level, file_no)) = parse_table_file_name(name) else {
             continue;
         };

@@ -67,6 +67,198 @@ fn reference_get(file: &[u8], key: &[u8]) -> Lookup {
     Lookup::NotFound
 }
 
+/// The memtable as it stood before it owned its bytes: a map from a heap
+/// key to reference-counted values and a growing vector of operands. Kept
+/// as the reference the arena-backed table is compared with.
+mod reference {
+    use std::collections::BTreeMap;
+
+    use bytes::Bytes;
+    use gadget_lsm::memtable::{fold_merge, FlushEntry, Lookup};
+
+    enum MemEntry {
+        Put(Bytes),
+        Delete,
+        Merge {
+            base: Option<BaseRepr>,
+            operands: Vec<Bytes>,
+        },
+    }
+
+    enum BaseRepr {
+        Value(Bytes),
+        Tombstone,
+    }
+
+    #[derive(Default)]
+    pub struct MemTable {
+        entries: BTreeMap<Vec<u8>, MemEntry>,
+        approximate_bytes: usize,
+        tombstones: u64,
+    }
+
+    impl MemTable {
+        pub fn approximate_bytes(&self) -> usize {
+            self.approximate_bytes
+        }
+
+        pub fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        pub fn tombstones(&self) -> u64 {
+            self.tombstones
+        }
+
+        pub fn put(&mut self, key: &[u8], value: &[u8]) {
+            self.approximate_bytes += key.len() + value.len() + 16;
+            let entry = MemEntry::Put(Bytes::copy_from_slice(value));
+            if let Some(MemEntry::Delete) = self.entries.insert(key.to_vec(), entry) {
+                self.tombstones -= 1;
+            }
+        }
+
+        pub fn delete(&mut self, key: &[u8]) {
+            self.approximate_bytes += key.len() + 16;
+            let prev = self.entries.insert(key.to_vec(), MemEntry::Delete);
+            if !matches!(prev, Some(MemEntry::Delete)) {
+                self.tombstones += 1;
+            }
+        }
+
+        pub fn merge(&mut self, key: &[u8], operand: &[u8]) {
+            self.approximate_bytes += key.len() + operand.len() + 16;
+            let op = Bytes::copy_from_slice(operand);
+            match self.entries.get_mut(key) {
+                None => {
+                    self.entries.insert(
+                        key.to_vec(),
+                        MemEntry::Merge {
+                            base: None,
+                            operands: vec![op],
+                        },
+                    );
+                }
+                Some(entry) => match entry {
+                    MemEntry::Merge { operands, .. } => operands.push(op),
+                    MemEntry::Put(v) => {
+                        let base = BaseRepr::Value(std::mem::take(v));
+                        *entry = MemEntry::Merge {
+                            base: Some(base),
+                            operands: vec![op],
+                        };
+                    }
+                    MemEntry::Delete => {
+                        self.tombstones -= 1;
+                        *entry = MemEntry::Merge {
+                            base: Some(BaseRepr::Tombstone),
+                            operands: vec![op],
+                        };
+                    }
+                },
+            }
+        }
+
+        pub fn get(&self, key: &[u8]) -> Lookup {
+            match self.entries.get(key) {
+                None => Lookup::NotFound,
+                Some(MemEntry::Put(v)) => Lookup::Value(v.clone()),
+                Some(MemEntry::Delete) => Lookup::Deleted,
+                Some(MemEntry::Merge { base, operands }) => match base {
+                    Some(BaseRepr::Value(v)) => Lookup::Value(fold_merge(Some(v), operands)),
+                    Some(BaseRepr::Tombstone) => Lookup::Value(fold_merge(None, operands)),
+                    None => Lookup::Operands(operands.clone()),
+                },
+            }
+        }
+
+        pub fn flush_iter(&self) -> impl Iterator<Item = (&[u8], FlushEntry)> + '_ {
+            self.entries.iter().map(|(k, e)| {
+                let fe = match e {
+                    MemEntry::Put(v) => FlushEntry::Put(v.clone()),
+                    MemEntry::Delete => FlushEntry::Delete,
+                    MemEntry::Merge { base, operands } => match base {
+                        Some(BaseRepr::Value(v)) => FlushEntry::Put(fold_merge(Some(v), operands)),
+                        Some(BaseRepr::Tombstone) => FlushEntry::Put(fold_merge(None, operands)),
+                        None => FlushEntry::Merge(operands.clone()),
+                    },
+                };
+                (k.as_slice(), fe)
+            })
+        }
+    }
+}
+
+/// One step of [`arena_memtable_equals_reference`].
+#[derive(Debug, Clone)]
+enum MemOp {
+    Put {
+        key: usize,
+        len: usize,
+        fill: u8,
+    },
+    Delete {
+        key: usize,
+    },
+    /// `count` operands of `len` bytes each, after first giving the key
+    /// the base `over` names: 0 whatever it holds, 1 a value, 2 a
+    /// tombstone.
+    Stack {
+        key: usize,
+        over: u8,
+        count: usize,
+        len: usize,
+        fill: u8,
+    },
+    FlushIter,
+}
+
+/// `len` bytes that differ from one `fill` and position to the next, so a
+/// copy from the wrong offset or of the wrong operand shows.
+fn patterned(len: usize, fill: u8) -> Vec<u8> {
+    (0..len).map(|i| fill.wrapping_add(i as u8)).collect()
+}
+
+fn mem_ops() -> impl Strategy<Value = Vec<MemOp>> {
+    // From empty, through a few blocks, past the size that gets a chunk of
+    // its own (64 KiB), to larger than a whole chunk (256 KiB).
+    let value_len = || {
+        prop_oneof![
+            0usize..40,
+            0usize..700,
+            Just(70_000usize),
+            Just(300_000usize)
+        ]
+    };
+    let key = || 0usize..64;
+    proptest::collection::vec(
+        prop_oneof![
+            (key(), value_len(), any::<u8>()).prop_map(|(key, len, fill)| MemOp::Put {
+                key,
+                len,
+                fill
+            }),
+            key().prop_map(|key| MemOp::Delete { key }),
+            (
+                key(),
+                0u8..3,
+                prop_oneof![1usize..6, 1usize..5001],
+                0usize..6,
+                any::<u8>()
+            )
+                .prop_map(|(key, over, count, len, fill)| MemOp::Stack {
+                    key,
+                    over,
+                    count,
+                    len,
+                    fill
+                }),
+            Just(MemOp::FlushIter),
+        ],
+        1..40,
+    )
+}
+
 /// Arbitrary sorted, deduplicated entries for an SSTable.
 fn sorted_entries() -> impl Strategy<Value = Vec<(Vec<u8>, FlushEntry)>> {
     proptest::collection::btree_map(
@@ -149,6 +341,76 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The arena-backed memtable answers every probe, flushes every entry
+    /// and, after every single write, accounts for its size exactly as the
+    /// table it replaced did, which keeps memtables rotating at the same
+    /// operation and so every flush and compaction byte count per seed
+    /// where it was. Keys run from empty to 40 bytes, both sides of the
+    /// 22-byte inline limit.
+    #[test]
+    fn arena_memtable_equals_reference(
+        ops in mem_ops(),
+        random_keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..41), 1..6),
+    ) {
+        let mut keys: Vec<Vec<u8>> = vec![vec![], vec![9; 21], vec![9; 22], vec![9; 23], vec![9; 40]];
+        keys.extend(random_keys);
+        let mut mem = MemTable::new();
+        let mut model = reference::MemTable::default();
+        for op in &ops {
+            let touched = match *op {
+                MemOp::Put { key, len, fill } => {
+                    let key = &keys[key % keys.len()];
+                    let value = patterned(len, fill);
+                    mem.put(key, &value);
+                    model.put(key, &value);
+                    Some(key)
+                }
+                MemOp::Delete { key } => {
+                    let key = &keys[key % keys.len()];
+                    mem.delete(key);
+                    model.delete(key);
+                    Some(key)
+                }
+                MemOp::Stack { key, over, count, len, fill } => {
+                    let key = &keys[key % keys.len()];
+                    match over {
+                        1 => {
+                            mem.put(key, b"base");
+                            model.put(key, b"base");
+                        }
+                        2 => {
+                            mem.delete(key);
+                            model.delete(key);
+                        }
+                        _ => {}
+                    }
+                    for i in 0..count {
+                        let operand = patterned(len, fill.wrapping_add(i as u8));
+                        mem.merge(key, &operand);
+                        model.merge(key, &operand);
+                        prop_assert_eq!(mem.approximate_bytes(), model.approximate_bytes());
+                    }
+                    Some(key)
+                }
+                MemOp::FlushIter => None,
+            };
+            prop_assert_eq!(mem.approximate_bytes(), model.approximate_bytes());
+            prop_assert_eq!(mem.tombstones(), model.tombstones());
+            prop_assert_eq!(mem.len(), model.len());
+            match touched {
+                Some(key) => prop_assert_eq!(mem.get(key), model.get(key)),
+                None => prop_assert!(mem.flush_iter().eq(model.flush_iter())),
+            }
+        }
+        for key in &keys {
+            prop_assert_eq!(mem.get(key), model.get(key));
+            // A key that was never written, next to one that may have been.
+            let absent = [key.as_slice(), &[0, 1, 2]].concat();
+            prop_assert_eq!(mem.get(&absent), model.get(&absent));
+        }
+        prop_assert!(mem.flush_iter().eq(model.flush_iter()));
     }
 
     /// Every record written to an SSTable reads back identically, both
