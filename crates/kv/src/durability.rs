@@ -324,60 +324,59 @@ pub fn shard_checkpoint_dir(dir: &Path, index: usize) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TestDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-dur-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir(name: &str) -> TestDir {
+        TestDir::new(&format!("dur-{name}"))
     }
 
     #[test]
     fn manifest_roundtrip() {
-        let dir = tmpdir("manifest");
+        let tmp = tmpdir("manifest");
+        let dir = tmp.root();
         let mut m = CheckpointManifest::new("lsm");
         m.push_file("L0_1.sst", 4096);
         m.push_file("wal_0.log", 128);
         m.reused_files = 1;
         m.partition_digest = Some("abc123".to_string());
         m.shards = 4;
-        m.save(&dir).unwrap();
-        let loaded = CheckpointManifest::load(&dir).unwrap();
+        m.save(dir).unwrap();
+        let loaded = CheckpointManifest::load(dir).unwrap();
         assert_eq!(loaded, m);
         assert_eq!(loaded.total_bytes, 4096 + 128);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_manifest_is_a_path_error() {
-        let dir = tmpdir("missing");
-        let err = CheckpointManifest::load(&dir).unwrap_err();
+        let tmp = tmpdir("missing");
+        let dir = tmp.root();
+        let err = CheckpointManifest::load(dir).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("open"), "{msg}");
         assert!(msg.contains("CHECKPOINT"), "{msg}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_manifest_is_rejected() {
-        let dir = tmpdir("corrupt");
+        let tmp = tmpdir("corrupt");
+        let dir = tmp.root();
         std::fs::write(dir.join(MANIFEST_NAME), "not a manifest\n").unwrap();
         assert!(matches!(
-            CheckpointManifest::load(&dir),
+            CheckpointManifest::load(dir),
             Err(StoreError::Corruption(_))
         ));
         // Future format versions are rejected rather than misread.
         std::fs::write(dir.join(MANIFEST_NAME), "gadget-checkpoint 99\nstore x\n").unwrap();
         assert!(matches!(
-            CheckpointManifest::load(&dir),
+            CheckpointManifest::load(dir),
             Err(StoreError::Corruption(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn kv_records_roundtrip_and_detect_corruption() {
-        let dir = tmpdir("records");
+        let tmp = tmpdir("records");
+        let dir = tmp.root();
         let path = dir.join("snap");
         let records: Vec<(Vec<u8>, Vec<u8>)> = vec![
             (b"a".to_vec(), b"1".to_vec()),
@@ -407,16 +406,15 @@ mod tests {
             read_kv_records(&path),
             Err(StoreError::Corruption(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fsync_dir_bumps_the_hook_counter() {
-        let dir = tmpdir("fsync");
+        let tmp = tmpdir("fsync");
+        let dir = tmp.root();
         let before = dir_fsync_count();
-        fsync_dir(&dir).unwrap();
+        fsync_dir(dir).unwrap();
         assert!(dir_fsync_count() > before);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -22,10 +22,11 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// FNV-1a over `bytes`.
 ///
-/// This is the canonical key hash: [`shard_of`](crate::shard_of) (and
-/// through it the slot table, shard-affine replay, and the connection
-/// fan-out in `gadget-server`) and the trace instrumentation's
-/// plain-key hashing are all thin wrappers around it.
+/// This is the canonical key hash: [`slot_of_key`](crate::slot_of_key)
+/// (and through it the slot table, [`shard_of`](crate::shard_of),
+/// shard-affine replay, and the connection fan-out in `gadget-server`)
+/// and the trace instrumentation's plain-key hashing are all thin
+/// wrappers around it.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;

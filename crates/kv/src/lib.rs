@@ -21,8 +21,8 @@
 //! * [`ShardedStore`] — hash-partitions the keyspace across N inner
 //!   stores so independent shard locks, WALs, and background workers can
 //!   use multiple cores; batches split per shard and apply in parallel.
-//!   Routing goes through a pluggable [`Router`] (by default the
-//!   versioned [`SlotTable`]), and the topology can change *live*:
+//!   Keys route through a versioned [`SlotTable`] (fixed hash slots →
+//!   shard), and the topology can change *live*:
 //!   [`ShardedStore::split_shard`] / [`ShardedStore::migrate_slots`]
 //!   move hash slots between shards under traffic with a double-apply
 //!   transfer window and an atomic map flip.
@@ -55,6 +55,6 @@ pub use instrument::InstrumentedStore;
 pub use mem::MemStore;
 pub use observed::{ObservedStore, OpTimers};
 pub use remote::{NetworkProfile, RemoteStore};
-pub use router::{digest_hex, slot_of_key, ReshardEvent, Router, SlotTable, SLOTS};
-pub use sharded::{shard_of, ShardedStore};
+pub use router::{shard_of, slot_of_key, ReshardEvent, SlotTable, SLOTS};
+pub use sharded::ShardedStore;
 pub use store::{apply_ops_serially, BatchResult, StateStore, StoreCounters};

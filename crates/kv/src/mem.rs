@@ -292,21 +292,21 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("gadget-mem-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = crate::testutil::TestDir::new("mem-ckpt");
+        let dir = tmp.root();
         let s = MemStore::new();
         s.put(b"a", b"1").unwrap();
         s.merge(b"b", b"22").unwrap();
         s.delete(b"gone").unwrap();
         assert_eq!(s.durability(), Durability::Ephemeral);
-        let manifest = s.checkpoint(&dir).unwrap();
+        let manifest = s.checkpoint(dir).unwrap();
         assert_eq!(manifest.store, "mem");
         assert_eq!(manifest.files.len(), 1);
 
         // Mutate past the checkpoint, then restore: state rolls back.
         s.put(b"a", b"overwritten").unwrap();
         s.put(b"c", b"3").unwrap();
-        s.restore(&dir).unwrap();
+        s.restore(dir).unwrap();
         assert_eq!(s.get(b"a").unwrap().as_deref(), Some(&b"1"[..]));
         assert_eq!(s.get(b"b").unwrap().as_deref(), Some(&b"22"[..]));
         assert_eq!(s.get(b"c").unwrap(), None);
@@ -314,15 +314,11 @@ mod tests {
         // A different store's checkpoint is refused.
         let other = MemStore::new();
         other.put(b"x", b"y").unwrap();
-        let manifest = CheckpointManifest::load(&dir).unwrap();
+        let manifest = CheckpointManifest::load(dir).unwrap();
         let mut wrong = manifest.clone();
         wrong.store = "lsm".to_string();
-        wrong.save(&dir).unwrap();
-        assert!(matches!(
-            other.restore(&dir),
-            Err(StoreError::Corruption(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        wrong.save(dir).unwrap();
+        assert!(matches!(other.restore(dir), Err(StoreError::Corruption(_))));
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Pluggable partition maps: the [`Router`] trait and its versioned
-//! slot-table implementation.
+//! The partition map: the versioned [`SlotTable`].
 //!
-//! A router decides which shard owns a key. The original
+//! A partition map decides which shard owns a key. The original
 //! `fnv1a(key) % N` modulo router is total and deterministic but frozen:
 //! changing `N` remaps almost every key, so the topology can never
 //! change while a store is live. The slot table decouples the two
@@ -45,47 +44,16 @@ pub fn slot_of_key(key: &[u8]) -> usize {
     (fnv1a(key) % SLOTS as u64) as usize
 }
 
-/// A partition map: the pluggable policy deciding which shard owns
-/// which slot (and hence which key).
+/// Which of `shards` owns `key` under the identity map: the static
+/// partition that shard-affine replay threads and the server driver's
+/// connection fan-out use, equal to `SlotTable::identity(shards).route`
+/// for every count, so those threads and a fresh [`ShardedStore`]
+/// always agree about ownership. For counts dividing [`SLOTS`] it is
+/// also the legacy `fnv1a(key) % shards`. `0` for `shards <= 1`.
 ///
-/// Implementations must be cheap to query (`route` sits on every
-/// operation's hot path) and immutable: topology changes are expressed
-/// by *installing a new router* behind the store's epoch pointer, never
-/// by mutating one in place. That is what makes a map flip atomic — a
-/// reader holds one coherent epoch for the duration of an operation.
-pub trait Router: Send + Sync + std::fmt::Debug {
-    /// Number of shards this map routes across.
-    fn shards(&self) -> usize;
-
-    /// The shard that owns `slot`.
-    fn shard_of_slot(&self, slot: usize) -> usize;
-
-    /// Monotonic map version: bumped on every topology change, so two
-    /// epochs of the same store are ordered and distinguishable.
-    fn version(&self) -> u64;
-
-    /// The shard that owns `key`.
-    fn route(&self, key: &[u8]) -> usize {
-        self.shard_of_slot(slot_of_key(key))
-    }
-
-    /// Content digest of the full assignment (shard count + every
-    /// slot's owner). Two routers with equal digests route every key
-    /// identically; reports record it so cross-run comparisons can
-    /// refuse to diff runs with different topologies.
-    fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(SLOTS * 2 + 8);
-        bytes.extend_from_slice(&(self.shards() as u64).to_le_bytes());
-        for slot in 0..SLOTS {
-            bytes.extend_from_slice(&(self.shard_of_slot(slot) as u16).to_le_bytes());
-        }
-        fnv1a(&bytes)
-    }
-}
-
-/// Renders a router digest the way reports record it.
-pub fn digest_hex(router: &dyn Router) -> String {
-    format!("{:016x}", router.digest())
+/// [`ShardedStore`]: crate::ShardedStore
+pub fn shard_of(key: &[u8], shards: usize) -> usize {
+    slot_of_key(key) % shards.max(1)
 }
 
 /// The versioned slot table: a dense `SLOTS`-entry map from slot to
@@ -122,17 +90,6 @@ impl SlotTable {
         }
     }
 
-    /// Materializes any router's current assignment as a slot table —
-    /// the starting point for building a successor epoch when the live
-    /// router is only known as a `dyn Router`.
-    pub fn from_router(router: &dyn Router) -> SlotTable {
-        SlotTable {
-            shards: router.shards(),
-            version: router.version(),
-            table: (0..SLOTS).map(|s| router.shard_of_slot(s) as u16).collect(),
-        }
-    }
-
     /// Builds the successor epoch: `slots` reassigned to shard `to`,
     /// version bumped. `to` may be one past the current shard count
     /// (a freshly added shard); the new table's shard count grows to
@@ -155,19 +112,42 @@ impl SlotTable {
             .filter(|&slot| self.table[slot] == shard as u16)
             .collect()
     }
-}
 
-impl Router for SlotTable {
-    fn shards(&self) -> usize {
+    /// Number of shards this map routes across.
+    pub fn shards(&self) -> usize {
         self.shards
     }
 
-    fn shard_of_slot(&self, slot: usize) -> usize {
+    /// The shard that owns `slot`.
+    #[inline]
+    pub fn shard_of_slot(&self, slot: usize) -> usize {
         self.table[slot] as usize
     }
 
-    fn version(&self) -> u64 {
+    /// Monotonic map version: bumped on every topology change, so two
+    /// epochs of the same store are ordered and distinguishable.
+    pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The shard that owns `key`.
+    #[inline]
+    pub fn route(&self, key: &[u8]) -> usize {
+        self.shard_of_slot(slot_of_key(key))
+    }
+
+    /// Content digest of the full assignment (shard count + every
+    /// slot's owner). Two tables with equal digests route every key
+    /// identically; reports and sharded checkpoints record it, so
+    /// cross-run comparisons and restores can refuse a different
+    /// topology.
+    pub fn digest(&self) -> u64 {
+        let mut bytes = Vec::with_capacity(SLOTS * 2 + 8);
+        bytes.extend_from_slice(&(self.shards as u64).to_le_bytes());
+        for &owner in &self.table {
+            bytes.extend_from_slice(&owner.to_le_bytes());
+        }
+        fnv1a(&bytes)
     }
 }
 
@@ -193,29 +173,47 @@ pub struct ReshardEvent {
     pub pause_us: u64,
     /// Total transfer-window length in microseconds (copy + flip).
     pub copy_us: u64,
-    /// Router version after the flip.
+    /// Map version after the flip.
     pub map_version: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard_of;
 
     #[test]
-    fn identity_table_matches_legacy_modulo_for_dividing_counts() {
-        for shards in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
-            assert_eq!(SLOTS % shards, 0, "{shards} must divide SLOTS");
+    fn shard_of_is_the_identity_route_for_every_count() {
+        for shards in 1usize..=16 {
             let table = SlotTable::identity(shards);
-            for i in 0..4000u64 {
+            for i in 0..10_000u64 {
                 let key = i.to_be_bytes();
-                assert_eq!(
-                    table.route(&key),
-                    shard_of(&key, shards),
-                    "shards={shards} key={i}"
-                );
+                let owner = shard_of(&key, shards);
+                assert_eq!(owner, table.route(&key), "shards={shards} key={i}");
+                if SLOTS.is_multiple_of(shards) {
+                    // The legacy modulo, bit for bit.
+                    assert_eq!(
+                        owner as u64,
+                        fnv1a(&key) % shards as u64,
+                        "shards={shards} key={i}"
+                    );
+                }
             }
         }
+    }
+
+    /// Digests as the code before the `Router` trait's removal computed
+    /// them. Sharded checkpoints and reports record digests, and
+    /// `restore` compares them, so a change here orphans every
+    /// existing one.
+    #[test]
+    fn digests_are_pinned() {
+        assert_eq!(SlotTable::identity(1).digest(), 0xe30c_509b_74d3_82a4);
+        assert_eq!(SlotTable::identity(4).digest(), 0x6353_cfb0_467d_5281);
+        assert_eq!(SlotTable::identity(7).digest(), 0xb2bc_f35a_50c7_0f82);
+        // What `split_shard(0, ..)` installs over four shards.
+        let base = SlotTable::identity(4);
+        let moved: Vec<usize> = base.slots_of(0).into_iter().skip(1).step_by(2).collect();
+        assert_eq!(base.reassign(&moved, 4).digest(), 0x0ba5_0b23_035b_dde4);
     }
 
     #[test]
@@ -248,7 +246,6 @@ mod tests {
         let a = SlotTable::identity(4);
         let b = SlotTable::identity(4);
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(digest_hex(&a), digest_hex(&b));
         let moved = a.slots_of(0);
         let c = a.reassign(&moved[..1], 1);
         assert_ne!(a.digest(), c.digest(), "moving a slot changes the digest");

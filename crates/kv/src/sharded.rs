@@ -11,14 +11,15 @@
 //! ownership only changes at an atomic map flip) preserves per-key
 //! operation order, which is all the dataflow model requires.
 //!
-//! Routing goes through a pluggable [`Router`] — by default the
-//! versioned [`SlotTable`] with the identity assignment, which for any
-//! shard count dividing [`SLOTS`] routes bit-for-bit like the legacy
-//! `fnv1a(key) % N` modulo (so existing on-disk layouts recover
-//! unchanged). The router lives behind an epoch pointer
-//! (`RwLock<Arc<dyn Router>>`): every operation pins one coherent
-//! epoch for its duration, and a topology change installs a whole new
-//! map in one pointer swap.
+//! Keys route through a versioned [`SlotTable`] — initially the
+//! identity assignment, which for any shard count dividing [`SLOTS`]
+//! routes bit-for-bit like the legacy `fnv1a(key) % N` modulo (so
+//! existing on-disk layouts recover unchanged). The shards, the table
+//! and the open transfer window (if any) are one `Topology` behind one
+//! `RwLock`: every operation holds one read guard for its duration and
+//! so routes against one coherent map, and every topology change
+//! (opening the window, adding a shard, the map flip) takes the write
+//! lock, which waits out the operations in flight.
 //!
 //! # Live migration
 //!
@@ -26,13 +27,13 @@
 //! shard while traffic keeps flowing:
 //!
 //! 1. **Open the transfer window.** A migration record (slot set +
-//!    target) is installed under the `migration` write lock, which
-//!    waits for in-flight operations — so every write issued before
-//!    the window opened is visible to the copier.
+//!    target) is installed under the write lock, which waits for
+//!    in-flight operations — so every write issued before the window
+//!    opened is visible to the copier.
 //! 2. **Double-apply.** While the window is open, writes to migrating
 //!    slots apply to *both* the current owner and the target, under
-//!    the migration serial lock. Reads keep going to the current owner
-//!    alone: it stays authoritative until the flip.
+//!    the `serial` lock. Reads keep going to the current owner alone:
+//!    it stays authoritative until the flip.
 //! 3. **Copy.** The copier snapshots the source's key list, then
 //!    copies values in small chunks, re-reading each key under the
 //!    same serial lock. Serializing the copier chunks and the
@@ -41,11 +42,20 @@
 //!    with the source's latest value. Each chunk is a
 //!    `SlotMigration` trace span — the contention the window inflicts
 //!    on foreground writes shows up in >p99 attribution.
-//! 4. **Flip.** Under the serial lock, a successor [`SlotTable`] with
-//!    the slots reassigned is swapped in and the window is closed. The
-//!    flip duration is recorded as the migration's pause time.
+//! 4. **Flip.** Under the serial lock, the write lock swaps in a
+//!    successor [`SlotTable`] with the slots reassigned and closes the
+//!    window. The flip duration is recorded as the migration's pause
+//!    time.
 //! 5. **Cleanup.** The moved keys are deleted from the old owner
 //!    (nothing routes there anymore).
+//!
+//! A split builds its new shard under the serial lock alone, so
+//! traffic keeps flowing while (say) an LSM opens its directory; only
+//! adding the built shard takes the write lock.
+//!
+//! Lock order: `serial` before `topology`. No path takes a read guard
+//! while holding one: `parking_lot`'s lock is fair, so a recursive
+//! read queued behind a waiting writer would deadlock.
 //!
 //! Scans always filter each shard's results through the current map
 //! (`route(key) == shard`), so in-window duplicates on the target and
@@ -67,24 +77,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::durability::{shard_checkpoint_dir, CheckpointManifest, Durability};
 use crate::error::StoreError;
-use crate::hash::fnv1a;
-use crate::router::{slot_of_key, ReshardEvent, Router, SlotTable, SLOTS};
+use crate::router::{slot_of_key, ReshardEvent, SlotTable, SLOTS};
 use crate::store::{BatchResult, StateStore};
-
-/// FNV-1a modulo router: which of `shards` owns `key`.
-///
-/// Deterministic and stable across processes. This remains the
-/// canonical *static* partitioner — shard-affine replay threads and
-/// the server driver's connection fan-out use it directly — and the
-/// identity [`SlotTable`] reproduces it exactly for shard counts that
-/// divide [`SLOTS`].
-pub fn shard_of(key: &[u8], shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    if shards <= 1 {
-        return 0;
-    }
-    (fnv1a(key) % shards as u64) as usize
-}
 
 /// Below this batch size, splitting across worker threads costs more
 /// than it saves; sub-batches are applied sequentially instead (still
@@ -115,24 +109,38 @@ struct MigrationState {
     to: usize,
 }
 
+/// Everything an operation routes through.
+struct Topology {
+    /// Inner shards. Grows (never shrinks) when a split adds a shard.
+    shards: Vec<Arc<dyn StateStore>>,
+    /// The current partition map; the flip replaces it whole.
+    table: SlotTable,
+    /// The open transfer window, if a migration is in flight.
+    window: Option<MigrationState>,
+}
+
+impl Topology {
+    /// Is `slot` inside the open transfer window?
+    fn in_window(&self, slot: usize) -> bool {
+        self.window.as_ref().is_some_and(|m| m.migrating[slot])
+    }
+}
+
+/// Hex digest of a partition map, as reports and checkpoints record it.
+fn digest_hex(table: &SlotTable) -> String {
+    format!("{:016x}", table.digest())
+}
+
 /// A store that hash-partitions the keyspace over N inner stores and
 /// can rebalance that partition while serving traffic.
 pub struct ShardedStore {
-    /// Inner shards. Grows (never shrinks) under the write lock when a
-    /// split adds a shard; operations hold the read lock.
-    shards: RwLock<Vec<Arc<dyn StateStore>>>,
-    /// The epoch pointer: the current partition map. Swapped whole on
-    /// a topology change; operations clone the `Arc` and route against
-    /// one coherent epoch.
-    router: RwLock<Arc<dyn Router>>,
-    /// The open transfer window, if a migration is in flight. Ops hold
-    /// the read lock for their duration, so installing (or clearing)
-    /// the window is a barrier against in-flight operations.
-    migration: RwLock<Option<MigrationState>>,
-    /// Serializes double-applied writes, copier chunks, and the map
-    /// flip. Lock order: `serial` before `migration` before `router`
-    /// before `shards`; never acquire leftward while holding
-    /// rightward.
+    /// Shards, map and transfer window. Operations hold the read lock
+    /// for their duration; opening the window, adding a shard and the
+    /// map flip take the write lock, a barrier against in-flight ops.
+    topology: RwLock<Topology>,
+    /// Serializes double-applied writes, copier chunks, shard builds
+    /// and the map flip. Lock order: `serial` before `topology`; never
+    /// acquire `serial` while holding `topology`.
     serial: Mutex<()>,
     /// Completed migrations, oldest first.
     events: Mutex<Vec<ReshardEvent>>,
@@ -144,10 +152,11 @@ pub struct ShardedStore {
 
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let topology = self.topology.read();
         f.debug_struct("ShardedStore")
             .field("name", &self.name)
-            .field("shards", &self.shards.read().len())
-            .field("map_version", &self.router.read().version())
+            .field("shards", &topology.shards.len())
+            .field("map_version", &topology.table.version())
             .finish()
     }
 }
@@ -184,33 +193,13 @@ impl ShardedStore {
     /// construction error ([`StoreError::Config`]).
     pub fn from_stores(stores: Vec<Arc<dyn StateStore>>) -> Result<ShardedStore, StoreError> {
         Self::check_shard_count(stores.len())?;
-        let router: Arc<dyn Router> = Arc::new(SlotTable::identity(stores.len()));
-        Self::from_stores_with_router(stores, router)
-    }
-
-    /// Builds a sharded store over pre-built instances routed by a
-    /// caller-supplied partition map — the pluggability seam.
-    ///
-    /// # Invariant
-    /// `router.shards()` must equal `stores.len()`; a mismatched map
-    /// is a construction error ([`StoreError::Config`]).
-    pub fn from_stores_with_router(
-        stores: Vec<Arc<dyn StateStore>>,
-        router: Arc<dyn Router>,
-    ) -> Result<ShardedStore, StoreError> {
-        Self::check_shard_count(stores.len())?;
-        if router.shards() != stores.len() {
-            return Err(StoreError::Config(format!(
-                "partition map routes over {} shards but {} stores were supplied",
-                router.shards(),
-                stores.len()
-            )));
-        }
         let name = stores[0].name();
         Ok(ShardedStore {
-            shards: RwLock::new(stores),
-            router: RwLock::new(router),
-            migration: RwLock::new(None),
+            topology: RwLock::new(Topology {
+                table: SlotTable::identity(stores.len()),
+                shards: stores,
+                window: None,
+            }),
             serial: Mutex::new(()),
             events: Mutex::new(Vec::new()),
             factory: None,
@@ -234,19 +223,20 @@ impl ShardedStore {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.read().len()
+        self.topology.read().shards.len()
     }
 
-    /// The current partition map epoch.
-    pub fn router(&self) -> Arc<dyn Router> {
-        self.router.read().clone()
+    /// A copy of the current partition map (control path: it clones
+    /// the table).
+    pub fn router(&self) -> SlotTable {
+        self.topology.read().table.clone()
     }
 
     /// Hex digest of the current partition map (see
-    /// [`Router::digest`]); what reports record as topology
+    /// [`SlotTable::digest`]); what reports record as topology
     /// provenance.
     pub fn partition_digest(&self) -> String {
-        crate::router::digest_hex(self.router().as_ref())
+        digest_hex(&self.topology.read().table)
     }
 
     /// Completed migrations, oldest first.
@@ -256,12 +246,12 @@ impl ShardedStore {
 
     /// The shard that owns `key` under the current map.
     pub fn shard_for_key(&self, key: &[u8]) -> usize {
-        self.router.read().route(key)
+        self.topology.read().table.route(key)
     }
 
     /// Direct access to one shard (tests and diagnostics).
     pub fn shard(&self, index: usize) -> Arc<dyn StateStore> {
-        self.shards.read()[index].clone()
+        self.topology.read().shards[index].clone()
     }
 
     // -----------------------------------------------------------------
@@ -280,11 +270,14 @@ impl ShardedStore {
             )
         })?;
         let new_index = {
-            let mut shards = self.shards.write();
-            Self::check_shard_count(shards.len() + 1)?;
-            let store = factory(shards.len())?;
-            shards.push(store);
-            shards.len() - 1
+            // The build runs under `serial` alone: two splits cannot
+            // both build shard N, and traffic keeps flowing meanwhile.
+            let _serial = self.serial.lock();
+            let index = self.shard_count();
+            Self::check_shard_count(index + 1)?;
+            let store = factory(index)?;
+            self.topology.write().shards.push(store);
+            index
         };
         // The new shard owns no slots until the flip; if the migration
         // fails it stays as an idle (harmless) spare.
@@ -319,8 +312,7 @@ impl ShardedStore {
 
     /// Migrates every second slot `from` owns to `to`.
     fn migrate_half(&self, from: usize, to: usize, at_op: u64) -> Result<ReshardEvent, StoreError> {
-        let table = SlotTable::from_router(self.router.read().as_ref());
-        let owned = table.slots_of(from);
+        let owned = self.topology.read().table.slots_of(from);
         if owned.len() < 2 {
             return Err(StoreError::InvalidArgument(format!(
                 "shard {from} owns {} slot(s); too few to split",
@@ -347,17 +339,6 @@ impl ShardedStore {
         at_op: u64,
     ) -> Result<ReshardEvent, StoreError> {
         let started = Instant::now();
-        // Validate with short-lived guards (nothing held across the
-        // window install, per the lock order).
-        {
-            let shards = self.shards.read();
-            if to >= shards.len() {
-                return Err(StoreError::InvalidArgument(format!(
-                    "target shard {to} out of range (have {})",
-                    shards.len()
-                )));
-            }
-        }
         let mut migrating = vec![false; SLOTS];
         for &slot in slots {
             if slot >= SLOTS {
@@ -371,45 +352,50 @@ impl ShardedStore {
         // in-flight op, so writes issued before the window opened are
         // visible to the copier's snapshot.
         {
-            let mut window = self.migration.write();
-            if window.is_some() {
+            let mut topology = self.topology.write();
+            if to >= topology.shards.len() {
+                return Err(StoreError::InvalidArgument(format!(
+                    "target shard {to} out of range (have {})",
+                    topology.shards.len()
+                )));
+            }
+            if topology.window.is_some() {
                 return Err(StoreError::InvalidArgument(
                     "a slot migration is already in progress".to_string(),
                 ));
             }
-            *window = Some(MigrationState { migrating, to });
+            topology.window = Some(MigrationState {
+                migrating: migrating.clone(),
+                to,
+            });
         }
         // From here on every error path must close the window.
-        let result = self.run_migration(slots, to, at_op, started);
+        let result = self.run_migration(slots, &migrating, to, at_op, started);
         if result.is_err() {
-            *self.migration.write() = None;
+            self.topology.write().window = None;
         }
         result
     }
 
     /// The copy + flip + cleanup body of [`migrate_slots`]; the window
-    /// is already open when this runs.
+    /// over `in_window` is already open when this runs.
     fn run_migration(
         &self,
         slots: &[usize],
+        in_window: &[bool],
         to: usize,
         at_op: u64,
         started: Instant,
     ) -> Result<ReshardEvent, StoreError> {
         let _reshard = trace::span(trace::Category::Reshard, slots.len() as u64);
-        let router = self.router();
-        let mut in_win = vec![false; SLOTS];
-        for &slot in slots {
-            in_win[slot] = true;
-        }
-        let in_window = |slot: usize| in_win[slot];
+        let table = self.router();
 
         // Per-source key snapshots: keys only — values are re-read at
         // copy time under the serial lock, so a write that lands after
         // the snapshot can never be undone by a stale copy.
         let mut sources: Vec<(usize, Vec<Bytes>)> = Vec::new();
         for &slot in slots {
-            let owner = router.shard_of_slot(slot);
+            let owner = table.shard_of_slot(slot);
             if owner != to && !sources.iter().any(|(s, _)| *s == owner) {
                 sources.push((owner, Vec::new()));
             }
@@ -429,7 +415,7 @@ impl ShardedStore {
             let _scope = trace::shard_scope(*owner as u64);
             for (key, _) in shard.scan(&[], &SCAN_HI)? {
                 let slot = slot_of_key(&key);
-                if in_window(slot) && router.shard_of_slot(slot) == *owner {
+                if in_window[slot] && table.shard_of_slot(slot) == *owner {
                     keys.push(key);
                 }
             }
@@ -463,10 +449,10 @@ impl ShardedStore {
         {
             let _serial = self.serial.lock();
             pause_started = Instant::now();
-            let next = SlotTable::from_router(self.router.read().as_ref()).reassign(slots, to);
-            map_version = next.version();
-            *self.router.write() = Arc::new(next);
-            *self.migration.write() = None;
+            let mut topology = self.topology.write();
+            topology.table = topology.table.reassign(slots, to);
+            topology.window = None;
+            map_version = topology.table.version();
         }
         let pause_us = pause_started.elapsed().as_micros() as u64;
 
@@ -476,7 +462,7 @@ impl ShardedStore {
             let source = self.shard(*owner);
             let _scope = trace::shard_scope(*owner as u64);
             for (key, _) in source.scan(&[], &SCAN_HI)? {
-                if in_window(slot_of_key(&key)) {
+                if in_window[slot_of_key(&key)] {
                     source.delete(&key)?;
                 }
             }
@@ -500,7 +486,7 @@ impl ShardedStore {
     // Routing plumbing
     // -----------------------------------------------------------------
 
-    /// Applies one write through the router, double-applying to the
+    /// Applies one write through the map, double-applying to the
     /// migration target when `key`'s slot is inside an open transfer
     /// window.
     fn write_routed(
@@ -510,32 +496,27 @@ impl ShardedStore {
     ) -> Result<(), StoreError> {
         let slot = slot_of_key(key);
         {
-            // Fast path: pin the window state for the whole apply, so a
-            // migration cannot open (and its copier start) between the
-            // check and the write landing.
-            let window = self.migration.read();
-            match window.as_ref() {
-                Some(m) if m.migrating[slot] => {} // slow path below
-                _ => {
-                    let s = self.router.read().shard_of_slot(slot);
-                    let shards = self.shards.read();
-                    let _scope = trace::shard_scope(s as u64);
-                    return apply(shards[s].as_ref());
-                }
+            // Fast path: the guard pins the window state for the whole
+            // apply, so a migration cannot open (and its copier start)
+            // between the check and the write landing.
+            let topology = self.topology.read();
+            if !topology.in_window(slot) {
+                let s = topology.table.shard_of_slot(slot);
+                let _scope = trace::shard_scope(s as u64);
+                return apply(topology.shards[s].as_ref());
             }
         }
-        // Double-apply path. The serial lock is acquired with no other
-        // lock held (lock order), then the window is re-checked: the
-        // flip may have closed it while we waited.
+        // Double-apply path. The serial lock is acquired with the guard
+        // dropped (lock order), then the window is re-checked: the flip
+        // may have closed it while we waited.
         let _serial = self.serial.lock();
-        let window = self.migration.read();
-        let s = self.router.read().shard_of_slot(slot);
-        let shards = self.shards.read();
+        let topology = self.topology.read();
+        let s = topology.table.shard_of_slot(slot);
         let _scope = trace::shard_scope(s as u64);
-        apply(shards[s].as_ref())?;
-        if let Some(m) = window.as_ref() {
+        apply(topology.shards[s].as_ref())?;
+        if let Some(m) = &topology.window {
             if m.migrating[slot] && m.to != s {
-                apply(shards[m.to].as_ref())?;
+                apply(topology.shards[m.to].as_ref())?;
             }
         }
         Ok(())
@@ -573,6 +554,21 @@ impl ShardedStore {
             .map(|r| r.expect("every op belongs to exactly one group"))
             .collect()
     }
+
+    /// The shards and map digest a checkpoint or restore works on.
+    /// The caller holds `serial`, so no flip or split lands until it
+    /// is done. An open transfer window is refused: mid-copy both
+    /// owners hold partial slot contents, which no single manifest can
+    /// describe.
+    fn quiesced(&self, what: &str) -> Result<(Vec<Arc<dyn StateStore>>, String), StoreError> {
+        let topology = self.topology.read();
+        if topology.window.is_some() {
+            return Err(StoreError::InvalidArgument(format!(
+                "cannot {what} while a slot migration window is open"
+            )));
+        }
+        Ok((topology.shards.clone(), digest_hex(&topology.table)))
+    }
 }
 
 impl StateStore for ShardedStore {
@@ -583,12 +579,11 @@ impl StateStore for ShardedStore {
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
         // Reads go to the current owner alone: it is authoritative
         // until the flip, and the flip (plus the cleanup behind it)
-        // waits out this pin of the window state.
-        let _window = self.migration.read();
-        let s = self.router.read().route(key);
-        let shards = self.shards.read();
+        // waits out this guard.
+        let topology = self.topology.read();
+        let s = topology.table.route(key);
         let _scope = trace::shard_scope(s as u64);
-        shards[s].get(key)
+        topology.shards[s].get(key)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -610,14 +605,12 @@ impl StateStore for ShardedStore {
         // in-window duplicates on a migration target and pre-cleanup
         // leftovers on a source. A global sort of the concatenation
         // restores ascending key order.
-        let _window = self.migration.read();
-        let router = self.router.read().clone();
-        let shards = self.shards.read();
+        let topology = self.topology.read();
         let mut out = Vec::new();
-        for (s, shard) in shards.iter().enumerate() {
+        for (s, shard) in topology.shards.iter().enumerate() {
             let _scope = trace::shard_scope(s as u64);
             for (key, value) in shard.scan(lo, hi)? {
-                if router.route(&key) == s {
+                if topology.table.route(&key) == s {
                     out.push((key, value));
                 }
             }
@@ -627,15 +620,17 @@ impl StateStore for ShardedStore {
     }
 
     fn supports_scan(&self) -> bool {
-        self.shards.read()[0].supports_scan()
+        self.topology.read().shards[0].supports_scan()
     }
 
     fn supports_merge(&self) -> bool {
-        self.shards.read()[0].supports_merge()
+        self.topology.read().shards[0].supports_merge()
     }
 
     fn flush(&self) -> Result<(), StoreError> {
-        let shards = self.shards.read();
+        // A copy of the list: a writer queued behind a guard held
+        // across slow flushes would stall every operation.
+        let shards = self.topology.read().shards.clone();
         for (s, shard) in shards.iter().enumerate() {
             let _scope = trace::shard_scope(s as u64);
             shard.flush()?;
@@ -646,7 +641,7 @@ impl StateStore for ShardedStore {
     /// The weakest durability across shards (they are homogeneous in
     /// practice, so this is simply shard 0's descriptor).
     fn durability(&self) -> Durability {
-        self.shards.read()[0].durability()
+        self.topology.read().shards[0].durability()
     }
 
     /// Takes a **super-checkpoint**: one sub-checkpoint per shard under
@@ -657,19 +652,12 @@ impl StateStore for ShardedStore {
     ///
     /// The serial lock orders the cut against migrations: a map flip
     /// cannot land between two shards' sub-checkpoints. An *open*
-    /// transfer window is rejected outright — mid-copy both owners hold
-    /// partial slot contents, which no single manifest can describe.
+    /// transfer window is rejected outright.
     fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
         let _serial = self.serial.lock();
-        if self.migration.read().is_some() {
-            return Err(StoreError::InvalidArgument(
-                "cannot checkpoint while a slot migration window is open".to_string(),
-            ));
-        }
+        let (shards, digest) = self.quiesced("checkpoint")?;
         std::fs::create_dir_all(dir)
             .map_err(|e| StoreError::path_io("create", dir.to_path_buf(), e))?;
-        let digest = self.partition_digest();
-        let shards = self.shards.read();
         let mut manifest = CheckpointManifest::new(self.name());
         manifest.shards = shards.len() as u32;
         manifest.partition_digest = Some(digest);
@@ -704,12 +692,7 @@ impl StateStore for ShardedStore {
             )));
         }
         let _serial = self.serial.lock();
-        if self.migration.read().is_some() {
-            return Err(StoreError::InvalidArgument(
-                "cannot restore while a slot migration window is open".to_string(),
-            ));
-        }
-        let shards = self.shards.read();
+        let (shards, digest) = self.quiesced("restore")?;
         if manifest.shards as usize != shards.len() {
             return Err(StoreError::Corruption(format!(
                 "checkpoint spans {} shards but the store has {}",
@@ -717,7 +700,6 @@ impl StateStore for ShardedStore {
                 shards.len()
             )));
         }
-        let digest = self.partition_digest();
         match manifest.partition_digest.as_deref() {
             Some(d) if d == digest => {}
             Some(d) => {
@@ -743,39 +725,39 @@ impl StateStore for ShardedStore {
     /// occupancies, where the whole-store reading is the total — unlike
     /// `MetricsSnapshot::merge`, which treats `other` as a newer
     /// reading of the same component). A `shards` gauge records the
-    /// shard count and `partition_map_version` the router epoch.
+    /// shard count and `partition_map_version` the map version.
     fn metrics(&self) -> Option<MetricsSnapshot> {
+        let (shards, map_version) = {
+            let topology = self.topology.read();
+            (topology.shards.clone(), topology.table.version())
+        };
         let mut agg = MetricsSnapshot::new();
         let mut any = false;
-        let (shard_count, map_version) = {
-            let shards = self.shards.read();
-            for shard in shards.iter() {
-                let Some(snap) = shard.metrics() else {
-                    continue;
-                };
-                any = true;
-                for (name, value) in &snap.counters {
-                    agg.push_counter(name, *value);
-                }
-                for (name, value) in &snap.gauges {
-                    match agg.gauges.iter_mut().find(|(n, _)| n == name) {
-                        Some((_, v)) => *v += *value,
-                        None => agg.gauges.push((name.clone(), *value)),
-                    }
-                }
-                for (name, hist) in &snap.histograms {
-                    match agg.histograms.iter_mut().find(|(n, _)| n == name) {
-                        Some((_, h)) => h.merge(hist),
-                        None => agg.histograms.push((name.clone(), hist.clone())),
-                    }
+        for shard in &shards {
+            let Some(snap) = shard.metrics() else {
+                continue;
+            };
+            any = true;
+            for (name, value) in &snap.counters {
+                agg.push_counter(name, *value);
+            }
+            for (name, value) in &snap.gauges {
+                match agg.gauges.iter_mut().find(|(n, _)| n == name) {
+                    Some((_, v)) => *v += *value,
+                    None => agg.gauges.push((name.clone(), *value)),
                 }
             }
-            (shards.len(), self.router.read().version())
-        };
+            for (name, hist) in &snap.histograms {
+                match agg.histograms.iter_mut().find(|(n, _)| n == name) {
+                    Some((_, h)) => h.merge(hist),
+                    None => agg.histograms.push((name.clone(), hist.clone())),
+                }
+            }
+        }
         if !any {
             return None;
         }
-        agg.push_gauge("shards", shard_count as i64);
+        agg.push_gauge("shards", shards.len() as i64);
         agg.push_gauge("partition_map_version", map_version as i64);
         agg.gauges.sort_by(|a, b| a.0.cmp(&b.0));
         agg.histograms.sort_by(|a, b| a.0.cmp(&b.0));
@@ -787,9 +769,9 @@ impl StateStore for ShardedStore {
     ///
     /// Each shard receives its ops in original relative order, so
     /// per-key semantics match the unsharded store exactly (a key never
-    /// crosses shards mid-batch: partitioning decisions use one pinned
-    /// map epoch and window snapshot). Ops whose slots sit inside an
-    /// open transfer window are set aside and applied through the
+    /// crosses shards mid-batch: partitioning decisions use one guard
+    /// over map and window). Ops whose slots sit inside an open
+    /// transfer window are set aside and applied through the
     /// serialized double-apply path after the fan-out; a key is either
     /// wholly in the fan-out or wholly in that group, so per-key order
     /// still holds. Group-commit savings multiply: N shards fsync
@@ -802,33 +784,28 @@ impl StateStore for ShardedStore {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        // Partition under one pinned window + epoch, and apply the
-        // fan-out before the guards drop, so a migration opening
-        // mid-batch cannot start copying underneath these writes. Ops
-        // whose slots sit inside an open window go to a separate group
-        // applied *after* the guards drop — the double-apply path
-        // re-pins per op, and serial is never acquired under migration
-        // (the lock order).
+        // Partition under one guard, and apply the fan-out before it
+        // drops, so a migration opening mid-batch cannot start copying
+        // underneath these writes. Ops whose slots sit inside an open
+        // window go to a separate group applied *after* the guard
+        // drops — the double-apply path takes `serial` first and its
+        // own guard after (the lock order).
         let mut dual: (Vec<usize>, Vec<Op>) = (Vec::new(), Vec::new());
         let mut done: Vec<(Vec<usize>, Vec<BatchResult>)> = Vec::new();
         {
-            let window = self.migration.read();
-            let router = self.router.read().clone();
-            let shards = self.shards.read();
+            let topology = self.topology.read();
+            let shards = &topology.shards;
             let mut by_shard: Vec<(Vec<usize>, Vec<Op>)> =
                 vec![(Vec::new(), Vec::new()); shards.len()];
             for (i, op) in batch.iter().enumerate() {
                 let slot = slot_of_key(op.key());
-                if let Some(m) = window.as_ref() {
-                    if m.migrating[slot] {
-                        dual.0.push(i);
-                        dual.1.push(op.clone());
-                        continue;
-                    }
-                }
-                let s = router.shard_of_slot(slot);
-                by_shard[s].0.push(i);
-                by_shard[s].1.push(op.clone());
+                let group = if topology.in_window(slot) {
+                    &mut dual
+                } else {
+                    &mut by_shard[topology.table.shard_of_slot(slot)]
+                };
+                group.0.push(i);
+                group.1.push(op.clone());
             }
             let parts: Vec<(usize, Vec<usize>, Vec<Op>)> = by_shard
                 .into_iter()
@@ -897,6 +874,11 @@ impl StateStore for ShardedStore {
 mod tests {
     use super::*;
     use crate::mem::MemStore;
+    use crate::shard_of;
+    use crate::testutil::TestDir;
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn sharded_mem(n: usize) -> ShardedStore {
         ShardedStore::from_factory(n, |_| Ok(Arc::new(MemStore::new()) as Arc<dyn StateStore>))
@@ -910,16 +892,6 @@ mod tests {
                 .unwrap_err();
         assert!(matches!(err, StoreError::Config(_)), "got {err:?}");
         let err = ShardedStore::from_stores(Vec::new()).unwrap_err();
-        assert!(matches!(err, StoreError::Config(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn mismatched_router_is_a_config_error() {
-        let stores: Vec<Arc<dyn StateStore>> = (0..3)
-            .map(|_| Arc::new(MemStore::new()) as Arc<dyn StateStore>)
-            .collect();
-        let router: Arc<dyn Router> = Arc::new(SlotTable::identity(4));
-        let err = ShardedStore::from_stores_with_router(stores, router).unwrap_err();
         assert!(matches!(err, StoreError::Config(_)), "got {err:?}");
     }
 
@@ -1195,7 +1167,7 @@ mod tests {
         check(&s, 400);
         // The new shard actually owns keys now.
         assert!(!s.shard(4).scan(&[], &SCAN_HI).unwrap().is_empty());
-        // Router routes some keys to the new shard.
+        // The map routes some keys to the new shard.
         let router = s.router();
         assert_eq!(router.shards(), 5);
         assert_eq!(router.version(), 2);
@@ -1228,63 +1200,156 @@ mod tests {
         ));
     }
 
+    /// Applies `op` to a writer's model of its keys (absent = deleted),
+    /// returning what the store must answer.
+    fn model_apply(model: &mut HashMap<Vec<u8>, Vec<u8>>, op: &Op) -> BatchResult {
+        match op {
+            Op::Get { key } => {
+                BatchResult::Value(model.get(key.as_ref()).map(|v| Bytes::copy_from_slice(v)))
+            }
+            Op::Put { key, value } => {
+                model.insert(key.to_vec(), value.to_vec());
+                BatchResult::Applied
+            }
+            Op::Merge { key, operand } => {
+                model
+                    .entry(key.to_vec())
+                    .or_default()
+                    .extend_from_slice(operand);
+                BatchResult::Applied
+            }
+            Op::Delete { key } => {
+                model.remove(key.as_ref());
+                BatchResult::Applied
+            }
+        }
+    }
+
     #[test]
     fn migration_under_concurrent_writes_loses_nothing() {
-        // Hammer the store from writer threads while a migration moves
-        // shard 0's slots; every op must succeed and every key must
-        // read back with its final value.
+        // Writers on disjoint key ranges issue every op kind, singly and
+        // in 64-op mixed batches (whose migrating-slot ops take the
+        // serialized `dual` path), while a migration moves shard 0's
+        // slots and then a split adds a shard. Each writer checks every
+        // answer against its own model; at the end every key must equal
+        // its writer's model and a full scan must hold each key once.
+        const WRITERS: u64 = 3;
+        const KEYS: u64 = 2_000;
         let s = Arc::new(sharded_mem(4));
-        fill(&s, 1_000);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..3)
+        fill(&s, WRITERS * KEYS);
+        let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(std::sync::Barrier::new(WRITERS as usize + 1));
+        let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let s = s.clone();
-                let stop = stop.clone();
+                let (s, stop, started) = (s.clone(), stop.clone(), started.clone());
                 std::thread::spawn(move || {
+                    let keys = w * KEYS..(w + 1) * KEYS;
+                    let mut model: HashMap<Vec<u8>, Vec<u8>> = keys
+                        .clone()
+                        .map(|i| (i.to_be_bytes().to_vec(), i.to_le_bytes().to_vec()))
+                        .collect();
+                    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (w + 1);
+                    started.wait();
                     let mut rounds = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        for i in (w * 333)..(w * 333 + 333) {
-                            let i = i as u64;
-                            s.put(&i.to_be_bytes(), &(i + rounds).to_le_bytes())
-                                .unwrap();
-                        }
+                    while !stop.load(Ordering::Relaxed) {
+                        let ops: Vec<Op> = (0..64)
+                            .map(|_| {
+                                rng ^= rng << 13;
+                                rng ^= rng >> 7;
+                                rng ^= rng << 17;
+                                let key = (keys.start + rng % KEYS).to_be_bytes().to_vec();
+                                let value = vec![(rng >> 32) as u8; 1 + (rng >> 40) as usize % 3];
+                                match (rng >> 16) % 4 {
+                                    0 => Op::get(key),
+                                    1 => Op::put(key, value),
+                                    2 => Op::merge(key, value),
+                                    _ => Op::delete(key),
+                                }
+                            })
+                            .collect();
+                        let want: Vec<BatchResult> =
+                            ops.iter().map(|op| model_apply(&mut model, op)).collect();
+                        let got = if rounds.is_multiple_of(2) {
+                            s.apply_batch(&ops).unwrap()
+                        } else {
+                            ops.iter()
+                                .map(|op| s.apply_one_routed(op).unwrap())
+                                .collect()
+                        };
+                        assert_eq!(got, want, "writer {w} round {rounds}");
                         rounds += 1;
                     }
-                    rounds
+                    (keys, model)
                 })
             })
             .collect();
-        // Run two migrations back to back under load.
+        started.wait();
         let moved = SlotTable::identity(4).slots_of(0);
         let e1 = s.migrate_slots(&moved, 1, 0).unwrap();
         let e2 = s.split_shard(2, 0).unwrap();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let rounds: Vec<u64> = writers.into_iter().map(|h| h.join().unwrap()).collect();
+        stop.store(true, Ordering::Relaxed);
         assert!(e1.keys > 0 && e2.keys > 0);
         assert_eq!(s.shard_count(), 5);
-        // Final state: every key holds the value its writer last wrote.
-        for (w, &r) in rounds.iter().enumerate() {
-            for i in (w * 333)..(w * 333 + 333) {
-                let i = i as u64;
-                let got = s.get(&i.to_be_bytes()).unwrap().expect("key lost");
-                let got = u64::from_le_bytes(got.as_ref().try_into().unwrap());
-                // The last full round wrote i + (rounds - 1); a partial
-                // final round may have written i + rounds.
-                assert!(
-                    got == i + r || got == i.wrapping_add(r.saturating_sub(1)),
-                    "key {i}: got {got}, rounds {r}"
+        let mut live = 0;
+        for writer in writers {
+            let (keys, model) = writer.join().unwrap();
+            for i in keys {
+                let key = i.to_be_bytes();
+                assert_eq!(
+                    s.get(&key).unwrap().as_deref(),
+                    model.get(&key[..]).map(|v| v.as_slice()),
+                    "key {i}"
                 );
             }
+            live += model.len();
         }
-        // Keys 999..1000 untouched by writers still read back.
-        assert_eq!(
-            s.get(&999u64.to_be_bytes()).unwrap().as_deref(),
-            Some(&999u64.to_le_bytes()[..])
-        );
-        // No duplicate keys in a full scan.
+        // Each live key exactly once, in order: no duplicates.
         let all = s.scan(&[], &SCAN_HI).unwrap();
-        assert_eq!(all.len(), 1_000);
+        assert_eq!(all.len(), live);
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(s.reshard_events().len(), 2);
+    }
+
+    #[test]
+    fn split_does_not_stall_traffic_while_the_new_shard_builds() {
+        // A factory as slow as a cold shard open must run beside
+        // traffic, not under the lock every operation takes.
+        const BUILD: Duration = Duration::from_millis(50);
+        let s = Arc::new(
+            ShardedStore::from_factory(2, |i| {
+                if i >= 2 {
+                    std::thread::sleep(BUILD);
+                }
+                Ok(Arc::new(MemStore::new()) as Arc<dyn StateStore>)
+            })
+            .unwrap(),
+        );
+        fill(&s, 200);
+        let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let reader = {
+            let (s, stop, started) = (s.clone(), stop.clone(), started.clone());
+            std::thread::spawn(move || {
+                let (mut slowest, mut gets) = (Duration::ZERO, 0u64);
+                started.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    let t = Instant::now();
+                    s.get(&(gets % 200).to_be_bytes()).unwrap();
+                    slowest = slowest.max(t.elapsed());
+                    gets += 1;
+                }
+                (slowest, gets)
+            })
+        };
+        started.wait();
+        s.split_shard(0, 0).unwrap();
+        stop.store(true, Ordering::Relaxed);
+        let (slowest, gets) = reader.join().unwrap();
+        assert!(gets > 0);
+        assert!(
+            slowest < BUILD / 2,
+            "a get waited {slowest:?} behind a {BUILD:?} shard build"
+        );
     }
 
     #[test]
@@ -1305,25 +1370,13 @@ mod tests {
         );
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "gadget-sharded-{}-{name}-{:?}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
     #[test]
     fn super_checkpoint_roundtrips_with_topology_stamp() {
         let s = sharded_mem(4);
         fill(&s, 300);
-        let dir = tmp("super");
-        let manifest = s.checkpoint(&dir).unwrap();
+        let tmp = TestDir::new("sharded-super");
+        let dir = tmp.root();
+        let manifest = s.checkpoint(dir).unwrap();
         assert_eq!(manifest.shards, 4);
         assert_eq!(manifest.files.len(), 4);
         assert_eq!(
@@ -1335,49 +1388,46 @@ mod tests {
             s.put(&i.to_be_bytes(), b"diverged").unwrap();
         }
         s.put(b"extra", b"gone").unwrap();
-        s.restore(&dir).unwrap();
+        s.restore(dir).unwrap();
         check(&s, 300);
         assert_eq!(s.get(b"extra").unwrap(), None);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_rejects_a_flipped_partition_map() {
         let s = sharded_mem(4);
         fill(&s, 300);
-        let dir = tmp("flip");
-        s.checkpoint(&dir).unwrap();
+        let tmp = TestDir::new("sharded-flip");
+        s.checkpoint(tmp.root()).unwrap();
         // Flip the map: the digest no longer matches the checkpoint.
         let moved = SlotTable::identity(4).slots_of(0);
         s.migrate_slots(&moved, 2, 0).unwrap();
-        let err = s.restore(&dir).unwrap_err();
+        let err = s.restore(tmp.root()).unwrap_err();
         assert!(matches!(err, StoreError::Corruption(_)), "got {err:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_rejects_a_different_shard_count() {
         let a = sharded_mem(4);
         fill(&a, 100);
-        let dir = tmp("count");
-        a.checkpoint(&dir).unwrap();
+        let tmp = TestDir::new("sharded-count");
+        a.checkpoint(tmp.root()).unwrap();
         let b = sharded_mem(2);
-        let err = b.restore(&dir).unwrap_err();
+        let err = b.restore(tmp.root()).unwrap_err();
         assert!(matches!(err, StoreError::Corruption(_)), "got {err:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_is_rejected_inside_a_migration_window() {
         let s = sharded_mem(2);
-        *s.migration.write() = Some(MigrationState {
+        s.topology.write().window = Some(MigrationState {
             migrating: vec![false; SLOTS],
             to: 1,
         });
-        let dir = tmp("window");
-        let err = s.checkpoint(&dir).unwrap_err();
+        let tmp = TestDir::new("sharded-window");
+        let err = s.checkpoint(tmp.root()).unwrap_err();
         assert!(matches!(err, StoreError::InvalidArgument(_)), "got {err:?}");
-        *s.migration.write() = None;
+        s.topology.write().window = None;
     }
 
     #[test]
@@ -1385,12 +1435,12 @@ mod tests {
         // The second migration must fail while the first's window is
         // open. Simulate by opening the window directly.
         let s = sharded_mem(2);
-        *s.migration.write() = Some(MigrationState {
+        s.topology.write().window = Some(MigrationState {
             migrating: vec![false; SLOTS],
             to: 1,
         });
         let err = s.migrate_slots(&[0], 1, 0).unwrap_err();
         assert!(matches!(err, StoreError::InvalidArgument(_)), "got {err:?}");
-        *s.migration.write() = None;
+        s.topology.write().window = None;
     }
 }

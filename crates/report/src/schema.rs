@@ -121,7 +121,7 @@ pub struct RunMeta {
     /// full-speed runs (and for reports predating the field).
     pub offered_rate: f64,
     /// Hex digest of the partition map the store ended the run with
-    /// (`gadget_kv::Router::digest`), or `"unknown"` when the producer
+    /// (`gadget_kv::SlotTable::digest`), or `"unknown"` when the producer
     /// had no sharded store to ask (and for reports predating the
     /// field). Part of a report's identity once known: comparing runs
     /// across different slot→shard assignments conflates placement with

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use gadget_kv::{Router, ShardedStore, SlotTable, StateStore, StoreError};
+use gadget_kv::{ShardedStore, SlotTable, StateStore, StoreError};
 use gadget_obs::trace::{self, record_complete2, span, Category};
 use gadget_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 
@@ -369,19 +369,15 @@ fn serve_connection(mut stream: &TcpStream, conn_id: u64, shared: &Shared) {
             }
             Frame::Topology { id } => {
                 // An unsharded store is a fixed one-shard topology.
-                let (shards, router, events) = match shared.sharded.as_ref() {
+                let (shards, table, events) = match shared.sharded.as_ref() {
                     Some(s) => (s.shard_count() as u32, s.router(), s.reshard_events()),
-                    None => (
-                        1,
-                        Arc::new(SlotTable::identity(1)) as Arc<dyn Router>,
-                        Vec::new(),
-                    ),
+                    None => (1, SlotTable::identity(1), Vec::new()),
                 };
                 Frame::TopologyInfo {
                     id,
                     shards,
-                    map_version: router.version(),
-                    digest: router.digest(),
+                    map_version: table.version(),
+                    digest: table.digest(),
                     events,
                 }
             }

@@ -302,9 +302,9 @@ pub enum Frame {
         /// Number of shards the served store routes across (1 for an
         /// unsharded store).
         shards: u32,
-        /// Partition-map version (router epoch).
+        /// Partition-map version (`SlotTable::version`).
         map_version: u64,
-        /// Partition-map content digest (see `Router::digest`).
+        /// Partition-map content digest (see `SlotTable::digest`).
         digest: u64,
         /// Completed reshard events, oldest first.
         events: Vec<ReshardEvent>,

@@ -2,11 +2,12 @@
 //!
 //! Two invariants keep resharding honest:
 //!
-//! 1. **Identity router compatibility** — a `ShardedStore` built with an
-//!    explicit identity [`SlotTable`] must route and answer exactly like
-//!    the legacy `fnv1a(key) % shards` store, for every backend and
-//!    batch size. The slot indirection is a representation change, not
-//!    a semantic one.
+//! 1. **Identity map compatibility** — a fresh `ShardedStore` routes by
+//!    the identity [`SlotTable`], which must place every key exactly
+//!    where the legacy `fnv1a(key) % shards` router did, and answer
+//!    exactly like one unsharded store, for every backend and batch
+//!    size. The slot indirection is a representation change, not a
+//!    semantic one.
 //! 2. **Migration invisibility** — migrating half of a shard's slots to
 //!    another shard mid-sequence must leave per-op results and final
 //!    state identical to an unmigrated twin fed the same ops. Clients
@@ -22,7 +23,7 @@ use common::TestDir;
 
 use gadget_btree::{BTreeConfig, BTreeStore};
 use gadget_hashlog::{HashLogConfig, HashLogStore};
-use gadget_kv::{shard_of, MemStore, Router, ShardedStore, SlotTable, StateStore};
+use gadget_kv::{fnv1a, MemStore, ShardedStore, SlotTable, StateStore};
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_types::Op;
 
@@ -54,7 +55,7 @@ fn op_seq() -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
-fn apply_chunked(store: &ShardedStore, ops: &[Op], batch: usize) -> Vec<gadget_kv::BatchResult> {
+fn apply_chunked(store: &dyn StateStore, ops: &[Op], batch: usize) -> Vec<gadget_kv::BatchResult> {
     let mut got = Vec::with_capacity(ops.len());
     for chunk in ops.chunks(batch) {
         got.extend(store.apply_batch(chunk).unwrap());
@@ -62,7 +63,7 @@ fn apply_chunked(store: &ShardedStore, ops: &[Op], batch: usize) -> Vec<gadget_k
     got
 }
 
-/// Property 1: explicit identity slot table == legacy modulo routing.
+/// Property 1: the identity slot table == legacy modulo routing.
 fn assert_identity_router_equivalent<S: StateStore + 'static>(
     mk: impl Fn(usize) -> S,
     ops: &[Op],
@@ -70,34 +71,46 @@ fn assert_identity_router_equivalent<S: StateStore + 'static>(
     batch: usize,
     label: &str,
 ) {
-    let stores = |base: usize| -> Vec<Arc<dyn StateStore>> {
+    let routed = ShardedStore::from_stores(
         (0..shards)
-            .map(|i| Arc::new(mk(base + i)) as Arc<dyn StateStore>)
-            .collect()
-    };
-    let legacy = ShardedStore::from_stores(stores(0)).unwrap();
-    let table = Arc::new(SlotTable::identity(shards));
-    let routed = ShardedStore::from_stores_with_router(stores(100), table.clone()).unwrap();
+            .map(|i| Arc::new(mk(i)) as Arc<dyn StateStore>)
+            .collect(),
+    )
+    .unwrap();
+    let unsharded = mk(100);
+    let table = SlotTable::identity(shards);
 
-    // The map itself routes like the legacy modulo for these counts.
+    // The map, and the store through it, route like the legacy modulo
+    // for these counts.
+    assert_eq!(routed.router(), table);
     for key in 0..KEYS {
+        let legacy = (fnv1a(&[key]) % shards as u64) as usize;
         assert_eq!(
             table.route(&[key]),
-            shard_of(&[key], shards),
+            legacy,
             "{label} shards={shards}: slot table disagrees with legacy modulo at key {key}"
         );
+        assert_eq!(routed.shard_for_key(&[key]), legacy, "{label} key {key}");
     }
 
     assert_eq!(
         apply_chunked(&routed, ops, batch),
-        apply_chunked(&legacy, ops, batch),
+        apply_chunked(&unsharded, ops, batch),
         "{label} shards={shards} batch={batch}: per-op results differ"
     );
     for key in 0..KEYS {
+        let got = routed.get(&[key]).unwrap();
         assert_eq!(
-            routed.get(&[key]).unwrap(),
-            legacy.get(&[key]).unwrap(),
+            got,
+            unsharded.get(&[key]).unwrap(),
             "{label} shards={shards} batch={batch}: final state differs at key {key}"
+        );
+        // The key lives on the shard the legacy modulo names.
+        let owner = table.route(&[key]);
+        assert_eq!(
+            routed.shard(owner).get(&[key]).unwrap(),
+            got,
+            "{label} shards={shards}: key {key} is not on shard {owner}"
         );
     }
 }
@@ -128,7 +141,7 @@ fn assert_migration_invisible<S: StateStore + 'static>(
     );
 
     // Move half of shard 0's slots to the last shard, mid-sequence.
-    let donor_slots = SlotTable::from_router(moved.router().as_ref()).slots_of(0);
+    let donor_slots = moved.router().slots_of(0);
     let moving: Vec<usize> = donor_slots[..donor_slots.len() / 2].to_vec();
     let event = moved
         .migrate_slots(&moving, shards - 1, mid as u64)
