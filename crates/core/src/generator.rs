@@ -12,6 +12,9 @@
 //! [`Dataset`]'s events through the same watermarking and lateness
 //! machinery, which is how the characterization experiments (§3) run.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -144,10 +147,9 @@ impl EventGenerator {
         let mut keys = cfg.keys.build();
         let mut sizes = cfg.value_sizes.build();
 
-        // Phase 1: generate events in event-time order with a delivery time.
-        let mut timeline: Vec<(Timestamp, Event)> = Vec::with_capacity(cfg.events as usize);
+        // Events in event-time order, each with its delivery time.
         let mut now: Timestamp = 0;
-        for _ in 0..cfg.events {
+        let timed = (0..cfg.events).map(|_| {
             now += arrivals.next_gap(&mut rng);
             let mut event = Event::new(keys.next_key(&mut rng), now, sizes.next_size(&mut rng));
             if cfg.right_stream_fraction > 0.0 && rng.gen::<f64>() < cfg.right_stream_fraction {
@@ -163,27 +165,93 @@ impl EventGenerator {
             } else {
                 now
             };
-            timeline.push((delivery, event));
-        }
-
-        // Phase 2: order by delivery time (stable, so in-order ties keep
-        // their generation order).
-        timeline.sort_by_key(|(d, _)| *d);
-
-        // Phase 3: interleave punctuated watermarks.
-        let mut out = Vec::with_capacity(
-            timeline.len() + timeline.len() / cfg.watermark_every.max(1) as usize + 1,
-        );
-        let mut max_ts = 0;
-        for (i, (_, event)) in timeline.into_iter().enumerate() {
-            max_ts = max_ts.max(event.timestamp);
-            out.push(StreamElement::Event(event));
-            if cfg.watermark_every > 0 && (i as u64 + 1).is_multiple_of(cfg.watermark_every) {
-                out.push(StreamElement::Watermark(max_ts));
-            }
-        }
-        out
+            (delivery, event)
+        });
+        deliver(timed, cfg.watermark_every)
     }
+}
+
+/// An event waiting in [`deliver`]'s heap, ordered so the heap's top is
+/// the smallest `(delivery, seq)`.
+struct Delayed {
+    delivery: Timestamp,
+    seq: u64,
+    event: Event,
+}
+
+impl Ord for Delayed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.delivery, other.seq).cmp(&(self.delivery, self.seq))
+    }
+}
+
+impl PartialOrd for Delayed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Delayed {
+    fn eq(&self, other: &Self) -> bool {
+        (self.delivery, self.seq) == (other.delivery, other.seq)
+    }
+}
+
+impl Eq for Delayed {}
+
+/// Puts `timed` — `(delivery, event)` pairs in event-time order, each
+/// delivered at its own timestamp or, when delayed, strictly later — into
+/// delivery order, ties in input order, and punctuates the result with a
+/// watermark carrying the maximum event time after every
+/// `watermark_every`-th event.
+///
+/// The result is what a stable sort by delivery would give, without the
+/// sort: an on-time event goes straight out, after every delayed event
+/// due by its timestamp; delayed events wait in a heap keyed by
+/// `(delivery, input index)`. Nothing later in the input can be due
+/// earlier, since timestamps never decrease and no event is delivered
+/// before its timestamp.
+fn deliver(
+    timed: impl Iterator<Item = (Timestamp, Event)>,
+    watermark_every: u64,
+) -> Vec<StreamElement> {
+    let events = timed.size_hint().0;
+    let mut out = Vec::with_capacity(events + events / watermark_every.max(1) as usize + 1);
+    let (mut delivered, mut max_ts) = (0u64, 0);
+    let mut emit = |event: Event| {
+        max_ts = max_ts.max(event.timestamp);
+        out.push(StreamElement::Event(event));
+        delivered += 1;
+        if watermark_every > 0 && delivered.is_multiple_of(watermark_every) {
+            out.push(StreamElement::Watermark(max_ts));
+        }
+    };
+    let mut waiting: BinaryHeap<Delayed> = BinaryHeap::new();
+    let mut last_ts = 0;
+    for (seq, (delivery, event)) in (0u64..).zip(timed) {
+        debug_assert!(event.timestamp >= last_ts, "input not in event-time order");
+        debug_assert!(
+            delivery >= event.timestamp,
+            "delivered before its timestamp"
+        );
+        last_ts = event.timestamp;
+        if delivery > event.timestamp {
+            waiting.push(Delayed {
+                delivery,
+                seq,
+                event,
+            });
+            continue;
+        }
+        while waiting.peek().is_some_and(|d| d.delivery <= delivery) {
+            emit(waiting.pop().expect("peeked").event);
+        }
+        emit(event);
+    }
+    while let Some(d) = waiting.pop() {
+        emit(d.event);
+    }
+    out
 }
 
 /// The input replayer: converts a recorded [`Dataset`] into a stream with
@@ -203,28 +271,18 @@ pub fn replay_dataset_with_disorder(
     max_lateness: Timestamp,
     seed: u64,
 ) -> Vec<StreamElement> {
-    let mut events: Vec<(Timestamp, Event)> =
-        dataset.events.iter().map(|e| (e.timestamp, *e)).collect();
-    if fraction > 0.0 && max_lateness > 0 {
-        let mut rng = seeded_rng(seed ^ 0x00D3);
-        for (delivery, event) in &mut events {
-            if rng.gen::<f64>() < fraction {
-                *delivery = event.timestamp + rng.gen_range(1..=max_lateness);
-            }
-        }
-        events.sort_by_key(|(d, _)| *d);
-    }
-    let mut out =
-        Vec::with_capacity(events.len() + events.len() / watermark_every.max(1) as usize + 1);
-    let mut max_ts = 0;
-    for (i, (_, event)) in events.into_iter().enumerate() {
-        max_ts = max_ts.max(event.timestamp);
-        out.push(StreamElement::Event(event));
-        if watermark_every > 0 && (i as u64 + 1).is_multiple_of(watermark_every) {
-            out.push(StreamElement::Watermark(max_ts));
-        }
-    }
-    out
+    let disorder = fraction > 0.0 && max_lateness > 0;
+    let mut rng = seeded_rng(seed ^ 0x00D3);
+    // Dataset events are sorted by timestamp, as `deliver` requires.
+    let timed = dataset.events.iter().map(|&event| {
+        let delivery = if disorder && rng.gen::<f64>() < fraction {
+            event.timestamp + rng.gen_range(1..=max_lateness)
+        } else {
+            event.timestamp
+        };
+        (delivery, event)
+    });
+    deliver(timed, watermark_every)
 }
 
 #[cfg(test)]

@@ -5,12 +5,13 @@
 //! so the left and right buffers of the same event key are distinct state
 //! objects (as they are in Flink's two-input operators).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use gadget_types::time::{sliding_window_starts, window_start};
 use gadget_types::{Event, StateAccess, StateKey, StreamId, Timestamp};
 
 use crate::operator::Operator;
+use crate::operators::{due_in_order, push_pending};
 
 /// Packs an event key and input side into a state key group.
 fn side_group(key: u64, side: StreamId) -> u64 {
@@ -43,7 +44,8 @@ pub struct WindowJoin {
     name: &'static str,
     length: Timestamp,
     slide: Timestamp,
-    vindex: BTreeMap<Timestamp, BTreeSet<StateKey>>,
+    /// Window end → panes firing then, sorted when the window fires.
+    vindex: BTreeMap<Timestamp, Vec<StateKey>>,
 }
 
 impl WindowJoin {
@@ -73,14 +75,14 @@ impl Operator for WindowJoin {
         for w in sliding_window_starts(event.timestamp, self.length, self.slide) {
             let key = StateKey::windowed(group, w);
             out.push(StateAccess::merge(key, event.value_size, event.timestamp));
-            self.vindex.entry(w + self.length).or_default().insert(key);
+            push_pending(self.vindex.entry(w + self.length).or_default(), key);
         }
     }
 
     fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<StateAccess>) {
         let due: Vec<Timestamp> = self.vindex.range(..=wm).map(|(&t, _)| t).collect();
         for t in due {
-            for key in self.vindex.remove(&t).expect("listed above") {
+            for key in due_in_order(self.vindex.remove(&t).expect("listed above")) {
                 out.push(StateAccess::get(key, wm));
                 out.push(StateAccess::delete(key, wm));
             }
@@ -102,8 +104,8 @@ pub struct IntervalJoin {
     upper: Timestamp,
     /// Buffered entry timestamps per side-group (driver metadata only).
     buffers: HashMap<u64, BTreeMap<Timestamp, u32>>,
-    /// Cleanup timers: due time → (group, bucket start).
-    vindex: BTreeMap<Timestamp, HashSet<(u64, Timestamp)>>,
+    /// Cleanup timers: due time → (group, bucket start), sorted when due.
+    vindex: BTreeMap<Timestamp, Vec<(u64, Timestamp)>>,
 }
 
 impl IntervalJoin {
@@ -152,32 +154,29 @@ impl Operator for IntervalJoin {
 
         // Register the coalesced cleanup timer.
         let bucket = window_start(ts, CLEANUP_BUCKET_MS, 0);
-        self.vindex
-            .entry(ts + self.retention())
-            .or_default()
-            .insert((own, bucket));
+        let due = ts + self.retention();
+        push_pending(self.vindex.entry(due).or_default(), (own, bucket));
     }
 
     fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<StateAccess>) {
         let due: Vec<Timestamp> = self.vindex.range(..=wm).map(|(&t, _)| t).collect();
-        let mut cleaned: HashSet<(u64, Timestamp)> = HashSet::new();
+        let mut timers = Vec::new();
         for t in due {
-            for (group, bucket) in self.vindex.remove(&t).expect("listed above") {
-                if !cleaned.insert((group, bucket)) {
-                    continue;
+            timers.append(&mut self.vindex.remove(&t).expect("listed above"));
+        }
+        // One delete per (group, bucket) however many timers name it, in
+        // (group, bucket) order so the trace is a function of the input.
+        for (group, bucket) in due_in_order(timers) {
+            out.push(StateAccess::delete(StateKey::windowed(group, bucket), wm));
+            // Drop the buffered metadata covered by this bucket.
+            if let Some(buffer) = self.buffers.get_mut(&group) {
+                let next = bucket + CLEANUP_BUCKET_MS;
+                let expired: Vec<Timestamp> = buffer.range(bucket..next).map(|(&k, _)| k).collect();
+                for k in expired {
+                    buffer.remove(&k);
                 }
-                out.push(StateAccess::delete(StateKey::windowed(group, bucket), wm));
-                // Drop the buffered metadata covered by this bucket.
-                if let Some(buffer) = self.buffers.get_mut(&group) {
-                    let next = bucket + CLEANUP_BUCKET_MS;
-                    let expired: Vec<Timestamp> =
-                        buffer.range(bucket..next).map(|(&k, _)| k).collect();
-                    for k in expired {
-                        buffer.remove(&k);
-                    }
-                    if buffer.is_empty() {
-                        self.buffers.remove(&group);
-                    }
+                if buffer.is_empty() {
+                    self.buffers.remove(&group);
                 }
             }
         }

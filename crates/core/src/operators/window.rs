@@ -27,6 +27,7 @@ use gadget_types::time::sliding_window_starts;
 use gadget_types::{Event, StateAccess, StateKey, Timestamp};
 
 use crate::operator::{Operator, WindowMode};
+use crate::operators::{due_in_order, push_pending};
 
 /// Tumbling or sliding event-time window (tumbling = `slide == length`).
 pub struct SlidingWindow {
@@ -37,8 +38,9 @@ pub struct SlidingWindow {
     accumulator_size: u32,
     /// Allowed lateness: panes are purged `allowed_lateness` after firing.
     allowed_lateness: Timestamp,
-    /// vIndex: window end time → panes firing at that time.
-    vindex: BTreeMap<Timestamp, BTreeSet<StateKey>>,
+    /// vIndex: window end time → panes firing at that time, in arrival
+    /// order with repeats until the window fires.
+    vindex: BTreeMap<Timestamp, Vec<StateKey>>,
     /// Panes that have fired but are retained for late events, keyed by
     /// purge time (`end + allowed_lateness`). Unused when lateness is 0.
     retained: BTreeMap<Timestamp, BTreeSet<StateKey>>,
@@ -83,7 +85,10 @@ impl SlidingWindow {
     /// Number of currently active panes, including fired-but-retained ones
     /// (diagnostics).
     pub fn active_panes(&self) -> usize {
-        self.vindex.values().map(|s| s.len()).sum::<usize>()
+        self.vindex
+            .values()
+            .map(|panes| due_in_order(panes.clone()).len())
+            .sum::<usize>()
             + self.retained.values().map(|s| s.len()).sum::<usize>()
     }
 }
@@ -114,7 +119,7 @@ impl Operator for SlidingWindow {
                 // element (an immediate FGet of the updated contents).
                 out.push(StateAccess::get(key, event.timestamp));
             } else {
-                self.vindex.entry(w + self.length).or_default().insert(key);
+                push_pending(self.vindex.entry(w + self.length).or_default(), key);
             }
         }
     }
@@ -124,7 +129,7 @@ impl Operator for SlidingWindow {
         let expired: Vec<Timestamp> = self.vindex.range(..=wm).map(|(&end, _)| end).collect();
         for end in expired {
             let keys = self.vindex.remove(&end).expect("key listed above");
-            for key in keys {
+            for key in due_in_order(keys) {
                 out.push(StateAccess::get(key, wm)); // FGet: retrieve contents.
                 if self.allowed_lateness == 0 {
                     out.push(StateAccess::delete(key, wm));
@@ -266,6 +271,33 @@ mod tests {
             kinds,
             vec![OpType::Get, OpType::Put, OpType::Get, OpType::Delete]
         );
+    }
+
+    #[test]
+    fn hot_panes_keep_their_pending_list_small() {
+        // 100 k events into one window over `distinct` keys: the pending
+        // list holds each pane about once, not once per event.
+        for distinct in [1u64, 100] {
+            let mut w = SlidingWindow::new("w", 5_000, 5_000, WindowMode::Holistic, 8);
+            let mut out = Vec::new();
+            for i in 0..100_000u64 {
+                w.on_event(&Event::new(i % distinct, 1_000 + i % 4_000, 10), &mut out);
+                out.clear();
+            }
+            let pending = &w.vindex[&5_000];
+            assert!(
+                pending.capacity() <= 2 * distinct as usize + 4,
+                "{distinct} panes, capacity {}",
+                pending.capacity()
+            );
+            assert_eq!(w.active_panes(), distinct as usize);
+            w.on_end(&mut out);
+            assert_eq!(
+                out.len(),
+                2 * distinct as usize,
+                "one FGet + delete per pane"
+            );
+        }
     }
 
     #[test]

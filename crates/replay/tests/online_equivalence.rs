@@ -44,9 +44,8 @@ fn online_issues_exactly_the_offline_trace() {
         OperatorKind::TumblingIncr,
         OperatorKind::SlidingHol,
         OperatorKind::SessionIncr,
-        // Not IntervalJoin: it expires same-timestamp entries in
-        // `HashSet` order, so two of its own offline runs already differ.
         OperatorKind::TumblingJoin,
+        OperatorKind::IntervalJoin,
     ] {
         let config = disordered(kind);
         let mut probe = config.driver().unwrap();
