@@ -25,7 +25,7 @@ pub(crate) fn cmd_drive(flags: &Flags) -> Result<(), String> {
     }
     let trace = load_trace(trace_path)?;
     // `--trace-out` implies client tracing: every request carries a
-    // wire-v3 trace context, replies echo server timestamps, and the
+    // wire trace extension, replies echo server timestamps, and the
     // latency decomposition lands in the run report.
     let trace_out = flags.optional("trace-out").map(str::to_string);
     let options = DriveOptions {

@@ -218,7 +218,7 @@ impl NetStore {
     }
 
     /// Arms per-request tracing on this connection: every subsequent
-    /// request carries a wire-v3 trace context (frames grow by 16
+    /// request carries the wire trace extension (frames grow by 16
     /// bytes), replies are harvested into a clock-offset estimator and
     /// segment histograms, and `NetOp`/`NetSend`/`NetWait` spans are
     /// recorded when a trace session is live. `conn_no` is the caller's

@@ -50,7 +50,7 @@ pub struct DriveOptions {
     /// the traffic connections keep replaying. `None` disables.
     pub reshard_at: Option<ReshardTrigger>,
     /// Arm client-side tracing on every connection: requests carry the
-    /// wire-v3 trace context, each connection estimates its clock
+    /// wire trace extension, each connection estimates its clock
     /// offset to the server, and the merged report gains the
     /// end-to-end latency decomposition
     /// ([`RunReport::decomposition`](gadget_replay::RunReport)).

@@ -7,8 +7,10 @@
 //! network subsystem rather than a simulation (for the simulated
 //! variant, see `gadget_kv::RemoteStore`):
 //!
-//! * [`wire`] — the length-prefixed, versioned binary protocol. Strict
-//!   decoding with typed errors; a malformed peer can't panic a server.
+//! * [`wire`] — the length-prefixed binary protocol: one version, with
+//!   the trace extension marked by a kind-byte flag. Strict decoding
+//!   with typed errors; a malformed peer can't panic a server, and a
+//!   header's declared length costs nothing until its bytes arrive.
 //! * [`Server`] — a TCP front-end over any
 //!   [`StateStore`](gadget_kv::StateStore): one thread per connection
 //!   that reads, applies and replies (backpressure is TCP flow

@@ -281,11 +281,7 @@ fn serve_connection(mut stream: &TcpStream, conn_id: u64, shared: &Shared) {
         // `recv_ns` opens the traced server timeline when the header
         // is off the socket; untraced frames pay no clock read.
         let decoded = wire::read_header(&mut reader).and_then(|header| {
-            let recv_ns = if header.version >= wire::VERSION {
-                trace::now_ns()
-            } else {
-                0
-            };
+            let recv_ns = if header.traced { trace::now_ns() } else { 0 };
             let (frame, len) = wire::read_payload(&mut reader, &header, &mut scratch)?;
             Ok((frame, len, recv_ns))
         });

@@ -1,4 +1,4 @@
-//! The gadget wire protocol: length-prefixed, versioned binary frames.
+//! The gadget wire protocol: length-prefixed binary frames.
 //!
 //! Every message on a gadget-server connection is one frame:
 //!
@@ -9,15 +9,28 @@
 //! +--------+---------+------+------------+-------------+----------+
 //! ```
 //!
-//! The 16-byte header is fixed; the payload layout depends on `kind`:
+//! The 16-byte header is fixed. The version byte is always [`VERSION`]:
+//! client and server ship in one binary, so there is one protocol and a
+//! frame stamped anything else is refused. The kind byte's low seven
+//! bits name the frame; bit 7 is the *traced* flag, set exactly when a
+//! `Request` or `Response` carries its trace extension (cross-process
+//! tracing, see `gadget-trace`) and illegal on every other kind. With
+//! tracing off no frame carries a single extension byte. The payload
+//! layout depends on the kind:
 //!
 //! * **Request** — `u32` op count, then each op as a tag byte
 //!   (0=get, 1=put, 2=merge, 3=delete), `u32` key length, key bytes,
 //!   and for put/merge a `u32` payload length plus payload bytes.
+//!   Traced: 16 more bytes, `u64` trace sequence + `u64` client send
+//!   timestamp (monotonic ns on the client's clock).
 //! * **Response** — `u32` result count, then each result as a tag byte:
 //!   0=applied, 1=value-absent, 2=value-present followed by `u32`
 //!   length and the value bytes. Results are positional: entry `i`
-//!   answers op `i` of the request with the same id.
+//!   answers op `i` of the request with the same id. Traced: 48 more
+//!   bytes echoing the request's sequence and send timestamp plus the
+//!   server-side timeline — `u64` receive, `u64` dequeue, `u64` apply
+//!   duration, `u64` reply-send, all monotonic ns on the *server's*
+//!   clock, which is exactly what NTP-style offset estimation needs.
 //! * **Error** — error code byte (see [`ErrorCode`]), `u32` message
 //!   length, UTF-8 message bytes. An error answers the *whole* request:
 //!   batches are transactional at the wire level, matching
@@ -25,56 +38,37 @@
 //! * **Shutdown** — empty payload. Sent by a client to ask the server
 //!   to drain and exit; the server acks with a `Shutdown` frame
 //!   carrying the same id before closing.
-//! * **Reshard** (v2) — control frame: `u32` source shard, `u32` target
+//! * **Reshard** — control frame: `u32` source shard, `u32` target
 //!   shard, `u64` op index of the trigger. Asks the server to live-split
 //!   (`to == shard count`) or live-migrate half the source's slots. The
 //!   server answers with a `ReshardDone` carrying the completed
 //!   [`ReshardEvent`], or an `Error` frame.
-//! * **ReshardDone** (v2) — one encoded [`ReshardEvent`]: `u64` at_op,
+//! * **ReshardDone** — one encoded [`ReshardEvent`]: `u64` at_op,
 //!   `u32` from, `u32` to, `u32` slots, `u64` keys, `u64` pause µs,
 //!   `u64` copy µs, `u64` map version.
-//! * **Topology** (v2) — empty payload: ask the server for its current
+//! * **Topology** — empty payload: ask the server for its current
 //!   partition topology.
-//! * **TopologyInfo** (v2) — `u32` shard count, `u64` partition-map
+//! * **TopologyInfo** — `u32` shard count, `u64` partition-map
 //!   version, `u64` partition-map digest, `u32` reshard-event count,
 //!   then each event encoded as in `ReshardDone`. Drivers stamp this
 //!   into run reports so topology provenance survives the wire.
-//! * **Checkpoint** (v2) — control frame: `u32` path length plus UTF-8
+//! * **Checkpoint** — control frame: `u32` path length plus UTF-8
 //!   path bytes. Asks the server to checkpoint its served store into
 //!   that *server-local* directory. Answered by a `CheckpointDone` or
 //!   an `Error` frame.
-//! * **CheckpointDone** (v2) — `u64` file count, `u64` total bytes,
+//! * **CheckpointDone** — `u64` file count, `u64` total bytes,
 //!   `u64` reused (incrementally skipped) files.
-//! * **Restore** (v2) — same payload as `Checkpoint`: restore the
+//! * **Restore** — same payload as `Checkpoint`: restore the
 //!   served store from that server-local checkpoint directory.
 //!   Answered by a `RestoreDone` or an `Error` frame.
-//! * **RestoreDone** (v2) — empty payload.
+//! * **RestoreDone** — empty payload.
 //!
 //! Integers are little-endian throughout. Decoding is strict: wrong
-//! magic, unknown version/kind/tag, oversized payloads, short buffers,
-//! and trailing bytes are all *typed* [`WireError`]s — a malformed or
+//! magic, any version but [`VERSION`], an unknown kind or tag, the
+//! traced flag on a kind without an extension, oversized payloads,
+//! short buffers (a flagged frame missing its extension included) and
+//! trailing bytes are all *typed* [`WireError`]s — a malformed or
 //! hostile peer can never panic the process, only produce an error.
-//! Version 2 added the reshard/topology control frames without touching
-//! any v1 payload layout, so decoders accept both versions; encoders
-//! always stamp the current one.
-//!
-//! Version 3 adds an *optional* trace-context extension to the two hot
-//! frames, enabling cross-process tracing (see `gadget-trace`):
-//!
-//! * **Request** (v3) — after the ops, 16 extra bytes: `u64` trace
-//!   sequence + `u64` client send timestamp (monotonic ns on the
-//!   client's clock).
-//! * **Response** (v3) — after the results, 48 extra bytes echoing the
-//!   request's sequence and send timestamp plus the server-side
-//!   request timeline: `u64` receive, `u64` dequeue, `u64` apply
-//!   duration, `u64` reply-send — all monotonic ns on the *server's*
-//!   clock, which is exactly what NTP-style offset estimation needs.
-//!
-//! The extension is present only when the frame is stamped v3 **and**
-//! the payload carries it; encoders stamp v3 only for frames that do
-//! ([`VERSION_UNTRACED`] otherwise), so with tracing off the bytes on
-//! the wire are identical to a v2 build's and v1/v2 peers interoperate
-//! unchanged.
 
 use std::io::{self, Read, Write};
 
@@ -86,26 +80,12 @@ use gadget_types::Op;
 /// (HTTP, TLS, stray redis-cli) before any length field is trusted.
 pub const MAGIC: u16 = 0x4753;
 
-/// Current protocol version. Bump on any layout change.
-///
-/// v1 → v2 added the reshard/topology control frames; v2 → v3 added
-/// the optional request/response trace-context extension. Every older
-/// payload layout is unchanged, so decoders accept all three (see
-/// [`version_supported`]). Encoders stamp this value only on frames
-/// that actually carry a trace extension; everything else is stamped
-/// [`VERSION_UNTRACED`] so untraced traffic is byte-for-byte what a v2
-/// build would emit.
-pub const VERSION: u8 = 3;
-
-/// What encoders stamp on frames without a trace extension — the
-/// highest version whose layout they use.
-pub const VERSION_UNTRACED: u8 = 2;
-
-/// Whether a frame from protocol version `v` can be decoded by this
-/// build.
-pub fn version_supported(v: u8) -> bool {
-    (1..=VERSION).contains(&v)
-}
+/// The protocol version every frame carries, and the only one a decoder
+/// accepts. Bump on any layout change. It is 4 rather than 1 because
+/// earlier builds stamped 1–3 and read the trace extension off the
+/// version byte instead of the kind byte: their frames must be refused,
+/// not misread.
+pub const VERSION: u8 = 4;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -128,6 +108,10 @@ const KIND_CHECKPOINT: u8 = 9;
 const KIND_CHECKPOINT_DONE: u8 = 10;
 const KIND_RESTORE: u8 = 11;
 const KIND_RESTORE_DONE: u8 = 12;
+
+/// Kind-byte flag: the frame carries its trace extension. Legal on
+/// `Request` and `Response` only.
+const TRACED: u8 = 0x80;
 
 /// Store-error category carried in an Error frame.
 ///
@@ -197,7 +181,7 @@ pub fn decode_store_error(code: ErrorCode, message: String) -> StoreError {
     }
 }
 
-/// The v3 request trace extension: how a client marks a request for
+/// The request trace extension: how a client marks a request for
 /// cross-process tracing. 16 bytes on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
@@ -209,7 +193,7 @@ pub struct TraceContext {
     pub send_ns: u64,
 }
 
-/// The v3 response trace extension: the server's per-request timeline,
+/// The response trace extension: the server's per-request timeline,
 /// echoed alongside the request's context. 48 bytes on the wire.
 ///
 /// All server timestamps are monotonic ns on the *server's* clock —
@@ -243,8 +227,8 @@ pub enum Frame {
         id: u64,
         /// Operations to apply, in order.
         ops: Vec<Op>,
-        /// v3 trace extension; `None` on untraced requests (the frame
-        /// is then stamped and laid out exactly as v2).
+        /// Trace extension; `None` on untraced requests, which carry
+        /// neither the extension nor the traced flag.
         trace: Option<TraceContext>,
     },
     /// Server → client: per-op results for the request with this id.
@@ -253,7 +237,7 @@ pub enum Frame {
         id: u64,
         /// One result per op, positionally.
         results: Vec<BatchResult>,
-        /// v3 trace extension; `None` unless the request carried one.
+        /// Trace extension; `None` unless the request carried one.
         trace: Option<ReplyTrace>,
     },
     /// Server → client: the whole batch failed.
@@ -270,7 +254,7 @@ pub enum Frame {
         /// Request id (echoed in the ack).
         id: u64,
     },
-    /// Client → server: live-reshard the served store (v2).
+    /// Client → server: live-reshard the served store.
     Reshard {
         /// Request id (echoed in the `ReshardDone` or `Error` reply).
         id: u64,
@@ -283,19 +267,19 @@ pub enum Frame {
         /// the trigger has no op counter in scope).
         at_op: u64,
     },
-    /// Server → client: a reshard completed (v2).
+    /// Server → client: a reshard completed.
     ReshardDone {
         /// Echoed request id.
         id: u64,
         /// What the migration moved and what it cost.
         event: ReshardEvent,
     },
-    /// Client → server: describe your partition topology (v2).
+    /// Client → server: describe your partition topology.
     Topology {
         /// Request id (echoed in the `TopologyInfo` reply).
         id: u64,
     },
-    /// Server → client: current partition topology (v2).
+    /// Server → client: current partition topology.
     TopologyInfo {
         /// Echoed request id.
         id: u64,
@@ -309,14 +293,14 @@ pub enum Frame {
         /// Completed reshard events, oldest first.
         events: Vec<ReshardEvent>,
     },
-    /// Client → server: checkpoint the served store (v2).
+    /// Client → server: checkpoint the served store.
     Checkpoint {
         /// Request id (echoed in the `CheckpointDone` or `Error` reply).
         id: u64,
         /// Server-local directory to write the checkpoint into.
         dir: String,
     },
-    /// Server → client: a checkpoint completed (v2).
+    /// Server → client: a checkpoint completed.
     CheckpointDone {
         /// Echoed request id.
         id: u64,
@@ -327,14 +311,14 @@ pub enum Frame {
         /// Files an incremental cut reused from the previous checkpoint.
         reused: u64,
     },
-    /// Client → server: restore the served store (v2).
+    /// Client → server: restore the served store.
     Restore {
         /// Request id (echoed in the `RestoreDone` or `Error` reply).
         id: u64,
         /// Server-local checkpoint directory to restore from.
         dir: String,
     },
-    /// Server → client: a restore completed (v2).
+    /// Server → client: a restore completed.
     RestoreDone {
         /// Echoed request id.
         id: u64,
@@ -451,9 +435,9 @@ fn put_reshard_event(out: &mut impl Sink, e: &ReshardEvent) {
 /// Closes `frame`, a header-sized gap followed by the payload: fills
 /// the header in, now that the payload length is known. Returns the
 /// frame's size on the wire.
-fn end_frame(frame: &mut [u8], version: u8, kind: u8, id: u64) -> usize {
+fn end_frame(frame: &mut [u8], kind: u8, id: u64) -> usize {
     frame[..2].copy_from_slice(&MAGIC.to_le_bytes());
-    frame[2] = version;
+    frame[2] = VERSION;
     frame[3] = kind;
     frame[4..12].copy_from_slice(&id.to_le_bytes());
     let payload = (frame.len() - HEADER_LEN) as u32;
@@ -461,7 +445,8 @@ fn end_frame(frame: &mut [u8], version: u8, kind: u8, id: u64) -> usize {
     frame.len()
 }
 
-fn put_request(out: &mut impl Sink, ops: &[Op], trace: Option<TraceContext>) {
+/// Writes a `Request` payload and returns its kind byte.
+fn put_request(out: &mut impl Sink, ops: &[Op], trace: Option<TraceContext>) -> u8 {
     put_u32(out, ops.len() as u32);
     for op in ops {
         match op {
@@ -485,9 +470,13 @@ fn put_request(out: &mut impl Sink, ops: &[Op], trace: Option<TraceContext>) {
             }
         }
     }
-    if let Some(t) = trace {
-        put_u64(out, t.seq);
-        put_u64(out, t.send_ns);
+    match trace {
+        Some(t) => {
+            put_u64(out, t.seq);
+            put_u64(out, t.send_ns);
+            KIND_REQUEST | TRACED
+        }
+        None => KIND_REQUEST,
     }
 }
 
@@ -501,18 +490,14 @@ pub fn encode_request_into(
 ) -> usize {
     let start = out.len();
     out.resize(start + HEADER_LEN, 0);
-    put_request(out, ops, trace);
-    let version = trace.map_or(VERSION_UNTRACED, |_| VERSION);
-    end_frame(&mut out[start..], version, KIND_REQUEST, id)
+    let kind = put_request(out, ops, trace);
+    end_frame(&mut out[start..], kind, id)
 }
 
 /// Writes `frame`'s payload and returns its kind byte.
 fn put_payload(out: &mut impl Sink, frame: &Frame) -> u8 {
     match frame {
-        Frame::Request { ops, trace, .. } => {
-            put_request(out, ops, *trace);
-            KIND_REQUEST
-        }
+        Frame::Request { ops, trace, .. } => put_request(out, ops, *trace),
         Frame::Response { results, trace, .. } => {
             put_u32(out, results.len() as u32);
             for r in results {
@@ -525,15 +510,18 @@ fn put_payload(out: &mut impl Sink, frame: &Frame) -> u8 {
                     }
                 }
             }
-            if let Some(t) = trace {
-                put_u64(out, t.seq);
-                put_u64(out, t.client_send_ns);
-                put_u64(out, t.recv_ns);
-                put_u64(out, t.dequeue_ns);
-                put_u64(out, t.apply_dur_ns);
-                put_u64(out, t.send_ns);
+            match trace {
+                Some(t) => {
+                    put_u64(out, t.seq);
+                    put_u64(out, t.client_send_ns);
+                    put_u64(out, t.recv_ns);
+                    put_u64(out, t.dequeue_ns);
+                    put_u64(out, t.apply_dur_ns);
+                    put_u64(out, t.send_ns);
+                    KIND_RESPONSE | TRACED
+                }
+                None => KIND_RESPONSE,
             }
-            KIND_RESPONSE
         }
         Frame::Error { code, message, .. } => {
             out.put(&[*code as u8]);
@@ -601,7 +589,7 @@ pub fn encode_into(out: &mut Vec<u8>, frame: &Frame) -> usize {
     let start = out.len();
     out.resize(start + HEADER_LEN, 0);
     let kind = put_payload(out, frame);
-    end_frame(&mut out[start..], frame.wire_version(), kind, frame.id())
+    end_frame(&mut out[start..], kind, frame.id())
 }
 
 impl Frame {
@@ -620,19 +608,6 @@ impl Frame {
             | Frame::CheckpointDone { id, .. }
             | Frame::Restore { id, .. }
             | Frame::RestoreDone { id } => *id,
-        }
-    }
-
-    /// The version byte this frame's canonical encoding carries: v3
-    /// only when a trace extension is present, [`VERSION_UNTRACED`]
-    /// otherwise — so a tracing-capable build emits byte-for-byte v2
-    /// traffic until tracing is switched on.
-    pub fn wire_version(&self) -> u8 {
-        match self {
-            Frame::Request { trace: Some(_), .. } | Frame::Response { trace: Some(_), .. } => {
-                VERSION
-            }
-            _ => VERSION_UNTRACED,
         }
     }
 
@@ -711,14 +686,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Size of the encoded request trace extension (v3).
-pub const REQUEST_TRACE_LEN: usize = 16;
-/// Size of the encoded response trace extension (v3).
-pub const REPLY_TRACE_LEN: usize = 48;
-
 fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, WireError> {
     let Header {
-        version, kind, id, ..
+        traced, kind, id, ..
     } = *header;
     let mut c = Cursor::new(payload);
     let frame = match kind {
@@ -748,10 +718,9 @@ fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, WireError> {
                     other => return Err(WireError::BadTag(other)),
                 });
             }
-            // The trace extension exists only in v3 frames, and even
-            // there it is optional: exactly-absent and exactly-present
-            // both decode, anything in between is trailing garbage.
-            let trace = if version >= 3 && c.remaining() == REQUEST_TRACE_LEN {
+            // A flagged frame short of its extension is truncated; an
+            // unflagged one with bytes left over fails the trailing check.
+            let trace = if traced {
                 Some(TraceContext {
                     seq: c.u64()?,
                     send_ns: c.u64()?,
@@ -775,7 +744,7 @@ fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, WireError> {
                     other => return Err(WireError::BadTag(other)),
                 });
             }
-            let trace = if version >= 3 && c.remaining() == REPLY_TRACE_LEN {
+            let trace = if traced {
                 Some(ReplyTrace {
                     seq: c.u64()?,
                     client_send_ns: c.u64()?,
@@ -852,10 +821,12 @@ fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// A frame header that passed the checks made before any payload byte
-/// is trusted: magic, a supported version, a payload length within
-/// [`MAX_PAYLOAD`].
+/// is trusted: magic, [`VERSION`], the traced flag only on a kind with
+/// an extension, a payload length within [`MAX_PAYLOAD`].
 pub(crate) struct Header {
-    pub(crate) version: u8,
+    /// The kind byte's [`TRACED`] flag.
+    pub(crate) traced: bool,
+    /// The kind byte without the flag.
     kind: u8,
     id: u64,
     len: u32,
@@ -867,16 +838,20 @@ impl Header {
         if magic != MAGIC {
             return Err(WireError::BadMagic(magic));
         }
-        if !version_supported(raw[2]) {
+        if raw[2] != VERSION {
             return Err(WireError::BadVersion(raw[2]));
         }
         let len = u32::from_le_bytes(raw[12..16].try_into().unwrap());
         if len > MAX_PAYLOAD {
             return Err(WireError::Oversized(len));
         }
+        let (traced, kind) = (raw[3] & TRACED != 0, raw[3] & !TRACED);
+        if traced && kind != KIND_REQUEST && kind != KIND_RESPONSE {
+            return Err(WireError::BadKind(raw[3]));
+        }
         Ok(Header {
-            version: raw[2],
-            kind: raw[3],
+            traced,
+            kind,
             id: u64::from_le_bytes(raw[4..12].try_into().unwrap()),
             len,
         })
@@ -929,14 +904,20 @@ pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<Header, WireError> {
 
 /// Reads the payload `header` announces into `scratch` and decodes it;
 /// returns the frame with its size on the wire.
+///
+/// `scratch` grows as payload bytes arrive, not to the length the
+/// header declares: a peer that promises [`MAX_PAYLOAD`] and then goes
+/// quiet costs the bytes it sent, not 32 MiB.
 pub(crate) fn read_payload<R: Read>(
     r: &mut R,
     header: &Header,
     scratch: &mut Vec<u8>,
 ) -> Result<(Frame, usize), WireError> {
     recycle(scratch);
-    scratch.resize(header.len as usize, 0);
-    r.read_exact(scratch)?;
+    r.take(u64::from(header.len)).read_to_end(scratch)?;
+    if scratch.len() != header.len as usize {
+        return Err(WireError::Truncated);
+    }
     Ok((decode_payload(header, scratch)?, HEADER_LEN + scratch.len()))
 }
 
@@ -1130,7 +1111,7 @@ mod tests {
         oversized[12..16].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
         assert!(matches!(decode(&oversized), Err(WireError::Oversized(_))));
 
-        // A truncated v2 control payload is typed, not a panic.
+        // A truncated control payload is typed, not a panic.
         let reshard = (Frame::Reshard {
             id: 1,
             from: 0,
@@ -1144,28 +1125,14 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn v1_frames_still_decode_under_v3() {
-        // The v1 payload layouts are unchanged; only the version byte
-        // differs. A v1 peer's frame must decode, and an unknown future
-        // version must not.
-        for frame in sample_frames().into_iter().take(4) {
-            let mut bytes = frame.encode();
-            assert_eq!(bytes[2], VERSION_UNTRACED, "untraced frames stamp v2");
-            bytes[2] = 1;
-            assert_eq!(decode(&bytes).expect("v1 frame decodes"), frame);
-            bytes[2] = 4;
-            assert!(matches!(decode(&bytes), Err(WireError::BadVersion(4))));
-        }
-        assert!(version_supported(1));
-        assert!(version_supported(2));
-        assert!(version_supported(3));
-        assert!(!version_supported(0));
-        assert!(!version_supported(4));
+    /// Rewrites the header's payload length to match `bytes`.
+    fn fix_len(bytes: &mut [u8]) {
+        let len = ((bytes.len() - HEADER_LEN) as u32).to_le_bytes();
+        bytes[12..HEADER_LEN].copy_from_slice(&len);
     }
 
     #[test]
-    fn trace_extension_rides_only_on_v3_frames() {
+    fn trace_extension_rides_on_the_kind_flag() {
         let traced = Frame::Request {
             id: 1,
             ops: vec![Op::get(b"k".to_vec())],
@@ -1181,35 +1148,44 @@ mod tests {
         };
         let traced_bytes = traced.encode();
         let untraced_bytes = untraced.encode();
-        // Tracing on: v3 stamp, 16 extension bytes; off: byte-identical
-        // to a v2 build's encoding.
-        assert_eq!(traced_bytes[2], 3);
-        assert_eq!(untraced_bytes[2], 2);
+        // One version either way: the flag and the 16 extension bytes
+        // are the whole difference.
+        assert_eq!((traced_bytes[2], untraced_bytes[2]), (VERSION, VERSION));
+        assert_eq!(traced_bytes[3], KIND_REQUEST | TRACED);
+        assert_eq!(untraced_bytes[3], KIND_REQUEST);
         assert_eq!(traced_bytes.len(), untraced_bytes.len() + 16);
         assert_eq!(decode(&traced_bytes).unwrap(), traced);
         assert_eq!(decode(&untraced_bytes).unwrap(), untraced);
 
-        // The same payload stamped v2 must NOT grow a trace context —
-        // a v2 peer's 16 trailing bytes are garbage, not an extension.
-        let mut downgraded = traced_bytes.clone();
-        downgraded[2] = 2;
-        assert!(
-            matches!(decode(&downgraded), Err(WireError::Trailing(16))),
-            "v2 frames cannot smuggle a v3 extension"
-        );
+        // Flagged but short of its extension, wholly or in part.
+        for missing in [16, 8] {
+            let mut short = traced_bytes[..traced_bytes.len() - missing].to_vec();
+            fix_len(&mut short);
+            assert!(
+                matches!(decode(&short), Err(WireError::Truncated)),
+                "{missing} bytes missing"
+            );
+        }
+        // Unflagged, the extension's bytes are trailing garbage.
+        let mut unflagged = traced_bytes.clone();
+        unflagged[3] = KIND_REQUEST;
+        assert!(matches!(decode(&unflagged), Err(WireError::Trailing(16))));
+    }
 
-        // A v3 request without the extension is a valid traced-capable
-        // frame that simply was not traced.
-        let mut upgraded = untraced_bytes.clone();
-        upgraded[2] = 3;
-        assert_eq!(decode(&upgraded).unwrap(), untraced);
-
-        // Partial extensions are trailing garbage even under v3.
-        let mut partial = traced_bytes.clone();
-        partial.truncate(partial.len() - 8);
-        let fixed_len = ((partial.len() - HEADER_LEN) as u32).to_le_bytes();
-        partial[12..16].copy_from_slice(&fixed_len);
-        assert!(matches!(decode(&partial), Err(WireError::Trailing(8))));
+    #[test]
+    fn traced_flag_on_any_other_kind_is_a_bad_kind() {
+        for frame in sample_frames() {
+            if matches!(frame, Frame::Request { .. } | Frame::Response { .. }) {
+                continue;
+            }
+            let mut bytes = frame.encode();
+            bytes[3] |= TRACED;
+            let flagged = bytes[3];
+            assert!(
+                matches!(decode(&bytes), Err(WireError::BadKind(k)) if k == flagged),
+                "{frame:?}"
+            );
+        }
     }
 
     #[test]
@@ -1228,28 +1204,65 @@ mod tests {
             trace: Some(trace),
         };
         let bytes = frame.encode();
-        assert_eq!(bytes[2], 3);
+        assert_eq!(bytes[3], KIND_RESPONSE | TRACED);
         match decode(&bytes).unwrap() {
             Frame::Response {
                 trace: Some(back), ..
             } => assert_eq!(back, trace),
             other => panic!("decoded {other:?}"),
         }
-        // And stripping the version stamp back to v2 rejects it.
-        let mut downgraded = bytes.clone();
-        downgraded[2] = 2;
-        assert!(matches!(decode(&downgraded), Err(WireError::Trailing(48))));
+        // Flagged without its 48 bytes; unflagged with them.
+        let mut short = bytes[..bytes.len() - 48].to_vec();
+        fix_len(&mut short);
+        assert!(matches!(decode(&short), Err(WireError::Truncated)));
+        let mut unflagged = bytes.clone();
+        unflagged[3] = KIND_RESPONSE;
+        assert!(matches!(decode(&unflagged), Err(WireError::Trailing(48))));
     }
 
     #[test]
-    fn v2_control_frames_reject_v1_stamp_gracefully() {
-        // A v2 control frame stamped v1 still decodes (kind bytes are
-        // orthogonal to version here — strictness lives in the payload
-        // decoders), which keeps the decoder total. This pins that
-        // behaviour so a future change is deliberate.
-        let mut bytes = (Frame::Topology { id: 3 }).encode();
-        bytes[2] = 1;
-        assert_eq!(decode(&bytes).unwrap(), Frame::Topology { id: 3 });
+    fn a_declared_length_costs_only_the_bytes_that_arrive() {
+        let mut bytes = sample_frames().remove(0).encode();
+        bytes[12..HEADER_LEN].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        bytes.truncate(HEADER_LEN + 100);
+        let mut scratch = Vec::new();
+        assert!(matches!(
+            read_frame(&mut io::Cursor::new(bytes), &mut scratch),
+            Err(WireError::Truncated)
+        ));
+        assert!(
+            scratch.capacity() < 1 << 20,
+            "100 payload bytes reserved {} bytes",
+            scratch.capacity()
+        );
+    }
+
+    /// Counts the reads that reach the stream underneath.
+    struct CountingReader<R> {
+        inner: R,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_small_payload_is_one_read_into_the_retained_buffer() {
+        let frame = sample_frames().remove(0);
+        let mut r = CountingReader {
+            inner: io::Cursor::new([frame.encode(), frame.encode()].concat()),
+            reads: 0,
+        };
+        let mut scratch = Vec::new();
+        read_frame(&mut r, &mut scratch).unwrap();
+        let (capacity, reads) = (scratch.capacity(), r.reads);
+        assert_eq!(read_frame(&mut r, &mut scratch).unwrap().0, frame);
+        assert_eq!(r.reads - reads, 2, "one header read, one payload read");
+        assert_eq!(scratch.capacity(), capacity);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    bytes must never panic or allocate unboundedly.
 //! 3. **One encoding** — the buffer-reusing encoder, the streaming
 //!    writer and `encoded_len()` all agree with `Frame::encode()`, and
-//!    `Frame::encode()` agrees with bytes captured from earlier builds.
+//!    `Frame::encode()` agrees with captured byte fixtures.
 
 use bytes::Bytes;
 use gadget_kv::{BatchResult, ReshardEvent};
@@ -72,7 +72,7 @@ fn event(seed: u64) -> ReshardEvent {
 }
 
 /// One frame of any kind, with ids across the u64 range. Kinds 4 and 5
-/// are the v3-traced twins of Request and Response; the control frames'
+/// are the traced twins of Request and Response; the control frames'
 /// fields derive from `id`, `code` and `msg_len` so the strategy stays
 /// cheap.
 fn frames() -> impl Strategy<Value = Frame> {
@@ -159,9 +159,29 @@ fn frames() -> impl Strategy<Value = Frame> {
     )
 }
 
-/// Canonical encodings captured from the build before the one-pass
-/// encoder (v2 untraced, v3 traced), one per frame kind.
+/// Canonical encodings, one per frame kind, captured when the protocol
+/// became one version: byte 2 is [`wire::VERSION`] on every frame and
+/// the two traced frames carry the flag in bit 7 of the kind byte.
 const FIXTURES: [&str; 14] = [
+    "5347040107000000000000002a0000000400000000020000006b3101020000006b32010000007602020000006b33030000000909090300000000",
+    "5347040207000000000000000e0000000300000001000203000000616263",
+    "5347040309000000000000000e0000000309000000656d707479206b6579",
+    "53470404ffffffffffffffff00000000",
+    "534704050b000000000000001000000000000000040000008813000000000000",
+    "534704060b0000000000000034000000881300000000000000000000040000003b0100003930000000000000b400000000000000f0550000000000000200000000000000",
+    "534704070c0000000000000000000000",
+    "534704080c000000000000004c0000000500000002000000000000000df0fecaefbeadde01000000881300000000000000000000040000003b0100003930000000000000b400000000000000f0550000000000000200000000000000",
+    "534704090e000000000000000f0000000b0000002f746d702f636b70742d31",
+    "5347040a0e0000000000000018000000090000000000000040e20100000000000400000000000000",
+    "5347040b0f000000000000000f0000000b0000002f746d702f636b70742d31",
+    "5347040c0f0000000000000000000000",
+    "5347048110000000000000001f0000000100000000060000007472616365642a0000000000000040420f0000000000",
+    "5347048210000000000000003500000001000000012a0000000000000040420f000000000080841e0000000000200b200000000000307500000000000060a7200000000000",
+];
+
+/// The same frames as the builds before it encoded them: stamped 2, or
+/// 3 when traced, with no kind flag.
+const PARENT_FIXTURES: [&str; 14] = [
     "5347020107000000000000002a0000000400000000020000006b3101020000006b32010000007602020000006b33030000000909090300000000",
     "5347020207000000000000000e0000000300000001000203000000616263",
     "5347020309000000000000000e0000000309000000656d707479206b6579",
@@ -280,18 +300,33 @@ fn unhex(hex: &str) -> Vec<u8> {
 }
 
 #[test]
-fn v1_v2_v3_fixtures_decode_and_encode_unchanged() {
+fn fixtures_decode_and_encode_unchanged() {
     for (hex, frame) in FIXTURES.iter().zip(fixture_frames()) {
         let bytes = unhex(hex);
         assert_eq!(frame.encode(), bytes, "encoding of {frame:?} moved");
         assert_eq!(wire::decode(&bytes).expect("fixture decodes"), frame);
-        // The untraced layouts predate v2: a v1 peer's stamp on the
-        // same bytes decodes to the same frame.
-        if bytes[2] == wire::VERSION_UNTRACED {
-            let mut v1 = bytes.clone();
-            v1[2] = 1;
-            assert_eq!(wire::decode(&v1).expect("v1 stamp decodes"), frame);
+    }
+}
+
+#[test]
+fn one_version_moved_only_the_version_byte_and_the_traced_flag() {
+    let all = PARENT_FIXTURES.iter().zip(FIXTURES).zip(fixture_frames());
+    for ((parent, fixture), frame) in all {
+        let parent = unhex(parent);
+        let mut expected = parent.clone();
+        expected[2] = wire::VERSION;
+        if matches!(
+            frame,
+            Frame::Request { trace: Some(_), .. } | Frame::Response { trace: Some(_), .. }
+        ) {
+            expected[3] |= 0x80;
         }
+        assert_eq!(unhex(fixture), expected, "{frame:?}: a payload byte moved");
+        let err = wire::decode(&parent).unwrap_err();
+        assert!(
+            matches!(err, WireError::BadVersion(v) if v == parent[2]),
+            "{frame:?}: {err:?}"
+        );
     }
 }
 
@@ -377,48 +412,14 @@ proptest! {
     }
 
     #[test]
-    fn wrong_version_is_rejected(frame in frames(), version in 0u8..255) {
-        // Skip every version the decoder accepts (1..=VERSION), not
-        // just the current one: stamping a *supported* older version
-        // on these bytes is an interop case, not a rejection case.
-        if wire::version_supported(version) {
+    fn wrong_version_is_rejected(frame in frames(), version in any::<u8>()) {
+        if version == wire::VERSION {
             continue;
         }
         let mut bytes = frame.encode();
         bytes[2] = version;
         let err = wire::decode(&bytes).unwrap_err();
         prop_assert!(matches!(err, WireError::BadVersion(v) if v == version), "{err:?}");
-    }
-
-    #[test]
-    fn trace_extension_strips_to_the_untraced_v2_encoding(frame in frames()) {
-        // Interop: a traced frame minus its extension, re-stamped with
-        // the untraced version and a fixed-up length, must be
-        // byte-identical to encoding the same frame with no trace —
-        // v2 and v3 peers agree on every untraced byte, and untraced
-        // frames never stamp v3.
-        let (untraced, ext_len) = match frame.clone() {
-            Frame::Request { id, ops, trace: Some(_) } => (
-                Frame::Request { id, ops, trace: None },
-                wire::REQUEST_TRACE_LEN,
-            ),
-            Frame::Response { id, results, trace: Some(_) } => (
-                Frame::Response { id, results, trace: None },
-                wire::REPLY_TRACE_LEN,
-            ),
-            other => {
-                prop_assert_eq!(other.encode()[2], wire::VERSION_UNTRACED);
-                continue;
-            }
-        };
-        let mut bytes = frame.encode();
-        prop_assert_eq!(bytes[2], wire::VERSION);
-        bytes.truncate(bytes.len() - ext_len);
-        bytes[2] = wire::VERSION_UNTRACED;
-        let len = (bytes.len() - 16) as u32;
-        bytes[12..16].copy_from_slice(&len.to_le_bytes());
-        prop_assert_eq!(&bytes, &untraced.encode());
-        prop_assert_eq!(wire::decode(&bytes).expect("stripped frame decodes"), untraced);
     }
 
     #[test]
