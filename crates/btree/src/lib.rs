@@ -266,19 +266,12 @@ impl StateStore for BTreeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmpfile(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-btree-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join(name);
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use gadget_kv::testutil::TestDir;
 
     #[test]
     fn crud_roundtrip() {
-        let s = BTreeStore::open(tmpfile("crud.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-crud-roundtrip");
+        let s = BTreeStore::open(dir.path("crud.db"), BTreeConfig::small()).unwrap();
         s.put(b"a", b"1").unwrap();
         assert_eq!(s.get(b"a").unwrap().as_deref(), Some(&b"1"[..]));
         s.put(b"a", b"2").unwrap();
@@ -290,7 +283,8 @@ mod tests {
 
     #[test]
     fn merge_is_rmw() {
-        let s = BTreeStore::open(tmpfile("merge.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-merge-is-rmw");
+        let s = BTreeStore::open(dir.path("merge.db"), BTreeConfig::small()).unwrap();
         s.merge(b"k", b"a").unwrap();
         s.merge(b"k", b"bc").unwrap();
         assert_eq!(s.get(b"k").unwrap().as_deref(), Some(&b"abc"[..]));
@@ -299,7 +293,8 @@ mod tests {
 
     #[test]
     fn thousands_of_keys_with_splits() {
-        let s = BTreeStore::open(tmpfile("many.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-thousands-of-keys-with-splits");
+        let s = BTreeStore::open(dir.path("many.db"), BTreeConfig::small()).unwrap();
         let n = 20_000u64;
         for i in 0..n {
             s.put(&i.to_be_bytes(), format!("value-{i}").as_bytes())
@@ -317,8 +312,9 @@ mod tests {
 
     #[test]
     fn random_order_inserts_and_deletes() {
+        let dir = TestDir::new("btree-random-order-inserts-and-deletes");
         use rand::seq::SliceRandom;
-        let s = BTreeStore::open(tmpfile("random.db"), BTreeConfig::small()).unwrap();
+        let s = BTreeStore::open(dir.path("random.db"), BTreeConfig::small()).unwrap();
         let mut keys: Vec<u64> = (0..5_000).collect();
         let mut rng = gadget_distrib::seeded_rng(11);
         keys.shuffle(&mut rng);
@@ -340,7 +336,8 @@ mod tests {
 
     #[test]
     fn large_values_use_overflow_chains() {
-        let s = BTreeStore::open(tmpfile("overflow.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-large-values-use-overflow-chains");
+        let s = BTreeStore::open(dir.path("overflow.db"), BTreeConfig::small()).unwrap();
         let big = vec![0xABu8; 100_000];
         s.put(b"big", &big).unwrap();
         assert_eq!(s.get(b"big").unwrap().as_deref(), Some(&big[..]));
@@ -356,7 +353,8 @@ mod tests {
 
     #[test]
     fn persistence_across_reopen() {
-        let path = tmpfile("persist.db");
+        let dir = TestDir::new("btree-persistence-across-reopen");
+        let path = dir.path("persist.db");
         {
             let s = BTreeStore::open(&path, BTreeConfig::small()).unwrap();
             for i in 0..1_000u64 {
@@ -375,7 +373,8 @@ mod tests {
 
     #[test]
     fn growing_value_rmw_cost_is_supported() {
-        let s = BTreeStore::open(tmpfile("grow.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-growing-value-rmw-cost-is-supported");
+        let s = BTreeStore::open(dir.path("grow.db"), BTreeConfig::small()).unwrap();
         // Emulates a holistic window bucket: repeated merge growth.
         for i in 0..500u64 {
             s.merge(b"bucket", format!("event-{i};").as_bytes())
@@ -388,7 +387,8 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_covers_internals() {
-        let s = BTreeStore::open(tmpfile("metrics.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-metrics-snapshot-covers-internals");
+        let s = BTreeStore::open(dir.path("metrics.db"), BTreeConfig::small()).unwrap();
         for i in 0..20_000u64 {
             s.put(&i.to_be_bytes(), format!("value-{i}").as_bytes())
                 .unwrap();
@@ -411,8 +411,9 @@ mod tests {
 
     #[test]
     fn apply_batch_matches_op_by_op() {
-        let batched = BTreeStore::open(tmpfile("batch-a.db"), BTreeConfig::small()).unwrap();
-        let serial = BTreeStore::open(tmpfile("batch-b.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-apply-batch-matches-op-by-op");
+        let batched = BTreeStore::open(dir.path("batch-a.db"), BTreeConfig::small()).unwrap();
+        let serial = BTreeStore::open(dir.path("batch-b.db"), BTreeConfig::small()).unwrap();
         let mut ops = Vec::new();
         for i in 0..50u64 {
             ops.push(Op::put(
@@ -432,12 +433,13 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_roundtrip() {
-        let s = BTreeStore::open(tmpfile("ckpt.db"), BTreeConfig::small()).unwrap();
+        let tmp = TestDir::new("btree-checkpoint-restore-roundtrip");
+        let s = BTreeStore::open(tmp.path("ckpt.db"), BTreeConfig::small()).unwrap();
         assert_eq!(s.durability(), Durability::SnapshotOnly);
         for i in 0..2_000u64 {
             s.put(&i.to_be_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
-        let dir = tmpfile("ckpt-dir");
+        let dir = tmp.path("ckpt-dir");
         let manifest = s.checkpoint(&dir).unwrap();
         assert_eq!(manifest.store, "btree");
         assert_eq!(manifest.files.len(), 1);
@@ -465,8 +467,9 @@ mod tests {
 
     #[test]
     fn restore_rejects_foreign_checkpoints() {
-        let s = BTreeStore::open(tmpfile("foreign.db"), BTreeConfig::small()).unwrap();
-        let dir = tmpfile("foreign-dir");
+        let tmp = TestDir::new("btree-restore-rejects-foreign-checkpoints");
+        let s = BTreeStore::open(tmp.path("foreign.db"), BTreeConfig::small()).unwrap();
+        let dir = tmp.path("foreign-dir");
         std::fs::create_dir_all(&dir).unwrap();
         let mut manifest = CheckpointManifest::new("lsm");
         manifest.push_file(SNAPSHOT_NAME, 0);
@@ -477,7 +480,8 @@ mod tests {
 
     #[test]
     fn variable_key_sizes() {
-        let s = BTreeStore::open(tmpfile("varkeys.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("btree-variable-key-sizes");
+        let s = BTreeStore::open(dir.path("varkeys.db"), BTreeConfig::small()).unwrap();
         let keys: Vec<Vec<u8>> = (1..100usize).map(|i| vec![b'k'; i]).collect();
         for (i, k) in keys.iter().enumerate() {
             s.put(k, &i.to_le_bytes()).unwrap();

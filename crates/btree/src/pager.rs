@@ -332,19 +332,12 @@ impl Drop for Pager {
 mod tests {
     use super::*;
     use crate::node::LeafValue;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-pager-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join(name);
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use gadget_kv::testutil::TestDir;
 
     #[test]
     fn node_roundtrip_through_cache_and_disk() {
-        let path = tmp("nodes.db");
+        let dir = TestDir::new("pager-node-roundtrip-through-cache-and-disk");
+        let path = dir.path("nodes.db");
         let mut pager = Pager::open(&path, 8 * PAGE_SIZE).unwrap();
         let pid = pager.alloc();
         let node = Node::Leaf {
@@ -361,7 +354,8 @@ mod tests {
 
     #[test]
     fn eviction_writes_back_dirty_pages() {
-        let path = tmp("evict.db");
+        let dir = TestDir::new("pager-eviction-writes-back-dirty-pages");
+        let path = dir.path("evict.db");
         let mut pager = Pager::open(&path, PAGE_SIZE).unwrap(); // capacity clamps to 8 pages
         let mut pids = Vec::new();
         for i in 0..100u32 {
@@ -387,7 +381,8 @@ mod tests {
 
     #[test]
     fn overflow_chain_roundtrip() {
-        let path = tmp("overflow.db");
+        let dir = TestDir::new("pager-overflow-chain-roundtrip");
+        let path = dir.path("overflow.db");
         let mut pager = Pager::open(&path, 8 * PAGE_SIZE).unwrap();
         let data = (0..20_000u32)
             .flat_map(|i| i.to_le_bytes())
@@ -402,7 +397,8 @@ mod tests {
 
     #[test]
     fn alloc_reuses_freed_pages() {
-        let path = tmp("freelist.db");
+        let dir = TestDir::new("pager-alloc-reuses-freed-pages");
+        let path = dir.path("freelist.db");
         let mut pager = Pager::open(&path, 8 * PAGE_SIZE).unwrap();
         let a = pager.alloc();
         let b = pager.alloc();
@@ -413,7 +409,8 @@ mod tests {
 
     #[test]
     fn rejects_foreign_files() {
-        let path = tmp("foreign.db");
+        let dir = TestDir::new("pager-rejects-foreign-files");
+        let path = dir.path("foreign.db");
         std::fs::write(&path, vec![0xFFu8; PAGE_SIZE]).unwrap();
         assert!(Pager::open(&path, 8 * PAGE_SIZE).is_err());
     }

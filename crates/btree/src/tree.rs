@@ -394,19 +394,12 @@ fn split_internal(node: Node) -> (Node, Vec<u8>, Node) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-tree-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join(name);
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use gadget_kv::testutil::TestDir;
 
     #[test]
     fn ascending_inserts_split_correctly() {
-        let mut t = Tree::open(&tmp("asc.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("tree-ascending-inserts-split-correctly");
+        let mut t = Tree::open(&dir.path("asc.db"), BTreeConfig::small()).unwrap();
         for i in 0..5_000u64 {
             t.insert(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
         }
@@ -418,7 +411,8 @@ mod tests {
 
     #[test]
     fn descending_inserts_split_correctly() {
-        let mut t = Tree::open(&tmp("desc.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("tree-descending-inserts-split-correctly");
+        let mut t = Tree::open(&dir.path("desc.db"), BTreeConfig::small()).unwrap();
         for i in (0..5_000u64).rev() {
             t.insert(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
         }
@@ -435,7 +429,8 @@ mod tests {
 
     #[test]
     fn scan_walks_leaf_chain() {
-        let mut t = Tree::open(&tmp("scan.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("tree-scan-walks-leaf-chain");
+        let mut t = Tree::open(&dir.path("scan.db"), BTreeConfig::small()).unwrap();
         for i in 0..3_000u64 {
             t.insert(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
         }
@@ -461,7 +456,8 @@ mod tests {
 
     #[test]
     fn scan_materializes_overflow_values() {
-        let mut t = Tree::open(&tmp("scan-ov.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("tree-scan-materializes-overflow-values");
+        let mut t = Tree::open(&dir.path("scan-ov.db"), BTreeConfig::small()).unwrap();
         let big = vec![0x5Au8; 50_000];
         t.insert(b"big", &big).unwrap();
         t.insert(b"small", b"s").unwrap();
@@ -473,14 +469,16 @@ mod tests {
 
     #[test]
     fn rejects_invalid_keys() {
-        let mut t = Tree::open(&tmp("invalid.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("tree-rejects-invalid-keys");
+        let mut t = Tree::open(&dir.path("invalid.db"), BTreeConfig::small()).unwrap();
         assert!(t.insert(b"", b"v").is_err());
         assert!(t.insert(&[0u8; 256], b"v").is_err());
     }
 
     #[test]
     fn leaf_chain_stays_sorted_after_splits() {
-        let mut t = Tree::open(&tmp("chain.db"), BTreeConfig::small()).unwrap();
+        let dir = TestDir::new("tree-leaf-chain-stays-sorted-after-splits");
+        let mut t = Tree::open(&dir.path("chain.db"), BTreeConfig::small()).unwrap();
         for i in [5u64, 1, 9, 3, 7, 2, 8, 0, 6, 4] {
             for j in 0..300u64 {
                 t.insert(&(i * 1_000 + j).to_be_bytes(), b"x").unwrap();

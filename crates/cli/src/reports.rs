@@ -349,7 +349,7 @@ fn print_topology_meta(m: &gadget_report::RunMeta) {
 #[cfg(test)]
 pub(crate) mod tests {
     use crate::dispatch;
-    use crate::tests::{strs, timing_lock, ycsb};
+    use crate::tests::{load_lock, strs, ycsb};
     use gadget_kv::testutil::TestDir;
     use gadget_report::{ReportFile, RunReport};
 
@@ -389,13 +389,12 @@ pub(crate) mod tests {
 
     #[test]
     fn report_out_compare_passes_then_regresses_on_perturbation() {
-        let _serial = timing_lock();
+        let _load = load_lock();
         let dir = TestDir::new("cli-report-compare");
         let trace_path = dir.path("trace.gdt");
         ycsb("A", 200, 5_000, &trace_path);
-        let (a, b) = (dir.path("a.json"), dir.path("b.json"));
+        let a = dir.path("a.json");
         replay_with_report(&trace_path, &a);
-        replay_with_report(&trace_path, &b);
 
         // Reports parse back with provenance recorded.
         let parsed = RunReport::load(&a).unwrap();
@@ -405,7 +404,12 @@ pub(crate) mod tests {
         assert!(parsed.meta.cpu_count >= 1);
         assert_ne!(parsed.meta.config_digest, "unknown");
 
-        // Same seed, same machine, generous tolerance: PASS.
+        // A report against a reload of itself: PASS. Two timed replays of
+        // a debug build drift past any tolerance often enough to flake;
+        // same-seed live pairs are CI's `report-smoke` job, on a release
+        // build.
+        let b = dir.path("b.json");
+        parsed.save(&b).unwrap();
         let cmp_out = dir.path("cmp.json");
         dispatch(&strs(&[
             "report",

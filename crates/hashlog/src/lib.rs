@@ -555,8 +555,8 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_roundtrip_and_resharding() {
-        let dir = std::env::temp_dir().join(format!("gadget-hl-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = gadget_kv::testutil::TestDir::new("hl-ckpt");
+        let dir = tmp.path("ckpt");
         let s = HashLogStore::new(HashLogConfig::small());
         assert_eq!(s.durability(), Durability::SnapshotOnly);
         for i in 0..200u64 {
@@ -593,7 +593,6 @@ mod tests {
                 "key {i}"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod durability;
 pub mod error;
 pub mod hash;
 pub mod instrument;
+pub mod key;
 pub mod mem;
 pub mod observed;
 pub mod remote;
@@ -50,8 +51,9 @@ pub use durability::{
     CheckpointManifest, Durability, MANIFEST_NAME,
 };
 pub use error::StoreError;
-pub use hash::fnv1a;
+pub use hash::{fnv1a, TableHash};
 pub use instrument::InstrumentedStore;
+pub use key::Key;
 pub use mem::MemStore;
 pub use observed::{ObservedStore, OpTimers};
 pub use remote::{NetworkProfile, RemoteStore};

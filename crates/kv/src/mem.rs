@@ -11,10 +11,26 @@ use gadget_types::Op;
 
 use crate::durability::{read_kv_records, write_snapshot_file, CheckpointManifest, Durability};
 use crate::error::StoreError;
+use crate::hash::TableHash;
+use crate::key::Key;
 use crate::store::{apply_ops_serially, BatchResult, StateStore, StoreCounters};
 
 /// File name of the MemStore snapshot inside a checkpoint directory.
 const SNAPSHOT_NAME: &str = "mem.snap";
+
+/// The store's table: keys of up to 22 bytes inline in the table's own
+/// slots, hashed with the workspace's unkeyed table hash.
+type Map = HashMap<Key, Bytes, TableHash>;
+
+/// Sets `key` to `value`, building a [`Key`] only for a new entry.
+fn set(map: &mut Map, key: &[u8], value: Bytes) {
+    match map.get_mut(key) {
+        Some(slot) => *slot = value,
+        None => {
+            map.insert(Key::new(key), value);
+        }
+    }
+}
 
 /// A trivial in-memory hash-map store.
 ///
@@ -24,7 +40,7 @@ const SNAPSHOT_NAME: &str = "mem.snap";
 /// native merges by direct concatenation.
 #[derive(Debug)]
 pub struct MemStore {
-    map: RwLock<HashMap<Vec<u8>, Bytes>>,
+    map: RwLock<Map>,
     counters: StoreCounters,
     metrics: MetricsRegistry,
 }
@@ -69,9 +85,8 @@ impl StateStore for MemStore {
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         self.counters.record_put();
-        self.map
-            .write()
-            .insert(key.to_vec(), Bytes::copy_from_slice(value));
+        let value = Bytes::copy_from_slice(value);
+        set(&mut self.map.write(), key, value);
         Ok(())
     }
 
@@ -86,7 +101,7 @@ impl StateStore for MemStore {
                 *existing = Bytes::from(v);
             }
             None => {
-                map.insert(key.to_vec(), Bytes::copy_from_slice(operand));
+                map.insert(Key::new(key), Bytes::copy_from_slice(operand));
             }
         }
         Ok(())
@@ -103,7 +118,7 @@ impl StateStore for MemStore {
         let mut out: Vec<(Bytes, Bytes)> = map
             .iter()
             .filter(|(k, _)| k.as_slice() >= lo && k.as_slice() <= hi)
-            .map(|(k, v)| (Bytes::copy_from_slice(k), v.clone()))
+            .map(|(k, v)| (Bytes::copy_from_slice(k.as_slice()), v.clone()))
             .collect();
         out.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
         Ok(out)
@@ -131,7 +146,7 @@ impl StateStore for MemStore {
     fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::path_io("open", dir, e))?;
         let map = self.map.read();
-        let mut entries: Vec<(&Vec<u8>, &Bytes)> = map.iter().collect();
+        let mut entries: Vec<(&Key, &Bytes)> = map.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
         let bytes = write_snapshot_file(
             &dir.join(SNAPSHOT_NAME),
@@ -157,7 +172,7 @@ impl StateStore for MemStore {
         let mut map = self.map.write();
         map.clear();
         for (k, v) in records {
-            map.insert(k, Bytes::from(v));
+            map.insert(Key::new(&k), Bytes::from(v));
         }
         Ok(())
     }
@@ -180,7 +195,7 @@ impl StateStore for MemStore {
                 }
                 Op::Put { key, value } => {
                     self.counters.record_put();
-                    map.insert(key.to_vec(), value.clone());
+                    set(&mut map, key, value.clone());
                     out.push(BatchResult::Applied);
                 }
                 Op::Merge { key, operand } => {
@@ -193,7 +208,7 @@ impl StateStore for MemStore {
                             *existing = Bytes::from(v);
                         }
                         None => {
-                            map.insert(key.to_vec(), operand.clone());
+                            map.insert(Key::new(key), operand.clone());
                         }
                     }
                     out.push(BatchResult::Applied);

@@ -9,9 +9,9 @@
 //! hit is one hash lookup and one relink under the shard lock.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::Bytes;
+use gadget_kv::TableHash;
 use gadget_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 
@@ -20,31 +20,6 @@ pub type BlockKey = (u64, u64);
 
 /// A cached data block; a point read returns [`Bytes::slice`]s of it.
 pub type Block = Bytes;
-
-/// Hashes a [`BlockKey`] with a multiply and a rotate per word. Both words
-/// are numbers this store made up (a file counter, an offset it wrote at),
-/// never bytes from outside, so the keyed default hasher would spend most
-/// of a cache hit guarding against collisions nobody can craft.
-#[derive(Default)]
-struct BlockKeyHasher(u64);
-
-impl Hasher for BlockKeyHasher {
-    fn finish(&self) -> u64 {
-        // The map indexes by the low bits, a product's weakest: fold the
-        // high half over them.
-        self.0 ^ (self.0 >> 32)
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-}
 
 /// "No slot": the end of a shard's list in either direction.
 const NIL: u32 = u32::MAX;
@@ -61,7 +36,10 @@ struct Slot {
 }
 
 struct Shard {
-    index: HashMap<BlockKey, u32, BuildHasherDefault<BlockKeyHasher>>,
+    /// Both words of a key are numbers this store made up (a file
+    /// counter, an offset it wrote at), so the workspace's unkeyed table
+    /// hash serves.
+    index: HashMap<BlockKey, u32, TableHash>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Most recently used slot.

@@ -16,10 +16,10 @@
 //! dropping a flushed table frees those chunks and nodes instead of two
 //! or three heap blocks per write that the writer allocated.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use gadget_kv::Key;
 
 /// Result of probing one level of the read path for a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,10 +67,6 @@ const CHUNK_BYTES: usize = 256 << 10;
 /// bump chunk wastes when the next value does not fit stays under a
 /// quarter of it.
 const OVERSIZED_BYTES: usize = CHUNK_BYTES / 4;
-
-/// Longest key stored in the tree node itself; makes [`Key`] 24 bytes,
-/// the size of the `Vec` header it replaces.
-const INLINE_KEY_BYTES: usize = 22;
 
 /// Header of an operand record in the arena: chunk and offset of the
 /// record stacked before it, then this operand's length, each a
@@ -184,70 +180,6 @@ impl Arena {
     }
 }
 
-/// A key as the tree stores it: up to [`INLINE_KEY_BYTES`] (every
-/// `StateKey` is 16) inside the node, so looking a key up or inserting
-/// it touches no other allocation. A longer key is boxed by the write
-/// that carries it, before the tree says whether it is new. Ordered as
-/// its bytes.
-#[derive(Debug)]
-enum Key {
-    Inline {
-        len: u8,
-        bytes: [u8; INLINE_KEY_BYTES],
-    },
-    Heap(Box<[u8]>),
-}
-
-const _: () = assert!(std::mem::size_of::<Key>() == 24);
-
-impl Key {
-    fn new(key: &[u8]) -> Key {
-        if key.len() <= INLINE_KEY_BYTES {
-            let mut bytes = [0; INLINE_KEY_BYTES];
-            bytes[..key.len()].copy_from_slice(key);
-            Key::Inline {
-                len: key.len() as u8,
-                bytes,
-            }
-        } else {
-            Key::Heap(key.into())
-        }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Key::Inline { len, bytes } => &bytes[..*len as usize],
-            Key::Heap(bytes) => bytes,
-        }
-    }
-}
-
-impl Borrow<[u8]> for Key {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Key) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Key) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Key) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
 /// What a key's merge operands are stacked on.
 #[derive(Debug, Clone, Copy)]
 enum Base {
@@ -292,6 +224,9 @@ impl Slot {
 /// An in-memory sorted write buffer.
 #[derive(Debug, Default)]
 pub struct MemTable {
+    /// Keys of up to 22 bytes live in the tree nodes; a longer key is
+    /// boxed by the write that carries it, before the tree says whether
+    /// it is new.
     entries: BTreeMap<Key, Slot>,
     arena: Arena,
     approximate_bytes: usize,
