@@ -1,7 +1,7 @@
 //! One module per paper table/figure; each exposes `run(&Scale)`.
 //!
-//! The binaries in `src/bin/` are thin wrappers so the whole suite can
-//! also run in-process (`all_experiments`) and be exercised by tests.
+//! The `experiments` binary runs them by name (or all of them, in
+//! order, in one process), and tests can call them directly.
 
 pub mod ext_cache_tuning;
 pub mod ext_external;

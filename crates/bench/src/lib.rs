@@ -1,11 +1,12 @@
-//! Shared plumbing for the experiment binaries.
+//! Shared plumbing for the experiments.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md §5 for the index). This
-//! library provides what they share: the store zoo, scale flags, table
-//! printing, and JSON result dumps.
+//! Every table and figure of the paper's evaluation has a module in
+//! `src/experiments/` that regenerates it, run by name through the one
+//! `experiments` binary (see DESIGN.md §5 for the index). This library
+//! provides what they share: the store zoo, scale flags, table printing,
+//! and JSON result dumps.
 //!
-//! Scale note: the binaries default to CI-friendly sizes (hundreds of
+//! Scale note: the experiments default to CI-friendly sizes (hundreds of
 //! thousands of events) rather than the paper's server-scale runs; pass
 //! `--full` or `--events N` / `--ops N` to scale up. Result *shapes* —
 //! who wins, by what factor, where the crossovers are — are what we
@@ -20,7 +21,7 @@ use gadget_kv::StateStore;
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_report::ReportFile;
 
-/// Command-line scale options shared by all experiment binaries.
+/// Command-line scale options shared by all experiments.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// Input events for characterization experiments.
@@ -49,7 +50,7 @@ pub struct Scale {
 impl Scale {
     /// Parses `--events N`, `--ops N`, `--seed N`, `--metrics PATH`,
     /// `--trace PATH`, `--batch-size N`, `--reports DIR`,
-    /// `--no-reports`, `--full` from argv.
+    /// `--no-reports`, `--full` from argv, after the experiment name.
     pub fn from_args() -> Scale {
         let mut scale = Scale {
             events: 100_000,
@@ -61,7 +62,7 @@ impl Scale {
             reports: Some(PathBuf::from("results/reports")),
         };
         let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
+        let mut i = 2;
         while i < args.len() {
             match args[i].as_str() {
                 "--full" => {

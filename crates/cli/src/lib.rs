@@ -296,6 +296,22 @@ mod tests {
     }
 
     #[test]
+    fn misspelled_config_key_is_an_error() {
+        let dir = gadget_kv::testutil::TestDir::new("cli-config-typo");
+        let path = dir.path("typo.json");
+        write_config(&path, gadget_core::OperatorKind::TumblingIncr, 100);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(
+            &path,
+            text.replace("\"window_length\"", "\"window_lenght\""),
+        )
+        .unwrap();
+        let flags = Flags::parse(&strs(&["--config", path.to_str().unwrap()])).unwrap();
+        let err = crate::plan::load_config(&flags).unwrap_err();
+        assert!(err.contains("unknown field `window_lenght`"), "got: {err}");
+    }
+
+    #[test]
     fn dispatch_rejects_unknown() {
         assert!(dispatch(&strs(&["frobnicate"])).is_err());
         assert!(dispatch(&[]).is_err());

@@ -4,7 +4,7 @@
 use gadget_obs::trace::AttributionReport;
 use gadget_obs::{LogHistogram, MetricsSnapshot};
 use gadget_replay::ReplayOptions;
-use gadget_report::{ReportFile, ReshardRecord, RunMeta, RunReport};
+use gadget_report::{ReportFile, RunMeta, RunReport};
 
 use crate::stores::shard_count;
 use crate::Flags;
@@ -100,7 +100,7 @@ impl Stamp {
             // The final shard count may differ from `--shards` after a
             // mid-run split; the event trail says why.
             if let Some(last) = topology.events.last() {
-                meta.shards = meta.shards.max(last.to + 1);
+                meta.shards = meta.shards.max(last.to as u64 + 1);
             }
             meta.reshard_events = topology.events;
         }
@@ -112,26 +112,16 @@ impl Stamp {
 /// partition-map digest (hex) plus every reshard completed mid-run.
 pub(crate) struct Topology {
     digest: String,
-    events: Vec<ReshardRecord>,
+    events: Vec<gadget_kv::ReshardEvent>,
 }
 
 impl Topology {
     /// Lifts a sharded store's (or a driven server's) answer into the
-    /// report schema's records.
+    /// report's provenance.
     pub(crate) fn new(digest: String, events: &[gadget_kv::ReshardEvent]) -> Topology {
-        let record = |e: &gadget_kv::ReshardEvent| ReshardRecord {
-            at_op: e.at_op,
-            from: e.from as u64,
-            to: e.to as u64,
-            slots: e.slots as u64,
-            keys: e.keys,
-            pause_us: e.pause_us,
-            copy_us: e.copy_us,
-            map_version: e.map_version,
-        };
         Topology {
             digest,
-            events: events.iter().map(record).collect(),
+            events: events.to_vec(),
         }
     }
 

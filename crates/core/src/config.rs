@@ -44,7 +44,10 @@ fn default_max_lateness() -> Timestamp {
 }
 
 /// A complete workload description: source + operator + driver settings.
+/// A top-level key outside these fields is an error, so a misspelled
+/// setting cannot silently fall back to its default.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GadgetConfig {
     /// Input stream source.
     pub source: SourceConfig,

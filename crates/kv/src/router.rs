@@ -27,6 +27,8 @@
 //!
 //! [`ShardedStore`]: crate::ShardedStore
 
+use serde::{Deserialize, Serialize};
+
 use crate::hash::fnv1a;
 
 /// Number of fixed hash slots in a partition map.
@@ -153,8 +155,11 @@ impl SlotTable {
 
 /// What one completed slot migration did and what it cost. Recorded by
 /// [`ShardedStore`](crate::ShardedStore) and surfaced through reports
-/// so the elasticity scenarios are measurable, not just runnable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// so the elasticity scenarios are measurable, not just runnable: a p99
+/// blip at `at_op` with a matching event in a report's provenance is
+/// elasticity cost, not store regression.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ReshardEvent {
     /// Op index at which the migration was triggered (0 when the
     /// trigger had no op counter in scope, e.g. an over-the-wire

@@ -21,7 +21,7 @@ pub struct SnapshotPoint {
 }
 
 /// A whole run's worth of [`SnapshotPoint`]s.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSeries {
     /// Sampling interval in operations.
     pub interval_ops: u64,
@@ -39,8 +39,7 @@ impl SnapshotPoint {
     }
 }
 
-// Manual impls so `registries` reads as a JSON object keyed by
-// component name rather than an array of pairs.
+// By hand: `registries` is a JSON object keyed by component name.
 impl Serialize for SnapshotPoint {
     fn to_value(&self) -> Value {
         let registries = self
@@ -75,44 +74,6 @@ impl Deserialize for SnapshotPoint {
             ops: u64::from_value(field("ops")?)?,
             wall_ms: u64::from_value(field("wall_ms")?)?,
             registries,
-        })
-    }
-}
-
-impl Serialize for MetricsSeries {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "interval_ops".to_string(),
-                Value::UInt(self.interval_ops as u128),
-            ),
-            (
-                "points".to_string(),
-                Value::Array(self.points.iter().map(Serialize::to_value).collect()),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for MetricsSeries {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        const CTX: &str = "MetricsSeries";
-        let members = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value, CTX))?;
-        let field = |name: &str| {
-            serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
-        };
-        let points = match field("points")? {
-            Value::Array(entries) => entries
-                .iter()
-                .map(SnapshotPoint::from_value)
-                .collect::<Result<_, Error>>()?,
-            other => return Err(Error::expected("array", other, CTX)),
-        };
-        Ok(MetricsSeries {
-            interval_ops: u64::from_value(field("interval_ops")?)?,
-            points,
         })
     }
 }
@@ -300,6 +261,91 @@ mod tests {
                 Some(point.ops)
             );
         }
+    }
+
+    #[test]
+    fn series_json_bytes_are_pinned() {
+        let mut store = MetricsSnapshot::new();
+        store.push_counter("wal_appends", 40);
+        store.push_gauge("memtable_bytes", -3);
+        let mut hist = crate::LogHistogram::new();
+        hist.record(1_000);
+        hist.record(3_000);
+        store.histograms.push(("get_ns".to_string(), hist));
+        let mut replayer = MetricsSnapshot::new();
+        replayer.push_counter("ops", 50);
+        let series = MetricsSeries {
+            interval_ops: 50,
+            points: vec![
+                SnapshotPoint {
+                    ops: 50,
+                    wall_ms: 7,
+                    registries: vec![
+                        ("store".to_string(), store),
+                        ("replayer".to_string(), replayer),
+                    ],
+                },
+                SnapshotPoint {
+                    ops: 100,
+                    wall_ms: 12,
+                    registries: Vec::new(),
+                },
+            ],
+        };
+        let expected = r#"{
+  "interval_ops": 50,
+  "points": [
+    {
+      "ops": 50,
+      "wall_ms": 7,
+      "registries": {
+        "store": {
+          "counters": {
+            "wal_appends": 40
+          },
+          "gauges": {
+            "memtable_bytes": -3
+          },
+          "histograms": {
+            "get_ns": {
+              "mantissa_bits": 5,
+              "count": 2,
+              "sum": 4000,
+              "max": 3000,
+              "mean": 2000,
+              "p50": 992,
+              "p99": 2944,
+              "p999": 2944,
+              "buckets": [
+                [
+                  190,
+                  1
+                ],
+                [
+                  238,
+                  1
+                ]
+              ]
+            }
+          }
+        },
+        "replayer": {
+          "counters": {
+            "ops": 50
+          },
+          "gauges": {},
+          "histograms": {}
+        }
+      }
+    },
+    {
+      "ops": 100,
+      "wall_ms": 12,
+      "registries": {}
+    }
+  ]
+}"#;
+        assert_eq!(serde_json::to_string_pretty(&series).unwrap(), expected);
     }
 
     #[test]

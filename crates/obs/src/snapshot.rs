@@ -111,6 +111,7 @@ impl MetricsSnapshot {
     }
 }
 
+// By hand: each section is a JSON object keyed by metric name.
 impl Serialize for MetricsSnapshot {
     fn to_value(&self) -> Value {
         let counters = self

@@ -19,6 +19,9 @@
 //! significant-but-tiny differences surface as WARN/PASS with the
 //! statistics printed, so same-seed re-runs (which always differ by
 //! timing noise) pass while a genuine 4× tail blowup cannot hide.
+//!
+//! The verdict's JSON (`report compare --out`) is derived: members in
+//! declaration order, each [`Status`] as its table label.
 
 use gadget_analysis::{ks_test, wasserstein_distance};
 use gadget_obs::{bucket_bounds, LogHistogram};
@@ -90,6 +93,13 @@ pub enum Status {
     Regressed,
 }
 
+// By hand: the wire form is the table label, not the variant name.
+impl Serialize for Status {
+    fn to_value(&self) -> Value {
+        Value::Str(self.label().to_string())
+    }
+}
+
 impl Status {
     /// Uppercase label used in tables and JSON.
     pub fn label(self) -> &'static str {
@@ -102,7 +112,7 @@ impl Status {
 }
 
 /// One compared metric.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MetricComparison {
     /// Metric name (`throughput`, `latency`, `latency/get`,
     /// `counter/flushes`, ...).
@@ -126,7 +136,7 @@ pub struct MetricComparison {
 }
 
 /// Machine-readable outcome of comparing two reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ComparisonReport {
     /// Label of the baseline side (path or description).
     pub baseline: String,
@@ -176,44 +186,6 @@ impl ComparisonReport {
         }
         out.push_str(&format!("verdict: {}\n", self.status.label()));
         out
-    }
-}
-
-impl Serialize for ComparisonReport {
-    fn to_value(&self) -> Value {
-        let metrics = self
-            .metrics
-            .iter()
-            .map(|m| {
-                let opt = |v: Option<f64>| match v {
-                    Some(f) => Value::Float(f),
-                    None => Value::Null,
-                };
-                Value::Object(vec![
-                    ("metric".to_string(), m.metric.to_value()),
-                    ("baseline".to_string(), Value::Float(m.baseline)),
-                    ("candidate".to_string(), Value::Float(m.candidate)),
-                    ("delta_pct".to_string(), Value::Float(m.delta_pct)),
-                    ("ks_d".to_string(), opt(m.ks_d)),
-                    ("ks_p".to_string(), opt(m.ks_p)),
-                    ("wasserstein".to_string(), opt(m.wasserstein)),
-                    (
-                        "status".to_string(),
-                        m.status.label().to_string().to_value(),
-                    ),
-                    ("note".to_string(), m.note.to_value()),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("baseline".to_string(), self.baseline.to_value()),
-            ("candidate".to_string(), self.candidate.to_value()),
-            ("metrics".to_string(), Value::Array(metrics)),
-            (
-                "status".to_string(),
-                self.status.label().to_string().to_value(),
-            ),
-        ])
     }
 }
 
@@ -903,6 +875,78 @@ mod tests {
             .unwrap();
         assert_eq!(us.status, Status::Warn);
         assert!(us.note.contains("recovery slowed"), "{}", us.note);
+    }
+
+    #[test]
+    fn comparison_json_bytes_are_pinned() {
+        let metric =
+            |name: &str, stats: Option<(f64, f64, f64)>, status, note: &str| MetricComparison {
+                metric: name.to_string(),
+                baseline: 1_250.0,
+                candidate: 1_812.5,
+                delta_pct: 45.0,
+                ks_d: stats.map(|s| s.0),
+                ks_p: stats.map(|s| s.1),
+                wasserstein: stats.map(|s| s.2),
+                status,
+                note: note.to_string(),
+            };
+        let report = ComparisonReport {
+            baseline: "base.json".to_string(),
+            candidate: "cand.json".to_string(),
+            metrics: vec![
+                metric("throughput", None, Status::Pass, "within 10%"),
+                metric(
+                    "latency",
+                    Some((0.375, 0.0001, 562.5)),
+                    Status::Regressed,
+                    "slower",
+                ),
+                metric("counter/flushes", None, Status::Warn, "drifted"),
+            ],
+            status: Status::Regressed,
+        };
+        let expected = r#"{
+  "baseline": "base.json",
+  "candidate": "cand.json",
+  "metrics": [
+    {
+      "metric": "throughput",
+      "baseline": 1250,
+      "candidate": 1812.5,
+      "delta_pct": 45,
+      "ks_d": null,
+      "ks_p": null,
+      "wasserstein": null,
+      "status": "PASS",
+      "note": "within 10%"
+    },
+    {
+      "metric": "latency",
+      "baseline": 1250,
+      "candidate": 1812.5,
+      "delta_pct": 45,
+      "ks_d": 0.375,
+      "ks_p": 0.0001,
+      "wasserstein": 562.5,
+      "status": "REGRESSED",
+      "note": "slower"
+    },
+    {
+      "metric": "counter/flushes",
+      "baseline": 1250,
+      "candidate": 1812.5,
+      "delta_pct": 45,
+      "ks_d": null,
+      "ks_p": null,
+      "wasserstein": null,
+      "status": "WARN",
+      "note": "drifted"
+    }
+  ],
+  "status": "REGRESSED"
+}"#;
+        assert_eq!(serde_json::to_string_pretty(&report).unwrap(), expected);
     }
 
     #[test]

@@ -23,9 +23,18 @@ pub trait ReportFile: Serialize + Deserialize + Sized {
         s
     }
 
+    /// What parsing alone does not enforce, checked by
+    /// [`from_json`](Self::from_json) on every parsed document (a
+    /// derived schema's version).
+    fn check(&self) -> Result<(), String> {
+        Ok(())
+    }
+
     /// Parses a report from JSON, enforcing the schema version.
     fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str::<Self>(text).map_err(|e| e.to_string())
+        let report = serde_json::from_str::<Self>(text).map_err(|e| e.to_string())?;
+        report.check()?;
+        Ok(report)
     }
 
     /// Writes the canonical JSON form to `path`, creating parent

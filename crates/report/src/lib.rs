@@ -30,5 +30,6 @@ pub mod sweep;
 pub use compare::{compare_reports, ComparisonReport, MetricComparison, Status, Tolerance};
 pub use env::{capture, capture_in, fnv1a_hex};
 pub use file::ReportFile;
-pub use schema::{RecoveryReport, ReshardRecord, RunMeta, RunReport, SCHEMA_VERSION};
+pub use gadget_kv::ReshardEvent;
+pub use schema::{RecoveryReport, RunMeta, RunReport, SCHEMA_VERSION};
 pub use sweep::{compare_sweeps, KneePoint, SweepReport, SweepStep, SWEEP_SCHEMA_VERSION};

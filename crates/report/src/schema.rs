@@ -4,47 +4,21 @@
 //! enough provenance to know *what* ran (store, workload, config digest,
 //! git revision, machine shape) and enough distribution data to compare
 //! *how* it ran (full mergeable latency histograms, not just summary
-//! percentiles). Serialization is hand-written rather than derived so
-//! the field order is fixed, unknown fields are rejected, and the
-//! on-disk form stays byte-stable: serialize → deserialize →
+//! percentiles). The sections derive their JSON: members follow the
+//! declaration order, fields a document may predate default, and
+//! `deny_unknown_fields` makes any other member an error. Only
+//! [`RunReport`] itself is written by hand. Serialize → deserialize →
 //! re-serialize is byte-identical, which the golden fixture under
-//! `tests/fixtures/` depends on.
+//! `tests/fixtures/` pins.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
+use gadget_kv::ReshardEvent;
 use gadget_obs::{LogHistogram, MetricsSnapshot};
 
 /// Version stamped into every report. Bump on any wire-visible change;
 /// readers reject other versions rather than guessing.
 pub const SCHEMA_VERSION: u32 = 1;
-
-/// One completed live reshard (shard split or slot migration) that
-/// happened during the measured run — the provenance a report needs for
-/// its latency profile to be interpretable: a p99 blip at `at_op` with
-/// a matching record here is elasticity cost, not store regression.
-///
-/// Mirrors `gadget_kv::ReshardEvent` field-for-field; the report crate
-/// keeps its own copy so the schema layer stays free of store
-/// dependencies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReshardRecord {
-    /// Op index the reshard was requested at.
-    pub at_op: u64,
-    /// Source shard.
-    pub from: u64,
-    /// Target shard.
-    pub to: u64,
-    /// Slots moved.
-    pub slots: u64,
-    /// Keys copied.
-    pub keys: u64,
-    /// Write-pause duration of the atomic map flip, microseconds.
-    pub pause_us: u64,
-    /// Total copy-phase duration, microseconds.
-    pub copy_us: u64,
-    /// Partition-map version after the flip.
-    pub map_version: u64,
-}
 
 /// Outcome of a crash-recovery measurement (`gadget crash`).
 ///
@@ -57,7 +31,8 @@ pub struct ReshardRecord {
 /// lose* ([`loss_window`](Self::loss_window) out of
 /// [`acked_ops`](Self::acked_ops)), and *under what failure* was it
 /// measured (kill point, torn tail, checkpoint presence).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RecoveryReport {
     /// Wall-clock time from starting the reopened store to its state
     /// being readable again, microseconds.
@@ -86,7 +61,8 @@ pub struct RecoveryReport {
 /// Every field degrades to `"unknown"` / `0` rather than failing:
 /// reports must be producible from a dirty tree, a tarball export, or a
 /// CI runner without git. See [`crate::env::capture`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RunMeta {
     /// Full commit hash, or `"unknown"` outside a git checkout.
     pub git_sha: String,
@@ -103,12 +79,18 @@ pub struct RunMeta {
     pub shards: u64,
     /// Micro-batch size.
     pub batch_size: u64,
+    // The next five are absent in reports written before each existed,
+    // all of which were embedded, closed-loop, full-speed runs over a
+    // partition map nobody recorded, with nothing resharded: missing
+    // means exactly that, not a parse error — committed baselines keep
+    // loading.
     /// How operations reached the store: `"embedded"` for in-process
     /// runs, `"tcp"` for runs driven through `gadget-server`'s wire
     /// protocol. Part of a report's identity — comparing a client-side
     /// latency curve against an embedded baseline would misattribute
     /// the network to the store. Reports written before this field
     /// existed deserialize as `"embedded"`, which is what they were.
+    #[serde(default = "embedded")]
     pub transport: String,
     /// Arrival model the run was paced with: `"closed"` (send-time
     /// latency, the historical behaviour), `"constant"`, or
@@ -116,9 +98,11 @@ pub struct RunMeta {
     /// report's identity — closed- and open-loop latency curves answer
     /// different questions. Reports from before arrival modes existed
     /// deserialize as `"closed"`, which is what they were.
+    #[serde(default = "closed")]
     pub arrival: String,
     /// Offered load in ops/s when the run was paced; `0` for
     /// full-speed runs (and for reports predating the field).
+    #[serde(default)]
     pub offered_rate: f64,
     /// Hex digest of the partition map the store ended the run with
     /// (`gadget_kv::SlotTable::digest`), or `"unknown"` when the producer
@@ -127,29 +111,43 @@ pub struct RunMeta {
     /// across different slot→shard assignments conflates placement with
     /// store performance, so `compare` refuses mismatched digests
     /// unless explicitly overridden.
+    #[serde(default = "unknown")]
     pub partition_digest: String,
     /// Live reshards completed during the run, oldest first; empty for
     /// static-topology runs (and for reports predating the field).
-    pub reshard_events: Vec<ReshardRecord>,
+    #[serde(default)]
+    pub reshard_events: Vec<ReshardEvent>,
     /// Wall-clock creation time, milliseconds since the Unix epoch
     /// (0 if the clock is unavailable).
     pub created_unix_ms: u64,
 }
 
+fn embedded() -> String {
+    "embedded".to_string()
+}
+
+fn closed() -> String {
+    "closed".to_string()
+}
+
+fn unknown() -> String {
+    "unknown".to_string()
+}
+
 impl Default for RunMeta {
     fn default() -> Self {
         RunMeta {
-            git_sha: "unknown".to_string(),
-            git_describe: "unknown".to_string(),
-            config_digest: "unknown".to_string(),
+            git_sha: unknown(),
+            git_describe: unknown(),
+            config_digest: unknown(),
             cpu_count: 0,
             threads: 1,
             shards: 1,
             batch_size: 1,
-            transport: "embedded".to_string(),
-            arrival: "closed".to_string(),
+            transport: embedded(),
+            arrival: closed(),
             offered_rate: 0.0,
-            partition_digest: "unknown".to_string(),
+            partition_digest: unknown(),
             reshard_events: Vec::new(),
             created_unix_ms: 0,
         }
@@ -231,201 +229,9 @@ impl crate::ReportFile for RunReport {
     }
 }
 
-const META_FIELDS: &[&str] = &[
-    "git_sha",
-    "git_describe",
-    "config_digest",
-    "cpu_count",
-    "threads",
-    "shards",
-    "batch_size",
-    "transport",
-    "arrival",
-    "offered_rate",
-    "partition_digest",
-    "reshard_events",
-    "created_unix_ms",
-];
-
-const RECOVERY_FIELDS: &[&str] = &[
-    "recovery_us",
-    "replayed_wal_bytes",
-    "loss_window",
-    "acked_ops",
-    "kill_at_op",
-    "checkpoint_restored",
-    "torn_tail",
-    "crashes",
-];
-
-impl Serialize for RecoveryReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("recovery_us".to_string(), self.recovery_us.to_value()),
-            (
-                "replayed_wal_bytes".to_string(),
-                self.replayed_wal_bytes.to_value(),
-            ),
-            ("loss_window".to_string(), self.loss_window.to_value()),
-            ("acked_ops".to_string(), self.acked_ops.to_value()),
-            ("kill_at_op".to_string(), self.kill_at_op.to_value()),
-            (
-                "checkpoint_restored".to_string(),
-                self.checkpoint_restored.to_value(),
-            ),
-            ("torn_tail".to_string(), self.torn_tail.to_value()),
-            ("crashes".to_string(), self.crashes.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RecoveryReport {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        const CTX: &str = "RecoveryReport";
-        let members = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value, CTX))?;
-        reject_unknown(members, RECOVERY_FIELDS, CTX)?;
-        let field = |name: &str| -> Result<&Value, Error> {
-            serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
-        };
-        Ok(RecoveryReport {
-            recovery_us: u64::from_value(field("recovery_us")?)?,
-            replayed_wal_bytes: u64::from_value(field("replayed_wal_bytes")?)?,
-            loss_window: u64::from_value(field("loss_window")?)?,
-            acked_ops: u64::from_value(field("acked_ops")?)?,
-            kill_at_op: u64::from_value(field("kill_at_op")?)?,
-            checkpoint_restored: bool::from_value(field("checkpoint_restored")?)?,
-            torn_tail: String::from_value(field("torn_tail")?)?,
-            crashes: u64::from_value(field("crashes")?)?,
-        })
-    }
-}
-
-const RESHARD_FIELDS: &[&str] = &[
-    "at_op",
-    "from",
-    "to",
-    "slots",
-    "keys",
-    "pause_us",
-    "copy_us",
-    "map_version",
-];
-
-impl Serialize for ReshardRecord {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("at_op".to_string(), self.at_op.to_value()),
-            ("from".to_string(), self.from.to_value()),
-            ("to".to_string(), self.to.to_value()),
-            ("slots".to_string(), self.slots.to_value()),
-            ("keys".to_string(), self.keys.to_value()),
-            ("pause_us".to_string(), self.pause_us.to_value()),
-            ("copy_us".to_string(), self.copy_us.to_value()),
-            ("map_version".to_string(), self.map_version.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ReshardRecord {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        const CTX: &str = "ReshardRecord";
-        let members = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value, CTX))?;
-        reject_unknown(members, RESHARD_FIELDS, CTX)?;
-        let field = |name: &str| -> Result<&Value, Error> {
-            serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
-        };
-        Ok(ReshardRecord {
-            at_op: u64::from_value(field("at_op")?)?,
-            from: u64::from_value(field("from")?)?,
-            to: u64::from_value(field("to")?)?,
-            slots: u64::from_value(field("slots")?)?,
-            keys: u64::from_value(field("keys")?)?,
-            pause_us: u64::from_value(field("pause_us")?)?,
-            copy_us: u64::from_value(field("copy_us")?)?,
-            map_version: u64::from_value(field("map_version")?)?,
-        })
-    }
-}
-
-impl Serialize for RunMeta {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("git_sha".to_string(), self.git_sha.to_value()),
-            ("git_describe".to_string(), self.git_describe.to_value()),
-            ("config_digest".to_string(), self.config_digest.to_value()),
-            ("cpu_count".to_string(), self.cpu_count.to_value()),
-            ("threads".to_string(), self.threads.to_value()),
-            ("shards".to_string(), self.shards.to_value()),
-            ("batch_size".to_string(), self.batch_size.to_value()),
-            ("transport".to_string(), self.transport.to_value()),
-            ("arrival".to_string(), self.arrival.to_value()),
-            ("offered_rate".to_string(), self.offered_rate.to_value()),
-            (
-                "partition_digest".to_string(),
-                self.partition_digest.to_value(),
-            ),
-            (
-                "reshard_events".to_string(),
-                Value::Array(self.reshard_events.iter().map(|e| e.to_value()).collect()),
-            ),
-            (
-                "created_unix_ms".to_string(),
-                self.created_unix_ms.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for RunMeta {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        const CTX: &str = "RunMeta";
-        let members = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value, CTX))?;
-        reject_unknown(members, META_FIELDS, CTX)?;
-        let field = |name: &str| -> Result<&Value, Error> {
-            serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
-        };
-        Ok(RunMeta {
-            git_sha: String::from_value(field("git_sha")?)?,
-            git_describe: String::from_value(field("git_describe")?)?,
-            config_digest: String::from_value(field("config_digest")?)?,
-            cpu_count: u64::from_value(field("cpu_count")?)?,
-            threads: u64::from_value(field("threads")?)?,
-            shards: u64::from_value(field("shards")?)?,
-            batch_size: u64::from_value(field("batch_size")?)?,
-            // The next four are absent in reports written before each
-            // existed, all of which were embedded, closed-loop, full-speed
-            // runs over a partition map nobody recorded: missing means
-            // exactly that, not a parse error — committed baselines keep
-            // loading.
-            transport: field_or(members, "transport", || "embedded".to_string())?,
-            arrival: field_or(members, "arrival", || "closed".to_string())?,
-            offered_rate: field_or(members, "offered_rate", || 0.0)?,
-            partition_digest: field_or(members, "partition_digest", || "unknown".to_string())?,
-            // Likewise: before live topology changes nothing resharded.
-            reshard_events: match serde::find_field(members, "reshard_events") {
-                Some(Value::Array(items)) => {
-                    let mut events = Vec::with_capacity(items.len());
-                    for v in items {
-                        events.push(ReshardRecord::from_value(v)?);
-                    }
-                    events
-                }
-                Some(other) => {
-                    return Err(Error::expected("array", other, "RunMeta.reshard_events"))
-                }
-                None => Vec::new(),
-            },
-            created_unix_ms: u64::from_value(field("created_unix_ms")?)?,
-        })
-    }
-}
-
+// `RunReport`'s serde is written by hand: its wire form is flat, with
+// `run`'s fields beside `meta` under their version-1 names, which no
+// derive of the nested struct can produce.
 const REPORT_FIELDS: &[&str] = &[
     "version",
     "store",
@@ -464,10 +270,6 @@ fn parse_named_histograms(
         .collect()
 }
 
-fn nullable<T: Serialize>(value: &Option<T>) -> Value {
-    value.as_ref().map_or(Value::Null, Serialize::to_value)
-}
-
 impl Serialize for RunReport {
     fn to_value(&self) -> Value {
         let run = &self.run;
@@ -485,8 +287,8 @@ impl Serialize for RunReport {
             ("per_op".to_string(), named_histograms(&run.per_op_hist)),
             ("lag".to_string(), run.lag_hist.to_value()),
             ("metrics".to_string(), self.metrics.to_value()),
-            ("attribution".to_string(), nullable(&self.attribution)),
-            ("recovery".to_string(), nullable(&self.recovery)),
+            ("attribution".to_string(), self.attribution.to_value()),
+            ("recovery".to_string(), self.recovery.to_value()),
             (
                 "decomposition".to_string(),
                 named_histograms(&run.decomposition),
@@ -501,7 +303,12 @@ impl Deserialize for RunReport {
         let members = value
             .as_object()
             .ok_or_else(|| Error::expected("object", value, CTX))?;
-        reject_unknown(members, REPORT_FIELDS, CTX)?;
+        if let Some((key, _)) = members
+            .iter()
+            .find(|(key, _)| !REPORT_FIELDS.contains(&key.as_str()))
+        {
+            return Err(Error::unknown_field(key, CTX));
+        }
         let field = |name: &str| -> Result<&Value, Error> {
             serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
         };
@@ -526,7 +333,8 @@ impl Deserialize for RunReport {
             per_op_hist: parse_named_histograms(per_op)?,
             // Absent in reports predating open-loop pacing → no lag
             // was recorded.
-            lag_hist: field_or(members, "lag", LogHistogram::new)?,
+            lag_hist: serde::find_field(members, "lag")
+                .map_or_else(|| Ok(LogHistogram::new()), LogHistogram::from_value)?,
             service_hist: LogHistogram::new(),
             // Pacing travels in `meta`; `from_run` mirrors it here.
             offered_rate: None,
@@ -543,45 +351,13 @@ impl Deserialize for RunReport {
         };
         let mut report = RunReport::from_run(run, RunMeta::from_value(field("meta")?)?);
         report.metrics = MetricsSnapshot::from_value(field("metrics")?)?;
-        report.attribution = match field("attribution")? {
-            Value::Null => None,
-            other => Some(MetricsSnapshot::from_value(other)?),
-        };
+        report.attribution = Option::from_value(field("attribution")?)?;
         // Absent in reports predating the crash harness → the run
         // measured no recovery.
-        report.recovery = match serde::find_field(members, "recovery") {
-            Some(Value::Null) | None => None,
-            Some(v) => Some(RecoveryReport::from_value(v)?),
-        };
+        report.recovery =
+            serde::find_field(members, "recovery").map_or(Ok(None), Option::from_value)?;
         Ok(report)
     }
-}
-
-/// The member `name`, or `default()` for a document written before the
-/// field existed.
-fn field_or<T: Deserialize>(
-    members: &[(String, Value)],
-    name: &str,
-    default: impl FnOnce() -> T,
-) -> Result<T, Error> {
-    serde::find_field(members, name).map_or_else(|| Ok(default()), T::from_value)
-}
-
-/// Errors if `members` holds any key outside `known` — schema drift is
-/// a hard error, not silently-ignored data.
-pub(crate) fn reject_unknown(
-    members: &[(String, Value)],
-    known: &[&str],
-    context: &str,
-) -> Result<(), Error> {
-    for (key, _) in members {
-        if !known.contains(&key.as_str()) {
-            return Err(Error::custom(format!(
-                "unknown field `{key}` in {context} (schema version {SCHEMA_VERSION})"
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -649,7 +425,7 @@ mod tests {
             arrival: "poisson".to_string(),
             offered_rate: 5_000.0,
             partition_digest: "00000000deadbeef".to_string(),
-            reshard_events: vec![ReshardRecord {
+            reshard_events: vec![ReshardEvent {
                 at_op: 250,
                 from: 0,
                 to: 4,

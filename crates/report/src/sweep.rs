@@ -2,11 +2,11 @@
 //!
 //! A sweep report is the artifact of one latency–throughput sweep: one
 //! full [`RunReport`] per rate step, the offered/achieved rate and
-//! sustainability verdict alongside each, and the detected knee. The
-//! serialization follows the `RunReport` conventions exactly —
-//! hand-written, fixed field order, unknown fields rejected, version
-//! enforced, byte-stable round-trips — so the golden-fixture machinery
-//! and CI gating extend to curves unchanged.
+//! sustainability verdict alongside each, and the detected knee. Like
+//! `RunReport`'s sections, the types derive their JSON with unknown
+//! fields rejected, and [`ReportFile::check`](crate::ReportFile::check)
+//! enforces the version, so byte-stable round-trips, the golden-fixture
+//! machinery and CI gating extend to curves unchanged.
 //!
 //! [`compare_sweeps`] gates regressions on the *whole curve*: every
 //! rate step shared by both sweeps is compared point-by-point (achieved
@@ -17,13 +17,13 @@
 //! that quietly slides left fails even when every surviving step still
 //! passes.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::compare::{
     compare_histograms, compare_rate, compare_topology, ComparisonReport, MetricComparison, Status,
     Tolerance,
 };
-use crate::schema::{reject_unknown, RunMeta, RunReport};
+use crate::schema::{RunMeta, RunReport};
 
 /// Version stamped into every sweep report; readers reject others.
 pub const SWEEP_SCHEMA_VERSION: u32 = 1;
@@ -32,7 +32,8 @@ pub const SWEEP_SCHEMA_VERSION: u32 = 1;
 const RATE_MATCH_REL: f64 = 1e-6;
 
 /// One rate step of a sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SweepStep {
     /// Offered load in ops/s.
     pub offered_rate: f64,
@@ -46,7 +47,8 @@ pub struct SweepStep {
 }
 
 /// The detected knee: the highest sustainable offered rate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct KneePoint {
     /// Index into [`SweepReport::steps`].
     pub step_index: u64,
@@ -59,7 +61,8 @@ pub struct KneePoint {
 }
 
 /// A complete, versioned record of one latency–throughput sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SweepReport {
     /// Schema version ([`SWEEP_SCHEMA_VERSION`] when produced here).
     pub version: u32,
@@ -135,151 +138,16 @@ impl crate::ReportFile for SweepReport {
     fn identity(&self) -> (&str, &str, u64) {
         (&self.store, &self.workload, self.meta.created_unix_ms)
     }
-}
 
-const SWEEP_FIELDS: &[&str] = &[
-    "version",
-    "store",
-    "workload",
-    "arrival",
-    "seed",
-    "sustainable_fraction",
-    "p99_bound_ns",
-    "meta",
-    "steps",
-    "knee",
-];
-
-const STEP_FIELDS: &[&str] = &["offered_rate", "achieved_rate", "sustainable", "report"];
-
-const KNEE_FIELDS: &[&str] = &["step_index", "offered_rate", "achieved_rate", "p99_ns"];
-
-impl Serialize for SweepStep {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("offered_rate".to_string(), self.offered_rate.to_value()),
-            ("achieved_rate".to_string(), self.achieved_rate.to_value()),
-            ("sustainable".to_string(), self.sustainable.to_value()),
-            ("report".to_string(), self.report.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SweepStep {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        const CTX: &str = "SweepStep";
-        let members = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value, CTX))?;
-        reject_unknown(members, STEP_FIELDS, CTX)?;
-        let field = |name: &str| -> Result<&Value, Error> {
-            serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
-        };
-        Ok(SweepStep {
-            offered_rate: f64::from_value(field("offered_rate")?)?,
-            achieved_rate: f64::from_value(field("achieved_rate")?)?,
-            sustainable: bool::from_value(field("sustainable")?)?,
-            report: RunReport::from_value(field("report")?)?,
-        })
-    }
-}
-
-impl Serialize for KneePoint {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("step_index".to_string(), self.step_index.to_value()),
-            ("offered_rate".to_string(), self.offered_rate.to_value()),
-            ("achieved_rate".to_string(), self.achieved_rate.to_value()),
-            ("p99_ns".to_string(), self.p99_ns.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for KneePoint {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        const CTX: &str = "KneePoint";
-        let members = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value, CTX))?;
-        reject_unknown(members, KNEE_FIELDS, CTX)?;
-        let field = |name: &str| -> Result<&Value, Error> {
-            serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
-        };
-        Ok(KneePoint {
-            step_index: u64::from_value(field("step_index")?)?,
-            offered_rate: f64::from_value(field("offered_rate")?)?,
-            achieved_rate: f64::from_value(field("achieved_rate")?)?,
-            p99_ns: u64::from_value(field("p99_ns")?)?,
-        })
-    }
-}
-
-impl Serialize for SweepReport {
-    fn to_value(&self) -> Value {
-        let steps = self.steps.iter().map(|s| s.to_value()).collect();
-        let knee = match &self.knee {
-            Some(k) => k.to_value(),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("store".to_string(), self.store.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("arrival".to_string(), self.arrival.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            (
-                "sustainable_fraction".to_string(),
-                self.sustainable_fraction.to_value(),
-            ),
-            ("p99_bound_ns".to_string(), self.p99_bound_ns.to_value()),
-            ("meta".to_string(), self.meta.to_value()),
-            ("steps".to_string(), Value::Array(steps)),
-            ("knee".to_string(), knee),
-        ])
-    }
-}
-
-impl Deserialize for SweepReport {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        const CTX: &str = "SweepReport";
-        let members = value
-            .as_object()
-            .ok_or_else(|| Error::expected("object", value, CTX))?;
-        reject_unknown(members, SWEEP_FIELDS, CTX)?;
-        let field = |name: &str| -> Result<&Value, Error> {
-            serde::find_field(members, name).ok_or_else(|| Error::missing_field(name, CTX))
-        };
-        let version = u32::from_value(field("version")?)?;
-        if version != SWEEP_SCHEMA_VERSION {
-            return Err(Error::custom(format!(
-                "unsupported sweep report version {version} \
-                 (this build reads version {SWEEP_SCHEMA_VERSION})"
-            )));
+    fn check(&self) -> Result<(), String> {
+        if self.version != SWEEP_SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported sweep report version {} \
+                 (this build reads version {SWEEP_SCHEMA_VERSION})",
+                self.version
+            ));
         }
-        let step_values = match field("steps")? {
-            Value::Array(items) => items,
-            other => return Err(Error::expected("array", other, "SweepReport.steps")),
-        };
-        let mut steps = Vec::with_capacity(step_values.len());
-        for v in step_values {
-            steps.push(SweepStep::from_value(v)?);
-        }
-        let knee = match field("knee")? {
-            Value::Null => None,
-            other => Some(KneePoint::from_value(other)?),
-        };
-        Ok(SweepReport {
-            version,
-            store: String::from_value(field("store")?)?,
-            workload: String::from_value(field("workload")?)?,
-            arrival: String::from_value(field("arrival")?)?,
-            seed: u64::from_value(field("seed")?)?,
-            sustainable_fraction: f64::from_value(field("sustainable_fraction")?)?,
-            p99_bound_ns: u64::from_value(field("p99_bound_ns")?)?,
-            meta: RunMeta::from_value(field("meta")?)?,
-            steps,
-            knee,
-        })
+        Ok(())
     }
 }
 

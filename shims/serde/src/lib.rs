@@ -10,7 +10,8 @@
 //! The derive macros (`#[derive(Serialize, Deserialize)]`) come from the
 //! companion `serde_derive` shim and support the attribute subset gadget
 //! uses: `#[serde(tag = "...")]`, `#[serde(rename_all = "snake_case")]`,
-//! `#[serde(default)]`, and `#[serde(default = "path")]`.
+//! `#[serde(deny_unknown_fields)]`, `#[serde(default)]`, and
+//! `#[serde(default = "path")]`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -126,6 +127,12 @@ impl Error {
     /// Required object member absent.
     pub fn missing_field(field: &str, context: &str) -> Self {
         Error::custom(format!("missing field `{field}` in {context}"))
+    }
+
+    /// Object member outside the field list of a type that rejects
+    /// unknown fields.
+    pub fn unknown_field(field: &str, context: &str) -> Self {
+        Error::custom(format!("unknown field `{field}` in {context}"))
     }
 
     /// Enum tag did not match any variant.

@@ -8,8 +8,9 @@
 //!
 //! * named-field structs, newtype structs;
 //! * enums with unit, newtype, and struct variants;
-//! * container attrs `#[serde(tag = "...")]` (internal tagging) and
-//!   `#[serde(rename_all = "snake_case")]`;
+//! * container attrs `#[serde(tag = "...")]` (internal tagging),
+//!   `#[serde(rename_all = "snake_case")]` and, on named-field structs,
+//!   `#[serde(deny_unknown_fields)]` (any other member is an error);
 //! * field attrs `#[serde(default)]` and `#[serde(default = "path")]`.
 //!
 //! Field *types* are never inspected: generated deserialization code
@@ -65,6 +66,8 @@ struct Container {
     tag: Option<String>,
     /// `#[serde(rename_all = "snake_case")]`.
     snake_case: bool,
+    /// `#[serde(deny_unknown_fields)]`.
+    deny_unknown_fields: bool,
     data: Data,
 }
 
@@ -102,6 +105,7 @@ enum VariantShape {
 struct SerdeAttrs {
     tag: Option<String>,
     rename_all: Option<String>,
+    deny_unknown_fields: bool,
     default: Option<FieldDefault>,
 }
 
@@ -157,10 +161,16 @@ fn parse_container(input: TokenStream) -> Result<Container, String> {
         },
         other => return Err(format!("cannot derive serde impls for `{other}`")),
     };
+    if attrs.deny_unknown_fields && !matches!(data, Data::NamedStruct(_)) {
+        return Err(format!(
+            "serde_derive shim: deny_unknown_fields on `{name}` needs a named-field struct"
+        ));
+    }
 
     Ok(Container {
         name,
         tag: attrs.tag,
+        deny_unknown_fields: attrs.deny_unknown_fields,
         snake_case: match attrs.rename_all.as_deref() {
             None => false,
             Some("snake_case") => true,
@@ -221,6 +231,7 @@ fn parse_serde_args(stream: TokenStream, attrs: &mut SerdeAttrs) -> Result<(), S
         match (key.as_str(), &value) {
             ("tag", Some(v)) => attrs.tag = Some(v.clone()),
             ("rename_all", Some(v)) => attrs.rename_all = Some(v.clone()),
+            ("deny_unknown_fields", None) => attrs.deny_unknown_fields = true,
             ("default", None) => attrs.default = Some(FieldDefault::Std),
             ("default", Some(v)) => attrs.default = Some(FieldDefault::Path(v.clone())),
             _ => {
@@ -541,7 +552,21 @@ fn gen_deserialize(c: &Container) -> String {
                ::std::option::Option::None => \
                  return ::std::result::Result::Err(::serde::Error::expected(\"object\", __v, {name:?})), \
              }}; \
+             {deny} \
              ::std::result::Result::Ok({name} {{ {inits} }})",
+            deny = if c.deny_unknown_fields {
+                let known: Vec<String> = fields.iter().map(|f| format!("{:?}", f.name)).collect();
+                format!(
+                    "const __KNOWN: &[&str] = &[{}]; \
+                     if let ::std::option::Option::Some((__k, _)) = \
+                       __obj.iter().find(|(__k, _)| !__KNOWN.contains(&__k.as_str())) {{ \
+                       return ::std::result::Result::Err(::serde::Error::unknown_field(__k, {name:?})); \
+                     }}",
+                    known.join(", ")
+                )
+            } else {
+                String::new()
+            },
             inits = fields_from_object(fields, name)
         ),
         Data::NewtypeStruct => format!(

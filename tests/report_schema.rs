@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use gadget::report::{ReportFile, ReshardRecord, RunMeta, RunReport, SCHEMA_VERSION};
+use gadget::report::{ReportFile, ReshardEvent, RunMeta, RunReport, SCHEMA_VERSION};
 
 /// A fully deterministic report: every field pinned, no clocks, no
 /// environment probes — byte-stable across machines.
@@ -47,7 +47,7 @@ fn golden_report() -> RunReport {
             arrival: "closed".to_string(),
             offered_rate: 0.0,
             partition_digest: "0011223344556677".to_string(),
-            reshard_events: vec![ReshardRecord {
+            reshard_events: vec![ReshardEvent {
                 at_op: 500,
                 from: 0,
                 to: 4,
