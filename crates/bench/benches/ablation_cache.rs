@@ -5,11 +5,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use gadget_distrib::{seeded_rng, KeyDistribution, ZipfianKeys};
+use gadget_kv::testutil::TestDir;
 use gadget_kv::StateStore;
 use gadget_lsm::{LsmConfig, LsmStore};
 
-fn with_cache(cache_bytes: usize) -> (LsmStore, tempdir::TempDirGuard) {
-    let dir = tempdir::fresh();
+/// Bound as `let (_dir, store)`, the store drops before its directory.
+fn with_cache(label: &str, cache_bytes: usize) -> (TestDir, LsmStore) {
+    let dir = TestDir::new(&format!("ablation-cache-{label}"));
     let cfg = LsmConfig {
         memtable_bytes: 64 << 10,
         block_cache_bytes: cache_bytes,
@@ -17,46 +19,20 @@ fn with_cache(cache_bytes: usize) -> (LsmStore, tempdir::TempDirGuard) {
         target_file_bytes: 64 << 10,
         ..LsmConfig::small()
     };
-    let store = LsmStore::open(&dir.0, cfg).expect("open lsm");
+    let store = LsmStore::open(dir.root(), cfg).expect("open lsm");
     // Seed 50K keys so the tree has several levels.
     for k in 0..50_000u64 {
         store.put(&k.to_be_bytes(), &[3u8; 128]).expect("seed");
     }
     store.compact_and_wait().expect("quiesce");
-    (store, dir)
-}
-
-/// Minimal temp-dir guard (no external dependency).
-mod tempdir {
-    use std::path::PathBuf;
-
-    pub struct TempDirGuard(pub PathBuf);
-
-    impl Drop for TempDirGuard {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    pub fn fresh() -> TempDirGuard {
-        let dir = std::env::temp_dir().join(format!(
-            "gadget-ablation-cache-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .expect("clock before epoch")
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        TempDirGuard(dir)
-    }
+    (dir, store)
 }
 
 fn cache_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("lsm_zipf_get_by_cache");
     group.sample_size(20);
     for (label, bytes) in [("64KiB", 64 << 10), ("1MiB", 1 << 20), ("16MiB", 16 << 20)] {
-        let (store, _guard) = with_cache(bytes);
+        let (_dir, store) = with_cache(label, bytes);
         let mut zipf = ZipfianKeys::new(50_000, 0.99);
         let mut rng = seeded_rng(7);
         group.bench_function(label, |b| {

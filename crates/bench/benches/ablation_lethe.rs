@@ -7,26 +7,21 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use gadget_kv::testutil::TestDir;
 use gadget_kv::StateStore;
 use gadget_lsm::{LethePolicy, LsmConfig, LsmStore};
 
-fn churned_store(threshold_ops: Option<u64>) -> (LsmStore, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!(
-        "gadget-ablation-lethe-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock before epoch")
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+/// One input at a time (`BatchSize::PerIteration`), so one directory
+/// per label suffices.
+fn churned_store(label: &str, threshold_ops: Option<u64>) -> (LsmStore, TestDir) {
+    let dir = TestDir::new(&format!("ablation-lethe-{label}"));
     let cfg = LsmConfig {
         lethe: threshold_ops.map(|delete_persistence_ops| LethePolicy {
             delete_persistence_ops,
         }),
         ..LsmConfig::small()
     };
-    let store = LsmStore::open(&dir, cfg).expect("open");
+    let store = LsmStore::open(dir.root(), cfg).expect("open");
     // Window-expiry churn: insert panes, delete them, keep fresh traffic.
     for round in 0..20u64 {
         for k in 0..1_000u64 {
@@ -54,14 +49,13 @@ fn lethe_sweep(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             b.iter_batched(
-                || churned_store(threshold),
+                || churned_store(label, threshold),
                 |(store, dir)| {
                     // Read across the (mostly deleted) keyspace.
                     for k in (0..20_000u64).step_by(37) {
                         store.get(&k.to_be_bytes()).expect("get");
                     }
-                    drop(store);
-                    let _ = std::fs::remove_dir_all(dir);
+                    drop((store, dir));
                 },
                 BatchSize::PerIteration,
             )

@@ -10,12 +10,12 @@
 //! least 4 CPUs cannot overlap the shards and print `shard_sweep: SKIP`
 //! instead — the sweep numbers are still reported.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use gadget_kv::testutil::TestDir;
 use gadget_kv::{ShardedStore, StateStore, StoreError};
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_types::Op;
@@ -29,16 +29,9 @@ const BATCH: usize = 256;
 /// A `shards`-way sharded sync-WAL LSM; each shard flushes into its own
 /// subdirectory. Memtables are large enough that flushes never fire
 /// during the sweep: the fsync path is what's measured.
-fn sharded_sync_lsm(tag: &str, shards: usize) -> (PathBuf, ShardedStore) {
-    let base = std::env::temp_dir().join(format!(
-        "gadget-shard-sweep-{tag}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock before epoch")
-            .as_nanos()
-    ));
-    let factory_base = base.clone();
+fn sharded_sync_lsm(tag: &str, shards: usize) -> (TestDir, ShardedStore) {
+    let base = TestDir::new(&format!("shard-sweep-{tag}"));
+    let factory_base = base.root().to_path_buf();
     let store = ShardedStore::from_factory(shards, move |shard| {
         let dir = factory_base.join(format!("shard-{shard}"));
         std::fs::create_dir_all(&dir).map_err(StoreError::Io)?;
@@ -77,7 +70,7 @@ fn bench_shard_counts(c: &mut Criterion) {
             })
         });
         drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
     }
     group.finish();
 }
@@ -94,8 +87,7 @@ fn batched_ns_per_op(store: &dyn StateStore, ops: &[Op]) -> f64 {
 
 fn verdict_shard_speedup(_c: &mut Criterion) {
     // Paired rounds interleaved single/quad, min per side: a frequency
-    // or scheduler shift mid-run cannot bias one side (same structure as
-    // batch_sweep's group-commit verdict).
+    // or scheduler shift mid-run cannot bias one side.
     const OPS_PER_ROUND: usize = 2_048;
     const ROUNDS: usize = 5;
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -119,10 +111,8 @@ fn verdict_shard_speedup(_c: &mut Criterion) {
         1,
     );
     emit_bench_report(&quad, put_batch(&mut next, OPS_PER_ROUND), "shard4-put", 4);
-    drop(single);
-    drop(quad);
-    let _ = std::fs::remove_dir_all(&dir1);
-    let _ = std::fs::remove_dir_all(&dir4);
+    drop((single, dir1));
+    drop((quad, dir4));
     let ratio = single_ns / quad_ns;
     println!(
         "shard_sweep sync-WAL puts (batch {BATCH}): 1 shard {single_ns:.0} ns/op, \

@@ -13,9 +13,9 @@
 //! `SweepReport` that `gadget report show` renders and
 //! `gadget report compare` gates across revisions.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
+use gadget_kv::testutil::TestDir;
 use gadget_kv::{MemStore, ShardedStore, StateStore};
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_replay::{run_sweep, ReplayOptions, SweepOptions, TraceReplayer};
@@ -66,12 +66,11 @@ type Subject = (&'static str, u64, Arc<dyn StateStore>);
 
 /// The two curve subjects: a keyspace store with no I/O at all, and a
 /// shard-parallel LSM doing real compaction work. Returns the LSM's
-/// scratch directory so the caller can clean it up once both sweeps
-/// are done.
-fn subjects(shrink: usize) -> (Vec<Subject>, PathBuf) {
+/// scratch directory, which the caller keeps until both sweeps are done.
+fn subjects(shrink: usize) -> (Vec<Subject>, TestDir) {
     let shrink = shrink.max(1);
     let lsm_dir = fresh_dir("ext-sweep-lsm");
-    let factory_dir = lsm_dir.clone();
+    let factory_dir = lsm_dir.root().to_path_buf();
     let sharded = ShardedStore::from_factory(4, move |shard| {
         let cfg = LsmConfig {
             memtable_bytes: (128 << 20) / shrink,
@@ -99,7 +98,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
     let cfg = YcsbConfig::core(CoreWorkload::A, 1_000, opts.ops_per_step);
     let trace = cfg.generate();
     let mut rows = Vec::new();
-    let (stores, lsm_dir) = subjects(64);
+    let (stores, _lsm_dir) = subjects(64);
     for (label, shards, store) in stores {
         TraceReplayer::new(ReplayOptions::default())
             .preload(&*store, cfg.preload_keys(), cfg.value_size)
@@ -134,7 +133,6 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&lsm_dir);
     rows
 }
 

@@ -13,10 +13,12 @@
 //! reproduce; absolute numbers depend on hardware.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gadget_btree::{BTreeConfig, BTreeStore};
 use gadget_hashlog::{HashLogConfig, HashLogStore};
+use gadget_kv::testutil::TestDir;
 use gadget_kv::StateStore;
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_report::ReportFile;
@@ -108,35 +110,23 @@ impl Scale {
     }
 }
 
-/// A store instance plus the temp directory backing it (cleaned on drop).
+/// A store instance plus the temp directory backing it (removed after
+/// the store is dropped: fields drop in declaration order).
 pub struct StoreInstance {
     /// Report name: `rocksdb-class`, `lethe-class`, `faster-class`,
     /// `berkeleydb-class`.
     pub label: &'static str,
     /// The store.
     pub store: Arc<dyn StateStore>,
-    dir: Option<PathBuf>,
+    _dir: Option<TestDir>,
 }
 
-impl Drop for StoreInstance {
-    fn drop(&mut self) {
-        if let Some(dir) = self.dir.take() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-fn fresh_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "gadget-bench-{label}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock before epoch")
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+/// A directory of its own: two instances of one label can be alive at
+/// once, so the label alone is not a unique name.
+fn fresh_dir(label: &str) -> TestDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    TestDir::new(&format!("bench-{label}-{n}"))
 }
 
 /// Builds one store of the zoo by label.
@@ -160,7 +150,7 @@ pub fn build_store(label: &str, shrink: usize) -> StoreInstance {
             StoreInstance {
                 label: "rocksdb-class",
                 store: Arc::new(LsmStore::open(&dir, cfg).expect("open lsm")),
-                dir: Some(dir),
+                _dir: Some(dir),
             }
         }
         "lethe-class" => {
@@ -175,7 +165,7 @@ pub fn build_store(label: &str, shrink: usize) -> StoreInstance {
             StoreInstance {
                 label: "lethe-class",
                 store: Arc::new(LsmStore::open(&dir, cfg).expect("open lethe")),
-                dir: Some(dir),
+                _dir: Some(dir),
             }
         }
         "faster-class" => {
@@ -186,7 +176,7 @@ pub fn build_store(label: &str, shrink: usize) -> StoreInstance {
             StoreInstance {
                 label: "faster-class",
                 store: Arc::new(HashLogStore::new(cfg)),
-                dir: None,
+                _dir: None,
             }
         }
         "berkeleydb-class" => {
@@ -197,8 +187,8 @@ pub fn build_store(label: &str, shrink: usize) -> StoreInstance {
             };
             StoreInstance {
                 label: "berkeleydb-class",
-                store: Arc::new(BTreeStore::open(dir.join("data.db"), cfg).expect("open btree")),
-                dir: Some(dir),
+                store: Arc::new(BTreeStore::open(dir.path("data.db"), cfg).expect("open btree")),
+                _dir: Some(dir),
             }
         }
         other => panic!("unknown store label {other}"),

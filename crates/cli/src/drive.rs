@@ -136,6 +136,7 @@ mod tests {
         assert_eq!(report.meta.threads, 8);
         assert_eq!(report.run.store, "net");
         assert_eq!(report.run.operations, 3000);
+        assert!(report.run.throughput > 0.0);
 
         // The replayer also works against the server via the net: label.
         dispatch(&strs(&[
@@ -215,6 +216,13 @@ mod tests {
             counts.iter().all(|&c| c == counts[0]),
             "segments sample the same requests: {counts:?}"
         );
+        // The means of the four segments telescope to end_to_end.
+        let mean = |i: usize| report.run.decomposition[i].1.mean();
+        let (sum, e2e) = ((0..4).map(mean).sum::<f64>(), mean(4));
+        assert!(
+            (sum - e2e).abs() <= 0.05 * e2e,
+            "segment means sum to {sum:.0}ns vs end-to-end {e2e:.0}ns"
+        );
         assert!(report.attribution.is_some(), "trace attribution attached");
 
         // In-process, client and server share one ring session, so the
@@ -230,9 +238,93 @@ mod tests {
             merged_path.to_str().unwrap(),
         ]))
         .unwrap();
-        let merged = std::fs::read_to_string(&merged_path).unwrap();
-        assert!(merged.contains("net_op"), "client spans in merged file");
-        assert!(merged.contains("net_request"), "server spans too");
+        // Client as pid 1, shifted server as pid 2, and every span of
+        // both sides of the wire present.
+        let merged: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(&merged_path).unwrap()).unwrap();
+        let Some(serde::Value::Array(events)) = merged.get("traceEvents") else {
+            panic!("traceEvents missing or not an array");
+        };
+        let (mut pids, mut spans) = (Vec::new(), Vec::new());
+        for event in events {
+            let pid = event.get("pid").and_then(serde::Value::as_u64).unwrap();
+            if !pids.contains(&pid) {
+                pids.push(pid);
+            }
+            if event.get("ph").and_then(serde::Value::as_str) == Some("X") {
+                spans.push(event.get("name").and_then(serde::Value::as_str).unwrap());
+            }
+        }
+        pids.sort_unstable();
+        assert_eq!(pids, [1, 2], "client pid 1 + server pid 2");
+        for span in [
+            "net_op",
+            "net_send",
+            "net_wait",
+            "net_request",
+            "net_queue",
+            "net_apply",
+            "net_write",
+        ] {
+            assert!(spans.contains(&span), "span {span} missing from the merge");
+        }
+
+        dispatch(&strs(&["stop", "--addr", &addr])).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn reshard_at_stamps_the_split_into_the_drive_report() {
+        let _serial = timing_lock();
+        let dir = TestDir::new("cli-drive-reshard");
+        let trace_path = dir.path("ycsb.gdt");
+        ycsb("A", 200, 3_000, &trace_path);
+        let sharded = gadget_kv::ShardedStore::from_factory(4, |_| {
+            Ok(std::sync::Arc::new(gadget_kv::MemStore::new()) as _)
+        })
+        .unwrap();
+        let server = gadget_server::Server::start_sharded(
+            "127.0.0.1:0",
+            std::sync::Arc::new(sharded),
+            gadget_server::ServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let drive = |extra: &[&str]| {
+            let report_path = dir.path("report.json");
+            let mut args = strs(&[
+                "drive",
+                "--addr",
+                &addr,
+                "--trace",
+                trace_path.to_str().unwrap(),
+                "--connections",
+                "4",
+                "--report-out",
+                report_path.to_str().unwrap(),
+            ]);
+            args.extend(strs(extra));
+            dispatch(&args).unwrap();
+            gadget_report::RunReport::load(&report_path).unwrap()
+        };
+
+        let before = drive(&[]);
+        let after = drive(&["--reshard-at", "0.5:0:4"]);
+        for report in [&before, &after] {
+            assert_eq!(report.run.operations, 3_000, "no op lost");
+            assert_ne!(report.meta.partition_digest, "unknown");
+        }
+        assert!(before.meta.reshard_events.is_empty());
+        let [event] = &after.meta.reshard_events[..] else {
+            panic!("one split recorded: {:?}", after.meta.reshard_events);
+        };
+        assert_eq!((event.from, event.to), (0, 4), "split 0 into new shard 4");
+        assert!(event.slots > 0 && event.map_version >= 2, "{event:?}");
+        assert_eq!(after.meta.shards, 5, "final shard count after the split");
+        assert_ne!(
+            after.meta.partition_digest, before.meta.partition_digest,
+            "the split moves slots, so the digest changes"
+        );
 
         dispatch(&strs(&["stop", "--addr", &addr])).unwrap();
         server.join().unwrap();

@@ -230,6 +230,37 @@ mod tests {
             fsyncs < appends / 8,
             "group commit should amortize: {fsyncs} fsyncs for {appends} appends"
         );
+
+        // Across 4 shard-affine threads, each shard is an LSM of its own
+        // in its own directory, with its own WAL and flushed tables.
+        let sharded = dir.path("sharded-db");
+        dispatch(&strs(&[
+            "replay",
+            "--trace",
+            trace_path.to_str().unwrap(),
+            "--store",
+            "rocksdb-small",
+            "--dir",
+            sharded.to_str().unwrap(),
+            "--shards",
+            "4",
+            "--replay-threads",
+            "4",
+            "--batch-size",
+            "64",
+        ]))
+        .unwrap();
+        for i in 0..4 {
+            let files: Vec<String> = std::fs::read_dir(sharded.join(format!("shard-{i}")))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            let wal = files
+                .iter()
+                .any(|f| f.starts_with("wal_") && f.ends_with(".log"));
+            let sst = files.iter().any(|f| f.ends_with(".sst"));
+            assert!(wal && sst, "shard-{i} lacks a WAL or a table: {files:?}");
+        }
     }
 
     #[test]

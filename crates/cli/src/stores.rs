@@ -156,7 +156,9 @@ impl Drop for ScratchDir {
 
 /// Resolves a command's working directory: the one the user named,
 /// which is theirs to keep, or a fresh `$TMPDIR/gadget-cli-<pid>-<n>`
-/// that lives as long as the returned guard.
+/// that lives as long as the returned guard. The pid key is right here,
+/// unlike in a test: a run is its own process, and the counter tells
+/// apart the stores one process opens.
 pub(crate) fn work_dir(dir: Option<&Path>) -> (PathBuf, Option<ScratchDir>) {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     match dir {

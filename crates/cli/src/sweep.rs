@@ -240,20 +240,27 @@ mod tests {
         assert_eq!(sweep.store, "mem");
         assert_eq!(sweep.arrival, "poisson");
         assert_eq!(sweep.seed, 42);
+        assert_eq!(sweep.workload, "ycsb-a");
         assert_eq!(sweep.steps.len(), 2);
+        assert!(sweep.steps[0].offered_rate < sweep.steps[1].offered_rate);
         for step in &sweep.steps {
             assert_eq!(step.report.run.operations, 1_500);
             assert_eq!(step.report.meta.arrival, "poisson");
             assert_eq!(step.report.meta.offered_rate, step.offered_rate);
-            assert!(
-                step.report.run.lag_hist.count() > 0,
-                "open-loop lag recorded"
+            assert_eq!(
+                step.report.run.lag_hist.count(),
+                step.report.run.operations,
+                "open-loop lag recorded for every op"
             );
+            assert!(step.achieved_rate > 0.0);
         }
         // mem sustains both rungs comfortably: the knee is the top rung,
         // and the same seed finds the same knee on the second run.
         let knee = sweep.knee.as_ref().expect("mem sustains the ladder");
         assert_eq!(knee.offered_rate, 8_000.0);
+        let knee_step = &sweep.steps[knee.step_index as usize];
+        assert!(knee_step.sustainable);
+        assert_eq!(knee_step.offered_rate, knee.offered_rate);
         let again = gadget_report::SweepReport::load(&b).unwrap();
         assert_eq!(
             again.knee.as_ref().map(|k| k.offered_rate),

@@ -96,27 +96,30 @@ fn torn_wal_tail_is_tolerated() {
 #[test]
 fn checkpoint_restore_recovers_prefix_up_to_checkpoint() {
     let scratch = tmp("ckpt");
-    let dir = scratch.path("db");
-    let report = run_crash(
-        &dir,
-        &[
-            "--store",
-            "lsm",
-            "--kill-at-frac",
-            "0.8",
-            "--checkpoint-at-frac",
-            "0.4",
-        ],
-    );
-    let r = report.recovery.expect("recovery section");
-    assert!(r.checkpoint_restored);
-    // Recovering from the checkpoint alone abandons the WAL suffix:
-    // the loss window is real and must be reported, not hidden.
-    assert!(
-        r.loss_window > 0,
-        "checkpoint-only recovery cannot cover post-checkpoint writes"
-    );
-    assert!(r.loss_window < r.acked_ops);
+    // The btree has no WAL: a checkpoint is its only way back.
+    for store in ["lsm", "btree"] {
+        let dir = scratch.path(store);
+        let report = run_crash(
+            &dir,
+            &[
+                "--store",
+                store,
+                "--kill-at-frac",
+                "0.8",
+                "--checkpoint-at-frac",
+                "0.4",
+            ],
+        );
+        let r = report.recovery.expect("recovery section");
+        assert!(r.checkpoint_restored, "{store}");
+        // Recovering from the checkpoint alone abandons every write after
+        // it: the loss window is real and must be reported, not hidden.
+        assert!(
+            r.loss_window > 0,
+            "{store}: checkpoint-only recovery cannot cover post-checkpoint writes"
+        );
+        assert!(r.loss_window < r.acked_ops, "{store}: {r:?}");
+    }
 }
 
 #[test]

@@ -93,27 +93,23 @@ pub fn load_events_csv<P: AsRef<Path>>(path: P) -> io::Result<Dataset> {
 mod tests {
     use super::*;
     use crate::{borg, DatasetSpec};
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("gadget-ds-csv-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
-    }
+    use gadget_kv::testutil::TestDir;
 
     #[test]
     fn roundtrip_preserves_events() {
         let d = borg(DatasetSpec::small().with_events(2_000));
-        let path = tmp("borg.csv");
+        let dir = TestDir::new("datasets-csv-roundtrip");
+        let path = dir.path("borg.csv");
         save_events_csv(&d, &path).unwrap();
         let loaded = load_events_csv(&path).unwrap();
         assert_eq!(loaded.events, d.events);
         assert_eq!(loaded.distinct_keys, d.distinct_keys);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn minimal_two_column_rows_get_defaults() {
-        let path = tmp("minimal.csv");
+        let dir = TestDir::new("datasets-csv-defaults");
+        let path = dir.path("minimal.csv");
         std::fs::write(&path, "key,timestamp\n5,1000\n5,2000\n9,1500\n").unwrap();
         let d = load_events_csv(&path).unwrap();
         assert_eq!(d.events.len(), 3);
@@ -122,31 +118,30 @@ mod tests {
         assert_eq!(d.events[1].key, 9);
         assert_eq!(d.events[0].value_size, 100);
         assert_eq!(d.events[0].stream, StreamId::LEFT);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn malformed_rows_are_rejected() {
-        let path = tmp("bad.csv");
+        let dir = TestDir::new("datasets-csv-malformed");
+        let path = dir.path("bad.csv");
         std::fs::write(&path, "nonsense\n").unwrap();
         assert!(load_events_csv(&path).is_err());
         std::fs::write(&path, "1,notatime\n").unwrap();
         assert!(load_events_csv(&path).is_err());
         std::fs::write(&path, "1,10,100,0,,7\n").unwrap();
         assert!(load_events_csv(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn loaded_trace_drives_the_replayer_and_driver() {
         use gadget_types::StreamElement;
-        let path = tmp("drive.csv");
+        let dir = TestDir::new("datasets-csv-drive");
+        let path = dir.path("drive.csv");
         std::fs::write(&path, "key,timestamp\n1,1000\n1,2000\n2,3000\n1,9000\n").unwrap();
         let d = load_events_csv(&path).unwrap();
         // The dataset plugs straight into the replayer machinery.
         let events: Vec<StreamElement> =
             d.events.iter().map(|e| StreamElement::Event(*e)).collect();
         assert_eq!(events.len(), 4);
-        std::fs::remove_file(&path).ok();
     }
 }

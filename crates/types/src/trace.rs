@@ -325,6 +325,7 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gadget_kv::testutil::TestDir;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -368,47 +369,39 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("gadget-types-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.trace");
+        let dir = TestDir::new("types-save-load-roundtrip");
+        let path = dir.path("roundtrip.trace");
         let t = sample_trace();
         t.save(&path).unwrap();
         let loaded = Trace::load(&path).unwrap();
         assert_eq!(t, loaded);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("gadget-types-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.csv");
+        let dir = TestDir::new("types-csv-roundtrip");
+        let path = dir.path("roundtrip.csv");
         let t = sample_trace();
         t.save_csv(&path).unwrap();
         let loaded = Trace::load_csv(&path).unwrap();
         assert_eq!(t.accesses, loaded.accesses);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn csv_rejects_malformed_rows() {
-        let dir = std::env::temp_dir().join("gadget-types-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.csv");
+        let dir = TestDir::new("types-csv-rejects-malformed-rows");
+        let path = dir.path("bad.csv");
         std::fs::write(&path, "op,group,ns,value_size,ts\nfrobnicate,1,2,3,4\n").unwrap();
         assert!(Trace::load_csv(&path).is_err());
         std::fs::write(&path, "op,group,ns,value_size,ts\nget,1,notanumber,3,4\n").unwrap();
         assert!(Trace::load_csv(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("gadget-types-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.trace");
+        let dir = TestDir::new("types-load-rejects-garbage");
+        let path = dir.path("garbage.trace");
         std::fs::write(&path, b"definitely not a trace header....").unwrap();
         assert!(Trace::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the core types.
 
+use gadget_kv::testutil::TestDir;
 use proptest::prelude::*;
 
 use gadget_types::{OpType, StateAccess, StateKey, Trace};
@@ -60,17 +61,10 @@ proptest! {
         trace.input_events = input_events;
         trace.input_distinct_keys = input_keys;
 
-        let path = std::env::temp_dir().join(format!(
-            "gadget-props-{}-{}.gdt",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+        let dir = TestDir::new("types-trace-roundtrip");
+        let path = dir.path("trace.gdt");
         trace.save(&path).unwrap();
         let loaded = Trace::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
         prop_assert_eq!(trace, loaded);
     }
 
