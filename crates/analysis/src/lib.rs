@@ -30,25 +30,12 @@ pub use stats::{ks_test, wasserstein_distance, KsResult};
 pub use ttl::{ttl_distribution, TtlSummary};
 pub use working_set::{working_set_series, WorkingSetPoint};
 
-use gadget_types::{StateKey, Trace};
+use gadget_types::Trace;
 
 /// Extracts the packed key sequence of a trace (the input most analyses
 /// consume).
 pub fn key_sequence(trace: &Trace) -> Vec<u128> {
     trace.iter().map(|a| a.key.as_u128()).collect()
-}
-
-/// Maps a key sequence onto dense indices `0..#distinct` in first-seen
-/// order. Used to put two traces on a comparable domain for the KS test
-/// (paper §4: "we map both empirical distributions to the same domain").
-pub fn densify(keys: &[u128]) -> Vec<u64> {
-    let mut ids = std::collections::HashMap::new();
-    keys.iter()
-        .map(|k| {
-            let next = ids.len() as u64;
-            *ids.entry(*k).or_insert(next)
-        })
-        .collect()
 }
 
 /// Maps a key sequence onto normalized ranks in `[0, 1)`: each key is
@@ -71,21 +58,9 @@ pub fn rank_normalize(keys: &[u128]) -> Vec<f64> {
         .collect()
 }
 
-/// Convenience: the event-key sequence of a trace's accesses projected to
-/// their key groups (used when comparing against input key distributions).
-pub fn group_sequence(trace: &Trace) -> Vec<u64> {
-    trace.iter().map(|a| a.key.group).collect()
-}
-
-/// Re-exported for tests and benches that build small traces by hand.
-pub fn pack(key: StateKey) -> u128 {
-    key.as_u128()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gadget_types::{StateAccess, StateKey};
 
     #[test]
     fn rank_normalize_is_distribution_preserving() {
@@ -94,16 +69,5 @@ mod tests {
         let b = rank_normalize(&[1_000_000, 2_000_000, 1_000_000, 3_000_000]);
         assert_eq!(a, b);
         assert!(a.iter().all(|&x| (0.0..1.0).contains(&x)));
-    }
-
-    #[test]
-    fn key_sequence_and_densify() {
-        let mut t = Trace::new();
-        t.push(StateAccess::get(StateKey::plain(100), 0));
-        t.push(StateAccess::get(StateKey::plain(7), 1));
-        t.push(StateAccess::get(StateKey::plain(100), 2));
-        let seq = key_sequence(&t);
-        assert_eq!(seq.len(), 3);
-        assert_eq!(densify(&seq), vec![0, 1, 0]);
     }
 }

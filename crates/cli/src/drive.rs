@@ -3,7 +3,7 @@
 //! run path's observe and output legs rather than a whole `RunPlan`.
 
 use gadget_replay::parse_reshard_spec;
-use gadget_server::{DriveOptions, ReshardTrigger};
+use gadget_server::DriveOptions;
 
 use crate::observing::ObservePlan;
 use crate::outputs::{Outputs, Topology};
@@ -28,20 +28,23 @@ pub(crate) fn cmd_drive(flags: &Flags) -> Result<(), String> {
     // wire trace extension, replies echo server timestamps, and the
     // latency decomposition lands in the run report.
     let trace_out = flags.optional("trace-out").map(str::to_string);
+    let replay = replay_options(flags)?;
+    let total_ops = (trace.len() as u64).min(replay.max_ops.unwrap_or(u64::MAX));
     let options = DriveOptions {
         connections,
         churn,
         segment_ops: flags.optional_parse("segment-ops")?.unwrap_or(1_000),
-        replay: replay_options(flags)?,
+        replay,
         seed: flags.optional_parse("seed")?.unwrap_or(0x9ad9e),
         // `--reshard-at frac:from:to` fires a live reshard on the *server*
         // (over a dedicated control connection) once the fleet has issued
         // that fraction of the total ops.
         reshard_at: flags
             .optional("reshard-at")
-            .map(|spec| parse_reshard_spec(spec).map_err(|e| format!("--reshard-at: {e}")))
-            .transpose()?
-            .map(|(frac, from, to)| ReshardTrigger { frac, from, to }),
+            .map(|spec| {
+                parse_reshard_spec(spec, total_ops).map_err(|e| format!("--reshard-at: {e}"))
+            })
+            .transpose()?,
         client_trace: trace_out.is_some(),
     };
     let mut outputs = Outputs::from_flags(flags, &options.replay, "tcp")?;

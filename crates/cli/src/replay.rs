@@ -1,6 +1,6 @@
 //! `gadget replay`: replay a recorded trace against a store.
 
-use gadget_replay::{Load, ReshardPlan, TraceReplayer};
+use gadget_replay::{parse_reshard_spec, Load, TraceReplayer};
 
 use crate::observing::ObservePlan;
 use crate::outputs::Outputs;
@@ -21,7 +21,7 @@ pub(crate) fn cmd_replay(flags: &Flags) -> Result<(), String> {
     let reshard_at = flags
         .optional("reshard-at")
         .map(|spec| {
-            ReshardPlan::parse(
+            parse_reshard_spec(
                 spec,
                 options.max_ops.map_or(total_ops, |n| n.min(total_ops)),
             )

@@ -161,8 +161,8 @@ impl SlotTable {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ReshardEvent {
-    /// Op index at which the migration was triggered (0 when the
-    /// trigger had no op counter in scope, e.g. an over-the-wire
+    /// Op count at which the run's trigger crossed its plan and fired
+    /// (0 when no op counter was in scope, e.g. a one-off over-the-wire
     /// reshard against a live server).
     pub at_op: u64,
     /// Shard the slots moved from.

@@ -26,9 +26,15 @@
 //! * [`run_sweep`] — the service-rate observatory: walks offered load
 //!   up a geometric ladder (plus bisection refinement) and finds the
 //!   knee — the highest offered rate the store sustains.
-//! * [`reshard`] — mid-replay live topology changes: a store wrapper
-//!   that fires a planned shard split/migration at an op-count
-//!   threshold while the replay keeps issuing traffic.
+//! * [`TraceReplayer::fan_out`] — shard-affine parallelism: the trace
+//!   partitioned by key shard, one paced worker per part, panics joined
+//!   into errors and the parts' measurements merged into one report.
+//!   `replay_threads > 1` runs on it, and so does `gadget-server`'s
+//!   multi-connection drive, one connection per worker.
+//! * [`reshard`] — mid-run live topology changes: one op-count trigger
+//!   that fires a planned shard split/migration on a background thread
+//!   while the run keeps issuing traffic, ticked per op by an embedded
+//!   store wrapper and per segment by the network drive.
 
 pub mod histogram;
 pub mod openloop;
@@ -42,5 +48,5 @@ pub use replayer::{
     run_concurrent, run_online_with, ConcurrentRunError, Load, Measured, ReplayOptions, RunReport,
     TraceReplayer, DEFAULT_ARRIVAL_SEED,
 };
-pub use reshard::{parse_reshard_spec, ReshardPlan, ReshardingStore};
+pub use reshard::{parse_reshard_spec, OpTrigger, ReshardPlan, ReshardingStore};
 pub use sweep::{run_sweep, RateStep, SweepOptions, SweepOutcome};

@@ -88,6 +88,13 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Stride between the seeds of a fan-out's workers: worker `i` draws
+/// from `seed + i × SEED_STRIDE` (its Poisson arrivals) or
+/// `seed ^ i × SEED_STRIDE` (the driver's churn coin), so no two workers
+/// replay the same random stream. The constant is wyhash's first
+/// secret, an odd 64-bit mixer.
+pub const SEED_STRIDE: u64 = 0xA076_1D64_78BD_642F;
+
 /// Uniform draw in `[0, 1)` from the top 53 bits of a splitmix64 step.
 pub fn unit_f64(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
@@ -136,9 +143,12 @@ impl Schedule {
 
 /// Paces one replay loop against an absolute arrival schedule.
 ///
-/// Construct one per loop (or per worker, with the rate split and the
-/// seed decorrelated) and ask it for each op's deadline. A `Pacer`
-/// outlives segment boundaries: `gadget-server`'s drive replays a
+/// [`TraceReplayer`](crate::TraceReplayer) builds one per loop, or one
+/// per worker of its shard-affine fan-out: there each gets `rate / n`
+/// and `seed + i × SEED_STRIDE`, and all of them share one anchor, so
+/// the workers' schedules add up to the requested aggregate one. Ask it
+/// for each op's deadline. A `Pacer` outlives segment boundaries:
+/// `gadget-server`'s drive, the fan-out's other caller, replays a
 /// connection's slice segment by segment through one persistent pacer,
 /// so the schedule never re-anchors mid-connection.
 #[derive(Debug, Clone)]

@@ -13,7 +13,7 @@ use gadget_obs::{MetricsSnapshot, SnapshotEmitter};
 use gadget_types::{Op, OpType, StateAccess, Trace};
 
 use crate::histogram::LatencyHistogram;
-use crate::openloop::{ArrivalMode, Pacer};
+use crate::openloop::{ArrivalMode, Pacer, SEED_STRIDE};
 
 /// Default seed for open-loop arrival schedules (Poisson draws). A
 /// fixed default keeps bare `--arrival poisson` runs reproducible;
@@ -303,10 +303,26 @@ impl Measured {
     }
 }
 
-/// Converts a worker thread's panic payload into a [`StoreError`], so a
-/// panicking replay worker surfaces as an error the caller can handle
-/// instead of aborting the harness.
-fn panic_error(payload: Box<dyn std::any::Any + Send>) -> StoreError {
+/// Runs `work(i)` for every `i` in `0..n`, each on its own scoped
+/// thread, and joins them all. A panicking worker becomes a
+/// [`StoreError`] in its slot instead of aborting the harness, and its
+/// peers still run to completion.
+fn scatter<T: Send>(
+    n: usize,
+    work: impl Fn(usize) -> Result<T, StoreError> + Sync,
+) -> Vec<Result<T, StoreError>> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || work(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| Err(panic_error(payload))))
+            .collect()
+    })
+}
+
+/// Converts a worker thread's panic payload into a [`StoreError`].
+pub(crate) fn panic_error(payload: Box<dyn std::any::Any + Send>) -> StoreError {
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -574,18 +590,15 @@ impl TraceReplayer {
     /// raw [`Measured`] aggregate instead of a full report, pacing
     /// against a caller-owned [`Pacer`].
     ///
-    /// This is the building block for drivers that manage their own
-    /// partitioning and session lifecycle — `gadget-server`'s
-    /// multi-connection driver splits a trace across N connections and
-    /// replays each slice segment by segment through its own `NetStore`
-    /// (flipping a churn coin between segments), then merges the
-    /// per-connection `Measured`s with [`Measured::absorb`]. One pacer
-    /// across all segments keeps one absolute schedule instead of
-    /// re-anchoring — and, in open-loop modes, charges ops their
-    /// intended-arrival latency across segment boundaries too. Honors
-    /// `batch_size` and `max_ops` from [`ReplayOptions`]; does not emit a
-    /// replay phase span (callers wrap the whole drive in their own
-    /// phase).
+    /// This is what a [`fan_out`](TraceReplayer::fan_out) worker runs:
+    /// embedded shard-affine replay calls it once per worker, and
+    /// `gadget-server`'s drive once per segment of a connection's slice
+    /// (flipping a churn coin between segments). One pacer across all
+    /// segments keeps one absolute schedule instead of re-anchoring —
+    /// and, in open-loop modes, charges ops their intended-arrival
+    /// latency across segment boundaries too. Honors `batch_size` and
+    /// `max_ops` from [`ReplayOptions`]; does not emit a replay phase
+    /// span (callers wrap the whole run in their own phase).
     pub fn replay_accesses_paced(
         &self,
         accesses: &[StateAccess],
@@ -597,28 +610,18 @@ impl TraceReplayer {
         measuring.finish()
     }
 
-    /// Builds the arrival pacer these options describe, anchored at
-    /// `anchor` (usually the replay start instant).
-    pub fn pacer(&self, anchor: Instant) -> Pacer {
+    /// The arrival pacer of worker `worker` of `workers`, anchored at
+    /// `anchor`: the aggregate rate is split evenly and the Poisson seed
+    /// offset by [`SEED_STRIDE`] per worker, so the union of the
+    /// workers' schedules approximates the requested aggregate arrival
+    /// process. Worker 0 of 1 gets the options' own rate and seed.
+    fn pacer(&self, worker: usize, workers: usize, anchor: Instant) -> Pacer {
         Pacer::new(
             self.options.arrival,
-            self.options.service_rate,
-            self.options.arrival_seed,
-            anchor,
-        )
-    }
-
-    /// Per-worker pacer for shard-affine replay: the aggregate rate is
-    /// split evenly and the Poisson seed decorrelated per worker, so
-    /// the union of the workers' schedules approximates the requested
-    /// aggregate arrival process.
-    fn worker_pacer(&self, worker: usize, threads: usize, anchor: Instant) -> Pacer {
-        Pacer::new(
-            self.options.arrival,
-            self.options.service_rate.map(|r| r / threads as f64),
+            self.options.service_rate.map(|r| r / workers as f64),
             self.options
                 .arrival_seed
-                .wrapping_add((worker as u64).wrapping_mul(0xA076_1D64_78BD_642F)),
+                .wrapping_add((worker as u64).wrapping_mul(SEED_STRIDE)),
             anchor,
         )
     }
@@ -659,7 +662,18 @@ impl TraceReplayer {
         let threads = self.options.replay_threads.max(1);
         match load {
             Load::Trace(trace) if threads > 1 => {
-                self.replay_shard_affine(trace, store, workload, threads, emitter)
+                let _phase = gadget_obs::trace::span(gadget_obs::trace::Category::Phase, REPLAY);
+                let (report, _) =
+                    self.fan_out(trace, store, workload, emitter, |i, part, pacer| {
+                        // Tag this worker's trace spans with its shard so
+                        // hot-shard attribution sees replay threads too.
+                        let _shard = gadget_obs::trace::shard_scope(i as u64);
+                        // The op cap was applied while partitioning (each
+                        // part is at most `max_ops` long), so every worker
+                        // drains its whole part.
+                        Ok((self.replay_accesses_paced(part, store, pacer)?, ()))
+                    })?;
+                Ok(report)
             }
             Load::Trace(trace) => {
                 self.run_measured(REPLAY, store, workload, emitter, |measuring| {
@@ -706,7 +720,7 @@ impl TraceReplayer {
         let offered = self.options.service_rate;
         let _phase = gadget_obs::trace::span(gadget_obs::trace::Category::Phase, phase);
         let started = Instant::now();
-        let mut pacer = self.pacer(started);
+        let mut pacer = self.pacer(0, 1, started);
         let measured = {
             // No emitter, no per-op callback: an unobserved run pays
             // nothing for the ability to be observed.
@@ -747,61 +761,51 @@ impl TraceReplayer {
         report
     }
 
-    /// Shard-affine parallel replay: partitions the trace by key shard
-    /// into `threads` subsequences and replays each on its own thread
-    /// against the shared store (see [`ReplayOptions::replay_threads`]).
+    /// The shard-affine fan-out behind [`ReplayOptions::replay_threads`]
+    /// and `gadget-server`'s multi-connection drive. Partitions the
+    /// `max_ops` prefix of `trace` by [`gadget_kv::shard_of`] over the
+    /// encoded key into `n = replay_threads` parts, so every access to a
+    /// key lands in the same part, and runs `worker(i, part, pacer)` for
+    /// each on its own thread. Worker `i`'s pacer paces at `rate / n`
+    /// with its own seed (see [`pacer`](TraceReplayer::pacer)); all of
+    /// them share one anchor, taken as the fan-out starts.
     ///
-    /// With a service rate set, each worker paces at `rate / threads`,
-    /// so the aggregate rate approximates the requested one when the key
-    /// distribution is balanced. Workers do not sample metrics mid-run;
-    /// an emitter, when present, records one final sample.
-    fn replay_shard_affine(
+    /// Every worker is joined; a panic becomes a [`StoreError`], and the
+    /// first failure in worker order is returned. Otherwise the workers'
+    /// [`Measured`]s merge into one report named after `store`, stamped
+    /// as every run's is, with a final `emitter` sample (workers do not
+    /// sample mid-run), and each worker's own output comes back in
+    /// worker order.
+    pub fn fan_out<T: Send>(
         &self,
         trace: &Trace,
         store: &dyn StateStore,
         workload: &str,
-        threads: usize,
         emitter: Option<&mut SnapshotEmitter>,
-    ) -> Result<RunReport, StoreError> {
+        worker: impl Fn(usize, &[StateAccess], &mut Pacer) -> Result<(Measured, T), StoreError> + Sync,
+    ) -> Result<(RunReport, Vec<T>), StoreError> {
+        let n = self.options.replay_threads.max(1);
         let limit = self
             .options
             .max_ops
             .and_then(|n| usize::try_from(n).ok())
             .unwrap_or(usize::MAX);
-        let mut parts: Vec<Vec<StateAccess>> = vec![Vec::new(); threads];
+        let mut parts: Vec<Vec<StateAccess>> = vec![Vec::new(); n];
         for access in trace.iter().take(limit) {
-            parts[gadget_kv::shard_of(&access.key.encode(), threads)].push(*access);
+            parts[gadget_kv::shard_of(&access.key.encode(), n)].push(*access);
         }
 
-        let _phase = gadget_obs::trace::span(gadget_obs::trace::Category::Phase, REPLAY);
         let started = Instant::now();
-        let results: Vec<Result<Measured, StoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .enumerate()
-                .map(|(shard, part)| {
-                    scope.spawn(move || {
-                        // Tag this worker's trace spans with its shard so
-                        // hot-shard attribution sees replay threads too.
-                        let _shard = gadget_obs::trace::shard_scope(shard as u64);
-                        // The op cap was applied while partitioning (each
-                        // part is at most `max_ops` long), so every worker
-                        // drains its whole subsequence.
-                        let mut pacer = self.worker_pacer(shard, threads, started);
-                        self.replay_accesses_paced(part, store, &mut pacer)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|payload| Err(panic_error(payload))))
-                .collect()
-        });
+        let results = scatter(n, |i| worker(i, &parts[i], &mut self.pacer(i, n, started)));
         let mut merged = Measured::new();
+        let mut outputs = Vec::with_capacity(n);
         for result in results {
-            merged.absorb(&result?);
+            let (measured, output) = result?;
+            merged.absorb(&measured);
+            outputs.push(output);
         }
-        Ok(self.report(merged, store, workload, started, emitter))
+        let report = self.report(merged, store, workload, started, emitter);
+        Ok((report, outputs))
     }
 
     /// Preloads `keys` with `value_size`-byte values (YCSB-style load
@@ -880,19 +884,15 @@ pub fn run_concurrent(
     store: Arc<dyn StateStore>,
     options: ReplayOptions,
 ) -> Result<Vec<RunReport>, ConcurrentRunError> {
-    let mut handles = Vec::new();
-    for (label, trace) in traces {
-        let store = store.clone();
-        let options = options.clone();
-        handles.push(std::thread::spawn(move || {
-            let replayer = TraceReplayer::new(options);
-            replayer.replay(&trace, store.as_ref(), &label)
-        }));
-    }
+    let replayer = TraceReplayer::new(options);
+    let results = scatter(traces.len(), |i| {
+        let (label, trace) = &traces[i];
+        replayer.replay(trace, store.as_ref(), label)
+    });
     let mut completed = Vec::new();
     let mut first_error = None;
-    for h in handles {
-        match h.join().unwrap_or_else(|payload| Err(panic_error(payload))) {
+    for result in results {
+        match result {
             Ok(report) => completed.push(report),
             Err(e) => {
                 if first_error.is_none() {
@@ -1322,6 +1322,34 @@ mod tests {
         let msg = err.error.to_string();
         assert!(msg.contains("panicked"), "{msg}");
         assert!(msg.contains("synthetic store panic"), "{msg}");
+
+        // The shard-affine fan-out joins the same way: both workers get
+        // keys, both panic, and the run returns the first as an error.
+        let mut trace = Trace::new();
+        for i in 0..16 {
+            trace.push(gadget_types::StateAccess::put(StateKey::plain(i), 8, i));
+        }
+        let replayer = TraceReplayer::new(ReplayOptions {
+            replay_threads: 2,
+            ..ReplayOptions::default()
+        });
+        let entered = std::sync::atomic::AtomicUsize::new(0);
+        let err = replayer
+            .fan_out(&trace, &PanickyStore, "boom", None, |_, part, pacer| {
+                assert!(!part.is_empty(), "16 keys reach both workers");
+                entered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok((
+                    replayer.replay_accesses_paced(part, &PanickyStore, pacer)?,
+                    (),
+                ))
+            })
+            .unwrap_err();
+        assert_eq!(entered.into_inner(), 2, "every worker ran and was joined");
+        let msg = err.to_string();
+        assert!(msg.contains("panicked"), "{msg}");
+        assert!(msg.contains("synthetic store panic"), "{msg}");
+        let err = replayer.replay(&trace, &PanickyStore, "boom").unwrap_err();
+        assert!(err.to_string().contains("synthetic store panic"), "{err}");
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! Mid-replay reshard triggers for embedded (in-process) runs.
+//! Mid-run reshard triggers: one op-count trigger for every mode.
 //!
-//! The network driver fires its reshard over a control connection; an
-//! embedded replay has no wire to send a control frame down, so the
-//! trigger rides the data path instead: [`ReshardingStore`] wraps the
-//! [`ShardedStore`] being replayed, counts every operation that passes
-//! through, and — the moment the count crosses the planned op index —
-//! fires the migration on a *background thread* while the replay keeps
-//! issuing ops through the open transfer window. That is the point:
-//! the replay's latency histogram records the migration's interference
-//! from the foreground's perspective, exactly like the paper-style
-//! elasticity measurement.
-//!
-//! The trigger fires at most once. [`ReshardingStore::finish`] joins
-//! the migration thread and hands back what it did, so the caller can
-//! stamp the [`ReshardEvent`] into the run report.
+//! An [`OpTrigger`] counts the ops a run issues and, the moment the
+//! count crosses the planned op index, fires the migration on a
+//! *background thread* while the run keeps issuing ops through the open
+//! transfer window, so the latency histogram records the migration's
+//! interference from the foreground's perspective. What it fires is the
+//! caller's: embedded, a [`ReshardingStore`] ticks it per op and fires
+//! [`ShardedStore::reshard`]; `gadget-server`'s drive ticks it per
+//! segment and fires the reshard over a control connection. It fires
+//! at most once, stamps the count at which it crossed as
+//! [`ReshardEvent::at_op`], and [`OpTrigger::finish`] joins it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -23,36 +19,25 @@ use bytes::Bytes;
 use gadget_kv::{BatchResult, ReshardEvent, ShardedStore, StateStore, StoreError};
 use gadget_types::Op;
 
+use crate::replayer::panic_error;
+
 /// A planned mid-run reshard: at absolute op index `at_op`, move slots
 /// from shard `from` to shard `to` (the store's current shard count to
 /// split a brand-new shard into existence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReshardPlan {
-    /// Fire after this many ops have passed through the store.
+    /// Fire once this many ops have been issued.
     pub at_op: u64,
     /// Source shard.
-    pub from: usize,
+    pub from: u32,
     /// Target shard.
-    pub to: usize,
+    pub to: u32,
 }
 
-impl ReshardPlan {
-    /// Parses the CLI form `frac:from:to` (e.g. `0.5:0:4`): fire at
-    /// `frac` of `total_ops`, moving slots from shard `from` to shard
-    /// `to`.
-    pub fn parse(spec: &str, total_ops: u64) -> Result<ReshardPlan, String> {
-        let (frac, from, to) = parse_reshard_spec(spec)?;
-        Ok(ReshardPlan {
-            at_op: (frac * total_ops as f64) as u64,
-            from: from as usize,
-            to: to as usize,
-        })
-    }
-}
-
-/// Splits the CLI form `frac:from:to` into its checked parts: an op
-/// fraction in `0.0..=1.0`, a source shard and a target shard.
-pub fn parse_reshard_spec(spec: &str) -> Result<(f64, u32, u32), String> {
+/// Parses the CLI form `frac:from:to` (e.g. `0.5:0:4`) of a run of
+/// `total_ops` ops: fire at `frac` (in `0.0..=1.0`) of them, moving
+/// slots from shard `from` to shard `to`.
+pub fn parse_reshard_spec(spec: &str, total_ops: u64) -> Result<ReshardPlan, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     let [frac, from, to] = parts.as_slice() else {
         return Err(format!(
@@ -71,28 +56,90 @@ pub fn parse_reshard_spec(spec: &str) -> Result<(f64, u32, u32), String> {
     let to = to
         .parse()
         .map_err(|_| format!("reshard target shard '{to}' is not an index"))?;
-    Ok((frac, from, to))
+    Ok(ReshardPlan {
+        at_op: (frac * total_ops as f64) as u64,
+        from,
+        to,
+    })
 }
 
-/// A [`StateStore`] that counts ops through an inner [`ShardedStore`]
-/// and fires one planned live reshard when the count crosses the plan.
+/// What a trigger fires: given the op count at which it crossed, run
+/// the migration and report it.
+type Fire = Box<dyn FnOnce(u64) -> Result<ReshardEvent, StoreError> + Send>;
+
+/// A one-shot op-count trigger that fires a migration on a background
+/// thread.
+pub struct OpTrigger {
+    at_op: u64,
+    counted: AtomicU64,
+    fire: Mutex<Option<Fire>>,
+    migration: Mutex<Option<JoinHandle<Result<ReshardEvent, StoreError>>>>,
+}
+
+impl OpTrigger {
+    /// Arms `fire` to run once the count reaches `at_op`.
+    pub fn new(
+        at_op: u64,
+        fire: impl FnOnce(u64) -> Result<ReshardEvent, StoreError> + Send + 'static,
+    ) -> OpTrigger {
+        OpTrigger {
+            at_op,
+            counted: AtomicU64::new(0),
+            fire: Mutex::new(Some(Box::new(fire))),
+            migration: Mutex::new(None),
+        }
+    }
+
+    /// Counts `n` ops and fires if they carried the count to the plan.
+    /// The count only grows, so exactly one tick crosses `at_op` (the
+    /// first tick, for a plan at op 0), whichever thread makes it. The
+    /// fire itself is a thread spawn; the caller never waits for the
+    /// migration.
+    pub fn tick(&self, n: u64) {
+        let before = self.counted.fetch_add(n, Ordering::Relaxed);
+        let after = before + n;
+        if before >= self.at_op.max(1) || after < self.at_op {
+            return;
+        }
+        let Some(fire) = self.fire.lock().expect("no tick panics holding it").take() else {
+            return;
+        };
+        let handle = std::thread::Builder::new()
+            .name("gadget-reshard".to_string())
+            .spawn(move || fire(after))
+            .expect("spawn reshard thread");
+        *self.migration.lock().expect("no tick panics holding it") = Some(handle);
+    }
+
+    /// Joins the migration (blocking until it completes if it is still
+    /// copying) and returns what it did — `None` if the run ended before
+    /// the op count ever reached the plan.
+    pub fn finish(&self) -> Option<Result<ReshardEvent, StoreError>> {
+        let handle = self
+            .migration
+            .lock()
+            .expect("no tick panics holding it")
+            .take()?;
+        Some(handle.join().unwrap_or_else(|p| Err(panic_error(p))))
+    }
+}
+
+/// A [`StateStore`] that ticks an [`OpTrigger`] per op through an
+/// inner [`ShardedStore`], firing one planned live reshard of it.
 pub struct ReshardingStore {
     inner: Arc<ShardedStore>,
-    plan: ReshardPlan,
-    counted: AtomicU64,
-    fired: AtomicBool,
-    migration: Mutex<Option<JoinHandle<Result<ReshardEvent, StoreError>>>>,
+    trigger: OpTrigger,
 }
 
 impl ReshardingStore {
     /// Wraps `inner`, arming the plan.
     pub fn new(inner: Arc<ShardedStore>, plan: ReshardPlan) -> ReshardingStore {
+        let store = Arc::clone(&inner);
         ReshardingStore {
             inner,
-            plan,
-            counted: AtomicU64::new(0),
-            fired: AtomicBool::new(false),
-            migration: Mutex::new(None),
+            trigger: OpTrigger::new(plan.at_op, move |at_op| {
+                store.reshard(plan.from as usize, plan.to as usize, at_op)
+            }),
         }
     }
 
@@ -101,33 +148,9 @@ impl ReshardingStore {
         &self.inner
     }
 
-    /// Counts `n` ops and fires the migration if the plan's op index
-    /// was just crossed. The fire itself is a thread spawn; the data
-    /// path never waits for the migration.
-    fn tick(&self, n: u64) {
-        let after = self.counted.fetch_add(n, Ordering::Relaxed) + n;
-        if after < self.plan.at_op || self.fired.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let store = Arc::clone(&self.inner);
-        let plan = self.plan;
-        let handle = std::thread::Builder::new()
-            .name("gadget-reshard".to_string())
-            .spawn(move || store.reshard(plan.from, plan.to, plan.at_op))
-            .expect("spawn reshard thread");
-        *self.migration.lock().unwrap() = Some(handle);
-    }
-
-    /// Joins the migration (blocking until it completes if it is still
-    /// copying) and returns what it did — `None` if the replay ended
-    /// before the op count ever reached the plan.
+    /// Joins the migration; see [`OpTrigger::finish`].
     pub fn finish(&self) -> Option<Result<ReshardEvent, StoreError>> {
-        let handle = self.migration.lock().unwrap().take()?;
-        Some(handle.join().unwrap_or_else(|_| {
-            Err(StoreError::Corruption(
-                "reshard thread panicked".to_string(),
-            ))
-        }))
+        self.trigger.finish()
     }
 }
 
@@ -141,32 +164,32 @@ impl StateStore for ReshardingStore {
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
-        self.tick(1);
+        self.trigger.tick(1);
         self.inner.get(key)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.tick(1);
+        self.trigger.tick(1);
         self.inner.put(key, value)
     }
 
     fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
-        self.tick(1);
+        self.trigger.tick(1);
         self.inner.merge(key, operand)
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.tick(1);
+        self.trigger.tick(1);
         self.inner.delete(key)
     }
 
     fn scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
-        self.tick(1);
+        self.trigger.tick(1);
         self.inner.scan(lo, hi)
     }
 
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
-        self.tick(batch.len() as u64);
+        self.trigger.tick(batch.len() as u64);
         self.inner.apply_batch(batch)
     }
 }
@@ -185,7 +208,7 @@ mod tests {
 
     #[test]
     fn plan_parses_the_cli_form() {
-        let plan = ReshardPlan::parse("0.5:0:4", 1_000).unwrap();
+        let plan = parse_reshard_spec("0.5:0:4", 1_000).unwrap();
         assert_eq!(
             plan,
             ReshardPlan {
@@ -194,10 +217,10 @@ mod tests {
                 to: 4
             }
         );
-        assert!(ReshardPlan::parse("0.5:0", 10).is_err());
-        assert!(ReshardPlan::parse("1.5:0:1", 10).is_err());
-        assert!(ReshardPlan::parse("x:0:1", 10).is_err());
-        assert!(ReshardPlan::parse("0.1:a:1", 10).is_err());
+        assert!(parse_reshard_spec("0.5:0", 10).is_err());
+        assert!(parse_reshard_spec("1.5:0:1", 10).is_err());
+        assert!(parse_reshard_spec("x:0:1", 10).is_err());
+        assert!(parse_reshard_spec("0.1:a:1", 10).is_err());
     }
 
     #[test]
@@ -223,6 +246,42 @@ mod tests {
         for i in 0..400u64 {
             assert!(store.get(&i.to_be_bytes()).unwrap().is_some(), "key {i}");
         }
+
+        // Ticked from 4 threads at once, it still fires exactly once,
+        // and stamps the count that crossed the plan: with ticks of 7
+        // from zero, the first multiple of 7 at or past 100.
+        let fired = Arc::new(AtomicU64::new(0));
+        let trigger = {
+            let fired = Arc::clone(&fired);
+            OpTrigger::new(100, move |at_op| {
+                fired.fetch_add(1, Ordering::Relaxed);
+                Ok(ReshardEvent {
+                    at_op,
+                    from: 0,
+                    to: 1,
+                    slots: 0,
+                    keys: 0,
+                    pause_us: 0,
+                    copy_us: 0,
+                    map_version: 1,
+                })
+            })
+        };
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..100 {
+                        trigger.tick(7);
+                    }
+                });
+            }
+        });
+        let event = trigger.finish().expect("fired").expect("fire ok");
+        assert_eq!(event.at_op, 105);
+        assert_eq!(fired.load(Ordering::Relaxed), 1, "fires exactly once");
+        assert!(trigger.finish().is_none());
     }
 
     #[test]

@@ -1,27 +1,28 @@
 //! Multi-connection fan-in driver with session churn.
 //!
-//! Simulates a fleet of streaming workers hammering one state server:
-//! the trace is partitioned across N connections by key hash (every
-//! access to a given key stays on one connection, preserving the
-//! per-key ordering keyed streaming state relies on), each connection
-//! replays its slice through its own [`NetStore`], and at deterministic
+//! Simulates a fleet of streaming workers hammering one state server.
+//! The drive runs on the replayer's shard-affine fan-out
+//! ([`TraceReplayer::fan_out`]), one worker per connection: the trace is
+//! partitioned by key hash (every access to a given key stays on one
+//! connection, preserving the per-key ordering keyed streaming state
+//! relies on), each connection replays its slice through its own
+//! [`NetStore`] at its share of the rate, and the per-connection latency
+//! histograms merge exactly ([`Measured::absorb`]), so the summary
+//! distribution is the true union of every connection's samples, not an
+//! average of averages. What is the drive's own: at deterministic
 //! segment boundaries a connection may *churn* — drop its TCP session
 //! and dial a fresh one, the way autoscaled workers, rebalanced
-//! partitions, and flaky networks do in production. Per-connection
-//! latency histograms merge exactly ([`Measured::absorb`]), so the
-//! summary distribution is the true union of every connection's
-//! samples, not an average of averages.
+//! partitions, and flaky networks do in production — and each
+//! connection reports its wire bytes, reconnects and, traced, its
+//! latency decomposition.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use gadget_kv::{shard_of, ReshardEvent};
+use gadget_kv::{ReshardEvent, StateStore, StoreError};
 use gadget_obs::trace::{phase, span, Category};
-use gadget_replay::openloop::unit_f64;
-use gadget_replay::{Measured, ReplayOptions, RunReport, TraceReplayer};
+use gadget_replay::openloop::{unit_f64, SEED_STRIDE};
+use gadget_replay::{
+    Measured, OpTrigger, Pacer, ReplayOptions, ReshardPlan, RunReport, TraceReplayer,
+};
 use gadget_types::{StateAccess, Trace};
-
-use gadget_kv::{StateStore, StoreError};
 
 use crate::client::{NetStore, Topology};
 
@@ -38,36 +39,23 @@ pub struct DriveOptions {
     pub segment_ops: usize,
     /// Replay pacing/batching. `service_rate` is the *aggregate* target
     /// across all connections (split evenly); `max_ops` caps the total
-    /// before partitioning; `replay_threads` is ignored (the connection
-    /// fan-out replaces it).
+    /// before partitioning; `replay_threads` is ignored (the fan-out
+    /// runs one worker per connection).
     pub replay: ReplayOptions,
     /// Seed for the deterministic churn coin-flips. Same seed, same
     /// trace, same options → same reconnect schedule.
     pub seed: u64,
     /// Trigger a live reshard mid-drive: once the fleet has executed
-    /// `frac` of the trace's ops, a dedicated control connection asks
-    /// the server to move slots from shard `from` to shard `to` while
-    /// the traffic connections keep replaying. `None` disables.
-    pub reshard_at: Option<ReshardTrigger>,
+    /// `at_op` ops, a dedicated control connection asks the server to
+    /// move slots from shard `from` to shard `to` while the traffic
+    /// connections keep replaying. `None` disables.
+    pub reshard_at: Option<ReshardPlan>,
     /// Arm client-side tracing on every connection: requests carry the
     /// wire trace extension, each connection estimates its clock
     /// offset to the server, and the merged report gains the
     /// end-to-end latency decomposition
     /// ([`RunReport::decomposition`](gadget_replay::RunReport)).
     pub client_trace: bool,
-}
-
-/// When and what a mid-drive reshard moves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReshardTrigger {
-    /// Fraction of total ops executed before the trigger fires,
-    /// clamped to `0.0..=1.0`.
-    pub frac: f64,
-    /// Source shard.
-    pub from: u32,
-    /// Target shard (the server's current shard count to split a new
-    /// shard into existence).
-    pub to: u32,
 }
 
 impl Default for DriveOptions {
@@ -112,14 +100,13 @@ pub struct DriveSummary {
     pub clock_offsets_ns: Vec<(u64, i64)>,
 }
 
-/// What one connection's worth of the drive produced.
+/// What one connection reports beyond its [`Measured`].
 struct ConnOutcome {
-    measured: Measured,
     reconnects: u64,
     bytes_in: u64,
     bytes_out: u64,
     ops: u64,
-    decomposition: Option<crate::client::Decomposition>,
+    clock_offset_ns: Option<(u64, i64)>,
 }
 
 /// Drives `trace` against the server at `addr` over
@@ -139,135 +126,58 @@ pub fn drive(
     let connections = options.connections.max(1);
     let _phase = span(Category::Phase, phase::DRIVE);
 
-    // Partition by key hash so per-key order survives the fan-out.
-    let limit = options.replay.max_ops.unwrap_or(u64::MAX);
-    let mut parts: Vec<Vec<StateAccess>> = vec![Vec::new(); connections];
-    for access in trace.iter().take(limit.min(usize::MAX as u64) as usize) {
-        parts[shard_of(&access.key.encode(), connections)].push(*access);
-    }
-
-    let per_conn_options = ReplayOptions {
-        service_rate: options.replay.service_rate.map(|r| r / connections as f64),
-        max_ops: None, // the partition is already limited
-        batch_size: options.replay.batch_size,
-        replay_threads: 1,
-        arrival: options.replay.arrival,
-        arrival_seed: options.replay.arrival_seed,
-    };
-    let segment_ops = options.segment_ops.max(1);
-    let total_ops: u64 = parts.iter().map(|p| p.len() as u64).sum();
-
-    // Fleet-wide progress, bumped per completed segment; the reshard
-    // trigger watches it to fire at the requested op fraction.
-    let progress = AtomicU64::new(0);
-    let drive_done = AtomicBool::new(false);
-    let reshard_outcome: Mutex<Option<Result<ReshardEvent, StoreError>>> = Mutex::new(None);
-
-    let started = std::time::Instant::now();
-    let outcomes: Vec<Result<ConnOutcome, StoreError>> = std::thread::scope(|s| {
-        let control = options.reshard_at.map(|trigger| {
-            let progress = &progress;
-            let drive_done = &drive_done;
-            let reshard_outcome = &reshard_outcome;
-            s.spawn(move || {
-                let threshold = (trigger.frac.clamp(0.0, 1.0) * total_ops as f64) as u64;
-                while progress.load(Ordering::Relaxed) < threshold
-                    && !drive_done.load(Ordering::Relaxed)
-                {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                let at_op = progress.load(Ordering::Relaxed);
-                let result = NetStore::connect(addr)
-                    .and_then(|control| control.reshard(trigger.from, trigger.to, at_op));
-                *reshard_outcome.lock().unwrap() = Some(result);
-            })
-        });
-        let handles: Vec<_> = parts
-            .iter()
-            .enumerate()
-            .map(|(conn_no, part)| {
-                let mut per_conn_options = per_conn_options.clone();
-                // Decorrelate the Poisson streams: identical seeds
-                // would make every connection's arrival bursts land in
-                // lockstep, an aggregate no real fleet produces.
-                per_conn_options.arrival_seed = per_conn_options
-                    .arrival_seed
-                    .wrapping_add((conn_no as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-                let progress = &progress;
-                s.spawn(move || {
-                    drive_connection(
-                        addr,
-                        part,
-                        conn_no,
-                        options,
-                        per_conn_options,
-                        segment_ops,
-                        progress,
-                    )
-                })
-            })
-            .collect();
-        let outcomes = handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(StoreError::Corruption(
-                        "drive connection thread panicked".to_string(),
-                    ))
-                })
-            })
-            .collect();
-        drive_done.store(true, Ordering::Relaxed);
-        if let Some(c) = control {
-            let _ = c.join();
-        }
-        outcomes
+    // Every connection is up before the fan-out anchors the pacers.
+    let stores = (0..connections)
+        .map(|conn_no| {
+            let store = NetStore::connect(addr)?;
+            if options.client_trace {
+                store.enable_tracing(conn_no as u64);
+            }
+            Ok(store)
+        })
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    let replayer = TraceReplayer::new(ReplayOptions {
+        replay_threads: connections,
+        ..options.replay.clone()
     });
-    let seconds = started.elapsed().as_secs_f64();
+    let reshard = options.reshard_at.map(|plan| {
+        let addr = addr.to_string();
+        OpTrigger::new(plan.at_op, move |at_op| {
+            NetStore::connect(&addr)?.reshard(plan.from, plan.to, at_op)
+        })
+    });
 
+    // Every connection is a `net` store; the first names the report.
+    let fanned = replayer.fan_out(trace, &stores[0], workload, None, |conn_no, part, pacer| {
+        drive_connection(
+            &replayer,
+            &stores[conn_no],
+            part,
+            conn_no,
+            options,
+            pacer,
+            reshard.as_ref(),
+        )
+    });
     // A requested reshard that failed fails the drive: the measurement
     // the caller asked for (tail latency under migration) did not
     // happen.
-    let reshard = match reshard_outcome.into_inner().unwrap() {
-        Some(result) => Some(result?),
-        None => None,
-    };
+    let reshard = reshard.and_then(|trigger| trigger.finish()).transpose()?;
+    let (report, outcomes) = fanned?;
 
-    let mut merged = Measured::new();
-    let mut reconnects = 0;
-    let mut bytes_in = 0;
-    let mut bytes_out = 0;
-    let mut per_connection_ops = Vec::with_capacity(connections);
-    let mut clock_offsets_ns = Vec::new();
-    for outcome in outcomes {
-        let conn = outcome?;
-        merged.absorb(&conn.measured);
-        reconnects += conn.reconnects;
-        bytes_in += conn.bytes_in;
-        bytes_out += conn.bytes_out;
-        per_connection_ops.push(conn.ops);
-        if let Some(decomp) = conn.decomposition {
-            merged.absorb_decomposition(&decomp.segments);
-            if let Some(offset) = decomp.offset_ns {
-                clock_offsets_ns.push((decomp.conn, offset));
-            }
-        }
-    }
+    let mut clock_offsets_ns: Vec<(u64, i64)> =
+        outcomes.iter().filter_map(|c| c.clock_offset_ns).collect();
     clock_offsets_ns.sort_unstable();
-
-    let mut report = merged.to_report("net", workload, seconds);
-    report.arrival = Some(options.replay.arrival.name().to_string());
-    report.offered_rate = options.replay.service_rate;
     let topology = NetStore::connect(addr)
         .and_then(|control| control.topology())
         .ok();
     Ok(DriveSummary {
         report,
         connections,
-        reconnects,
-        bytes_in,
-        bytes_out,
-        per_connection_ops,
+        reconnects: outcomes.iter().map(|c| c.reconnects).sum(),
+        bytes_in: outcomes.iter().map(|c| c.bytes_in).sum(),
+        bytes_out: outcomes.iter().map(|c| c.bytes_out).sum(),
+        per_connection_ops: outcomes.iter().map(|c| c.ops).collect(),
         reshard,
         topology,
         clock_offsets_ns,
@@ -275,46 +185,42 @@ pub fn drive(
 }
 
 /// One connection's worth of the drive: replay the slice segment by
-/// segment, flipping the churn coin between segments.
+/// segment through one pacer, flipping the churn coin between segments
+/// and ticking the reshard trigger after each.
 fn drive_connection(
-    addr: &str,
+    replayer: &TraceReplayer,
+    store: &NetStore,
     part: &[StateAccess],
     conn_no: usize,
     options: &DriveOptions,
-    replay_options: ReplayOptions,
-    segment_ops: usize,
-    progress: &AtomicU64,
-) -> Result<ConnOutcome, StoreError> {
-    let store = NetStore::connect(addr)?;
-    if options.client_trace {
-        store.enable_tracing(conn_no as u64);
-    }
-    let replayer = TraceReplayer::new(replay_options);
-    let mut rng = options.seed ^ (conn_no as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+    pacer: &mut Pacer,
+    reshard: Option<&OpTrigger>,
+) -> Result<(Measured, ConnOutcome), StoreError> {
+    let mut rng = options.seed ^ (conn_no as u64).wrapping_mul(SEED_STRIDE);
     let mut measured = Measured::new();
-    // One pacer across every segment: the arrival schedule is anchored
-    // once per connection, so pacing stays on the absolute schedule (no
-    // per-segment re-anchor drift) and, in open-loop modes, ops delayed
-    // by a churn reconnect are charged the full wait from their
-    // intended arrival.
-    let mut pacer = replayer.pacer(std::time::Instant::now());
-    for (i, segment) in part.chunks(segment_ops).enumerate() {
+    for (i, segment) in part.chunks(options.segment_ops.max(1)).enumerate() {
         if i > 0 && options.churn > 0.0 && unit_f64(&mut rng) < options.churn {
             store.reconnect()?;
         }
-        measured.absorb(&replayer.replay_accesses_paced(segment, &store, &mut pacer)?);
-        progress.fetch_add(segment.len() as u64, Ordering::Relaxed);
+        measured.absorb(&replayer.replay_accesses_paced(segment, store, pacer)?);
+        if let Some(trigger) = reshard {
+            trigger.tick(segment.len() as u64);
+        }
     }
     let snap = store.metrics().unwrap_or_default();
-    let ops = measured.executed;
-    Ok(ConnOutcome {
-        measured,
+    let mut clock_offset_ns = None;
+    if let Some(decomp) = store.decomposition() {
+        measured.absorb_decomposition(&decomp.segments);
+        clock_offset_ns = decomp.offset_ns.map(|offset| (decomp.conn, offset));
+    }
+    let outcome = ConnOutcome {
         reconnects: store.reconnects(),
         bytes_in: snap.counter("net_bytes_in").unwrap_or(0),
         bytes_out: snap.counter("net_bytes_out").unwrap_or(0),
-        ops,
-        decomposition: store.decomposition(),
-    })
+        ops: measured.executed,
+        clock_offset_ns,
+    };
+    Ok((measured, outcome))
 }
 
 #[cfg(test)]
@@ -354,22 +260,34 @@ mod tests {
         )
         .unwrap();
         let trace = synthetic_trace(600, 37);
-        let options = DriveOptions {
-            connections: 4,
-            ..DriveOptions::default()
-        };
-        let summary = drive(
-            &server.local_addr().to_string(),
-            &trace,
-            "synthetic",
-            &options,
-        )
-        .unwrap();
-        assert_eq!(summary.report.operations, 600);
-        assert_eq!(summary.per_connection_ops.iter().sum::<u64>(), 600);
-        assert_eq!(summary.connections, 4);
-        assert_eq!(summary.reconnects, 0, "no churn requested");
-        assert!(summary.bytes_in > 0 && summary.bytes_out > 0);
+        for connections in 1..=3 {
+            let options = DriveOptions {
+                connections,
+                ..DriveOptions::default()
+            };
+            let summary = drive(
+                &server.local_addr().to_string(),
+                &trace,
+                "synthetic",
+                &options,
+            )
+            .unwrap();
+            assert_eq!(summary.report.operations, 600);
+            assert_eq!(summary.per_connection_ops.iter().sum::<u64>(), 600);
+            assert_eq!(summary.connections, connections);
+            assert_eq!(summary.reconnects, 0, "no churn requested");
+            assert!(summary.bytes_in > 0 && summary.bytes_out > 0);
+            // Connection `i` replays exactly the accesses whose key hashes
+            // to `i`: the partition a caller can predict from the trace.
+            let mut sizes = vec![0u64; connections];
+            for access in trace.iter() {
+                sizes[gadget_kv::shard_of(&access.key.encode(), connections)] += 1;
+            }
+            assert_eq!(
+                summary.per_connection_ops, sizes,
+                "{connections} connections"
+            );
+        }
         server.stop().unwrap();
     }
 
@@ -444,8 +362,8 @@ mod tests {
         let options = DriveOptions {
             connections: 3,
             segment_ops: 50,
-            reshard_at: Some(ReshardTrigger {
-                frac: 0.25,
+            reshard_at: Some(ReshardPlan {
+                at_op: 1_000,
                 from: 0,
                 to: 4,
             }),
@@ -479,8 +397,8 @@ mod tests {
         .unwrap();
         let trace = synthetic_trace(200, 11);
         let options = DriveOptions {
-            reshard_at: Some(ReshardTrigger {
-                frac: 0.5,
+            reshard_at: Some(ReshardPlan {
+                at_op: 100,
                 from: 0,
                 to: 1,
             }),

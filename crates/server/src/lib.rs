@@ -35,7 +35,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{Decomposition, NetStore, RemoteCheckpoint, Topology, SEGMENT_NAMES};
-pub use driver::{drive, DriveOptions, DriveSummary, ReshardTrigger};
+pub use driver::{drive, DriveOptions, DriveSummary};
 pub use metrics_http::{MetricsServer, SnapshotFn};
 pub use server::{Server, ServerConfig};
 pub use wire::{Frame, WireError};

@@ -177,11 +177,6 @@ impl Server {
         self.shared.begin_shutdown();
     }
 
-    /// Whether a drain has been triggered (locally or over the wire).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
     /// Drains and waits for every connection to finish, then flushes
     /// the underlying store.
     pub fn stop(self) -> Result<(), StoreError> {
