@@ -8,20 +8,30 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use gadget_bench::build_store;
+use gadget_cli::{OpenStore, StorePlan};
 
 const APPENDS: usize = 500;
 const OPERAND: [u8; 64] = [5u8; 64];
+
+/// A fresh RocksDB-class store at 1/256 of the paper's budgets.
+fn rocksdb() -> OpenStore {
+    StorePlan {
+        divisor: 256,
+        ..StorePlan::new("rocksdb-class")
+    }
+    .open()
+    .expect("open rocksdb-class")
+}
 
 fn native_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("lsm_bucket_append");
     group.sample_size(20);
     group.bench_function("native_merge", |b| {
         b.iter_batched(
-            || build_store("rocksdb-class", 256),
-            |inst| {
+            rocksdb,
+            |store| {
                 for _ in 0..APPENDS {
-                    inst.store.merge(b"bucket", &OPERAND).expect("merge");
+                    store.run.merge(b"bucket", &OPERAND).expect("merge");
                 }
             },
             BatchSize::PerIteration,
@@ -29,17 +39,17 @@ fn native_merge(c: &mut Criterion) {
     });
     group.bench_function("rmw_emulation", |b| {
         b.iter_batched(
-            || build_store("rocksdb-class", 256),
-            |inst| {
+            rocksdb,
+            |store| {
                 for _ in 0..APPENDS {
-                    let mut v = inst
-                        .store
+                    let mut v = store
+                        .run
                         .get(b"bucket")
                         .expect("get")
                         .map(|b| b.to_vec())
                         .unwrap_or_default();
                     v.extend_from_slice(&OPERAND);
-                    inst.store.put(b"bucket", &v).expect("put");
+                    store.run.put(b"bucket", &v).expect("put");
                 }
             },
             BatchSize::PerIteration,

@@ -7,17 +7,29 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
-use gadget_bench::{all_stores, build_store};
+use gadget_cli::{OpenStore, StorePlan, PAPER_STORES};
 use gadget_kv::{MemStore, ObservedStore, StateStore};
+
+/// A fresh store of `label` at 1/256 of the paper's budgets.
+fn open(label: &str) -> OpenStore {
+    StorePlan {
+        divisor: 256,
+        ..StorePlan::new(label)
+    }
+    .open()
+    .expect("open store")
+}
 
 fn bench_puts(c: &mut Criterion) {
     let mut group = c.benchmark_group("put_256B");
-    for inst in all_stores(256) {
+    for label in PAPER_STORES {
+        let store = open(label);
         let mut i = 0u64;
-        group.bench_function(inst.label, |b| {
+        group.bench_function(label, |b| {
             b.iter(|| {
                 i += 1;
-                inst.store
+                store
+                    .run
                     .put(&(i % 100_000).to_be_bytes(), &[7u8; 256])
                     .expect("put");
             })
@@ -28,15 +40,16 @@ fn bench_puts(c: &mut Criterion) {
 
 fn bench_gets(c: &mut Criterion) {
     let mut group = c.benchmark_group("get_hot_1k");
-    for inst in all_stores(256) {
+    for label in PAPER_STORES {
+        let store = open(label);
         for k in 0..1_000u64 {
-            inst.store.put(&k.to_be_bytes(), &[1u8; 256]).expect("seed");
+            store.run.put(&k.to_be_bytes(), &[1u8; 256]).expect("seed");
         }
         let mut i = 0u64;
-        group.bench_function(inst.label, |b| {
+        group.bench_function(label, |b| {
             b.iter(|| {
                 i += 1;
-                inst.store.get(&(i % 1_000).to_be_bytes()).expect("get");
+                store.run.get(&(i % 1_000).to_be_bytes()).expect("get");
             })
         });
     }
@@ -47,13 +60,13 @@ fn bench_merge_growth(c: &mut Criterion) {
     // The holistic-window hot path: repeated merges on one growing bucket.
     let mut group = c.benchmark_group("merge_append_64B");
     group.sample_size(20);
-    for label in gadget_bench::STORE_LABELS {
+    for label in PAPER_STORES {
         group.bench_function(label, |b| {
             b.iter_batched(
-                || build_store(label, 256),
-                |inst| {
+                || open(label),
+                |store| {
                     for _ in 0..1_000 {
-                        inst.store.merge(b"bucket", &[9u8; 64]).expect("merge");
+                        store.run.merge(b"bucket", &[9u8; 64]).expect("merge");
                     }
                 },
                 BatchSize::PerIteration,

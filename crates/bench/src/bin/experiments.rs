@@ -31,32 +31,46 @@ const EXPERIMENTS: &[Experiment] = &[
     ("ext_sweep", ext_sweep::run),
 ];
 
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    format!(
+        "usage: experiments <name>|all [--events N] [--ops N] [--seed N] [--full]\n\
+         \x20      [--metrics PATH] [--trace PATH] [--batch-size N] [--reports DIR] [--no-reports]\n\
+         experiments: {}",
+        names.join(", ")
+    )
+}
+
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_default();
-    if name == "all" {
-        let scale = Scale::from_args();
-        println!("running the full Gadget evaluation suite");
-        println!(
-            "scale: {} events / {} ops (use --events/--ops/--full to change)\n",
-            scale.events, scale.ops
-        );
-        let t0 = std::time::Instant::now();
-        for (_, run) in EXPERIMENTS {
-            run(&scale);
-        }
-        println!(
-            "\nfull suite completed in {:.1}s",
-            t0.elapsed().as_secs_f64()
-        );
-    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-        run(&Scale::from_args());
-    } else {
-        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
-        eprintln!(
-            "usage: experiments <name>|all [--events N] [--ops N] [--full] ...\n\
-             unknown experiment `{name}`; one of: {}",
-            names.join(", ")
-        );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = args.first().cloned().unwrap_or_default();
+    let run_one = EXPERIMENTS.iter().find(|(n, _)| *n == name);
+    if name != "all" && run_one.is_none() {
+        eprintln!("unknown experiment `{name}`\n{}", usage());
         std::process::exit(1);
     }
+    let scale = match Scale::parse(&args[1..]) {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            std::process::exit(1);
+        }
+    };
+    if let Some((_, run)) = run_one {
+        run(&scale);
+        return;
+    }
+    println!("running the full Gadget evaluation suite");
+    println!(
+        "scale: {} events / {} ops (use --events/--ops/--full to change)\n",
+        scale.events, scale.ops
+    );
+    let t0 = std::time::Instant::now();
+    for (_, run) in EXPERIMENTS {
+        run(&scale);
+    }
+    println!(
+        "\nfull suite completed in {:.1}s",
+        t0.elapsed().as_secs_f64()
+    );
 }

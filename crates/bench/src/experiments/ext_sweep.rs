@@ -13,17 +13,13 @@
 //! `SweepReport` that `gadget report show` renders and
 //! `gadget report compare` gates across revisions.
 
-use std::sync::Arc;
-
-use gadget_kv::testutil::TestDir;
-use gadget_kv::{MemStore, ShardedStore, StateStore};
-use gadget_lsm::{LsmConfig, LsmStore};
+use gadget_cli::StorePlan;
 use gadget_replay::{run_sweep, ReplayOptions, SweepOptions, TraceReplayer};
 use gadget_report::ReportFile;
 use gadget_ycsb::{CoreWorkload, YcsbConfig};
 use serde::Serialize;
 
-use crate::{fresh_dir, kops, print_table, us, Scale};
+use crate::{kops, print_table, us, Scale, STORE_DIVISOR};
 
 /// One rung of one store's curve.
 #[derive(Debug, Serialize)]
@@ -61,35 +57,20 @@ fn sweep_options(scale: &Scale) -> SweepOptions {
     }
 }
 
-/// One curve subject: a label, its shard count, and the store.
-type Subject = (&'static str, u64, Arc<dyn StateStore>);
-
-/// The two curve subjects: a keyspace store with no I/O at all, and a
-/// shard-parallel LSM doing real compaction work. Returns the LSM's
-/// scratch directory, which the caller keeps until both sweeps are done.
-fn subjects(shrink: usize) -> (Vec<Subject>, TestDir) {
-    let shrink = shrink.max(1);
-    let lsm_dir = fresh_dir("ext-sweep-lsm");
-    let factory_dir = lsm_dir.root().to_path_buf();
-    let sharded = ShardedStore::from_factory(4, move |shard| {
-        let cfg = LsmConfig {
-            memtable_bytes: (128 << 20) / shrink,
-            block_cache_bytes: (64 << 20) / shrink,
-            l1_target_bytes: ((256 << 20) / shrink) as u64,
-            target_file_bytes: (64 << 20) / shrink,
-            ..LsmConfig::paper_rocksdb()
-        };
-        LsmStore::open(factory_dir.join(format!("shard-{shard}")), cfg)
-            .map(|s| Arc::new(s) as Arc<dyn StateStore>)
-    })
-    .expect("open sharded lsm");
-    (
-        vec![
-            ("mem", 1, Arc::new(MemStore::new())),
-            ("lsm-4shard", 4, Arc::new(sharded)),
-        ],
-        lsm_dir,
-    )
+/// The two curve subjects, by report label: a keyspace store with no
+/// I/O at all, and a shard-parallel LSM doing real compaction work.
+fn subjects() -> [(&'static str, StorePlan); 2] {
+    [
+        ("mem", StorePlan::new("mem")),
+        (
+            "lsm-4shard",
+            StorePlan {
+                shards: 4,
+                divisor: STORE_DIVISOR,
+                ..StorePlan::new("rocksdb-class")
+            },
+        ),
+    ]
 }
 
 /// Runs both sweeps.
@@ -98,12 +79,12 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
     let cfg = YcsbConfig::core(CoreWorkload::A, 1_000, opts.ops_per_step);
     let trace = cfg.generate();
     let mut rows = Vec::new();
-    let (stores, _lsm_dir) = subjects(64);
-    for (label, shards, store) in stores {
+    for (label, plan) in subjects() {
+        let store = plan.open().expect("open store");
         TraceReplayer::new(ReplayOptions::default())
-            .preload(&*store, cfg.preload_keys(), cfg.value_size)
+            .preload(&*store.run, cfg.preload_keys(), cfg.value_size)
             .expect("preload");
-        let outcome = run_sweep(&trace, &*store, "ycsb-a", &opts, None).expect("sweep");
+        let outcome = run_sweep(&trace, &*store.run, "ycsb-a", &opts, None).expect("sweep");
         let knee_rate = outcome.knee.map(|k| outcome.steps[k].offered);
         for step in &outcome.steps {
             rows.push(Row {
@@ -121,7 +102,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 "ext_sweep store={label} workload=ycsb-a ops_per_step={} seed={}",
                 opts.ops_per_step, opts.seed
             ));
-            meta.shards = shards;
+            meta.shards = plan.shards as u64;
             meta.batch_size = opts.batch_size as u64;
             meta.arrival = opts.arrival.name().to_string();
             let mut report = gadget_report::SweepReport::from_sweep(outcome, &opts, meta);

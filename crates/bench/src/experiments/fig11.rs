@@ -4,6 +4,7 @@
 //! and p99.9 latency. Gadget results must track the real-trace results;
 //! tuned YCSB may diverge wildly.
 
+use gadget_cli::{StorePlan, PAPER_STORES};
 use gadget_core::{Driver, GadgetConfig};
 use gadget_datasets::DatasetSpec;
 use gadget_flinksim::run_reference;
@@ -11,7 +12,7 @@ use gadget_kv::MemStore;
 use gadget_replay::{ReplayOptions, TraceReplayer};
 use serde::Serialize;
 
-use crate::{all_stores, dump_json, kops, print_table, us, Scale};
+use crate::{dump_json, kops, print_table, us, Scale, STORE_DIVISOR};
 
 /// One (operator, trace-source, store) measurement.
 #[derive(Debug, Serialize)]
@@ -53,15 +54,21 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
             .generate();
 
         for (source, trace) in [("real", &real), ("gadget", &gadget), ("ycsb", &ycsb)] {
-            for inst in all_stores(64) {
+            for label in PAPER_STORES {
+                let store = StorePlan {
+                    divisor: STORE_DIVISOR,
+                    ..StorePlan::new(label)
+                }
+                .open()
+                .expect("open store");
                 let replayer = TraceReplayer::new(options.clone());
                 let report = replayer
-                    .replay(trace, inst.store.as_ref(), kind.name())
+                    .replay(trace, store.run.as_ref(), kind.name())
                     .expect("replay");
                 rows.push(Row {
                     operator: kind.name().to_string(),
                     source: source.to_string(),
-                    store: inst.label.to_string(),
+                    store: label.to_string(),
                     throughput: report.throughput,
                     p999_ns: report.latency_hist.percentile(99.9),
                 });

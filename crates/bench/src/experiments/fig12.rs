@@ -2,15 +2,13 @@
 //! D (read latest), and F (read-modify-write) on all four stores with
 //! 1K keys and zipfian requests.
 
-use std::sync::Arc;
-
-use gadget_kv::{ObservedStore, StateStore};
+use gadget_cli::{StorePlan, PAPER_STORES};
 use gadget_obs::trace;
 use gadget_replay::{ReplayOptions, TraceReplayer};
 use gadget_ycsb::{CoreWorkload, YcsbConfig};
 use serde::Serialize;
 
-use crate::{all_stores, dump_json, kops, print_table, us, Scale};
+use crate::{dump_json, kops, print_table, us, Scale, STORE_DIVISOR};
 
 /// One (workload, store) measurement.
 #[derive(Debug, Serialize)]
@@ -28,7 +26,7 @@ pub struct Row {
 /// Runs the matrix.
 ///
 /// With `--trace PATH` the whole matrix runs inside one trace session:
-/// sampled op spans (stores wrapped in [`ObservedStore`]), always-on
+/// sampled op spans (stores opened `observed`), always-on
 /// background spans, and replay phase spans land in one Chrome JSON
 /// timeline, and a tail-latency attribution table is printed.
 pub fn compute(scale: &Scale) -> Vec<Row> {
@@ -43,12 +41,14 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
         // Paper §6.3: 1K keys, 2M operations, 8-byte keys, 256-byte values.
         let cfg = YcsbConfig::core(workload, 1_000, scale.ops);
         let trace = cfg.generate();
-        for inst in all_stores(64) {
-            let run_store: Arc<dyn StateStore> = if session.is_some() {
-                Arc::new(ObservedStore::new(inst.store.clone()))
-            } else {
-                inst.store.clone()
-            };
+        for label in PAPER_STORES {
+            let store = StorePlan {
+                divisor: STORE_DIVISOR,
+                observed: session.is_some(),
+                ..StorePlan::new(label)
+            }
+            .open()
+            .expect("open store");
             // `--batch-size N` routes the replay through apply_batch
             // (N > 1), exercising each store's native batch path.
             let replayer = TraceReplayer::new(ReplayOptions {
@@ -56,12 +56,12 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 ..ReplayOptions::default()
             });
             replayer
-                .preload(&*run_store, cfg.preload_keys(), cfg.value_size)
+                .preload(&*store.run, cfg.preload_keys(), cfg.value_size)
                 .expect("preload");
-            let report = replayer.replay(&trace, &*run_store, name).expect("replay");
+            let report = replayer.replay(&trace, &*store.run, name).expect("replay");
             rows.push(Row {
                 workload: name.to_string(),
-                store: inst.label.to_string(),
+                store: label.to_string(),
                 throughput: report.throughput,
                 p999_ns: report.latency_hist.percentile(99.9),
             });
@@ -69,9 +69,9 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 crate::emit_run_report(
                     dir,
                     "fig12",
-                    inst.label,
+                    label,
                     report,
-                    inst.store.metrics(),
+                    store.base.metrics(),
                     &format!(
                         "fig12 workload={name} ops={} batch={}",
                         scale.ops, scale.batch
@@ -80,8 +80,8 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
                 );
             }
             if scale.metrics.is_some() {
-                if let Some(snap) = inst.store.metrics() {
-                    snapshots.push((format!("{name}/{}", inst.label), snap));
+                if let Some(snap) = store.base.metrics() {
+                    snapshots.push((format!("{name}/{label}"), snap));
                 }
             }
         }

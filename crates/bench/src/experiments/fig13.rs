@@ -4,12 +4,13 @@
 //! ones) but offers robust latency everywhere; LSM lazy merges win the
 //! holistic window workloads.
 
+use gadget_cli::{StorePlan, PAPER_STORES};
 use gadget_core::{ArrivalConfig, GadgetConfig, GeneratorConfig, OperatorKind, ValueSizeConfig};
 use gadget_distrib::KeyDistributionConfig;
 use gadget_replay::{ReplayOptions, TraceReplayer};
 use serde::Serialize;
 
-use crate::{all_stores, dump_json, kops, print_table, us, Scale};
+use crate::{dump_json, kops, print_table, us, Scale, STORE_DIVISOR};
 
 /// One (workload, store) measurement.
 #[derive(Debug, Serialize)]
@@ -64,14 +65,20 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
     for kind in OperatorKind::ALL {
         let cfg = GadgetConfig::synthetic(kind, source(scale, kind));
         let trace = cfg.run();
-        for inst in all_stores(64) {
+        for label in PAPER_STORES {
+            let store = StorePlan {
+                divisor: STORE_DIVISOR,
+                ..StorePlan::new(label)
+            }
+            .open()
+            .expect("open store");
             let replayer = TraceReplayer::new(options.clone());
             let report = replayer
-                .replay(&trace, inst.store.as_ref(), kind.name())
+                .replay(&trace, store.run.as_ref(), kind.name())
                 .expect("replay");
             rows.push(Row {
                 workload: kind.name().to_string(),
-                store: inst.label.to_string(),
+                store: label.to_string(),
                 throughput: report.throughput,
                 p999_ns: report.latency_hist.percentile(99.9),
                 mean_ns: report.latency_hist.mean(),

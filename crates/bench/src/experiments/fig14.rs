@@ -3,14 +3,13 @@
 //! (two operators of the same type) and *Concurrent-B* (an incremental
 //! and a holistic sliding window co-located).
 
-use std::sync::Arc;
-
+use gadget_cli::{OpenStore, StorePlan};
 use gadget_core::{GadgetConfig, OperatorKind};
 use gadget_replay::{run_concurrent, ReplayOptions, TraceReplayer};
 use gadget_types::Trace;
 use serde::Serialize;
 
-use crate::{build_store, dump_json, kops, print_table, us, Scale};
+use crate::{dump_json, kops, print_table, us, Scale, STORE_DIVISOR};
 
 /// One measurement.
 #[derive(Debug, Serialize)]
@@ -32,6 +31,16 @@ fn trace_for(kind: OperatorKind, scale: &Scale, seed_shift: u64) -> Trace {
     GadgetConfig::synthetic(kind, gen).run()
 }
 
+/// A fresh RocksDB-class store at the experiments' budgets.
+fn rocksdb() -> OpenStore {
+    StorePlan {
+        divisor: STORE_DIVISOR,
+        ..StorePlan::new("rocksdb-class")
+    }
+    .open()
+    .expect("open rocksdb-class")
+}
+
 /// Runs the experiment matrix.
 pub fn compute(scale: &Scale) -> Vec<Row> {
     let options = ReplayOptions {
@@ -47,9 +56,9 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
 
     // Isolated runs.
     for (name, trace) in [("sliding-incr", &incr), ("sliding-hol", &hol)] {
-        let inst = build_store("rocksdb-class", 64);
+        let store = rocksdb();
         let report = TraceReplayer::new(options.clone())
-            .replay(trace, inst.store.as_ref(), name)
+            .replay(trace, store.run.as_ref(), name)
             .expect("replay");
         rows.push(Row {
             operator: name.to_string(),
@@ -64,11 +73,10 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
         ("sliding-incr", incr.clone(), incr2),
         ("sliding-hol", hol.clone(), hol2),
     ] {
-        let inst = build_store("rocksdb-class", 64);
-        let store: Arc<dyn gadget_kv::StateStore> = inst.store.clone();
+        let store = rocksdb();
         let reports = run_concurrent(
             vec![(name.to_string(), a), (format!("{name}-peer"), b)],
-            store,
+            store.run.clone(),
             options.clone(),
         )
         .expect("concurrent run");
@@ -82,14 +90,13 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
 
     // Concurrent-B: incremental and holistic share the store.
     {
-        let inst = build_store("rocksdb-class", 64);
-        let store: Arc<dyn gadget_kv::StateStore> = inst.store.clone();
+        let store = rocksdb();
         let reports = run_concurrent(
             vec![
                 ("sliding-incr".to_string(), incr),
                 ("sliding-hol".to_string(), hol),
             ],
-            store,
+            store.run.clone(),
             options,
         )
         .expect("concurrent run");

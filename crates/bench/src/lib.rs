@@ -3,8 +3,9 @@
 //! Every table and figure of the paper's evaluation has a module in
 //! `src/experiments/` that regenerates it, run by name through the one
 //! `experiments` binary (see DESIGN.md §5 for the index). This library
-//! provides what they share: the store zoo, scale flags, table printing,
-//! and JSON result dumps.
+//! provides what they share: scale flags, table printing, and JSON
+//! result dumps. Stores come from the `gadget` CLI's store leg
+//! ([`gadget_cli::StorePlan`]), the one table of store labels.
 //!
 //! Scale note: the experiments default to CI-friendly sizes (hundreds of
 //! thousands of events) rather than the paper's server-scale runs; pass
@@ -13,15 +14,14 @@
 //! reproduce; absolute numbers depend on hardware.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use gadget_btree::{BTreeConfig, BTreeStore};
-use gadget_hashlog::{HashLogConfig, HashLogStore};
-use gadget_kv::testutil::TestDir;
-use gadget_kv::StateStore;
-use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_report::ReportFile;
+
+/// What the store experiments (Figs. 11–14, `ext_sweep`) divide the
+/// paper's memory budgets by, so CI machines need not hold gigabytes:
+/// their `rocksdb-class` has a 2 MiB memtable where `gadget replay
+/// --store rocksdb-class` has 128 MiB (DESIGN.md §3, *Default scale*).
+pub const STORE_DIVISOR: usize = 64;
 
 /// Command-line scale options shared by all experiments.
 #[derive(Debug, Clone)]
@@ -52,8 +52,10 @@ pub struct Scale {
 impl Scale {
     /// Parses `--events N`, `--ops N`, `--seed N`, `--metrics PATH`,
     /// `--trace PATH`, `--batch-size N`, `--reports DIR`,
-    /// `--no-reports`, `--full` from argv, after the experiment name.
-    pub fn from_args() -> Scale {
+    /// `--no-reports`, `--full`: the arguments after the experiment
+    /// name. An unknown flag, a flag missing its value and a value that
+    /// is not a number are errors, never a run at the defaults.
+    pub fn parse(args: &[String]) -> Result<Scale, String> {
         let mut scale = Scale {
             events: 100_000,
             ops: 200_000,
@@ -63,135 +65,41 @@ impl Scale {
             batch: 1,
             reports: Some(PathBuf::from("results/reports")),
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 2;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
                 "--full" => {
                     scale.events = 2_500_000;
                     scale.ops = 2_000_000;
-                }
-                "--events" if i + 1 < args.len() => {
-                    scale.events = args[i + 1].parse().expect("--events takes a number");
-                    i += 1;
-                }
-                "--ops" if i + 1 < args.len() => {
-                    scale.ops = args[i + 1].parse().expect("--ops takes a number");
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    scale.seed = args[i + 1].parse().expect("--seed takes a number");
-                    i += 1;
-                }
-                "--metrics" if i + 1 < args.len() => {
-                    scale.metrics = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--trace" if i + 1 < args.len() => {
-                    scale.trace = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--batch-size" if i + 1 < args.len() => {
-                    scale.batch = args[i + 1].parse().expect("--batch-size takes a number");
-                    i += 1;
-                }
-                "--reports" if i + 1 < args.len() => {
-                    scale.reports = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
+                    continue;
                 }
                 "--no-reports" => {
                     scale.reports = None;
+                    continue;
                 }
-                other => eprintln!("ignoring unknown argument {other}"),
+                "--events" | "--ops" | "--seed" | "--metrics" | "--trace" | "--batch-size"
+                | "--reports" => {}
+                other => return Err(format!("unknown argument {other}")),
             }
-            i += 1;
-        }
-        scale
-    }
-}
-
-/// A store instance plus the temp directory backing it (removed after
-/// the store is dropped: fields drop in declaration order).
-pub struct StoreInstance {
-    /// Report name: `rocksdb-class`, `lethe-class`, `faster-class`,
-    /// `berkeleydb-class`.
-    pub label: &'static str,
-    /// The store.
-    pub store: Arc<dyn StateStore>,
-    _dir: Option<TestDir>,
-}
-
-/// A directory of its own: two instances of one label can be alive at
-/// once, so the label alone is not a unique name.
-fn fresh_dir(label: &str) -> TestDir {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    TestDir::new(&format!("bench-{label}-{n}"))
-}
-
-/// Builds one store of the zoo by label.
-///
-/// Store memory budgets follow the paper's setup (§6): RocksDB/Lethe with
-/// 128 MiB memtables + 64 MiB cache, BerkeleyDB with a 256 MiB cache,
-/// FASTER with a 256 MiB log region — scaled down by `shrink` (1 = paper
-/// sizes) so CI machines are not required to hold gigabytes.
-pub fn build_store(label: &str, shrink: usize) -> StoreInstance {
-    let shrink = shrink.max(1);
-    match label {
-        "rocksdb-class" => {
-            let dir = fresh_dir(label);
-            let cfg = LsmConfig {
-                memtable_bytes: (128 << 20) / shrink,
-                block_cache_bytes: (64 << 20) / shrink,
-                l1_target_bytes: ((256 << 20) / shrink) as u64,
-                target_file_bytes: (64 << 20) / shrink,
-                ..LsmConfig::paper_rocksdb()
+            let value = args
+                .next()
+                .ok_or_else(|| format!("{flag} requires a value"))?;
+            let number = || {
+                value
+                    .parse::<u64>()
+                    .map_err(|_| format!("{flag} takes a number, got {value}"))
             };
-            StoreInstance {
-                label: "rocksdb-class",
-                store: Arc::new(LsmStore::open(&dir, cfg).expect("open lsm")),
-                _dir: Some(dir),
+            match flag.as_str() {
+                "--events" => scale.events = number()?,
+                "--ops" => scale.ops = number()?,
+                "--seed" => scale.seed = number()?,
+                "--batch-size" => scale.batch = number()? as usize,
+                "--metrics" => scale.metrics = Some(PathBuf::from(value)),
+                "--trace" => scale.trace = Some(PathBuf::from(value)),
+                _ /* --reports */ => scale.reports = Some(PathBuf::from(value)),
             }
         }
-        "lethe-class" => {
-            let dir = fresh_dir(label);
-            let cfg = LsmConfig {
-                memtable_bytes: (128 << 20) / shrink,
-                block_cache_bytes: (64 << 20) / shrink,
-                l1_target_bytes: ((256 << 20) / shrink) as u64,
-                target_file_bytes: (64 << 20) / shrink,
-                ..LsmConfig::paper_lethe()
-            };
-            StoreInstance {
-                label: "lethe-class",
-                store: Arc::new(LsmStore::open(&dir, cfg).expect("open lethe")),
-                _dir: Some(dir),
-            }
-        }
-        "faster-class" => {
-            let cfg = HashLogConfig {
-                mutable_bytes: (64 << 20) / shrink / 64,
-                ..HashLogConfig::default()
-            };
-            StoreInstance {
-                label: "faster-class",
-                store: Arc::new(HashLogStore::new(cfg)),
-                _dir: None,
-            }
-        }
-        "berkeleydb-class" => {
-            let dir = fresh_dir(label);
-            let cfg = BTreeConfig {
-                page_cache_bytes: (256 << 20) / shrink,
-                ..BTreeConfig::default()
-            };
-            StoreInstance {
-                label: "berkeleydb-class",
-                store: Arc::new(BTreeStore::open(dir.path("data.db"), cfg).expect("open btree")),
-                _dir: Some(dir),
-            }
-        }
-        other => panic!("unknown store label {other}"),
+        Ok(scale)
     }
 }
 
@@ -222,22 +130,6 @@ pub fn dump_store_metrics(
         }
         Err(e) => eprintln!("cannot serialize metrics: {e}"),
     }
-}
-
-/// The paper's four stores, in Figure-12/13 order.
-pub const STORE_LABELS: [&str; 4] = [
-    "rocksdb-class",
-    "lethe-class",
-    "faster-class",
-    "berkeleydb-class",
-];
-
-/// Builds the whole zoo.
-pub fn all_stores(shrink: usize) -> Vec<StoreInstance> {
-    STORE_LABELS
-        .iter()
-        .map(|l| build_store(l, shrink))
-        .collect()
 }
 
 /// Prints a markdown-ish table.
@@ -276,7 +168,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Writes a JSON result blob under `results/<name>.json`.
 pub fn dump_json<T: serde::Serialize>(name: &str, value: &T) {
     let dir = PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_err() {
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("could not create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(format!("{name}.json"));
@@ -295,7 +188,7 @@ pub fn dump_json<T: serde::Serialize>(name: &str, value: &T) {
 /// Writes a versioned run report for one measured experiment run into
 /// `dir` as `<experiment>-<workload>-<store_label>.json`.
 ///
-/// The store identity in the report is `store_label` (the zoo label,
+/// The store identity in the report is `store_label` (the store label,
 /// e.g. `rocksdb-class`) rather than the engine name the replay layer
 /// recorded, so the two LSM variants don't collide and baselines match
 /// on the label users sweep by.
@@ -355,25 +248,36 @@ pub fn us(ns: u64) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn zoo_builds_and_serves() {
-        for inst in all_stores(64) {
-            inst.store.put(b"k", b"v").expect(inst.label);
-            assert_eq!(
-                inst.store.get(b"k").expect(inst.label).as_deref(),
-                Some(&b"v"[..]),
-                "{}",
-                inst.label
-            );
-        }
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn labels_match() {
-        for label in STORE_LABELS {
-            let inst = build_store(label, 64);
-            assert_eq!(inst.label, label);
-        }
+    fn scale_parses_every_flag() {
+        let scale = Scale::parse(&args(&[
+            "--ops",
+            "10",
+            "--seed",
+            "1",
+            "--batch-size",
+            "8",
+            "--no-reports",
+        ]))
+        .unwrap();
+        assert_eq!((scale.ops, scale.seed, scale.batch), (10, 1, 8));
+        assert_eq!(scale.events, 100_000);
+        assert!(scale.reports.is_none());
+        let full = Scale::parse(&args(&["--full", "--reports", "out"])).unwrap();
+        assert_eq!((full.events, full.ops), (2_500_000, 2_000_000));
+        assert_eq!(full.reports, Some(PathBuf::from("out")));
+    }
+
+    #[test]
+    fn scale_rejects_what_it_cannot_honour() {
+        let err = |v: &[&str]| Scale::parse(&args(v)).unwrap_err();
+        assert_eq!(err(&["--sede", "1"]), "unknown argument --sede");
+        assert_eq!(err(&["--ops", "5", "--seed"]), "--seed requires a value");
+        assert_eq!(err(&["--ops", "many"]), "--ops takes a number, got many");
     }
 
     #[test]

@@ -415,11 +415,9 @@ pub(crate) fn cmd_crash(flags: &Flags) -> Result<(), String> {
             (db_dir.clone(), wal_bytes_under(&db_dir))
         };
         let recover_plan = StorePlan {
-            label: label.clone(),
             dir: Some(recover_dir),
             shards,
-            reshard_at: None,
-            observed: false,
+            ..StorePlan::new(&label)
         };
         let started = std::time::Instant::now();
         let recovered = recover_plan.open()?.base;

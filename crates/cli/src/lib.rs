@@ -19,7 +19,9 @@
 //! `observe`) parse into a [`plan::RunPlan`] and hand it to
 //! [`plan::execute`], the one place a store is opened, observed, run
 //! against and reported on; `sweep`, `crash` and `serve` reuse its
-//! store, observe and output legs.
+//! store, observe and output legs. The store leg ([`StorePlan`],
+//! [`open_store_at`], [`PAPER_STORES`]) is public: the experiments open
+//! their stores through it too, so one table says what each label means.
 
 use std::collections::HashMap;
 
@@ -37,6 +39,8 @@ mod serve;
 mod stores;
 mod sweep;
 mod traces;
+
+pub use stores::{open_store_at, OpenStore, StorePlan, PAPER_STORES};
 
 /// Parsed command-line flags: `--key value` pairs after the subcommand.
 pub struct Flags {

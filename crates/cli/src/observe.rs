@@ -7,12 +7,8 @@ use gadget_replay::{Load, TraceReplayer};
 use crate::observing::{sample_interval, write_series, ObservePlan};
 use crate::outputs::{Outputs, Stamp};
 use crate::plan::{execute, load_config, RunPlan};
-use crate::stores::StorePlan;
+use crate::stores::{StorePlan, PAPER_STORES};
 use crate::Flags;
-
-/// Store labels swept when `--stores` is not given: the paper's four
-/// store classes.
-const OBSERVE_STORES: &str = "rocksdb-class,lethe-class,faster-class,berkeleydb-class";
 
 /// Runs one workload against a set of stores, sampling each store's
 /// internal metrics into a single JSON time series. Components in each
@@ -21,7 +17,15 @@ const OBSERVE_STORES: &str = "rocksdb-class,lethe-class,faster-class,berkeleydb-
 pub(crate) fn cmd_observe(flags: &Flags) -> Result<(), String> {
     let config = load_config(flags)?;
     let metrics_path = flags.required("metrics")?;
-    let labels = flags.optional("stores").unwrap_or(OBSERVE_STORES);
+    // Without `--stores`, the paper's four store classes.
+    let labels: Vec<&str> = match flags.optional("stores") {
+        Some(list) => list
+            .split(',')
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .collect(),
+        None => PAPER_STORES.to_vec(),
+    };
     let trace = config.run();
     let interval = sample_interval(flags, trace.len() as u64)?;
     let mut combined = MetricsSeries {
@@ -33,14 +37,11 @@ pub(crate) fn cmd_observe(flags: &Flags) -> Result<(), String> {
     // partial series is written, then the command exits non-zero naming
     // every failure.
     let mut failures: Vec<String> = Vec::new();
-    for label in labels.split(',').map(str::trim).filter(|l| !l.is_empty()) {
+    for label in labels {
         let observed = execute(RunPlan {
             store: StorePlan {
-                label: label.to_string(),
-                dir: None,
-                shards: 1,
-                reshard_at: None,
                 observed: true,
+                ..StorePlan::new(label)
             },
             load: Box::new(|store, emitter| {
                 TraceReplayer::default()

@@ -11,8 +11,8 @@ use gadget_replay::{ReshardPlan, ReshardingStore};
 use crate::Flags;
 
 /// Which store a command runs against, and how it is dressed.
-pub(crate) struct StorePlan {
-    /// Bench-zoo label (`gadget stores` lists them).
+pub struct StorePlan {
+    /// Store label (`gadget stores` lists them).
     pub label: String,
     /// Where the store keeps its files; `None` gives it a directory of
     /// its own under `$TMPDIR`, removed when the store is dropped.
@@ -31,25 +31,40 @@ pub(crate) struct StorePlan {
     /// in its metrics and — what span tracing needs — sampled foreground
     /// op spans.
     pub observed: bool,
+    /// What the paper classes' memory budgets are divided by (see
+    /// [`open_store_at`]): `1`, the paper's sizes, for every command.
+    pub divisor: usize,
 }
 
 impl StorePlan {
+    /// One unsharded, undressed store of `label` at the paper's sizes,
+    /// in a scratch directory of its own.
+    pub fn new(label: &str) -> StorePlan {
+        StorePlan {
+            label: label.to_string(),
+            dir: None,
+            shards: 1,
+            reshard_at: None,
+            observed: false,
+            divisor: 1,
+        }
+    }
+
     /// The plan `--store`/`--dir`/`--shards` describe, undressed.
     pub(crate) fn from_flags(flags: &Flags, label: &str) -> Result<StorePlan, String> {
         Ok(StorePlan {
-            label: label.to_string(),
             dir: flags.optional("dir").map(PathBuf::from),
             shards: shard_count(flags)?,
-            reshard_at: None,
-            observed: false,
+            ..StorePlan::new(label)
         })
     }
 
     /// Opens the store.
-    pub(crate) fn open(&self) -> Result<OpenStore, String> {
+    pub fn open(&self) -> Result<OpenStore, String> {
         let (dir, scratch) = work_dir(self.dir.as_deref());
+        let divisor = self.divisor;
         let (base, sharded): (Arc<dyn StateStore>, _) = if self.shards <= 1 {
-            (open_store_at(&self.label, &dir, None)?, None)
+            (open_store_at(&self.label, &dir, None, divisor)?, None)
         } else {
             // The factory is `'static` (owned label and base dir), so
             // `split_shard` can build brand-new shards long after this
@@ -60,6 +75,7 @@ impl StorePlan {
                     &label,
                     &dir.join(format!("shard-{shard}")),
                     Some(shard as u64),
+                    divisor,
                 )
                 .map_err(gadget_kv::StoreError::InvalidArgument)
             })
@@ -98,7 +114,7 @@ impl StorePlan {
 
 /// An opened [`StorePlan`]. Fields drop in order, so every handle on the
 /// store is gone before its scratch directory is.
-pub(crate) struct OpenStore {
+pub struct OpenStore {
     /// The store as opened: what metrics and topology are read from.
     pub base: Arc<dyn StateStore>,
     /// What the load issues ops to: `base` behind whatever the plan
@@ -212,14 +228,57 @@ pub(crate) fn backend_label(raw: &str) -> &str {
     }
 }
 
+/// What `gadget stores` lists: each label, or label pattern, with what
+/// it opens. The first four are [`PAPER_STORES`].
+const LABELS: [(&str, &str); 8] = [
+    (
+        "rocksdb-class",
+        "LSM tree with lazy merge operator (gadget-lsm)",
+    ),
+    (
+        "lethe-class",
+        "LSM tree with delete-aware compaction (gadget-lsm)",
+    ),
+    (
+        "faster-class",
+        "hash index over a record log (gadget-hashlog)",
+    ),
+    ("berkeleydb-class", "page-cached B+Tree (gadget-btree)"),
+    (
+        "rocksdb-small",
+        "shrunk LSM (tiny memtable/cache, sync WAL) for traced smoke runs",
+    ),
+    ("mem", "reference in-memory hash map (gadget-kv)"),
+    (
+        "remote-<label>",
+        "any of the above behind a synthetic datacenter network",
+    ),
+    (
+        "net:<host:port>",
+        "a running `gadget serve` instance, over real TCP",
+    ),
+];
+
+/// The paper's four store classes, in Fig. 12/13 order: what `observe`
+/// sweeps by default and what the experiments rank.
+pub const PAPER_STORES: [&str; 4] = [LABELS[0].0, LABELS[1].0, LABELS[2].0, LABELS[3].0];
+
 /// Builds one store instance in exactly `dir`. `shard` tags LSM
 /// instances with their shard id (worker-thread name + trace spans).
-pub(crate) fn open_store_at(
+///
+/// The paper classes get the paper's memory budgets (§6) divided by
+/// `divisor`: RocksDB/Lethe 128 MiB memtables, a 64 MiB block cache,
+/// 256 MiB L1 and 64 MiB files; FASTER a 64 MiB mutable region split
+/// over its 64 shards; BerkeleyDB a 256 MiB page cache. `rocksdb-small`
+/// is small already, and `mem` has no budget.
+pub fn open_store_at(
     label: &str,
     dir: &Path,
     shard: Option<u64>,
+    divisor: usize,
 ) -> Result<Arc<dyn StateStore>, String> {
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    let d = divisor.max(1);
     let lsm = |cfg: gadget_lsm::LsmConfig| -> Result<Arc<dyn StateStore>, String> {
         let cfg = match shard {
             Some(s) => cfg.with_shard_id(s),
@@ -229,9 +288,18 @@ pub(crate) fn open_store_at(
             gadget_lsm::LsmStore::open(dir, cfg).map_err(|e| e.to_string())?,
         ))
     };
+    let paper_lsm = |cfg: gadget_lsm::LsmConfig| {
+        lsm(gadget_lsm::LsmConfig {
+            memtable_bytes: cfg.memtable_bytes / d,
+            block_cache_bytes: cfg.block_cache_bytes / d,
+            l1_target_bytes: cfg.l1_target_bytes / d as u64,
+            target_file_bytes: cfg.target_file_bytes / d,
+            ..cfg
+        })
+    };
     match label {
-        "rocksdb-class" => lsm(gadget_lsm::LsmConfig::paper_rocksdb()),
-        "lethe-class" => lsm(gadget_lsm::LsmConfig::paper_lethe()),
+        "rocksdb-class" => paper_lsm(gadget_lsm::LsmConfig::paper_rocksdb()),
+        "lethe-class" => paper_lsm(gadget_lsm::LsmConfig::paper_lethe()),
         // A shrunk LSM (tiny memtable/cache, synchronous WAL) whose
         // flushes, compactions, fsyncs, and cache fills all fire within
         // a few thousand operations — the store to use for traced smoke
@@ -240,16 +308,26 @@ pub(crate) fn open_store_at(
             wal_sync: true,
             ..gadget_lsm::LsmConfig::small()
         }),
-        "faster-class" => Ok(Arc::new(gadget_hashlog::HashLogStore::new(
-            gadget_hashlog::HashLogConfig::default(),
-        ))),
-        "berkeleydb-class" => Ok(Arc::new(
-            gadget_btree::BTreeStore::open(
-                dir.join("data.db"),
-                gadget_btree::BTreeConfig::default(),
-            )
-            .map_err(|e| e.to_string())?,
-        )),
+        "faster-class" => {
+            let cfg = gadget_hashlog::HashLogConfig::default();
+            Ok(Arc::new(gadget_hashlog::HashLogStore::new(
+                gadget_hashlog::HashLogConfig {
+                    mutable_bytes: cfg.mutable_bytes / d,
+                    ..cfg
+                },
+            )))
+        }
+        "berkeleydb-class" => {
+            let cfg = gadget_btree::BTreeConfig::default();
+            let cfg = gadget_btree::BTreeConfig {
+                page_cache_bytes: cfg.page_cache_bytes / d,
+                ..cfg
+            };
+            Ok(Arc::new(
+                gadget_btree::BTreeStore::open(dir.join("data.db"), cfg)
+                    .map_err(|e| e.to_string())?,
+            ))
+        }
         "mem" => Ok(Arc::new(gadget_kv::MemStore::new())),
         other => {
             // `net:<addr>` dials a running gadget-server: a *real*
@@ -263,7 +341,7 @@ pub(crate) fn open_store_at(
             // `remote-<label>` wraps any embedded store behind a synthetic
             // datacenter network (paper §8, external state management).
             if let Some(inner_label) = other.strip_prefix("remote-") {
-                let inner = open_store_at(inner_label, dir, shard)?;
+                let inner = open_store_at(inner_label, dir, shard, divisor)?;
                 return Ok(Arc::new(gadget_kv::RemoteStore::new(
                     inner,
                     gadget_kv::NetworkProfile::datacenter(),
@@ -277,18 +355,17 @@ pub(crate) fn open_store_at(
 }
 
 pub(crate) fn cmd_stores() -> Result<(), String> {
-    println!("available store labels:");
-    println!("  rocksdb-class     LSM tree with lazy merge operator (gadget-lsm)");
-    println!("  lethe-class       LSM tree with delete-aware compaction (gadget-lsm)");
-    println!("  faster-class      hash index over a record log (gadget-hashlog)");
-    println!("  berkeleydb-class  page-cached B+Tree (gadget-btree)");
-    println!(
-        "  rocksdb-small     shrunk LSM (tiny memtable/cache, sync WAL) for traced smoke runs"
-    );
-    println!("  mem               reference in-memory hash map (gadget-kv)");
-    println!("  remote-<label>    any of the above behind a synthetic datacenter network");
-    println!("  net:<host:port>   a running `gadget serve` instance, over real TCP");
+    print!("{}", store_list());
     Ok(())
+}
+
+/// What `gadget stores` prints: one label per line, then its description.
+fn store_list() -> String {
+    let mut out = "available store labels:\n".to_string();
+    for (label, what) in LABELS {
+        out += &format!("  {label:<17} {what}\n");
+    }
+    out
 }
 
 #[cfg(test)]
@@ -301,8 +378,8 @@ mod tests {
     fn remote_store_is_as_durable_as_the_backend_it_fronts() {
         let _load = load_lock();
         let dir = TestDir::new("cli-remote-ckpt");
-        let remote = open_store_at("remote-rocksdb-class", &dir.path("db"), None).unwrap();
-        let backend = open_store_at("rocksdb-class", &dir.path("twin"), None).unwrap();
+        let remote = open_store_at("remote-rocksdb-class", &dir.path("db"), None, 1).unwrap();
+        let backend = open_store_at("rocksdb-class", &dir.path("twin"), None, 1).unwrap();
         assert_eq!(remote.durability(), backend.durability());
         assert_ne!(remote.durability(), gadget_kv::Durability::Ephemeral);
 
@@ -322,11 +399,8 @@ mod tests {
     fn default_store_directories_are_private_and_removed_with_the_store() {
         let _load = load_lock();
         let plan = StorePlan {
-            label: "rocksdb-small".to_string(),
-            dir: None,
             shards: 2,
-            reshard_at: None,
-            observed: false,
+            ..StorePlan::new("rocksdb-small")
         };
         let (a, b) = (plan.open().unwrap(), plan.open().unwrap());
         let dir_of = |s: &OpenStore| s._scratch.as_ref().unwrap().0.clone();
@@ -347,5 +421,96 @@ mod tests {
         let dir = named.dir.clone().unwrap();
         drop(named.open().unwrap());
         assert!(dir.is_dir());
+    }
+
+    /// Opens `label` at `divisor`, puts a key and reads it back.
+    fn round_trip(label: &str, divisor: usize) {
+        let what = format!("{label} at 1/{divisor}");
+        let store = StorePlan {
+            divisor,
+            ..StorePlan::new(label)
+        }
+        .open()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+        store.run.put(b"k", b"v").expect(&what);
+        assert_eq!(
+            store.run.get(b"k").expect(&what).as_deref(),
+            Some(&b"v"[..]),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn every_zoo_label_serves_at_paper_and_shrunk_budgets() {
+        let _load = load_lock();
+        for divisor in [1, 64] {
+            for label in PAPER_STORES.iter().chain(&["mem", "rocksdb-small"]) {
+                round_trip(label, divisor);
+            }
+        }
+    }
+
+    #[test]
+    fn the_divisor_reaches_every_paper_backend() {
+        let _load = load_lock();
+        // 4 MiB of puts, then the first keys again: past each class's
+        // budget at 1/64 (a 2 MiB memtable, 16 KiB mutable log tails, a
+        // 4 MiB page cache), well inside it at paper size.
+        let fills = [
+            ("rocksdb-class", "flushes"),
+            ("lethe-class", "flushes"),
+            ("faster-class", "copy_updates"),
+            ("berkeleydb-class", "dirty_writebacks"),
+        ];
+        for (label, counter) in fills {
+            let run = |divisor| {
+                let store = StorePlan {
+                    divisor,
+                    ..StorePlan::new(label)
+                }
+                .open()
+                .unwrap();
+                for i in (0..16_384u64).chain(0..64) {
+                    store.run.put(&i.to_be_bytes(), &[7u8; 256]).unwrap();
+                }
+                let count = || store.base.metrics().unwrap().counter(counter).unwrap();
+                // An LSM flushes on its worker thread.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while divisor > 1 && count() == 0 && std::time::Instant::now() < deadline {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                count()
+            };
+            assert_eq!(run(1), 0, "{label}: {counter} at paper size");
+            assert!(run(64) > 0, "{label}: {counter} at 1/64");
+        }
+    }
+
+    #[test]
+    fn every_label_gadget_stores_lists_opens() {
+        let _load = load_lock();
+        let server = gadget_server::Server::start(
+            "127.0.0.1:0",
+            Arc::new(gadget_kv::MemStore::new()),
+            gadget_server::ServerConfig::default(),
+        )
+        .unwrap();
+        let listed = store_list();
+        let labels: Vec<&str> = listed
+            .lines()
+            .skip(1)
+            .map(|line| line.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(labels.len(), LABELS.len(), "{listed}");
+        for label in labels {
+            // The two patterns, each instantiated once.
+            let label = match label {
+                "remote-<label>" => "remote-rocksdb-class".to_string(),
+                "net:<host:port>" => format!("net:{}", server.local_addr()),
+                concrete => concrete.to_string(),
+            };
+            round_trip(&label, 1);
+        }
+        server.stop().unwrap();
     }
 }

@@ -171,12 +171,26 @@ impl ScrambledZipfian {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// One SplitMix64 step: advances `state` by the golden-ratio increment
+/// and returns the new state, finalized — the standard 64-bit mixer,
+/// and the workspace's one copy of it. Key scrambling, arrival
+/// schedules, the driver's session churn and the crash harness's kill
+/// points all draw from it, so seeded runs need no RNG dependency and
+/// stay bit-identical across platforms. (`shims/rand` keeps its own: it
+/// stands in for an external crate.)
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// SplitMix64 as a hash: one [`splitmix64`] step from state `z`.
+#[inline]
+pub(crate) fn mix64(z: u64) -> u64 {
+    splitmix64(&mut { z })
 }
 
 impl KeyDistribution for ScrambledZipfian {
@@ -445,6 +459,20 @@ impl KeyDistribution for Ecdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_matches_its_known_answers() {
+        let mut state = 0;
+        let draws = [(); 3].map(|_| splitmix64(&mut state));
+        assert_eq!(
+            draws,
+            [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+        );
+        for z in [0, 1, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+            let mut state = z;
+            assert_eq!(mix64(z), splitmix64(&mut state), "one step from {z:#x}");
+        }
+    }
 
     fn histogram(d: &mut dyn KeyDistribution, draws: usize, n: usize, seed: u64) -> Vec<u64> {
         let mut rng = seeded_rng(seed);

@@ -20,8 +20,8 @@ pub mod value;
 
 pub use arrival::{ArrivalProcess, BurstyArrivals, ConstantArrivals, PoissonArrivals};
 pub use key::{
-    seeded_rng, ConstantKey, Ecdf, ExponentialKeys, HotspotKeys, KeyDistribution, LatestKeys,
-    ScrambledZipfian, SequentialKeys, UniformKeys, ZipfianKeys,
+    seeded_rng, splitmix64, ConstantKey, Ecdf, ExponentialKeys, HotspotKeys, KeyDistribution,
+    LatestKeys, ScrambledZipfian, SequentialKeys, UniformKeys, ZipfianKeys,
 };
 pub use value::{ConstantSize, LogNormalSize, UniformSize, ValueSizeDistribution};
 

@@ -160,11 +160,7 @@ impl HashLogStore {
     }
 
     fn shard_index(&self, key: &[u8]) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-        (h as usize) % self.shards.len()
+        (gadget_kv::fnv1a(key) as usize) % self.shards.len()
     }
 
     fn shard_for(&self, key: &[u8]) -> &Mutex<Shard> {

@@ -40,9 +40,9 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 ///
 /// This is the canonical key hash: [`slot_of_key`](crate::slot_of_key)
 /// (and through it the slot table, [`shard_of`](crate::shard_of),
-/// shard-affine replay, and the connection fan-out in `gadget-server`)
-/// and the trace instrumentation's plain-key hashing are all thin
-/// wrappers around it.
+/// shard-affine replay, and the connection fan-out in `gadget-server`),
+/// the hash-log's index shards and the trace instrumentation's
+/// plain-key hashing are all thin wrappers around it.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;

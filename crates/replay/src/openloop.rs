@@ -76,17 +76,7 @@ impl std::fmt::Display for ArrivalMode {
     }
 }
 
-/// splitmix64 step — the standard 64-bit mixer, and the repo's one copy
-/// of it: arrival schedules, the driver's session churn and the crash
-/// harness's kill points all draw from it, so seeded runs need no RNG
-/// dependency and stay bit-identical across platforms.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use gadget_distrib::splitmix64;
 
 /// Stride between the seeds of a fan-out's workers: worker `i` draws
 /// from `seed + i × SEED_STRIDE` (its Poisson arrivals) or
