@@ -9,8 +9,8 @@
 //! hit is one hash lookup and one relink under the shard lock.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use bytes::Bytes;
 use gadget_kv::TableHash;
 use gadget_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
@@ -18,8 +18,29 @@ use parking_lot::Mutex;
 /// Cache key: file number and block offset within the file.
 pub type BlockKey = (u64, u64);
 
-/// A cached data block; a point read returns [`Bytes::slice`]s of it.
-pub type Block = Bytes;
+/// A cached data block: the bytes one `pread` filled, kept in that same
+/// buffer, and where each whole record in them starts. The starts are
+/// RocksDB's restart array at interval 1, computed when the block is
+/// filled rather than stored in the file, so a point read binary-searches
+/// the block; they count against the cache's budget as RocksDB counts its
+/// restart array in a block's bytes.
+#[derive(Debug)]
+pub struct Block {
+    /// The block as read from the file.
+    pub(crate) data: Box<[u8]>,
+    /// Offset of each record that parses whole, ascending.
+    pub(crate) starts: Vec<u32>,
+    /// Whether bytes after the last whole record fail to parse as one: a
+    /// search that has to look past them cannot answer.
+    pub(crate) torn: bool,
+}
+
+impl Block {
+    /// The bytes this block counts against the cache's budget.
+    pub(crate) fn charge(&self) -> usize {
+        self.data.len() + std::mem::size_of_val(self.starts.as_slice())
+    }
+}
 
 /// "No slot": the end of a shard's list in either direction.
 const NIL: u32 = u32::MAX;
@@ -28,7 +49,7 @@ const NIL: u32 = u32::MAX;
 struct Slot {
     key: BlockKey,
     /// `None` while the slot sits on the free list.
-    block: Option<Block>,
+    block: Option<Arc<Block>>,
     /// Towards more recently used.
     prev: u32,
     /// Towards less recently used.
@@ -96,7 +117,7 @@ impl Shard {
         self.unlink(i);
         let slot = &mut self.slots[i as usize];
         if let Some(block) = slot.block.take() {
-            self.bytes -= block.len();
+            self.bytes -= block.charge();
         }
         self.index.remove(&slot.key);
         self.free.push(i);
@@ -153,7 +174,7 @@ impl BlockCache {
     }
 
     /// Looks up a block, refreshing its recency on hit.
-    pub fn get(&self, key: &BlockKey) -> Option<Block> {
+    pub fn get(&self, key: &BlockKey) -> Option<Arc<Block>> {
         let mut shard = self.shard_for(key).lock();
         match shard.index.get(key).copied() {
             Some(i) => {
@@ -177,13 +198,13 @@ impl BlockCache {
     /// Inserts a block as the most recently used, evicting
     /// least-recently-used blocks while the shard exceeds its byte budget.
     /// A block larger than the budget is kept until the next insert.
-    pub fn insert(&self, key: BlockKey, block: Block) {
+    pub fn insert(&self, key: BlockKey, block: Arc<Block>) {
         let mut shard = self.shard_for(&key).lock();
-        shard.bytes += block.len();
+        shard.bytes += block.charge();
         match shard.index.get(&key).copied() {
             Some(i) => {
                 if let Some(old) = shard.slots[i as usize].block.replace(block) {
-                    shard.bytes -= old.len();
+                    shard.bytes -= old.charge();
                 }
                 shard.touch(i);
             }
@@ -241,7 +262,7 @@ impl BlockCache {
         self.bloom_negatives.get()
     }
 
-    /// Total bytes currently cached.
+    /// Total bytes currently charged: block data and record starts.
     pub fn bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().bytes).sum()
     }
@@ -250,10 +271,13 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    fn blk(n: usize) -> Block {
-        Bytes::from(vec![0u8; n])
+    fn blk(n: usize) -> Arc<Block> {
+        Arc::new(Block {
+            data: vec![0u8; n].into(),
+            starts: Vec::new(),
+            torn: false,
+        })
     }
 
     /// `n` distinct keys of file 1 that all live in one shard, so their
@@ -280,7 +304,7 @@ mod tests {
                 .block
                 .as_ref()
                 .expect("linked slot holds a block")
-                .len();
+                .charge();
             out.push(slot.key);
             prev = i;
             i = slot.next;
@@ -344,7 +368,7 @@ mod tests {
         c.insert(k[0], blk(100));
         c.insert(k[1], blk(1_000)); // Over the shard's whole budget.
         assert_eq!(recency(&c, 0), vec![k[1]]);
-        assert_eq!(c.get(&k[1]).map(|b| b.len()), Some(1_000));
+        assert_eq!(c.get(&k[1]).map(|b| b.charge()), Some(1_000));
         c.insert(k[2], blk(100));
         assert_eq!(recency(&c, 0), vec![k[2]]);
         assert_eq!(c.bytes(), 100);
@@ -359,7 +383,7 @@ mod tests {
         c.insert(k[0], blk(40)); // Same key: no double count, moves to front.
         assert_eq!(recency(&c, 0), vec![k[0], k[1]]);
         assert_eq!(c.bytes(), 140);
-        assert_eq!(c.get(&k[0]).map(|b| b.len()), Some(40));
+        assert_eq!(c.get(&k[0]).map(|b| b.charge()), Some(40));
         // A re-insert that overflows the budget evicts the others, not itself.
         c.insert(k[0], blk(290));
         assert_eq!(recency(&c, 0), vec![k[0]]);

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use gadget_kv::Key;
+use gadget_kv::key::{Key, INLINE_KEY_BYTES};
 
 /// Result of probing one level of the read path for a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,9 +340,16 @@ impl MemTable {
         }
     }
 
-    /// Probes the memtable for a key.
+    /// Probes the memtable for a key: as a [`Key`] if it fits inline, so
+    /// each tree node costs a few word compares, else as its bytes.
+    /// Neither probe allocates.
     pub fn get(&self, key: &[u8]) -> Lookup {
-        match self.entries.get(key) {
+        let slot = if key.len() <= INLINE_KEY_BYTES {
+            self.entries.get(&Key::new(key))
+        } else {
+            self.entries.get(key)
+        };
+        match slot {
             None => Lookup::NotFound,
             Some(slot) => self.resolve(slot).into(),
         }

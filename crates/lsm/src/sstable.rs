@@ -13,13 +13,17 @@
 //! put/delete/merge. Merge records hold a length-prefixed operand list so
 //! unresolved merges survive flushes without being folded.
 //!
-//! Readers keep the index and Bloom filter resident. A point read
-//! ([`TableHandle::get`]) fetches its one data block through the shared
-//! [`BlockCache`], walks it by record header comparing keys in place, and
-//! decodes only the record that matches, as [`Bytes::slice`]s of the
-//! cached block. A sequential pass ([`TableIterator`]: compaction and
-//! scans) reads runs of blocks straight from the file and never looks at
-//! or fills the cache.
+//! Readers keep the index and Bloom filter resident. The index is flat:
+//! every block's first key in one buffer, beside an array of where each
+//! ends and one of each block's extent. A point read
+//! ([`TableHandle::get`]) binary-searches it and fetches its one data
+//! block through the shared [`BlockCache`]. A cache miss reads the block
+//! into the buffer the cache keeps and notes where each whole record
+//! starts, so the read binary-searches the block by those starts,
+//! comparing keys in place, and copies out only the record that matches.
+//! A sequential pass ([`TableIterator`]: compaction and scans) reads runs
+//! of blocks straight from the file and never looks at or fills the
+//! cache.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -112,14 +116,10 @@ fn record_at(block: &[u8], pos: usize) -> io::Result<RecordRef> {
     })
 }
 
-/// Decodes the value of `rec`. `bytes_of` turns a range of `block` into
-/// an owned buffer: a [`Bytes::slice`] of a cached block, or a copy out
-/// of a read buffer that is about to be reused.
-fn decode_entry(
-    block: &[u8],
-    rec: &RecordRef,
-    bytes_of: impl Fn(Range<usize>) -> Bytes,
-) -> io::Result<FlushEntry> {
+/// Decodes the value of `rec`, copying each value or operand it holds
+/// out of `block`.
+fn decode_entry(block: &[u8], rec: &RecordRef) -> io::Result<FlushEntry> {
+    let bytes_of = |r: Range<usize>| Bytes::copy_from_slice(&block[r]);
     match rec.tag {
         TAG_PUT => Ok(FlushEntry::Put(bytes_of(rec.value.clone()))),
         TAG_DELETE => Ok(FlushEntry::Delete),
@@ -149,32 +149,142 @@ fn decode_entry(
     }
 }
 
-/// Searches one data block for `key`: walks the records by header,
-/// compares keys where they lie, and decodes only a matching record, its
-/// value or operands as [`Bytes::slice`]s of `block` (shared with the
-/// block under the `bytes` crate; the offline shim's `slice` copies, so
-/// here they cost one copy each, of the matching record alone).
-fn find_in_block(block: &Block, key: &[u8]) -> io::Result<Lookup> {
+/// Makes a block the cache can keep out of the bytes read from the file:
+/// walks its records once, by header, noting where each whole one starts,
+/// up to the end of the block or the first bytes that do not parse.
+fn fill_block(data: Vec<u8>) -> Block {
+    let mut starts = Vec::new();
     let mut pos = 0;
-    while pos < block.len() {
-        let rec = record_at(block, pos)?;
-        match block[rec.key.clone()].cmp(key) {
-            std::cmp::Ordering::Less => pos = rec.value.end,
-            std::cmp::Ordering::Equal => {
-                return Ok(decode_entry(block, &rec, |r| block.slice(r))?.into());
+    let mut torn = false;
+    while pos < data.len() {
+        match record_at(&data, pos) {
+            Ok(rec) => {
+                starts.push(pos as u32);
+                pos = rec.value.end;
             }
-            std::cmp::Ordering::Greater => break,
+            Err(_) => {
+                torn = true;
+                break;
+            }
         }
     }
-    Ok(Lookup::NotFound)
+    Block {
+        data: data.into_boxed_slice(),
+        starts,
+        torn,
+    }
 }
 
-/// One index entry: the first key of a data block and its extent.
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    first_key: Vec<u8>,
-    offset: u64,
-    len: u32,
+/// Searches one data block for `key`: binary-searches the record starts,
+/// compares keys where they lie, and decodes only a matching record. A
+/// key past every whole record of a torn block may lie in the damage, so
+/// that search fails rather than answer `NotFound`.
+fn find_in_block(block: &Block, key: &[u8]) -> io::Result<Lookup> {
+    let data = &block.data[..];
+    // Every start was checked by `fill_block`: its key lies in the block.
+    let key_at = |start: u32| {
+        let start = start as usize;
+        let klen = u16::from_le_bytes([data[start + 1], data[start + 2]]) as usize;
+        &data[start + HEADER_LEN..][..klen]
+    };
+    let i = block.starts.partition_point(|&start| key_at(start) < key);
+    match block.starts.get(i) {
+        Some(&start) if key_at(start) == key => {
+            let rec = record_at(data, start as usize)?;
+            Ok(decode_entry(data, &rec)?.into())
+        }
+        Some(_) => Ok(Lookup::NotFound),
+        None if block.torn => Err(truncated()),
+        None => Ok(Lookup::NotFound),
+    }
+}
+
+fn truncated_index() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "truncated index")
+}
+
+/// A table's block index, flat: every block's first key back to back in
+/// one buffer, and per block where its key ends and where the block lies
+/// in the file. A lookup touches two arrays and the keys it compares.
+#[derive(Debug)]
+struct Index {
+    keys: Vec<u8>,
+    /// `keys[key_ends[i]..key_ends[i + 1]]` is block `i`'s first key;
+    /// one longer than `extents`, starting at 0.
+    key_ends: Vec<u32>,
+    /// Each block's offset and length in the file.
+    extents: Vec<(u64, u32)>,
+}
+
+impl Index {
+    fn new() -> Self {
+        Index {
+            keys: Vec::new(),
+            key_ends: vec![0],
+            extents: Vec::new(),
+        }
+    }
+
+    /// Number of blocks.
+    fn len(&self) -> usize {
+        self.extents.len()
+    }
+
+    fn first_key(&self, block: usize) -> &[u8] {
+        &self.keys[self.key_ends[block] as usize..self.key_ends[block + 1] as usize]
+    }
+
+    /// Adds a block that starts with `first_key` and lies at `extent`.
+    fn push(&mut self, first_key: &[u8], extent: (u64, u32)) {
+        self.keys.extend_from_slice(first_key);
+        self.key_ends.push(self.keys.len() as u32);
+        self.extents.push(extent);
+    }
+
+    /// The block `key` would be in: the last whose first key is <= `key`.
+    fn block_for(&self, key: &[u8]) -> Option<usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.first_key(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo.checked_sub(1)
+    }
+
+    /// The index block: `[klen u16][first key][offset u64][len u32]` per
+    /// data block.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.keys.len() + 14 * self.len());
+        for (i, (offset, len)) in self.extents.iter().enumerate() {
+            let key = self.first_key(i);
+            out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            out.extend_from_slice(key);
+            out.extend_from_slice(&offset.to_le_bytes());
+            out.extend_from_slice(&len.to_le_bytes());
+        }
+        out
+    }
+
+    fn decode(mut bytes: &[u8]) -> io::Result<Index> {
+        let mut index = Index::new();
+        while !bytes.is_empty() {
+            let (klen, rest) = bytes.split_first_chunk::<2>().ok_or_else(truncated_index)?;
+            let klen = u16::from_le_bytes(*klen) as usize;
+            if rest.len() < klen + 12 {
+                return Err(truncated_index());
+            }
+            let (key, rest) = rest.split_at(klen);
+            let (offset, rest) = rest.split_first_chunk::<8>().expect("checked above");
+            let (len, rest) = rest.split_first_chunk::<4>().expect("checked above");
+            index.push(key, (u64::from_le_bytes(*offset), u32::from_le_bytes(*len)));
+            bytes = rest;
+        }
+        Ok(index)
+    }
 }
 
 /// Suffix of a table still being written. [`TableWriter::finish`] renames
@@ -192,8 +302,9 @@ pub struct TableWriter {
     block_bytes: usize,
     buf: Vec<u8>,
     offset: u64,
-    index: Vec<IndexEntry>,
-    block_first_key: Option<Vec<u8>>,
+    index: Index,
+    /// The first key of the block in `buf`.
+    block_first_key: Vec<u8>,
     bloom: Option<BloomFilter>,
     smallest: Option<Vec<u8>>,
     /// The last key added; one buffer reused for every record.
@@ -220,8 +331,8 @@ impl TableWriter {
             block_bytes: block_bytes.max(64),
             buf: Vec::with_capacity(block_bytes * 2),
             offset: 0,
-            index: Vec::new(),
-            block_first_key: None,
+            index: Index::new(),
+            block_first_key: Vec::new(),
             bloom: BloomFilter::new(expected_keys, bloom_bits_per_key),
             smallest: None,
             largest: Vec::new(),
@@ -241,8 +352,9 @@ impl TableWriter {
         }
         self.largest.clear();
         self.largest.extend_from_slice(key);
-        if self.block_first_key.is_none() {
-            self.block_first_key = Some(key.to_vec());
+        if self.buf.is_empty() {
+            self.block_first_key.clear();
+            self.block_first_key.extend_from_slice(key);
         }
         if let Some(bloom) = &mut self.bloom {
             bloom.insert(key);
@@ -262,15 +374,8 @@ impl TableWriter {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let first_key = self
-            .block_first_key
-            .take()
-            .expect("non-empty block has a first key");
-        self.index.push(IndexEntry {
-            first_key,
-            offset: self.offset,
-            len: self.buf.len() as u32,
-        });
+        self.index
+            .push(&self.block_first_key, (self.offset, self.buf.len() as u32));
         self.file.write_all(&self.buf)?;
         self.offset += self.buf.len() as u64;
         self.buf.clear();
@@ -292,13 +397,7 @@ impl TableWriter {
         self.file.write_all(&bloom_bytes)?;
         self.offset += bloom_bytes.len() as u64;
 
-        let mut index_bytes = Vec::new();
-        for e in &self.index {
-            index_bytes.extend_from_slice(&(e.first_key.len() as u16).to_le_bytes());
-            index_bytes.extend_from_slice(&e.first_key);
-            index_bytes.extend_from_slice(&e.offset.to_le_bytes());
-            index_bytes.extend_from_slice(&e.len.to_le_bytes());
-        }
+        let index_bytes = self.index.encode();
         let index_offset = self.offset;
         self.file.write_all(&index_bytes)?;
         self.offset += index_bytes.len() as u64;
@@ -360,7 +459,7 @@ pub struct TableHandle {
     pub num_entries: u64,
     /// Number of tombstone records (drives Lethe's compaction priority).
     pub tombstones: u64,
-    index: Arc<Vec<IndexEntry>>,
+    index: Arc<Index>,
     bloom: Arc<Option<BloomFilter>>,
     file: Arc<File>,
     /// Global operation sequence at creation time (set by the store; used
@@ -415,35 +514,7 @@ impl TableHandle {
 
         let mut index_bytes = vec![0u8; index_len as usize];
         file.read_exact_at(&mut index_bytes, index_offset)?;
-        let mut index = Vec::new();
-        let mut p = 0usize;
-        while p < index_bytes.len() {
-            if p + 2 > index_bytes.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "truncated index",
-                ));
-            }
-            let klen = u16::from_le_bytes(index_bytes[p..p + 2].try_into().unwrap()) as usize;
-            p += 2;
-            if p + klen + 12 > index_bytes.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "truncated index",
-                ));
-            }
-            let first_key = index_bytes[p..p + klen].to_vec();
-            p += klen;
-            let offset = u64::from_le_bytes(index_bytes[p..p + 8].try_into().unwrap());
-            p += 8;
-            let len = u32::from_le_bytes(index_bytes[p..p + 4].try_into().unwrap());
-            p += 4;
-            index.push(IndexEntry {
-                first_key,
-                offset,
-                len,
-            });
-        }
+        let index = Index::decode(&index_bytes)?;
 
         let bloom = if bloom_len > 0 {
             let mut bloom_bytes = vec![0u8; bloom_len as usize];
@@ -453,22 +524,19 @@ impl TableHandle {
             None
         };
 
-        let (smallest, largest) = if index.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            // Largest key requires scanning the last block.
-            let smallest = index[0].first_key.clone();
-            let last = index.last().unwrap();
-            let mut block = vec![0u8; last.len as usize];
-            file.read_exact_at(&mut block, last.offset)?;
-            let mut pos = 0;
-            let mut largest = 0..0;
-            while pos < block.len() {
-                let rec = record_at(&block, pos)?;
-                pos = rec.value.end;
-                largest = rec.key;
+        let (smallest, largest) = match index.extents.last() {
+            None => (Vec::new(), Vec::new()),
+            Some(&(last_offset, last_len)) => {
+                // The largest key is the last block's last record's.
+                let mut data = vec![0u8; last_len as usize];
+                file.read_exact_at(&mut data, last_offset)?;
+                let block = fill_block(data);
+                let last = match block.starts.last() {
+                    Some(&last) if !block.torn => record_at(&block.data, last as usize)?,
+                    _ => return Err(truncated()),
+                };
+                (index.first_key(0).to_vec(), block.data[last.key].to_vec())
             }
-            (smallest, block[largest].to_vec())
         };
 
         // Reopen read-only for shared pread access.
@@ -490,27 +558,28 @@ impl TableHandle {
 
     /// Whether `key` could fall inside this table's key range.
     pub fn key_in_range(&self, key: &[u8]) -> bool {
-        !self.index.is_empty() && key >= self.smallest.as_slice() && key <= self.largest.as_slice()
+        self.index.len() > 0 && key >= self.smallest.as_slice() && key <= self.largest.as_slice()
     }
 
     /// Whether this table's range overlaps `[lo, hi]`.
     pub fn overlaps(&self, lo: &[u8], hi: &[u8]) -> bool {
-        !self.index.is_empty() && self.smallest.as_slice() <= hi && self.largest.as_slice() >= lo
+        self.index.len() > 0 && self.smallest.as_slice() <= hi && self.largest.as_slice() >= lo
     }
 
-    /// Fetches data block `idx` for a point read, through the cache.
-    fn read_block(&self, idx: usize, cache: &BlockCache) -> io::Result<Block> {
-        let e = &self.index[idx];
-        let cache_key = (self.file_no, e.offset);
+    /// Fetches data block `idx` for a point read, through the cache. A
+    /// miss reads the block into the one buffer the cache then keeps.
+    fn read_block(&self, idx: usize, cache: &BlockCache) -> io::Result<Arc<Block>> {
+        let (offset, len) = self.index.extents[idx];
+        let cache_key = (self.file_no, offset);
         if let Some(block) = cache.get(&cache_key) {
             return Ok(block);
         }
         // Cache miss: the disk read + insert is the span that stalls
         // whichever foreground op triggered it.
-        let _span = gadget_obs::trace::span(gadget_obs::trace::Category::CacheFill, e.len as u64);
-        let mut buf = vec![0u8; e.len as usize];
-        self.file.read_exact_at(&mut buf, e.offset)?;
-        let block = Block::from(buf);
+        let _span = gadget_obs::trace::span(gadget_obs::trace::Category::CacheFill, len as u64);
+        let mut data = vec![0u8; len as usize];
+        self.file.read_exact_at(&mut data, offset)?;
+        let block = Arc::new(fill_block(data));
         cache.insert(cache_key, block.clone());
         Ok(block)
     }
@@ -538,13 +607,9 @@ impl TableHandle {
                 return Ok(Lookup::NotFound);
             }
         }
-        // Find the last block whose first key is <= key.
-        match self
-            .index
-            .partition_point(|e| e.first_key.as_slice() <= key)
-        {
-            0 => Ok(Lookup::NotFound),
-            n => find_in_block(&self.read_block(n - 1, cache)?, key),
+        match self.index.block_for(key) {
+            None => Ok(Lookup::NotFound),
+            Some(block) => find_in_block(&*self.read_block(block, cache)?, key),
         }
     }
 
@@ -586,28 +651,28 @@ impl TableIterator<'_> {
         let buf = self.buf.as_slice();
         let rec = record_at(buf, self.pos)?;
         self.pos = rec.value.end;
-        let entry = decode_entry(buf, &rec, |r| Bytes::copy_from_slice(&buf[r]))?;
+        let entry = decode_entry(buf, &rec)?;
         Ok(Some((buf[rec.key].to_vec(), entry)))
     }
 
     /// Reads the next run of adjacent blocks, as many as fit in
     /// [`SEQ_READ_BYTES`] and at least one; `Ok(false)` past the last.
     fn read_run(&mut self) -> io::Result<bool> {
-        let index = &self.table.index;
-        let Some(first) = index.get(self.next_block) else {
+        let extents = &self.table.index.extents;
+        let Some(&(first, first_len)) = extents.get(self.next_block) else {
             return Ok(false);
         };
-        let mut len = first.len as usize;
+        let mut len = first_len as usize;
         self.next_block += 1;
-        while let Some(e) = index.get(self.next_block) {
-            if e.offset != first.offset + len as u64 || len + e.len as usize > SEQ_READ_BYTES {
+        while let Some(&(offset, block_len)) = extents.get(self.next_block) {
+            if offset != first + len as u64 || len + block_len as usize > SEQ_READ_BYTES {
                 break;
             }
-            len += e.len as usize;
+            len += block_len as usize;
             self.next_block += 1;
         }
         self.buf.resize(len, 0);
-        self.table.file.read_exact_at(&mut self.buf, first.offset)?;
+        self.table.file.read_exact_at(&mut self.buf, first)?;
         self.pos = 0;
         Ok(true)
     }
@@ -736,7 +801,7 @@ mod tests {
     }
 
     fn find(block: &[u8], key: &[u8]) -> io::Result<Lookup> {
-        find_in_block(&Block::copy_from_slice(block), key)
+        find_in_block(&fill_block(block.to_vec()), key)
     }
 
     fn assert_invalid(block: &[u8], key: &[u8], what: &str) {
@@ -818,6 +883,44 @@ mod tests {
         let mut bad = Vec::new();
         bad.extend_from_slice(&[TAG_MERGE, 1, 0, 2, 0, 0, 0, b'k', 0xAA, 0xBB]);
         assert_invalid(&bad, b"k", "merge value shorter than its count");
+    }
+
+    #[test]
+    fn a_filled_block_charges_its_record_starts() {
+        let (block, b_at, c_at) = sample_block();
+        let filled = fill_block(block.clone());
+        assert_eq!(filled.starts, [0, b_at as u32, c_at as u32]);
+        assert!(!filled.torn);
+        assert_eq!(filled.charge(), block.len() + 3 * 4);
+        let torn = fill_block(block[..c_at + 1].to_vec());
+        assert_eq!(torn.starts, [0, b_at as u32]);
+        assert!(torn.torn);
+    }
+
+    /// A Bloom header no builder writes (here: no bits, which once made
+    /// every probe a remainder by zero) leaves the table readable without
+    /// its filter.
+    #[test]
+    fn corrupt_bloom_header_reads_without_the_filter() {
+        let dir = tmpdir("bloom-header");
+        let path = dir.root().join("t6.sst");
+        build_table(&path, 300);
+        let mut data = std::fs::read(&path).unwrap();
+        let footer = data.len() - FOOTER_LEN;
+        let bloom_at = u64::from_le_bytes(data[footer + 16..footer + 24].try_into().unwrap());
+        let bloom_at = bloom_at as usize;
+        data[bloom_at..bloom_at + 8].fill(0);
+        std::fs::write(&path, &data).unwrap();
+        let t = TableHandle::open(&path, 1).unwrap();
+        assert!(t.bloom.is_none());
+        let cache = BlockCache::new(1 << 20);
+        for i in 0..300u64 {
+            assert_ne!(t.get(&i.to_be_bytes(), &cache).unwrap(), Lookup::NotFound);
+        }
+        assert_eq!(
+            t.get(&1_000u64.to_be_bytes(), &cache).unwrap(),
+            Lookup::NotFound
+        );
     }
 
     #[test]
