@@ -43,13 +43,14 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
 
     for kind in super::REPRESENTATIVE {
         let cfg = GadgetConfig::dataset(kind, "borg", spec);
-        let stream = cfg.build_stream();
         let params = cfg.operator_params();
 
-        let real = run_reference(kind, &params, stream.clone().into_iter(), MemStore::new())
+        // The stream is a function of the config, so each run builds its
+        // own instead of sharing a copy.
+        let real = run_reference(kind, &params, cfg.build_stream(), MemStore::new())
             .expect("reference run");
         let mut driver = Driver::new(kind.build(&params));
-        let gadget = driver.run(stream.into_iter());
+        let gadget = driver.run(cfg.build_stream());
         let ycsb = super::tuned_ycsb(&gadget, super::closest_ycsb_distribution(kind), scale.seed)
             .generate();
 

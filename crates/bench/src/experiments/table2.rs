@@ -38,9 +38,7 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
             // Input key sequence: the events actually fed to the operator.
             let input_keys: Vec<u128> = cfg
                 .build_stream()
-                .iter()
-                .filter_map(|el| el.as_event())
-                .map(|e| e.key as u128)
+                .filter_map(|el| el.as_event().map(|e| e.key as u128))
                 .collect();
             let trace = cfg.run();
             let state_keys: Vec<u128> = trace.iter().map(|a| a.key.as_u128()).collect();

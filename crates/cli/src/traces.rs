@@ -27,10 +27,8 @@ pub(crate) fn core_workload(letter: &str) -> Result<CoreWorkload, String> {
 pub(crate) fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let config = load_config(flags)?;
     let out = flags.required("out")?;
-    let trace = config.run();
-    let stats = trace.stats();
-    trace
-        .save(out)
+    let stats = config
+        .write_trace(out)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "wrote {} accesses ({} input events, {} distinct state keys) to {out}",
@@ -238,6 +236,32 @@ mod tests {
             pb.to_str().unwrap(),
         ]))
         .unwrap();
+    }
+
+    /// `generate` writes while it drives and produces the golden trace
+    /// files `gadget-core` pins for its fixture configs.
+    #[test]
+    fn generate_writes_the_golden_traces() {
+        let dir = TestDir::new("cli-generate-golden");
+        let fixtures =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
+        for name in ["disordered", "borg"] {
+            let out = dir.path(name);
+            let config = fixtures.join(format!("{name}.json"));
+            dispatch(&strs(&[
+                "generate",
+                "--config",
+                config.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let golden = std::fs::read(fixtures.join(format!("{name}.gdt"))).unwrap();
+            assert!(
+                std::fs::read(&out).unwrap() == golden,
+                "{name}: bytes differ"
+            );
+        }
     }
 
     #[test]

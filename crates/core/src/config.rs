@@ -1,12 +1,15 @@
 //! Top-level harness configuration (the JSON config files of §A.4.1).
 
+use std::io;
+use std::path::Path;
+
 use serde::{Deserialize, Serialize};
 
 use gadget_datasets::DatasetSpec;
-use gadget_types::{StreamElement, Timestamp, Trace};
+use gadget_types::{Timestamp, Trace, TraceStats, TraceWriter};
 
 use crate::driver::Driver;
-use crate::generator::{EventGenerator, GeneratorConfig};
+use crate::generator::{EventGenerator, GeneratorConfig, InputStream};
 use crate::operator::{OperatorKind, OperatorParams};
 
 /// Where the input stream comes from.
@@ -146,10 +149,11 @@ impl GadgetConfig {
         }
     }
 
-    /// Materializes the input stream.
-    pub fn build_stream(&self) -> Vec<StreamElement> {
+    /// The input stream, produced as it is pulled. It is a function of
+    /// the config: two calls yield the same elements.
+    pub fn build_stream(&self) -> InputStream {
         match &self.source {
-            SourceConfig::Synthetic(cfg) => EventGenerator::new(cfg.clone()).generate(),
+            SourceConfig::Synthetic(cfg) => EventGenerator::new(cfg.clone()).into_iter(),
             SourceConfig::Dataset {
                 name,
                 events,
@@ -169,8 +173,8 @@ impl GadgetConfig {
                     gadget_datasets::by_name(name, spec)
                         .unwrap_or_else(|| panic!("unknown dataset {name}"))
                 };
-                crate::generator::replay_dataset_with_disorder(
-                    &dataset,
+                InputStream::replay(
+                    dataset,
                     *watermark_every,
                     *out_of_order_fraction,
                     *max_lateness,
@@ -195,7 +199,22 @@ impl GadgetConfig {
         let mut driver = self
             .driver()
             .unwrap_or_else(|| panic!("unknown operator {}", self.operator));
-        driver.run(self.build_stream().into_iter())
+        driver.run(self.build_stream())
+    }
+
+    /// The offline mode straight to disk: runs the configured workload
+    /// and writes each access to the trace file at `path` as it is
+    /// produced, so neither the input nor the trace is ever held whole.
+    /// The file is byte for byte what [`Trace::save`] writes for
+    /// [`GadgetConfig::run`]'s trace. Returns that trace's statistics.
+    pub fn write_trace<P: AsRef<Path>>(&self, path: P) -> io::Result<TraceStats> {
+        let mut driver = self.driver().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("unknown operator {}", self.operator),
+            )
+        })?;
+        driver.write(self.build_stream(), TraceWriter::create(path)?)
     }
 }
 

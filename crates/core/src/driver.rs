@@ -3,14 +3,18 @@
 //! The driver pulls stream elements, routes data events to the operator's
 //! state machines, tracks the watermark, discards events later than the
 //! allowed lateness, and hands each element's state accesses to a sink:
-//! a [`Trace`] under construction (offline mode) or a store being
-//! measured (online mode, `gadget-replay`).
+//! a [`Trace`] under construction or a trace file being written (offline
+//! mode), or a store being measured (online mode, `gadget-replay`).
 
 use std::collections::HashSet;
+use std::convert::Infallible;
+use std::io::{self, Seek, Write};
 use std::ops::ControlFlow;
 
 use gadget_obs::MetricsSnapshot;
-use gadget_types::{Event, StateAccess, StreamElement, Timestamp, Trace};
+use gadget_types::{
+    Event, StateAccess, StatsCounter, StreamElement, Timestamp, Trace, TraceStats, TraceWriter,
+};
 
 use crate::operator::Operator;
 
@@ -71,21 +75,71 @@ impl Driver {
         I: Iterator<Item = StreamElement>,
     {
         let mut trace = Trace::new();
-        let mut input_keys: HashSet<u64> = HashSet::new();
         let _phase = gadget_obs::trace::span(
             gadget_obs::trace::Category::Phase,
             gadget_obs::trace::phase::DRIVE,
         );
+        let Ok((events, keys)) =
+            self.drive_all(stream, &mut trace.accesses, |_| Ok::<(), Infallible>(()));
+        trace.input_events = events;
+        trace.input_distinct_keys = keys;
+        trace
+    }
+
+    /// [`Driver::run`] into `writer` instead of memory: each access is
+    /// written as it is produced, and the file holds the bytes
+    /// [`Trace::save`] writes for the trace `run` returns. Returns that
+    /// trace's statistics.
+    pub fn write<I, W>(&mut self, stream: I, mut writer: TraceWriter<W>) -> io::Result<TraceStats>
+    where
+        I: Iterator<Item = StreamElement>,
+        W: Write + Seek,
+    {
+        let _phase = gadget_obs::trace::span(
+            gadget_obs::trace::Category::Phase,
+            gadget_obs::trace::phase::DRIVE,
+        );
+        let mut stats = StatsCounter::default();
+        let mut pending = Vec::with_capacity(64);
+        let (events, keys) = self.drive_all(stream, &mut pending, |accesses| {
+            for a in accesses.drain(..) {
+                stats.add(&a);
+                writer.push(&a)?;
+            }
+            Ok::<(), io::Error>(())
+        })?;
+        writer.finish(events, keys)?;
+        Ok(stats.finish(events, keys))
+    }
+
+    /// [`Driver::drive`] to the end of `stream` for a sink that takes
+    /// every access, stopping only on its error. Returns what a trace
+    /// header records of the input: the events admitted and their
+    /// distinct keys.
+    fn drive_all<I, E>(
+        &mut self,
+        stream: I,
+        out: &mut Vec<StateAccess>,
+        mut take: impl FnMut(&mut Vec<StateAccess>) -> Result<(), E>,
+    ) -> Result<(u64, u64), E>
+    where
+        I: Iterator<Item = StreamElement>,
+    {
+        let mut input_keys: HashSet<u64> = HashSet::new();
         let events_before = self.events_in;
-        let _: Option<()> = self.drive(stream, &mut trace.accesses, |_, event, _| {
+        let failed = self.drive(stream, out, |_, event, accesses| {
             if let Some(event) = event {
                 input_keys.insert(event.key);
             }
-            ControlFlow::Continue(())
+            match take(accesses) {
+                Ok(()) => ControlFlow::Continue(()),
+                Err(e) => ControlFlow::Break(e),
+            }
         });
-        trace.input_events = self.events_in - events_before;
-        trace.input_distinct_keys = input_keys.len() as u64;
-        trace
+        match failed {
+            Some(e) => Err(e),
+            None => Ok((self.events_in - events_before, input_keys.len() as u64)),
+        }
     }
 
     /// Algorithm 1, streaming: routes every element of `stream` in order,

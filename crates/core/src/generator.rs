@@ -8,20 +8,24 @@
 //! `watermark_every` delivered events, carrying the maximum event time
 //! seen so far.
 //!
-//! The *input replayer* ([`replay_dataset`]) feeds an existing
+//! The *input replayer* ([`InputStream::replay`]) feeds an existing
 //! [`Dataset`]'s events through the same watermarking and lateness
 //! machinery, which is how the characterization experiments (§3) run.
+//!
+//! Both are an [`InputStream`]: the elements are produced as the driver
+//! pulls them, so no run holds a copy of its input.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use gadget_datasets::Dataset;
 use gadget_distrib::{
-    seeded_rng, ArrivalProcess, ConstantArrivals, ConstantSize, KeyDistributionConfig,
-    PoissonArrivals, UniformSize, ValueSizeDistribution,
+    seeded_rng, ArrivalProcess, ConstantArrivals, ConstantSize, KeyDistribution,
+    KeyDistributionConfig, PoissonArrivals, UniformSize, ValueSizeDistribution,
 };
 use gadget_types::{Event, StreamElement, StreamId, Timestamp};
 
@@ -127,52 +131,113 @@ impl Default for GeneratorConfig {
     }
 }
 
-/// Generates synthetic event streams according to a [`GeneratorConfig`].
+/// Generates a synthetic event stream according to a [`GeneratorConfig`].
+///
+/// The stream is its [`IntoIterator`]: an [`InputStream`] that draws each
+/// event from the generator only when it is pulled, so a run holds no
+/// copy of its input.
 pub struct EventGenerator {
     config: GeneratorConfig,
+    rng: StdRng,
+    arrivals: Box<dyn ArrivalProcess>,
+    keys: Box<dyn KeyDistribution>,
+    sizes: Box<dyn ValueSizeDistribution>,
+    now: Timestamp,
+    drawn: u64,
 }
 
 impl EventGenerator {
     /// Creates a generator.
     pub fn new(config: GeneratorConfig) -> Self {
-        EventGenerator { config }
+        EventGenerator {
+            rng: seeded_rng(config.seed),
+            arrivals: config.arrivals.build(),
+            keys: config.keys.build(),
+            sizes: config.value_sizes.build(),
+            now: 0,
+            drawn: 0,
+            config,
+        }
     }
 
-    /// Produces the full stream: events (possibly out of order) punctuated
-    /// with watermarks.
-    pub fn generate(&self) -> Vec<StreamElement> {
+    /// The next `(delivery, event)` pair, in event-time order.
+    fn next_timed(&mut self) -> Option<(Timestamp, Event)> {
         let cfg = &self.config;
-        let mut rng = seeded_rng(cfg.seed);
-        let mut arrivals = cfg.arrivals.build();
-        let mut keys = cfg.keys.build();
-        let mut sizes = cfg.value_sizes.build();
-
-        // Events in event-time order, each with its delivery time.
-        let mut now: Timestamp = 0;
-        let timed = (0..cfg.events).map(|_| {
-            now += arrivals.next_gap(&mut rng);
-            let mut event = Event::new(keys.next_key(&mut rng), now, sizes.next_size(&mut rng));
-            if cfg.right_stream_fraction > 0.0 && rng.gen::<f64>() < cfg.right_stream_fraction {
-                event = event.on_stream(StreamId::RIGHT);
-            }
-            if cfg.closing_fraction > 0.0 && rng.gen::<f64>() < cfg.closing_fraction {
-                event = event.closing().with_expiry(now);
-            }
-            let delivery = if cfg.out_of_order_fraction > 0.0
-                && rng.gen::<f64>() < cfg.out_of_order_fraction
-            {
+        if self.drawn == cfg.events {
+            return None;
+        }
+        self.drawn += 1;
+        let rng = &mut self.rng;
+        self.now += self.arrivals.next_gap(rng);
+        let now = self.now;
+        let mut event = Event::new(self.keys.next_key(rng), now, self.sizes.next_size(rng));
+        if cfg.right_stream_fraction > 0.0 && rng.gen::<f64>() < cfg.right_stream_fraction {
+            event = event.on_stream(StreamId::RIGHT);
+        }
+        if cfg.closing_fraction > 0.0 && rng.gen::<f64>() < cfg.closing_fraction {
+            event = event.closing().with_expiry(now);
+        }
+        let delivery =
+            if cfg.out_of_order_fraction > 0.0 && rng.gen::<f64>() < cfg.out_of_order_fraction {
                 now + rng.gen_range(1..=cfg.max_lateness.max(1))
             } else {
                 now
             };
-            (delivery, event)
-        });
-        deliver(timed, cfg.watermark_every)
+        Some((delivery, event))
     }
 }
 
-/// An event waiting in [`deliver`]'s heap, ordered so the heap's top is
-/// the smallest `(delivery, seq)`.
+impl IntoIterator for EventGenerator {
+    type Item = StreamElement;
+    type IntoIter = InputStream;
+
+    /// The stream: events (possibly out of order) punctuated with
+    /// watermarks.
+    fn into_iter(self) -> InputStream {
+        let watermark_every = self.config.watermark_every;
+        InputStream::new(Timed::Synthetic(self), watermark_every)
+    }
+}
+
+/// A recorded dataset's events, each delivered at its timestamp or, with
+/// probability `fraction`, up to `max_lateness` ms later. A fraction of 0
+/// draws nothing from the RNG.
+struct Replayed {
+    events: std::vec::IntoIter<Event>,
+    rng: StdRng,
+    fraction: f64,
+    max_lateness: Timestamp,
+}
+
+impl Replayed {
+    fn next_timed(&mut self) -> Option<(Timestamp, Event)> {
+        let event = self.events.next()?;
+        let delivery = if self.fraction > 0.0 && self.rng.gen::<f64>() < self.fraction {
+            event.timestamp + self.rng.gen_range(1..=self.max_lateness)
+        } else {
+            event.timestamp
+        };
+        Some((delivery, event))
+    }
+}
+
+/// Where an [`InputStream`]'s `(delivery, event)` pairs come from.
+enum Timed {
+    Synthetic(EventGenerator),
+    Replayed(Replayed),
+}
+
+impl Timed {
+    fn next(&mut self) -> Option<(Timestamp, Event)> {
+        match self {
+            Timed::Synthetic(g) => g.next_timed(),
+            Timed::Replayed(r) => r.next_timed(),
+        }
+    }
+}
+
+/// An event waiting in an [`InputStream`]'s heap, ordered so the heap's
+/// top is the smallest `(delivery, seq)`.
 struct Delayed {
     delivery: Timestamp,
     seq: u64,
@@ -199,90 +264,130 @@ impl PartialEq for Delayed {
 
 impl Eq for Delayed {}
 
-/// Puts `timed` — `(delivery, event)` pairs in event-time order, each
-/// delivered at its own timestamp or, when delayed, strictly later — into
-/// delivery order, ties in input order, and punctuates the result with a
-/// watermark carrying the maximum event time after every
-/// `watermark_every`-th event.
+/// An input stream in delivery order, produced as it is pulled: a
+/// synthetic one ([`EventGenerator`]) or a replayed dataset
+/// ([`InputStream::replay`]).
 ///
-/// The result is what a stable sort by delivery would give, without the
-/// sort: an on-time event goes straight out, after every delayed event
-/// due by its timestamp; delayed events wait in a heap keyed by
-/// `(delivery, input index)`. Nothing later in the input can be due
-/// earlier, since timestamps never decrease and no event is delivered
-/// before its timestamp.
-fn deliver(
-    timed: impl Iterator<Item = (Timestamp, Event)>,
+/// Its source yields `(delivery, event)` pairs in event-time order, each
+/// delivered at its own timestamp or, when delayed, strictly later. The
+/// stream is what a stable sort of those pairs by delivery would give,
+/// punctuated with a watermark carrying the maximum event time after
+/// every `watermark_every`-th event, without the sort: an on-time event
+/// goes out after every delayed event due by its timestamp; delayed
+/// events wait in a heap keyed by `(delivery, input index)`. Nothing later
+/// in the input can be due earlier, since timestamps never decrease and
+/// no event is delivered before its timestamp. The heap, which holds only
+/// the delayed events still in flight, is the whole of what the stream
+/// keeps.
+pub struct InputStream {
+    timed: Timed,
     watermark_every: u64,
-) -> Vec<StreamElement> {
-    let events = timed.size_hint().0;
-    let mut out = Vec::with_capacity(events + events / watermark_every.max(1) as usize + 1);
-    let (mut delivered, mut max_ts) = (0u64, 0);
-    let mut emit = |event: Event| {
-        max_ts = max_ts.max(event.timestamp);
-        out.push(StreamElement::Event(event));
-        delivered += 1;
-        if watermark_every > 0 && delivered.is_multiple_of(watermark_every) {
-            out.push(StreamElement::Watermark(max_ts));
-        }
-    };
-    let mut waiting: BinaryHeap<Delayed> = BinaryHeap::new();
-    let mut last_ts = 0;
-    for (seq, (delivery, event)) in (0u64..).zip(timed) {
-        debug_assert!(event.timestamp >= last_ts, "input not in event-time order");
-        debug_assert!(
-            delivery >= event.timestamp,
-            "delivered before its timestamp"
-        );
-        last_ts = event.timestamp;
-        if delivery > event.timestamp {
-            waiting.push(Delayed {
-                delivery,
-                seq,
-                event,
-            });
-            continue;
-        }
-        while waiting.peek().is_some_and(|d| d.delivery <= delivery) {
-            emit(waiting.pop().expect("peeked").event);
-        }
-        emit(event);
-    }
-    while let Some(d) = waiting.pop() {
-        emit(d.event);
-    }
-    out
+    /// Input pairs taken so far: the next one's index.
+    seq: u64,
+    waiting: BinaryHeap<Delayed>,
+    /// An on-time event taken from the input, out once the delayed events
+    /// due by its timestamp are.
+    held: Option<Event>,
+    /// A watermark due after the last event that went out.
+    watermark: Option<Timestamp>,
+    delivered: u64,
+    max_ts: Timestamp,
+    last_ts: Timestamp,
 }
 
-/// The input replayer: converts a recorded [`Dataset`] into a stream with
-/// punctuated watermarks every `watermark_every` events.
-pub fn replay_dataset(dataset: &Dataset, watermark_every: u64) -> Vec<StreamElement> {
-    replay_dataset_with_disorder(dataset, watermark_every, 0.0, 0, 0)
-}
+impl InputStream {
+    fn new(timed: Timed, watermark_every: u64) -> Self {
+        InputStream {
+            timed,
+            watermark_every,
+            seq: 0,
+            waiting: BinaryHeap::new(),
+            held: None,
+            watermark: None,
+            delivered: 0,
+            max_ts: 0,
+            last_ts: 0,
+        }
+    }
 
-/// The input replayer with an out-of-order delivery model: a fraction of
-/// events is delayed by up to `max_lateness` ms of delivery time while
-/// keeping its event timestamp — the same disorder model the synthetic
-/// generator uses. `fraction = 0` reduces to in-order replay.
-pub fn replay_dataset_with_disorder(
-    dataset: &Dataset,
-    watermark_every: u64,
-    fraction: f64,
-    max_lateness: Timestamp,
-    seed: u64,
-) -> Vec<StreamElement> {
-    let disorder = fraction > 0.0 && max_lateness > 0;
-    let mut rng = seeded_rng(seed ^ 0x00D3);
-    // Dataset events are sorted by timestamp, as `deliver` requires.
-    let timed = dataset.events.iter().map(|&event| {
-        let delivery = if disorder && rng.gen::<f64>() < fraction {
-            event.timestamp + rng.gen_range(1..=max_lateness)
-        } else {
-            event.timestamp
+    /// The input replayer: `dataset`'s events (which it takes over, not
+    /// copies) with punctuated watermarks every `watermark_every` events,
+    /// under an out-of-order delivery model: a fraction of events is
+    /// delayed by up to `max_lateness` ms of delivery time while keeping
+    /// its event timestamp — the same disorder model the synthetic
+    /// generator uses. `fraction = 0` reduces to in-order replay.
+    pub fn replay(
+        dataset: Dataset,
+        watermark_every: u64,
+        fraction: f64,
+        max_lateness: Timestamp,
+        seed: u64,
+    ) -> Self {
+        // Dataset events are sorted by timestamp, as the merge requires.
+        let replayed = Replayed {
+            events: dataset.events.into_iter(),
+            rng: seeded_rng(seed ^ 0x00D3),
+            fraction: if max_lateness > 0 { fraction } else { 0.0 },
+            max_lateness,
         };
-        (delivery, event)
-    });
-    deliver(timed, watermark_every)
+        InputStream::new(Timed::Replayed(replayed), watermark_every)
+    }
+
+    /// The next event in delivery order, or `None` at the end.
+    fn next_event(&mut self) -> Option<Event> {
+        loop {
+            if let Some(held) = &self.held {
+                if self
+                    .waiting
+                    .peek()
+                    .is_some_and(|d| d.delivery <= held.timestamp)
+                {
+                    return self.waiting.pop().map(|d| d.event);
+                }
+                return self.held.take();
+            }
+            let Some((delivery, event)) = self.timed.next() else {
+                return self.waiting.pop().map(|d| d.event);
+            };
+            debug_assert!(
+                event.timestamp >= self.last_ts,
+                "input not in event-time order"
+            );
+            debug_assert!(
+                delivery >= event.timestamp,
+                "delivered before its timestamp"
+            );
+            self.last_ts = event.timestamp;
+            let seq = self.seq;
+            self.seq += 1;
+            if delivery > event.timestamp {
+                self.waiting.push(Delayed {
+                    delivery,
+                    seq,
+                    event,
+                });
+            } else {
+                self.held = Some(event);
+            }
+        }
+    }
+}
+
+impl Iterator for InputStream {
+    type Item = StreamElement;
+
+    fn next(&mut self) -> Option<StreamElement> {
+        if let Some(ts) = self.watermark.take() {
+            return Some(StreamElement::Watermark(ts));
+        }
+        let event = self.next_event()?;
+        self.max_ts = self.max_ts.max(event.timestamp);
+        self.delivered += 1;
+        if self.watermark_every > 0 && self.delivered.is_multiple_of(self.watermark_every) {
+            self.watermark = Some(self.max_ts);
+        }
+        Some(StreamElement::Event(event))
+    }
 }
 
 #[cfg(test)]
@@ -295,7 +400,7 @@ mod tests {
             events: 1_000,
             ..GeneratorConfig::default()
         });
-        let stream = g.generate();
+        let stream: Vec<_> = g.into_iter().collect();
         let events = stream.iter().filter(|e| !e.is_watermark()).count();
         let wms = stream.iter().filter(|e| e.is_watermark()).count();
         assert_eq!(events, 1_000);
@@ -310,7 +415,7 @@ mod tests {
             ..GeneratorConfig::default()
         });
         let mut max_seen = 0;
-        for el in g.generate() {
+        for el in g {
             match el {
                 StreamElement::Event(e) => max_seen = max_seen.max(e.timestamp),
                 StreamElement::Watermark(w) => assert_eq!(w, max_seen),
@@ -326,7 +431,7 @@ mod tests {
             max_lateness: 5_000,
             ..GeneratorConfig::default()
         };
-        let stream = EventGenerator::new(cfg).generate();
+        let stream: Vec<_> = EventGenerator::new(cfg).into_iter().collect();
         // Count inversions: events whose timestamp is below the running max.
         let mut max_ts = 0;
         let mut inversions = 0;
@@ -347,8 +452,7 @@ mod tests {
         let stream = EventGenerator::new(GeneratorConfig {
             events: 2_000,
             ..GeneratorConfig::default()
-        })
-        .generate();
+        });
         let mut prev = 0;
         for el in stream {
             assert!(el.timestamp() >= prev || el.is_watermark());
@@ -364,11 +468,10 @@ mod tests {
             events: 5_000,
             right_stream_fraction: 0.5,
             ..GeneratorConfig::default()
-        })
-        .generate();
+        });
         let right = stream
-            .iter()
-            .filter_map(|e| e.as_event())
+            .into_iter()
+            .filter_map(|e| e.as_event().copied())
             .filter(|e| e.stream == StreamId::RIGHT)
             .count();
         assert!((2_000..3_000).contains(&right), "right-side count {right}");
@@ -380,11 +483,10 @@ mod tests {
             events: 5_000,
             closing_fraction: 0.1,
             ..GeneratorConfig::default()
-        })
-        .generate();
+        });
         let closing = stream
-            .iter()
-            .filter_map(|e| e.as_event())
+            .into_iter()
+            .filter_map(|e| e.as_event().copied())
             .filter(|e| e.closes_key)
             .count();
         assert!((300..800).contains(&closing), "closing count {closing}");
@@ -393,15 +495,14 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let cfg = GeneratorConfig::default();
-        let a = EventGenerator::new(cfg.clone()).generate();
-        let b = EventGenerator::new(cfg).generate();
-        assert_eq!(a, b);
+        let a = EventGenerator::new(cfg.clone()).into_iter();
+        assert!(a.eq(EventGenerator::new(cfg)));
     }
 
     #[test]
     fn replayer_preserves_dataset_order() {
         let d = gadget_datasets::borg(gadget_datasets::DatasetSpec::small());
-        let stream = replay_dataset(&d, 100);
+        let stream: Vec<_> = InputStream::replay(d.clone(), 100, 0.0, 0, 0).collect();
         let events: Vec<_> = stream.iter().filter_map(|e| e.as_event()).collect();
         assert_eq!(events.len(), d.events.len());
         assert_eq!(*events[0], d.events[0]);

@@ -11,8 +11,9 @@
 //!
 //! * [`EventGenerator`] synthesizes event streams from configurable
 //!   arrival processes, key/value distributions, watermark frequencies,
-//!   and out-of-order models — or replays an existing
-//!   [`Dataset`](gadget_datasets::Dataset) through the *input replayer*.
+//!   and out-of-order models — or [`InputStream::replay`] replays an
+//!   existing [`Dataset`](gadget_datasets::Dataset) through the *input
+//!   replayer*. Either is an [`InputStream`], produced as it is pulled.
 //! * [`Operator`] implementations simulate the state-access logic of the
 //!   eleven predefined workloads (six windows, four joins, one rolling
 //!   aggregation) using Flink's W-ID windowing strategy. Each operator is
@@ -34,8 +35,7 @@
 //! let stream = EventGenerator::new(GeneratorConfig {
 //!     events: 10_000,
 //!     ..GeneratorConfig::default()
-//! })
-//! .generate();
+//! });
 //! let operator = OperatorKind::TumblingIncr.build(&OperatorParams::default());
 //! let trace = Driver::new(operator).run(stream.into_iter());
 //! assert!(trace.len() > 2 * 10_000); // Event amplification >= 2.
@@ -49,8 +49,5 @@ pub mod operators;
 
 pub use config::{GadgetConfig, SourceConfig};
 pub use driver::Driver;
-pub use generator::{
-    replay_dataset, replay_dataset_with_disorder, ArrivalConfig, EventGenerator, GeneratorConfig,
-    ValueSizeConfig,
-};
+pub use generator::{ArrivalConfig, EventGenerator, GeneratorConfig, InputStream, ValueSizeConfig};
 pub use operator::{Operator, OperatorKind, OperatorParams, WindowMode};

@@ -117,7 +117,8 @@ fn every_operator_traces_a_stream_the_same_way_twice() {
         seed: 9,
         ..GeneratorConfig::default()
     })
-    .generate();
+    .into_iter()
+    .collect::<Vec<_>>();
     let mut differ = Vec::new();
     for kind in OperatorKind::ALL {
         let mut config = GadgetConfig::synthetic(kind, GeneratorConfig::default());

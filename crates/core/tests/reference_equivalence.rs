@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 
 use gadget_core::{
-    replay_dataset_with_disorder, ArrivalConfig, Driver, EventGenerator, GadgetConfig,
-    GeneratorConfig, Operator, OperatorKind, ValueSizeConfig, WindowMode,
+    ArrivalConfig, Driver, EventGenerator, GadgetConfig, GeneratorConfig, InputStream, Operator,
+    OperatorKind, ValueSizeConfig, WindowMode,
 };
 use gadget_datasets::DatasetSpec;
 use gadget_distrib::KeyDistributionConfig;
@@ -303,7 +303,7 @@ proptest! {
 
     #[test]
     fn generator_matches_the_sorted_timeline(cfg in generator_strategy()) {
-        let got = EventGenerator::new(cfg.clone()).generate();
+        let got: Vec<StreamElement> = EventGenerator::new(cfg.clone()).into_iter().collect();
         let expect = reference::generate(&cfg);
         prop_assert_eq!(divergence(&got, &expect), None, "{:?}", cfg);
     }
@@ -318,7 +318,9 @@ proptest! {
         watermark_every in prop_oneof![Just(0u64), Just(1), Just(100)],
     ) {
         let dataset = gadget_datasets::by_name(name, DatasetSpec { events, seed }).unwrap();
-        let got = replay_dataset_with_disorder(&dataset, watermark_every, fraction, max_lateness, seed);
+        let got: Vec<StreamElement> =
+            InputStream::replay(dataset.clone(), watermark_every, fraction, max_lateness, seed)
+                .collect();
         let expect = reference::replay_dataset_with_disorder(
             &dataset, watermark_every, fraction, max_lateness, seed,
         );
@@ -343,7 +345,7 @@ proptest! {
         ],
         lateness in prop_oneof![Just(0 as Timestamp), Just(1_500)],
     ) {
-        let stream: Vec<StreamElement> = EventGenerator::new(cfg.clone()).generate();
+        let stream: Vec<StreamElement> = EventGenerator::new(cfg.clone()).into_iter().collect();
         let mut config = GadgetConfig::synthetic(kind, cfg.clone());
         config.allowed_lateness = lateness;
         let got = config.driver().unwrap().run(stream.iter().copied());

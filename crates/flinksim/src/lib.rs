@@ -29,8 +29,7 @@
 //! let stream = EventGenerator::new(GeneratorConfig {
 //!     events: 1_000,
 //!     ..GeneratorConfig::default()
-//! })
-//! .generate();
+//! });
 //! let trace = run_reference(
 //!     OperatorKind::Aggregation,
 //!     &OperatorParams::default(),
@@ -512,16 +511,16 @@ impl<S: StateStore> RefOperator<S> for RefContinuousJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gadget_core::{Driver, EventGenerator, GeneratorConfig};
+    use gadget_core::{Driver, EventGenerator, GeneratorConfig, InputStream};
     use gadget_kv::MemStore;
 
-    fn stream(events: u64, seed: u64) -> Vec<StreamElement> {
+    fn stream(events: u64, seed: u64) -> InputStream {
         EventGenerator::new(GeneratorConfig {
             events,
             seed,
             ..GeneratorConfig::default()
         })
-        .generate()
+        .into_iter()
     }
 
     /// The headline validation (paper §6.1): for deterministic operators
@@ -536,11 +535,9 @@ mod tests {
             OperatorKind::SlidingIncr,
         ] {
             let params = OperatorParams::default();
-            let input = stream(3_000, 7);
-            let real =
-                run_reference(kind, &params, input.clone().into_iter(), MemStore::new()).unwrap();
+            let real = run_reference(kind, &params, stream(3_000, 7), MemStore::new()).unwrap();
             let mut driver = Driver::new(kind.build(&params));
-            let simulated = driver.run(input.into_iter());
+            let simulated = driver.run(stream(3_000, 7));
             assert_eq!(
                 simulated.len(),
                 real.len(),
@@ -560,14 +557,8 @@ mod tests {
         // (all panes deleted) — proof that real state was managed.
         let params = OperatorParams::default();
         let store = MemStore::new();
-        let input = stream(2_000, 9);
-        let trace = run_reference(
-            OperatorKind::TumblingIncr,
-            &params,
-            input.into_iter(),
-            store,
-        )
-        .unwrap();
+        let trace =
+            run_reference(OperatorKind::TumblingIncr, &params, stream(2_000, 9), store).unwrap();
         assert!(!trace.is_empty());
         let stats = trace.stats();
         assert_eq!(stats.gets + stats.puts + stats.deletes, stats.total);
@@ -591,8 +582,7 @@ mod tests {
                 right_stream_fraction: 0.5,
                 seed: 11,
                 ..GeneratorConfig::default()
-            })
-            .generate();
+            });
             let trace = run_reference(kind, &params, input.into_iter(), MemStore::new()).unwrap();
             assert!(trace.len() as u64 > trace.input_events, "{}", kind.name());
         }

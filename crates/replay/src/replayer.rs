@@ -691,16 +691,15 @@ impl TraceReplayer {
                 let stream = config.build_stream();
                 self.run_measured(ONLINE, store, workload, emitter, |measuring| {
                     let mut pending = Vec::with_capacity(64);
-                    let stopped =
-                        driver.drive(stream.into_iter(), &mut pending, |_, _, accesses| {
-                            let fed = measuring.feed(accesses.iter());
-                            accesses.clear();
-                            match fed {
-                                Ok(true) => ControlFlow::Continue(()),
-                                Ok(false) => ControlFlow::Break(Ok(())),
-                                Err(e) => ControlFlow::Break(Err(e)),
-                            }
-                        });
+                    let stopped = driver.drive(stream, &mut pending, |_, _, accesses| {
+                        let fed = measuring.feed(accesses.iter());
+                        accesses.clear();
+                        match fed {
+                            Ok(true) => ControlFlow::Continue(()),
+                            Ok(false) => ControlFlow::Break(Ok(())),
+                            Err(e) => ControlFlow::Break(Err(e)),
+                        }
+                    });
                     stopped.unwrap_or(Ok(()))
                 })
             }

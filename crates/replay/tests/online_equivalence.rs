@@ -49,7 +49,7 @@ fn online_issues_exactly_the_offline_trace() {
     ] {
         let config = disordered(kind);
         let mut probe = config.driver().unwrap();
-        let offline = probe.run(config.build_stream().into_iter());
+        let offline = probe.run(config.build_stream());
         assert!(
             probe.dropped_late() > 0 && offline.input_events > 0,
             "{kind:?}: the stream must exercise both sides of the lateness bound \

@@ -26,4 +26,4 @@ pub use batch::{Op, OpBatch};
 pub use event::{Event, StreamElement, StreamId};
 pub use op::{OpType, StateAccess, StateKey};
 pub use time::Timestamp;
-pub use trace::{Trace, TraceStats};
+pub use trace::{StatsCounter, Trace, TraceStats, TraceWriter};

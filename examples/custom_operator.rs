@@ -78,8 +78,7 @@ fn main() {
     let stream = EventGenerator::new(GeneratorConfig {
         events: 50_000,
         ..GeneratorConfig::default()
-    })
-    .generate();
+    });
 
     // The custom operator plugs into the standard driver unchanged.
     let mut driver = Driver::new(Box::new(DedupTopK::new(10_000)));

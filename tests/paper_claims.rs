@@ -66,9 +66,7 @@ fn finding_only_aggregation_preserves_distribution() {
         let cfg = GadgetConfig::dataset(kind, "borg", spec());
         let input: Vec<u128> = cfg
             .build_stream()
-            .iter()
-            .filter_map(|el| el.as_event())
-            .map(|e| e.key as u128)
+            .filter_map(|el| el.as_event().map(|e| e.key as u128))
             .collect();
         let trace = cfg.run();
         let state: Vec<u128> = trace.iter().map(|a| a.key.as_u128()).collect();
@@ -151,11 +149,10 @@ fn finding_gadget_traces_match_reference_execution() {
         OperatorKind::ContinuousJoin,
     ] {
         let cfg = GadgetConfig::dataset(kind, "borg", spec());
-        let stream = cfg.build_stream();
         let params = cfg.operator_params();
-        let real =
-            run_reference(kind, &params, stream.clone().into_iter(), MemStore::new()).unwrap();
-        let simulated = Driver::new(kind.build(&params)).run(stream.into_iter());
+        // The stream is a function of the config, so each run builds its own.
+        let real = run_reference(kind, &params, cfg.build_stream(), MemStore::new()).unwrap();
+        let simulated = Driver::new(kind.build(&params)).run(cfg.build_stream());
         assert_eq!(
             simulated.key_sequence(),
             real.key_sequence(),
