@@ -183,10 +183,30 @@ fn extension_experiments_run() {
     let rows = experiments::ext_external::compute(&tiny());
     assert_eq!(rows.len(), 2 * 3);
     for chunk in rows.chunks(3) {
+        let [embedded, tcp, batched] = chunk else {
+            unreachable!()
+        };
+        let deployments = [&embedded.deployment, &tcp.deployment, &batched.deployment];
+        assert_eq!(deployments, ["embedded", "tcp", "tcp-batch64"]);
+        let what = &embedded.workload;
         assert!(
-            chunk[0].throughput > chunk[2].throughput,
-            "remote-datacenter must be slower than embedded"
+            embedded.throughput > tcp.throughput,
+            "{what}: a round trip per op must cost throughput"
         );
+        assert!(
+            batched.throughput > tcp.throughput,
+            "{what}: batching must win some of it back"
+        );
+        // Every op reached the store and answered as it did embedded.
+        for row in [tcp, batched] {
+            assert!(row.ops > 0, "{what}");
+            assert_eq!(
+                (row.ops, row.hits),
+                (embedded.ops, embedded.hits),
+                "{what}: {}",
+                row.deployment
+            );
+        }
     }
     let rows = experiments::ext_cache_tuning::compute(&tiny());
     assert_eq!(rows.len(), 9);

@@ -189,8 +189,7 @@ pub(crate) fn work_dir(dir: Option<&Path>) -> (PathBuf, Option<ScratchDir>) {
 
 /// How a run's operations reach the labelled store, for report
 /// provenance: `"tcp"` when the label dials a gadget-server,
-/// `"embedded"` for in-process stores (including the simulated
-/// `remote-*` wrappers, which never leave the process).
+/// `"embedded"` for every in-process store.
 pub(crate) fn transport(label: &str) -> &'static str {
     if label.starts_with("net:") {
         "tcp"
@@ -230,7 +229,7 @@ pub(crate) fn backend_label(raw: &str) -> &str {
 
 /// What `gadget stores` lists: each label, or label pattern, with what
 /// it opens. The first four are [`PAPER_STORES`].
-const LABELS: [(&str, &str); 8] = [
+const LABELS: [(&str, &str); 7] = [
     (
         "rocksdb-class",
         "LSM tree with lazy merge operator (gadget-lsm)",
@@ -249,10 +248,6 @@ const LABELS: [(&str, &str); 8] = [
         "shrunk LSM (tiny memtable/cache, sync WAL) for traced smoke runs",
     ),
     ("mem", "reference in-memory hash map (gadget-kv)"),
-    (
-        "remote-<label>",
-        "any of the above behind a synthetic datacenter network",
-    ),
     (
         "net:<host:port>",
         "a running `gadget serve` instance, over real TCP",
@@ -329,28 +324,17 @@ pub fn open_store_at(
             ))
         }
         "mem" => Ok(Arc::new(gadget_kv::MemStore::new())),
-        other => {
-            // `net:<addr>` dials a running gadget-server: a *real*
-            // network store, so replay/online/concurrent measure actual
-            // wire latency. With `--shards N` this opens N connections.
-            if let Some(addr) = other.strip_prefix("net:") {
-                return Ok(Arc::new(
-                    gadget_server::NetStore::connect(addr).map_err(|e| e.to_string())?,
-                ));
-            }
-            // `remote-<label>` wraps any embedded store behind a synthetic
-            // datacenter network (paper §8, external state management).
-            if let Some(inner_label) = other.strip_prefix("remote-") {
-                let inner = open_store_at(inner_label, dir, shard, divisor)?;
-                return Ok(Arc::new(gadget_kv::RemoteStore::new(
-                    inner,
-                    gadget_kv::NetworkProfile::datacenter(),
-                )));
-            }
-            Err(format!(
+        // `net:<addr>` dials a running gadget-server, so replay/online/
+        // concurrent measure actual wire latency. With `--shards N` this
+        // opens N connections.
+        other => match other.strip_prefix("net:") {
+            Some(addr) => Ok(Arc::new(
+                gadget_server::NetStore::connect(addr).map_err(|e| e.to_string())?,
+            )),
+            None => Err(format!(
                 "unknown store {other}; run `gadget stores` for the list"
-            ))
-        }
+            )),
+        },
     }
 }
 
@@ -373,27 +357,6 @@ mod tests {
     use super::*;
     use crate::tests::load_lock;
     use gadget_kv::testutil::TestDir;
-
-    #[test]
-    fn remote_store_is_as_durable_as_the_backend_it_fronts() {
-        let _load = load_lock();
-        let dir = TestDir::new("cli-remote-ckpt");
-        let remote = open_store_at("remote-rocksdb-class", &dir.path("db"), None, 1).unwrap();
-        let backend = open_store_at("rocksdb-class", &dir.path("twin"), None, 1).unwrap();
-        assert_eq!(remote.durability(), backend.durability());
-        assert_ne!(remote.durability(), gadget_kv::Durability::Ephemeral);
-
-        remote.put(b"k", b"at-the-cut").unwrap();
-        let ckpt = dir.path("ckpt");
-        let manifest = remote.checkpoint(&ckpt).unwrap();
-        assert_eq!(manifest.store, "lsm");
-        remote.put(b"k", b"diverged").unwrap();
-        remote.restore(&ckpt).unwrap();
-        assert_eq!(
-            remote.get(b"k").unwrap().as_deref(),
-            Some(&b"at-the-cut"[..])
-        );
-    }
 
     #[test]
     fn default_store_directories_are_private_and_removed_with_the_store() {
@@ -503,9 +466,8 @@ mod tests {
             .collect();
         assert_eq!(labels.len(), LABELS.len(), "{listed}");
         for label in labels {
-            // The two patterns, each instantiated once.
+            // The one pattern, instantiated once.
             let label = match label {
-                "remote-<label>" => "remote-rocksdb-class".to_string(),
                 "net:<host:port>" => format!("net:{}", server.local_addr()),
                 concrete => concrete.to_string(),
             };

@@ -39,7 +39,6 @@ pub mod instrument;
 pub mod key;
 pub mod mem;
 pub mod observed;
-pub mod remote;
 pub mod router;
 pub mod sharded;
 pub mod store;
@@ -56,7 +55,6 @@ pub use instrument::InstrumentedStore;
 pub use key::Key;
 pub use mem::MemStore;
 pub use observed::{ObservedStore, OpTimers};
-pub use remote::{NetworkProfile, RemoteStore};
 pub use router::{shard_of, slot_of_key, ReshardEvent, SlotTable, SLOTS};
 pub use sharded::ShardedStore;
 pub use store::{apply_ops_serially, BatchResult, StateStore, StoreCounters};

@@ -24,16 +24,16 @@
 //! (HDR-style) histogram with ~3% relative error and a fixed 2048-slot
 //! footprint; [`AtomicHistogram`] is its concurrent twin.
 //!
-//! Aggregates explain *how much*; the re-exported [`trace`] subsystem
-//! (`gadget-trace`) explains *when*: per-thread span timelines for
-//! sampled ops and always-on background work, exportable as Chrome
-//! trace JSON and reducible to a tail-latency attribution report.
+//! Aggregates explain *how much*; the [`trace`] module explains *when*:
+//! per-thread span timelines for sampled ops and always-on background
+//! work, exportable as Chrome trace JSON and reducible to a tail-latency
+//! attribution report.
 //! [`Timer::time_traced`] bridges the two, emitting a span for exactly
 //! the calls it samples.
 //!
 //! `StateStore::metrics` lives in `gadget-kv`; this crate deliberately
-//! depends only on `gadget-trace` and the serde shims so every layer
-//! of the workspace can use it.
+//! depends only on the serde shims so every layer of the workspace can
+//! use it.
 
 pub mod emitter;
 pub mod hist;
@@ -41,10 +41,7 @@ pub mod live;
 pub mod openmetrics;
 pub mod registry;
 pub mod snapshot;
-
-/// Span tracing and tail-latency attribution (re-export of
-/// `gadget-trace`, so downstream crates need no extra dependency).
-pub use gadget_trace as trace;
+pub mod trace;
 
 pub use emitter::{MetricsSeries, SnapshotEmitter, SnapshotPoint};
 pub use hist::{bucket_bounds, AtomicHistogram, LogHistogram};

@@ -10,7 +10,7 @@
 //! fsync, or neither?". Fractions can sum past 1.0 because one slow op
 //! can overlap several kinds of background work at once.
 
-use crate::{Category, Span, TraceLog, NO_SHARD};
+use super::{Category, Span, TraceLog, NO_SHARD};
 
 /// Per-category share of the tail.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +26,7 @@ pub struct CategoryShare {
 /// Per-shard share of the tail, for sharded stores.
 ///
 /// Built from the shard tag op spans carry (see
-/// [`shard_scope`](crate::shard_scope)): a shard that owns a
+/// [`shard_scope`](super::shard_scope)): a shard that owns a
 /// disproportionate slice of the tail is the hot shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardShare {

@@ -8,7 +8,7 @@
 
 use serde::Value;
 
-use crate::{phase, Category, Span, TraceLog, NO_SHARD};
+use super::{phase, Category, Span, TraceLog, NO_SHARD};
 
 fn micros(ns: u64) -> Value {
     Value::Float(ns as f64 / 1_000.0)

@@ -18,9 +18,9 @@
 
 use serde::Value;
 
-use crate::attribution::{self, AttributionReport};
-use crate::clock::{ClockSample, OffsetEstimator};
-use crate::{Category, Span, TraceLog, NO_SHARD};
+use super::attribution::{self, AttributionReport};
+use super::clock::{ClockSample, OffsetEstimator};
+use super::{Category, Span, TraceLog, NO_SHARD};
 
 /// One parsed trace-event, in nanoseconds.
 #[derive(Debug, Clone)]
@@ -221,7 +221,7 @@ fn emit(event: &Event, pid: u64, ts_ns: i128) -> Value {
 }
 
 /// Joins `client_json` and `server_json` (both Chrome trace-event
-/// files exported by this crate) into one clock-aligned timeline. See
+/// files exported by this module) into one clock-aligned timeline. See
 /// the module docs for the mechanics; fails only on malformed input or
 /// when no request appears on both sides (without a single match there
 /// is no clock sample, hence no alignment).

@@ -1,6 +1,6 @@
 //! Low-overhead span tracing for the gadget harness.
 //!
-//! The metrics layer (`gadget-obs`) answers "how much"; this crate
+//! The metrics half of this crate answers "how much"; this module
 //! answers "when, and overlapping what". Every participating thread
 //! owns a fixed-size lock-free ring buffer of completed spans
 //! (timestamp + duration + [`Category`] + one `u64` argument). Writers

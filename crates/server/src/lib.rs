@@ -4,8 +4,8 @@
 //! the store lives in the benchmark process and an operation is a
 //! function call. This crate adds the other deployment shape the
 //! paper's §8 sketches — an *external* state service — as a real
-//! network subsystem rather than a simulation (for the simulated
-//! variant, see `gadget_kv::RemoteStore`):
+//! network subsystem (`experiments ext_external` measures it against
+//! the embedded store):
 //!
 //! * [`wire`] — the length-prefixed binary protocol: one version, with
 //!   the trace extension marked by a kind-byte flag. Strict decoding

@@ -14,7 +14,7 @@
 //! frame stamped anything else is refused. The kind byte's low seven
 //! bits name the frame; bit 7 is the *traced* flag, set exactly when a
 //! `Request` or `Response` carries its trace extension (cross-process
-//! tracing, see `gadget-trace`) and illegal on every other kind. With
+//! tracing, see `gadget_obs::trace`) and illegal on every other kind. With
 //! tracing off no frame carries a single extension byte. The payload
 //! layout depends on the kind:
 //!
@@ -198,7 +198,7 @@ pub struct TraceContext {
 ///
 /// All server timestamps are monotonic ns on the *server's* clock —
 /// the client combines them with its own send/receive instants for the
-/// NTP-style offset estimate (`gadget_trace::clock`) and the latency
+/// NTP-style offset estimate (`gadget_obs::trace::clock`) and the latency
 /// decomposition (client queue / outbound / service / return).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplyTrace {

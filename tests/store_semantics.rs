@@ -182,12 +182,11 @@ mod delegation {
     use std::collections::BTreeSet;
     use std::path::Path;
     use std::sync::{Arc, Mutex};
-    use std::time::Duration;
 
     use bytes::Bytes;
     use gadget::kv::{
-        BatchResult, CheckpointManifest, Durability, InstrumentedStore, NetworkProfile,
-        ObservedStore, RemoteStore, ShardedStore, StateStore, StoreError,
+        BatchResult, CheckpointManifest, Durability, InstrumentedStore, ObservedStore,
+        ShardedStore, StateStore, StoreError,
     };
     use gadget::lsm::{LsmConfig, LsmStore};
     use gadget::obs::MetricsSnapshot;
@@ -336,20 +335,12 @@ mod delegation {
         ReshardingStore::new(sharded(probes), NEVER)
     }
 
-    fn zero_latency() -> NetworkProfile {
-        NetworkProfile {
-            rtt: Duration::ZERO,
-            per_kb: Duration::ZERO,
-        }
-    }
-
     /// Calls every trait method on `outer` and asserts each landed on the
     /// probes underneath with the probe's answer coming back — so nothing
-    /// stopped at a default. `name` is the one method a decorator may
-    /// answer itself (`RemoteStore` says `"remote"`).
-    fn assert_reaches(label: &str, outer: &dyn StateStore, under: &[Arc<Probe>], name: &str) {
+    /// stopped at a default.
+    fn assert_reaches(label: &str, outer: &dyn StateStore, under: &[Arc<Probe>]) {
         let tmp = TestDir::new(&format!("delegation-{label}"));
-        assert_eq!(outer.name(), name, "{label}: name");
+        assert_eq!(outer.name(), "probe", "{label}: name");
         // Enough keys that hash routing visits every shard.
         for i in 0..64u64 {
             let key = i.to_be_bytes();
@@ -390,9 +381,6 @@ mod delegation {
             .unwrap_or_else(|e| panic!("{label}: restore: {e}"));
 
         for method in METHODS {
-            if method == "name" && name != "probe" {
-                continue;
-            }
             assert!(
                 under.iter().any(|p| p.saw(method)),
                 "{label}: `{method}` never reached a probe"
@@ -411,64 +399,47 @@ mod delegation {
     fn pointers_are_stores() {
         let p = probes(1);
         let arc: Arc<dyn StateStore> = erased(&p[0]);
-        assert_reaches("arc", &arc, &p, "probe");
+        assert_reaches("arc", &arc, &p);
 
         let p = probes(1);
         let boxed: Box<dyn StateStore> = Box::new(erased(&p[0]));
-        assert_reaches("box", &boxed, &p, "probe");
+        assert_reaches("box", &boxed, &p);
 
         let p = probes(1);
         let by_ref: &Probe = &p[0];
-        assert_reaches("ref", &by_ref, &p, "probe");
+        assert_reaches("ref", &by_ref, &p);
     }
 
     #[test]
     fn each_decorator_hands_the_contract_through() {
         let p = probes(1);
         let store = InstrumentedStore::new(erased(&p[0]));
-        assert_reaches("instrumented", &store, &p, "probe");
+        assert_reaches("instrumented", &store, &p);
 
         let p = probes(1);
         let store = ObservedStore::new(erased(&p[0]));
-        assert_reaches("observed", &store, &p, "probe");
-
-        let p = probes(1);
-        let store = RemoteStore::new(erased(&p[0]), zero_latency());
-        assert_reaches("remote", &store, &p, "remote");
+        assert_reaches("observed", &store, &p);
 
         let p = probes(2);
-        assert_reaches("resharding", &resharding(&p), &p, "probe");
+        assert_reaches("resharding", &resharding(&p), &p);
     }
 
     #[test]
     fn sharded_store_fans_out_to_every_shard() {
         let p = probes(3);
-        assert_reaches("sharded", &*sharded(&p), &p, "probe");
+        assert_reaches("sharded", &*sharded(&p), &p);
     }
 
-    /// `replay --store remote-<x> --trace-out`, `replay --shards N
-    /// --reshard-at .. --trace-out`, and `--store remote-<x> --shards N`:
-    /// the deepest stacks `open_store_maybe_sharded` + `cmd_replay` build.
+    /// `replay --shards N --reshard-at .. --trace-out`: the deepest stack
+    /// `StorePlan::open` builds, an observed store over the resharding
+    /// trigger over a sharded store. Every other stack it builds leaves
+    /// layers out of this one.
     #[test]
     fn cli_nestings_hand_the_contract_through() {
-        let p = probes(1);
-        let remote: Arc<dyn StateStore> = Arc::new(RemoteStore::new(erased(&p[0]), zero_latency()));
-        assert_reaches("observed-remote", &ObservedStore::new(remote), &p, "remote");
-
         let p = probes(2);
         let op_store: Arc<dyn StateStore> = Arc::new(resharding(&p));
         let store = ObservedStore::new(op_store);
-        assert_reaches("observed-resharding-sharded", &store, &p, "probe");
-
-        let p = probes(2);
-        let remotes = p
-            .iter()
-            .map(|probe| {
-                Arc::new(RemoteStore::new(erased(probe), zero_latency())) as Arc<dyn StateStore>
-            })
-            .collect();
-        let store = ShardedStore::from_stores(remotes).unwrap();
-        assert_reaches("sharded-remote", &store, &p, "remote");
+        assert_reaches("observed-resharding-sharded", &store, &p);
     }
 
     /// `ReshardingStore` used to answer `Ephemeral`/`Unsupported` whatever
