@@ -170,20 +170,7 @@ impl StateStore for BTreeStore {
     }
 
     fn restore(&self, dir: &Path) -> Result<(), StoreError> {
-        let manifest = CheckpointManifest::load(dir)?;
-        if manifest.store != self.name() {
-            return Err(StoreError::Corruption(format!(
-                "checkpoint was taken by store {:?}, not {:?}",
-                manifest.store,
-                self.name()
-            )));
-        }
-        if manifest.shards != 0 {
-            return Err(StoreError::Corruption(format!(
-                "checkpoint is a {}-shard super-checkpoint; restore it through ShardedStore",
-                manifest.shards
-            )));
-        }
+        CheckpointManifest::load_for(dir, self.name(), false)?;
         let src = dir.join(SNAPSHOT_NAME);
         let mut tree = self.tree.lock();
         // The pager writes dirty state back when a tree is dropped, so

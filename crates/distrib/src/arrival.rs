@@ -75,55 +75,6 @@ impl ArrivalProcess for ConstantArrivals {
     }
 }
 
-/// A two-state on/off bursty process.
-///
-/// Alternates between a *burst* phase with high rate and an *idle* phase
-/// with low rate; phase lengths are geometric in the number of events. This
-/// models diurnal or batch-triggered streams such as cluster schedulers.
-#[derive(Debug, Clone)]
-pub struct BurstyArrivals {
-    burst: PoissonArrivals,
-    idle: PoissonArrivals,
-    /// Probability of leaving the current phase after each event.
-    switch_prob: f64,
-    in_burst: bool,
-}
-
-impl BurstyArrivals {
-    /// Creates a bursty process.
-    ///
-    /// `burst_rate` and `idle_rate` are events/second in the respective
-    /// phases; `switch_prob` is the per-event probability of toggling
-    /// phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either rate is non-positive or `switch_prob` is outside
-    /// `[0, 1]`.
-    pub fn new(burst_rate: f64, idle_rate: f64, switch_prob: f64) -> Self {
-        assert!((0.0..=1.0).contains(&switch_prob));
-        BurstyArrivals {
-            burst: PoissonArrivals::new(burst_rate),
-            idle: PoissonArrivals::new(idle_rate),
-            switch_prob,
-            in_burst: true,
-        }
-    }
-}
-
-impl ArrivalProcess for BurstyArrivals {
-    fn next_gap(&mut self, rng: &mut StdRng) -> Timestamp {
-        if rng.gen::<f64>() < self.switch_prob {
-            self.in_burst = !self.in_burst;
-        }
-        if self.in_burst {
-            self.burst.next_gap(rng)
-        } else {
-            self.idle.next_gap(rng)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,16 +96,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(c.next_gap(&mut rng), 20);
         }
-    }
-
-    #[test]
-    fn bursty_mixes_two_rates() {
-        let mut b = BurstyArrivals::new(1_000.0, 1.0, 0.01);
-        let mut rng = seeded_rng(3);
-        let gaps: Vec<u64> = (0..50_000).map(|_| b.next_gap(&mut rng)).collect();
-        let small = gaps.iter().filter(|&&g| g < 10).count();
-        let large = gaps.iter().filter(|&&g| g > 100).count();
-        assert!(small > 1_000, "no burst phase observed");
-        assert!(large > 1_000, "no idle phase observed");
     }
 }

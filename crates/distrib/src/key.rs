@@ -79,9 +79,6 @@ pub struct ZipfianKeys {
 }
 
 impl ZipfianKeys {
-    /// YCSB's default skew constant.
-    pub const DEFAULT_THETA: f64 = 0.99;
-
     /// Creates a zipfian distribution over `[0, n)` with skew `theta`.
     ///
     /// # Panics

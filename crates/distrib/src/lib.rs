@@ -8,7 +8,7 @@
 //!   YCSB — uniform, zipfian, scrambled-zipfian, hotspot, sequential,
 //!   exponential, latest — plus empirical CDFs ([`key::Ecdf`]).
 //! * [`ArrivalProcess`] implementations — Poisson (exponential
-//!   inter-arrivals), constant rate, and bursty on/off.
+//!   inter-arrivals) and constant rate.
 //! * [`ValueSizeDistribution`] — constant, uniform, and log-normal sizes.
 //!
 //! All generators are deterministic given a seed, so experiments are
@@ -18,7 +18,7 @@ pub mod arrival;
 pub mod key;
 pub mod value;
 
-pub use arrival::{ArrivalProcess, BurstyArrivals, ConstantArrivals, PoissonArrivals};
+pub use arrival::{ArrivalProcess, ConstantArrivals, PoissonArrivals};
 pub use key::{
     seeded_rng, splitmix64, ConstantKey, Ecdf, ExponentialKeys, HotspotKeys, KeyDistribution,
     LatestKeys, ScrambledZipfian, SequentialKeys, UniformKeys, ZipfianKeys,

@@ -6,7 +6,8 @@
 //!
 //! * a sharded **hash index** mapping keys to log addresses — O(1) point
 //!   lookups, the property that makes FASTER dominate incremental
-//!   streaming operators in the paper (§6.5);
+//!   streaming operators in the paper (§6.5) — keyed like `MemStore`'s
+//!   table, with `gadget_kv::Key` and the unkeyed `TableHash`;
 //! * per-shard **record logs** with a mutable tail region: updates whose
 //!   new value fits the record's allocated capacity and whose record lies
 //!   in the tail are performed **in place**; all other updates append a new
@@ -15,7 +16,8 @@
 //!   appending to a growing value costs O(value) — exactly the behaviour
 //!   the paper contrasts with RocksDB's lazy merge on holistic windows;
 //! * log **garbage collection** that compacts a shard when dead bytes
-//!   exceed a configurable fraction.
+//!   exceed a configurable fraction, in log order as FASTER does, so the
+//!   same input gives the same log and counters on every run.
 //!
 //! # Examples
 //!
@@ -35,7 +37,7 @@ use std::path::Path;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use gadget_kv::durability::{read_kv_records, write_snapshot_file};
+use gadget_kv::durability::{checkpoint_snapshot, restore_snapshot};
 use gadget_kv::{
     apply_ops_serially, BatchResult, CheckpointManifest, Durability, StateStore, StoreCounters,
     StoreError,
@@ -231,36 +233,16 @@ impl StateStore for HashLogStore {
     }
 
     fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::path_io("open", dir, e))?;
-        // Walk the hash index shard by shard: one live record per key.
-        // Deletes leave no tombstones in the log, so the index walk (not
-        // a raw log copy) is the only faithful snapshot.
-        let mut records: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            shard
-                .lock()
-                .for_each_live(|k, v| records.push((k.to_vec(), v.to_vec())));
-        }
-        let bytes = write_snapshot_file(
-            &dir.join(SNAPSHOT_NAME),
-            records.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
-        )?;
-        let mut manifest = CheckpointManifest::new(self.name());
-        manifest.push_file(SNAPSHOT_NAME, bytes);
-        manifest.save(dir)?;
-        Ok(manifest)
+        // Walk the hash index, every shard locked: one live record per
+        // key. Deletes leave no tombstones in the log, so the index walk
+        // (not a raw log copy) is the only faithful snapshot.
+        let shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let records = shards.iter().flat_map(|s| s.live()).collect();
+        checkpoint_snapshot(dir, self.name(), SNAPSHOT_NAME, records)
     }
 
     fn restore(&self, dir: &Path) -> Result<(), StoreError> {
-        let manifest = CheckpointManifest::load(dir)?;
-        if manifest.store != self.name() {
-            return Err(StoreError::Corruption(format!(
-                "checkpoint was taken by store {:?}, not {:?}",
-                manifest.store,
-                self.name()
-            )));
-        }
-        let records = read_kv_records(&dir.join(SNAPSHOT_NAME))?;
+        let records = restore_snapshot(dir, self.name(), SNAPSHOT_NAME)?;
         // Rebuild every shard from scratch, re-hashing each record: the
         // snapshot is shard-layout-independent, so a store configured
         // with a different shard count restores the same state.

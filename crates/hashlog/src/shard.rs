@@ -3,15 +3,88 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
+use gadget_kv::{Key, TableHash};
 
 use crate::HashLogConfig;
 
-/// Record header: `[klen u16][vcap u32][vlen u32]`.
+/// Record header length: `[klen u16][vcap u32][vlen u32]`. The key
+/// follows, then `vcap` bytes of which the first `vlen` are the value.
 const HEADER: usize = 10;
+
+/// A record's header, decoded. [`Header::read`] and [`Header::encode`] are
+/// the record format's only codec.
+#[derive(Clone, Copy)]
+struct Header {
+    klen: usize,
+    vcap: usize,
+    vlen: usize,
+}
+
+impl Header {
+    fn read(log: &[u8], addr: usize) -> Header {
+        let word = |at: usize| {
+            let at = addr + at;
+            u32::from_le_bytes(log[at..at + 4].try_into().expect("4 bytes")) as usize
+        };
+        Header {
+            klen: u16::from_le_bytes([log[addr], log[addr + 1]]) as usize,
+            vcap: word(2),
+            vlen: word(6),
+        }
+    }
+
+    /// Panics where a length does not fit its field, rather than
+    /// writing a header that misdescribes the record.
+    fn encode(self) -> [u8; HEADER] {
+        let klen = u16::try_from(self.klen).expect("hash-log keys are under 64 KiB");
+        let word = |n: usize| u32::try_from(n).expect("hash-log values are under 4 GiB");
+        let mut out = [0; HEADER];
+        out[..2].copy_from_slice(&klen.to_le_bytes());
+        out[2..6].copy_from_slice(&word(self.vcap).to_le_bytes());
+        out[6..].copy_from_slice(&word(self.vlen).to_le_bytes());
+        out
+    }
+
+    /// Bytes the record takes in the log.
+    fn size(self) -> usize {
+        HEADER + self.klen + self.vcap
+    }
+
+    /// Offset of the value's first byte from the record's address.
+    fn value_offset(self) -> usize {
+        HEADER + self.klen
+    }
+}
+
+/// Appends a record with a `klen`-byte key and a `vlen`-byte value to
+/// `log` and returns its address. `body` appends the key then the value;
+/// `slack` spare bytes follow, so the value can grow in place. Every
+/// record (insert, copy-update, GC) is written here.
+fn append_record(
+    log: &mut Vec<u8>,
+    slack: usize,
+    klen: usize,
+    vlen: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let addr = log.len();
+    let header = Header {
+        klen,
+        vcap: vlen + slack,
+        vlen,
+    };
+    log.reserve(header.size());
+    log.extend_from_slice(&header.encode());
+    body(log);
+    debug_assert_eq!(log.len(), addr + HEADER + klen + vlen);
+    log.resize(addr + header.size(), 0);
+    addr
+}
 
 /// A single-threaded shard; the store wraps each shard in a mutex.
 pub struct Shard {
-    index: HashMap<Vec<u8>, usize>,
+    /// Each live key's record address.
+    index: HashMap<Key, usize, TableHash>,
     log: Vec<u8>,
     dead_bytes: usize,
     config: HashLogConfig,
@@ -24,7 +97,7 @@ impl Shard {
     /// Creates an empty shard.
     pub fn new(config: HashLogConfig) -> Self {
         Shard {
-            index: HashMap::new(),
+            index: HashMap::default(),
             log: Vec::new(),
             dead_bytes: 0,
             config,
@@ -39,119 +112,81 @@ impl Shard {
         self.index.len()
     }
 
-    fn record_vcap(&self, addr: usize) -> usize {
-        u32::from_le_bytes(self.log[addr + 2..addr + 6].try_into().unwrap()) as usize
+    fn value(&self, addr: usize) -> &[u8] {
+        let h = Header::read(&self.log, addr);
+        let start = addr + h.value_offset();
+        &self.log[start..start + h.vlen]
     }
 
-    fn record_klen(&self, addr: usize) -> usize {
-        u16::from_le_bytes(self.log[addr..addr + 2].try_into().unwrap()) as usize
-    }
-
-    fn record_vlen(&self, addr: usize) -> usize {
-        u32::from_le_bytes(self.log[addr + 6..addr + 10].try_into().unwrap()) as usize
-    }
-
-    fn record_size(&self, addr: usize) -> usize {
-        HEADER + self.record_klen(addr) + self.record_vcap(addr)
-    }
-
-    fn value_range(&self, addr: usize) -> (usize, usize) {
-        let start = addr + HEADER + self.record_klen(addr);
-        (start, start + self.record_vlen(addr))
-    }
-
-    /// Whether a record address lies in the in-place-updatable tail region.
-    fn in_mutable_region(&self, addr: usize) -> bool {
-        addr + self.config.mutable_bytes >= self.log.len()
-    }
-
-    fn append_record(&mut self, key: &[u8], value: &[u8]) -> usize {
-        let vcap = value.len() + self.config.value_slack;
-        let addr = self.log.len();
-        self.log.reserve(HEADER + key.len() + vcap);
-        self.log
-            .extend_from_slice(&(key.len() as u16).to_le_bytes());
-        self.log.extend_from_slice(&(vcap as u32).to_le_bytes());
-        self.log
-            .extend_from_slice(&(value.len() as u32).to_le_bytes());
-        self.log.extend_from_slice(key);
-        self.log.extend_from_slice(value);
-        self.log.resize(addr + HEADER + key.len() + vcap, 0);
-        addr
-    }
-
-    /// Visits every live record (exactly one per key, via the hash
-    /// index) as `(key, value)` slices — the checkpoint walk. The raw
-    /// log is *not* snapshot-restorable on its own: deletes drop index
-    /// entries without writing tombstones, so only the index knows
-    /// which records are alive.
-    pub fn for_each_live(&self, mut f: impl FnMut(&[u8], &[u8])) {
-        for (key, &addr) in &self.index {
-            let (start, end) = self.value_range(addr);
-            f(key, &self.log[start..end]);
-        }
+    /// Every live record (exactly one per key, via the hash index) as
+    /// `(key, value)` — the checkpoint walk. The raw log is *not*
+    /// snapshot-restorable on its own: deletes drop index entries without
+    /// writing tombstones, so only the index knows which records are alive.
+    pub fn live(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.index
+            .iter()
+            .map(|(key, &addr)| (key.as_slice(), self.value(addr)))
     }
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         let &addr = self.index.get(key)?;
-        let (start, end) = self.value_range(addr);
-        Some(Bytes::copy_from_slice(&self.log[start..end]))
+        Some(Bytes::copy_from_slice(self.value(addr)))
     }
 
     /// Insert or overwrite.
     pub fn upsert(&mut self, key: &[u8], value: &[u8]) {
-        if let Some(&addr) = self.index.get(key) {
-            if self.in_mutable_region(addr) && value.len() <= self.record_vcap(addr) {
-                // In-place update.
-                let klen = self.record_klen(addr);
-                self.log[addr + 6..addr + 10].copy_from_slice(&(value.len() as u32).to_le_bytes());
-                let start = addr + HEADER + klen;
-                self.log[start..start + value.len()].copy_from_slice(value);
-                self.in_place_updates += 1;
-                return;
-            }
-            // Read-copy-update: retire the old record.
-            self.dead_bytes += self.record_size(addr);
-            self.copy_updates += 1;
-        }
-        let addr = self.append_record(key, value);
-        self.index.insert(key.to_vec(), addr);
-        self.maybe_gc();
+        self.write(key, false, value);
     }
 
     /// Read-modify-write append: the merge translation for this store.
     pub fn rmw_append(&mut self, key: &[u8], operand: &[u8]) {
-        match self.index.get(key).copied() {
-            None => self.upsert(key, operand),
-            Some(addr) => {
-                let (start, end) = self.value_range(addr);
-                let vlen = end - start;
-                let new_len = vlen + operand.len();
-                if self.in_mutable_region(addr) && new_len <= self.record_vcap(addr) {
-                    // Grow in place within the allocated capacity.
-                    self.log[addr + 6..addr + 10].copy_from_slice(&(new_len as u32).to_le_bytes());
-                    self.log[end..end + operand.len()].copy_from_slice(operand);
-                    self.in_place_updates += 1;
-                } else {
-                    // Copy the full value and append — O(value) cost.
-                    let mut value = Vec::with_capacity(new_len);
-                    value.extend_from_slice(&self.log[start..end]);
-                    value.extend_from_slice(operand);
-                    self.dead_bytes += self.record_size(addr);
-                    self.copy_updates += 1;
-                    let addr = self.append_record(key, &value);
-                    self.index.insert(key.to_vec(), addr);
-                    self.maybe_gc();
-                }
-            }
+        self.write(key, true, operand);
+    }
+
+    /// Sets `key`'s value to `bytes`, or to its current value followed by
+    /// `bytes` when `append`. In place when the record lies in the mutable
+    /// tail and the new value fits its capacity; otherwise the record is
+    /// read-copy-updated to the tail.
+    fn write(&mut self, key: &[u8], append: bool, bytes: &[u8]) {
+        let slack = self.config.value_slack;
+        let Some(slot) = self.index.get_mut(key) else {
+            let addr = append_record(&mut self.log, slack, key.len(), bytes.len(), |log| {
+                log.extend_from_slice(key);
+                log.extend_from_slice(bytes);
+            });
+            self.index.insert(Key::new(key), addr);
+            self.maybe_gc();
+            return;
+        };
+        let addr = *slot;
+        let old = Header::read(&self.log, addr);
+        let kept = if append { old.vlen } else { 0 };
+        let vlen = kept + bytes.len();
+        if addr + self.config.mutable_bytes >= self.log.len() && vlen <= old.vcap {
+            let header = Header { vlen, ..old };
+            self.log[addr..addr + HEADER].copy_from_slice(&header.encode());
+            let at = addr + old.value_offset() + kept;
+            self.log[at..at + bytes.len()].copy_from_slice(bytes);
+            self.in_place_updates += 1;
+            return;
         }
+        // Read-copy-update: the key and any kept value bytes are copied
+        // from the old record, which is retired.
+        let kept_end = addr + old.value_offset() + kept;
+        *slot = append_record(&mut self.log, slack, old.klen, vlen, |log| {
+            log.extend_from_within(addr + HEADER..kept_end);
+            log.extend_from_slice(bytes);
+        });
+        self.dead_bytes += old.size();
+        self.copy_updates += 1;
+        self.maybe_gc();
     }
 
     /// Removes a key.
     pub fn delete(&mut self, key: &[u8]) {
         if let Some(addr) = self.index.remove(key) {
-            self.dead_bytes += self.record_size(addr);
+            self.dead_bytes += Header::read(&self.log, addr).size();
             self.maybe_gc();
         }
     }
@@ -169,28 +204,28 @@ impl Shard {
             gadget_obs::trace::Category::HashlogGc,
             self.dead_bytes as u64,
         );
-        // Compact: rewrite live records into a fresh log.
-        let mut new_log = Vec::with_capacity(self.log.len().saturating_sub(self.dead_bytes));
-        let mut new_index = HashMap::with_capacity(self.index.len());
-        // Preserve insertion-order-independent correctness by walking the
-        // index (order irrelevant: one live record per key).
-        let entries: Vec<(Vec<u8>, usize)> =
-            self.index.iter().map(|(k, &a)| (k.clone(), a)).collect();
-        for (key, addr) in entries {
-            let (start, end) = self.value_range(addr);
-            let value = self.log[start..end].to_vec();
-            let vcap = value.len() + self.config.value_slack;
-            let new_addr = new_log.len();
-            new_log.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            new_log.extend_from_slice(&(vcap as u32).to_le_bytes());
-            new_log.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            new_log.extend_from_slice(&key);
-            new_log.extend_from_slice(&value);
-            new_log.resize(new_addr + HEADER + key.len() + vcap, 0);
-            new_index.insert(key, new_addr);
+        // Compact in log order, as FASTER does: walk the old log and keep
+        // a record only when the index still points at it. Survivors keep
+        // their relative order, so recent records stay in the mutable tail.
+        let live_bytes = self.log.len().saturating_sub(self.dead_bytes);
+        let old = std::mem::replace(&mut self.log, Vec::with_capacity(live_bytes));
+        let mut addr = 0;
+        while addr < old.len() {
+            let h = Header::read(&old, addr);
+            let record = &old[addr + HEADER..addr + h.value_offset() + h.vlen];
+            if let Some(slot) = self.index.get_mut(&record[..h.klen]) {
+                if *slot == addr {
+                    *slot = append_record(
+                        &mut self.log,
+                        self.config.value_slack,
+                        h.klen,
+                        h.vlen,
+                        |log| log.extend_from_slice(record),
+                    );
+                }
+            }
+            addr += h.size();
         }
-        self.log = new_log;
-        self.index = new_index;
         self.dead_bytes = 0;
         self.gc_runs += 1;
     }
@@ -306,5 +341,34 @@ mod tests {
         assert!(s.stats().iter().any(|&(k, v)| k == "gc_runs" && v > 0));
         assert_eq!(s.get(b"churn").unwrap().len(), 4 + 49 * 20);
         assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "under 64 KiB")]
+    fn a_key_the_header_cannot_describe_is_refused_not_truncated() {
+        shard().upsert(&[7; 1 << 16], b"v");
+    }
+
+    #[test]
+    fn gc_keeps_live_records_in_log_order() {
+        let mut cfg = HashLogConfig::small();
+        cfg.gc_min_bytes = 0;
+        cfg.gc_dead_fraction = 0.4;
+        let mut s = Shard::new(cfg);
+        for k in [b"c", b"a", b"d", b"b"] {
+            s.upsert(k, b"v");
+        }
+        s.delete(b"d");
+        s.delete(b"c"); // Half the log is dead: compact.
+        assert_eq!(s.gc_runs, 1);
+        let order: Vec<&[u8]> = {
+            let mut live: Vec<(usize, &[u8])> =
+                s.index.iter().map(|(k, &a)| (a, k.as_slice())).collect();
+            live.sort_unstable();
+            live.into_iter().map(|(_, k)| k).collect()
+        };
+        assert_eq!(order, [&b"a"[..], b"b"]);
+        assert_eq!(s.dead_bytes, 0);
+        assert_eq!(s.log.len(), 2 * (HEADER + 1 + 1 + 8));
     }
 }

@@ -13,8 +13,8 @@
 //! The module also hosts the crash-safety file primitives shared by the
 //! backends: [`fsync_dir`] (persist a create/rename of a directory entry —
 //! without it a crash can lose the rename itself) and a simple
-//! checksummed key-value record codec ([`write_kv_record`] /
-//! [`read_kv_records`]) used by the snapshot-only backends. `fsync_dir`
+//! checksummed key-value snapshot ([`checkpoint_snapshot`] /
+//! [`restore_snapshot`]) for the snapshot-only backends. `fsync_dir`
 //! counts its calls in a process-global counter ([`dir_fsync_count`])
 //! purely as an injection/observation hook for crash tests.
 
@@ -198,6 +198,29 @@ impl CheckpointManifest {
             .map_err(|e| StoreError::path_io("open", path.clone(), e))?;
         Self::decode(&text)
     }
+
+    /// Loads the manifest from `dir` for a restore into `store`: it must
+    /// have been written by a store of that name, and be a sharded
+    /// super-checkpoint exactly when `super_checkpoint`. Every restore
+    /// starts here, before it touches a data file.
+    pub fn load_for(dir: &Path, store: &str, super_checkpoint: bool) -> Result<Self, StoreError> {
+        let manifest = Self::load(dir)?;
+        if manifest.store != store {
+            return Err(StoreError::Corruption(format!(
+                "checkpoint was taken by store {:?}, not {store:?}",
+                manifest.store
+            )));
+        }
+        match (manifest.shards, super_checkpoint) {
+            (0, true) => Err(StoreError::Corruption(
+                "checkpoint is not a super-checkpoint; restore it into a plain store".to_string(),
+            )),
+            (n, false) if n != 0 => Err(StoreError::Corruption(format!(
+                "checkpoint is a {n}-shard super-checkpoint; restore it through ShardedStore"
+            ))),
+            _ => Ok(manifest),
+        }
+    }
 }
 
 /// Calls to [`fsync_dir`] since process start (injection/observation hook
@@ -236,7 +259,7 @@ pub fn link_or_copy(src: &Path, dst: &Path) -> io::Result<()> {
 
 /// Appends one checksummed key-value record:
 /// `[klen u32][vlen u32][fnv1a(key ∥ value) u64] key value`.
-pub fn write_kv_record(w: &mut impl Write, key: &[u8], value: &[u8]) -> io::Result<()> {
+fn write_kv_record(w: &mut impl Write, key: &[u8], value: &[u8]) -> io::Result<()> {
     let mut body = Vec::with_capacity(key.len() + value.len());
     body.extend_from_slice(key);
     body.extend_from_slice(value);
@@ -255,7 +278,7 @@ pub type KvRecords = Vec<(Vec<u8>, Vec<u8>)>;
 /// Unlike a WAL, a snapshot file is written in one piece and committed by
 /// the manifest, so *any* framing or checksum failure is corruption, not
 /// a torn tail.
-pub fn read_kv_records(path: &Path) -> Result<KvRecords, StoreError> {
+fn read_kv_records(path: &Path) -> Result<KvRecords, StoreError> {
     let mut data = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut data))
@@ -291,7 +314,7 @@ pub fn read_kv_records(path: &Path) -> Result<KvRecords, StoreError> {
 
 /// Writes `records` as a checksummed snapshot file at `path` (truncating),
 /// fsyncing the file and its parent directory. Returns bytes written.
-pub fn write_snapshot_file<'a>(
+fn write_snapshot_file<'a>(
     path: &Path,
     records: impl Iterator<Item = (&'a [u8], &'a [u8])>,
 ) -> Result<u64, StoreError> {
@@ -313,6 +336,31 @@ pub fn write_snapshot_file<'a>(
     std::fs::metadata(path)
         .map(|m| m.len())
         .map_err(|e| StoreError::path_io("open", path.to_path_buf(), e))
+}
+
+/// Checkpoints a snapshot-only store into `dir`: `records`, sorted by
+/// key, as the one data file `file`, committed by a manifest naming
+/// `store`. Keys must be unique.
+pub fn checkpoint_snapshot(
+    dir: &Path,
+    store: &str,
+    file: &str,
+    mut records: Vec<(&[u8], &[u8])>,
+) -> Result<CheckpointManifest, StoreError> {
+    std::fs::create_dir_all(dir).map_err(|e| StoreError::path_io("open", dir, e))?;
+    records.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let bytes = write_snapshot_file(&dir.join(file), records.into_iter())?;
+    let mut manifest = CheckpointManifest::new(store);
+    manifest.push_file(file, bytes);
+    manifest.save(dir)?;
+    Ok(manifest)
+}
+
+/// Reads back the records of a [`checkpoint_snapshot`] taken by `store`,
+/// after checking its manifest ([`CheckpointManifest::load_for`]).
+pub fn restore_snapshot(dir: &Path, store: &str, file: &str) -> Result<KvRecords, StoreError> {
+    CheckpointManifest::load_for(dir, store, false)?;
+    read_kv_records(&dir.join(file))
 }
 
 /// The path of shard `index`'s sub-checkpoint inside a sharded

@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 use gadget_obs::{MetricsRegistry, MetricsSnapshot};
 use gadget_types::Op;
 
-use crate::durability::{read_kv_records, write_snapshot_file, CheckpointManifest, Durability};
+use crate::durability::{checkpoint_snapshot, restore_snapshot, CheckpointManifest, Durability};
 use crate::error::StoreError;
 use crate::hash::TableHash;
 use crate::key::Key;
@@ -144,31 +144,13 @@ impl StateStore for MemStore {
     }
 
     fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::path_io("open", dir, e))?;
         let map = self.map.read();
-        let mut entries: Vec<(&Key, &Bytes)> = map.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        let bytes = write_snapshot_file(
-            &dir.join(SNAPSHOT_NAME),
-            entries.iter().map(|(k, v)| (k.as_slice(), v.as_ref())),
-        )?;
-        drop(map);
-        let mut manifest = CheckpointManifest::new(self.name());
-        manifest.push_file(SNAPSHOT_NAME, bytes);
-        manifest.save(dir)?;
-        Ok(manifest)
+        let records = map.iter().map(|(k, v)| (k.as_slice(), v.as_ref()));
+        checkpoint_snapshot(dir, self.name(), SNAPSHOT_NAME, records.collect())
     }
 
     fn restore(&self, dir: &Path) -> Result<(), StoreError> {
-        let manifest = CheckpointManifest::load(dir)?;
-        if manifest.store != self.name() {
-            return Err(StoreError::Corruption(format!(
-                "checkpoint was taken by store {:?}, not {:?}",
-                manifest.store,
-                self.name()
-            )));
-        }
-        let records = read_kv_records(&dir.join(SNAPSHOT_NAME))?;
+        let records = restore_snapshot(dir, self.name(), SNAPSHOT_NAME)?;
         let mut map = self.map.write();
         map.clear();
         for (k, v) in records {

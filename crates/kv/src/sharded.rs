@@ -683,14 +683,7 @@ impl StateStore for ShardedStore {
     ///
     /// [`checkpoint`]: StateStore::checkpoint
     fn restore(&self, dir: &Path) -> Result<(), StoreError> {
-        let manifest = CheckpointManifest::load(dir)?;
-        if manifest.store != self.name() {
-            return Err(StoreError::Corruption(format!(
-                "checkpoint was taken by store {:?}, not {:?}",
-                manifest.store,
-                self.name()
-            )));
-        }
+        let manifest = CheckpointManifest::load_for(dir, self.name(), true)?;
         let _serial = self.serial.lock();
         let (shards, digest) = self.quiesced("restore")?;
         if manifest.shards as usize != shards.len() {

@@ -530,20 +530,7 @@ impl LsmStore {
 
     fn restore_impl(&self, dir: &Path) -> Result<(), StoreError> {
         let inner = &self.inner;
-        let manifest = CheckpointManifest::load(dir)?;
-        if manifest.store != self.name() {
-            return Err(StoreError::Corruption(format!(
-                "checkpoint was taken by store {:?}, not {:?}",
-                manifest.store,
-                self.name()
-            )));
-        }
-        if manifest.shards != 0 {
-            return Err(StoreError::Corruption(format!(
-                "checkpoint is a {}-shard super-checkpoint; restore it through ShardedStore",
-                manifest.shards
-            )));
-        }
+        let manifest = CheckpointManifest::load_for(dir, self.name(), false)?;
         let mut state = inner.state.lock();
         if state.closed {
             return Err(StoreError::Closed);

@@ -2,8 +2,8 @@
 //!
 //! A materialized operation carries real payload bytes (unlike
 //! [`StateAccess`](crate::StateAccess), which records only sizes), so a batch
-//! can be handed to a store verbatim. [`OpBatch`] is the unit the replayer and
-//! driver accumulate into before calling
+//! can be handed to a store verbatim. A `&[Op]` slice is the unit the
+//! replayer and driver accumulate into before calling
 //! `StateStore::apply_batch`; stores that implement batching natively
 //! amortize lock acquisition and (for the WAL-backed LSM) fsync across the
 //! whole batch.
@@ -105,83 +105,6 @@ impl Op {
     }
 }
 
-/// An ordered batch of operations.
-///
-/// Semantically equivalent to applying each op in order; batching changes
-/// only how the cost is paid (one lock acquisition, one group-commit fsync),
-/// never the result.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpBatch {
-    ops: Vec<Op>,
-}
-
-impl OpBatch {
-    /// Creates an empty batch.
-    pub fn new() -> Self {
-        OpBatch::default()
-    }
-
-    /// Creates an empty batch with room for `cap` ops.
-    pub fn with_capacity(cap: usize) -> Self {
-        OpBatch {
-            ops: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Appends an operation.
-    pub fn push(&mut self, op: Op) {
-        self.ops.push(op);
-    }
-
-    /// Number of operations in the batch.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Returns true if the batch holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Clears the batch, retaining its allocation for reuse.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-    }
-
-    /// The operations, in application order.
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
-    }
-
-    /// Total payload bytes carried by the batch (keys excluded).
-    pub fn payload_bytes(&self) -> usize {
-        self.ops.iter().map(|op| op.payload().len()).sum()
-    }
-}
-
-impl From<Vec<Op>> for OpBatch {
-    fn from(ops: Vec<Op>) -> Self {
-        OpBatch { ops }
-    }
-}
-
-impl std::ops::Deref for OpBatch {
-    type Target = [Op];
-
-    fn deref(&self) -> &[Op] {
-        &self.ops
-    }
-}
-
-impl<'a> IntoIterator for &'a OpBatch {
-    type Item = &'a Op;
-    type IntoIter = std::slice::Iter<'a, Op>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.ops.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,27 +128,5 @@ mod tests {
         assert_eq!(ops[3].payload(), b"");
         assert!(!ops[0].is_write());
         assert!(ops[1].is_write() && ops[2].is_write() && ops[3].is_write());
-    }
-
-    #[test]
-    fn batch_push_len_clear() {
-        let mut b = OpBatch::with_capacity(4);
-        assert!(b.is_empty());
-        b.push(Op::put(&b"a"[..], &b"12"[..]));
-        b.push(Op::merge(&b"b"[..], &b"345"[..]));
-        b.push(Op::get(&b"a"[..]));
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.payload_bytes(), 5);
-        assert_eq!(b.ops()[2].op_type(), OpType::Get);
-        b.clear();
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn batch_derefs_to_slice() {
-        let b = OpBatch::from(vec![Op::get(&b"x"[..])]);
-        let slice: &[Op] = &b;
-        assert_eq!(slice.len(), 1);
-        assert_eq!(b.iter().count(), 1);
     }
 }

@@ -10,8 +10,8 @@
 //!   `a = (p, k, v, t)` of the paper (§2.3).
 //! * [`Trace`] — a recorded state-access stream that can be analyzed or
 //!   replayed against a store.
-//! * [`Op`] / [`OpBatch`] — materialized operations (with payload bytes)
-//!   grouped into batches for `StateStore::apply_batch`.
+//! * [`Op`] — a materialized operation (with payload bytes); a slice of
+//!   them is a batch for `StateStore::apply_batch`.
 //!
 //! Everything here is plain data: no I/O beyond trace (de)serialization, no
 //! randomness, no store logic.
@@ -22,7 +22,7 @@ pub mod op;
 pub mod time;
 pub mod trace;
 
-pub use batch::{Op, OpBatch};
+pub use batch::Op;
 pub use event::{Event, StreamElement, StreamId};
 pub use op::{OpType, StateAccess, StateKey};
 pub use time::Timestamp;

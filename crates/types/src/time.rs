@@ -11,15 +11,6 @@
 /// from the wall-clock time at which the event reaches an operator.
 pub type Timestamp = u64;
 
-/// Number of milliseconds in one second of event time.
-pub const MILLIS_PER_SEC: Timestamp = 1_000;
-
-/// Number of milliseconds in one minute of event time.
-pub const MILLIS_PER_MIN: Timestamp = 60 * MILLIS_PER_SEC;
-
-/// Number of milliseconds in one hour of event time.
-pub const MILLIS_PER_HOUR: Timestamp = 60 * MILLIS_PER_MIN;
-
 /// Returns the start timestamp of the window of the given `length` that
 /// contains `ts`, with windows aligned to multiples of `length` shifted by
 /// `offset`.

@@ -264,83 +264,6 @@ impl StatsCounter {
     }
 }
 
-impl Trace {
-    /// Writes the trace as CSV (`op,group,ns,value_size,ts` with a header
-    /// row), for interoperability with external tooling and the original
-    /// Gadget artifact's text traces.
-    pub fn save_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        writeln!(w, "op,group,ns,value_size,ts")?;
-        for a in &self.accesses {
-            writeln!(
-                w,
-                "{},{},{},{},{}",
-                a.op.name(),
-                a.key.group,
-                a.key.ns,
-                a.value_size,
-                a.ts
-            )?;
-        }
-        w.flush()
-    }
-
-    /// Reads a trace previously written by [`Trace::save_csv`] (or any CSV
-    /// with the same five columns).
-    ///
-    /// Returns `InvalidData` on malformed rows or unknown operation names.
-    pub fn load_csv<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        use std::io::BufRead;
-        let r = BufReader::new(File::open(path)?);
-        let bad = |line: usize, what: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("csv line {line}: {what}"),
-            )
-        };
-        let mut accesses = Vec::new();
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if i == 0 && line.starts_with("op,") {
-                continue; // Header.
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut cols = line.split(',');
-            let op = match cols.next().ok_or_else(|| bad(i, "missing op"))? {
-                "get" => OpType::Get,
-                "put" => OpType::Put,
-                "merge" => OpType::Merge,
-                "delete" => OpType::Delete,
-                other => return Err(bad(i, &format!("unknown op {other}"))),
-            };
-            let mut num = |name: &str| -> io::Result<u64> {
-                cols.next()
-                    .ok_or_else(|| bad(i, &format!("missing {name}")))?
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad(i, &format!("bad {name}")))
-            };
-            let group = num("group")?;
-            let ns = num("ns")?;
-            let value_size = num("value_size")? as u32;
-            let ts = num("ts")?;
-            accesses.push(StateAccess {
-                op,
-                key: StateKey { group, ns },
-                value_size,
-                ts,
-            });
-        }
-        Ok(Trace {
-            accesses,
-            input_events: 0,
-            input_distinct_keys: 0,
-        })
-    }
-}
-
 impl FromIterator<StateAccess> for Trace {
     fn from_iter<I: IntoIterator<Item = StateAccess>>(iter: I) -> Self {
         Trace {
@@ -466,26 +389,6 @@ mod tests {
         t.save(&path).unwrap();
         let loaded = Trace::load(&path).unwrap();
         assert_eq!(t, loaded);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let dir = TestDir::new("types-csv-roundtrip");
-        let path = dir.path("roundtrip.csv");
-        let t = sample_trace();
-        t.save_csv(&path).unwrap();
-        let loaded = Trace::load_csv(&path).unwrap();
-        assert_eq!(t.accesses, loaded.accesses);
-    }
-
-    #[test]
-    fn csv_rejects_malformed_rows() {
-        let dir = TestDir::new("types-csv-rejects-malformed-rows");
-        let path = dir.path("bad.csv");
-        std::fs::write(&path, "op,group,ns,value_size,ts\nfrobnicate,1,2,3,4\n").unwrap();
-        assert!(Trace::load_csv(&path).is_err());
-        std::fs::write(&path, "op,group,ns,value_size,ts\nget,1,notanumber,3,4\n").unwrap();
-        assert!(Trace::load_csv(&path).is_err());
     }
 
     /// A header whose access count disagrees with the file's length is

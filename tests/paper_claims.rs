@@ -2,6 +2,8 @@
 //! at CI scale. These are the "shape" claims — who wins, what amplifies,
 //! which distributions diverge — not absolute numbers.
 
+mod common;
+
 use gadget::analysis::{
     key_sequence, ks_test, rank_normalize, shuffled_keys, stack_distances, ttl_distribution,
     unique_sequences,
@@ -9,7 +11,9 @@ use gadget::analysis::{
 use gadget::core::{Driver, GadgetConfig, OperatorKind};
 use gadget::datasets::DatasetSpec;
 use gadget::flinksim::run_reference;
-use gadget::kv::MemStore;
+use gadget::hashlog::{HashLogConfig, HashLogStore};
+use gadget::kv::{MemStore, StateStore};
+use gadget::lsm::{LsmConfig, LsmStore};
 use gadget::types::OpType;
 use gadget::ycsb::{RequestDistribution, YcsbConfig};
 
@@ -221,4 +225,102 @@ fn finding_watermark_frequency_grows_working_set() {
         slow as f64 > 1.3 * fast as f64,
         "slow {slow} vs fast {fast}"
     );
+}
+
+/// §6.5, the mechanism behind Fig. 13's holistic column: appending to a
+/// window bucket is an O(1) merge on the LSM, which folds the operands
+/// only when the bucket is read, but a read-modify-write on the hash-log,
+/// which copies the whole grown value to the log tail every time.
+/// Asserted on the stores' work counters, never on time.
+#[test]
+fn finding_holistic_appends_are_merges_on_the_lsm_and_copies_on_the_hashlog() {
+    const BUCKETS: u64 = 8;
+    const APPENDS: u64 = 200;
+    const OPERAND: [u8; 64] = [5; 64];
+    let append_to_buckets = |store: &dyn StateStore| {
+        for _ in 0..APPENDS {
+            for b in 0..BUCKETS {
+                store.merge(&b.to_be_bytes(), &OPERAND).unwrap();
+            }
+        }
+    };
+    let merges = BUCKETS * APPENDS;
+    let bucket_bytes = APPENDS as usize * OPERAND.len();
+
+    let tmp = common::TestDir::new("claims-holistic");
+    let lsm = LsmStore::open(tmp.path("lsm"), LsmConfig::small()).unwrap();
+    append_to_buckets(&lsm);
+    let snap = lsm.metrics().unwrap();
+    assert_eq!(snap.counter("merges"), Some(merges));
+    assert_eq!(
+        snap.counter("wal_appends"),
+        Some(merges),
+        "one log append each"
+    );
+    // Each append logs the same few bytes, however long its bucket is.
+    let wal_bytes = snap.counter("wal_bytes").unwrap();
+    assert!(
+        wal_bytes <= merges * (OPERAND.len() as u64 + 64),
+        "{wal_bytes} WAL bytes for {merges} merges"
+    );
+    for read in ["gets", "block_cache_hits", "block_cache_misses"] {
+        assert_eq!(snap.counter(read), Some(0), "{read} while appending");
+    }
+    for b in 0..BUCKETS {
+        let bucket = lsm.get(&b.to_be_bytes()).unwrap().unwrap();
+        assert_eq!(bucket.len(), bucket_bytes, "bucket {b} folds every operand");
+    }
+
+    // The same input on the hash-log, with GC off so the log keeps all it
+    // wrote: every append after a bucket's first copies the bucket.
+    let hashlog = HashLogStore::new(HashLogConfig {
+        gc_min_bytes: usize::MAX,
+        ..HashLogConfig::small()
+    });
+    append_to_buckets(&hashlog);
+    let snap = hashlog.metrics().unwrap();
+    assert_eq!(snap.counter("merges"), Some(merges));
+    assert_eq!(snap.counter("copy_updates"), Some(merges - BUCKETS));
+    assert_eq!(snap.counter("in_place_updates"), Some(0));
+    // The log holds every version of every bucket: on average half the
+    // final bucket per append, so it grows with the square of the appends.
+    let log_bytes = snap.gauge("log_bytes").unwrap() as u64;
+    let final_bytes = BUCKETS * bucket_bytes as u64;
+    assert!(
+        log_bytes >= final_bytes * APPENDS / 2,
+        "log {log_bytes} B for {final_bytes} B of buckets"
+    );
+    for b in 0..BUCKETS {
+        let bucket = hashlog.get(&b.to_be_bytes()).unwrap().unwrap();
+        assert_eq!(bucket.len(), bucket_bytes);
+    }
+}
+
+/// §6.5, the mechanism behind Fig. 13's incremental column: a fixed-size
+/// aggregate rewritten in a recent record is updated in place on the
+/// hash-log, so the log does not grow at all.
+#[test]
+fn finding_incremental_updates_stay_in_place_on_the_hashlog() {
+    const WINDOWS: u64 = 64;
+    const UPDATES: u64 = 200;
+    let hashlog = HashLogStore::new(HashLogConfig::small());
+    let update_all = |round: u64| {
+        for w in 0..WINDOWS {
+            let key = [w.to_be_bytes(), w.to_le_bytes()].concat();
+            hashlog.put(&key, &round.to_le_bytes()).unwrap();
+        }
+    };
+    update_all(0);
+    let first = hashlog.metrics().unwrap().gauge("log_bytes").unwrap();
+    for round in 1..UPDATES {
+        update_all(round);
+    }
+    let snap = hashlog.metrics().unwrap();
+    assert_eq!(
+        snap.counter("in_place_updates"),
+        Some(WINDOWS * (UPDATES - 1))
+    );
+    assert_eq!(snap.counter("copy_updates"), Some(0));
+    assert_eq!(snap.counter("gc_runs"), Some(0));
+    assert_eq!(snap.gauge("log_bytes"), Some(first), "the log did not grow");
 }
