@@ -3,6 +3,8 @@
 use std::io;
 use std::path::Path;
 
+use gadget_kv::StoreError;
+
 use crate::node::{LeafValue, Node, PAGE_SIZE};
 use crate::pager::Pager;
 
@@ -100,13 +102,14 @@ impl Tree {
         }
     }
 
-    /// Inserts or overwrites a key.
-    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
+    /// Inserts or overwrites a key; a page records a key's length in one
+    /// byte, so the key must be 1..=255 bytes.
+    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         if key.is_empty() || key.len() > 255 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "btree keys must be 1..=255 bytes",
-            ));
+            return Err(StoreError::InvalidArgument(format!(
+                "btree keys must be 1..=255 bytes, not {}",
+                key.len()
+            )));
         }
         // Fast path: in-place overwrite of an existing inline value when
         // the leaf stays within the page (BerkeleyDB-style in-place
@@ -471,8 +474,10 @@ mod tests {
     fn rejects_invalid_keys() {
         let dir = TestDir::new("tree-rejects-invalid-keys");
         let mut t = Tree::open(&dir.path("invalid.db"), BTreeConfig::small()).unwrap();
-        assert!(t.insert(b"", b"v").is_err());
-        assert!(t.insert(&[0u8; 256], b"v").is_err());
+        for key in [&b""[..], &[0u8; 256]] {
+            let refused = t.insert(key, b"v");
+            assert!(matches!(refused, Err(StoreError::InvalidArgument(_))));
+        }
     }
 
     #[test]

@@ -47,7 +47,19 @@ use gadget_types::Op;
 
 mod shard;
 
-use shard::Shard;
+use shard::{Shard, MAX_KEY_BYTES};
+
+/// Refuses a key longer than a record header can describe, before anything
+/// is written.
+fn check_key(key: &[u8]) -> Result<(), StoreError> {
+    if key.len() > MAX_KEY_BYTES {
+        return Err(StoreError::InvalidArgument(format!(
+            "hash-log keys are at most {MAX_KEY_BYTES} bytes, not {}",
+            key.len()
+        )));
+    }
+    Ok(())
+}
 
 /// Configuration for [`HashLogStore`].
 #[derive(Debug, Clone)]
@@ -202,12 +214,14 @@ impl StateStore for HashLogStore {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        check_key(key)?;
         self.counters.record_put();
         self.shard_for(key).lock().upsert(key, value);
         Ok(())
     }
 
     fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
+        check_key(key)?;
         self.counters.record_merge();
         self.shard_for(key).lock().rmw_append(key, operand);
         Ok(())
@@ -260,6 +274,11 @@ impl StateStore for HashLogStore {
         // sort has nothing to amortize over.
         if batch.len() <= 1 {
             return apply_ops_serially(self, batch);
+        }
+        for op in batch {
+            if let Op::Put { key, .. } | Op::Merge { key, .. } = op {
+                check_key(key)?;
+            }
         }
         // Partition the batch by shard and take each shard mutex once per
         // contiguous run. Reordering across shards is safe: same-key ops
@@ -353,6 +372,29 @@ mod tests {
         s.delete(b"a").unwrap();
         assert_eq!(s.get(b"a").unwrap(), None);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn keys_longer_than_a_header_describes_are_refused() {
+        let s = HashLogStore::new(HashLogConfig::small());
+        let longest = vec![7u8; MAX_KEY_BYTES];
+        let too_long = vec![7u8; MAX_KEY_BYTES + 1];
+        s.put(&longest, b"v").unwrap();
+        assert_eq!(s.get(&longest).unwrap().as_deref(), Some(&b"v"[..]));
+        fn refused<T>(r: Result<T, StoreError>) -> bool {
+            matches!(r, Err(StoreError::InvalidArgument(_)))
+        }
+        assert!(refused(s.put(&too_long, b"v")));
+        assert!(refused(s.merge(&too_long, b"v")));
+        // A batch is refused whole: its first write is not applied either.
+        let batch = [
+            Op::put(b"k".to_vec(), b"v".to_vec()),
+            Op::merge(too_long.clone(), b"v".to_vec()),
+        ];
+        assert!(refused(s.apply_batch(&batch)));
+        assert_eq!(s.get(b"k").unwrap(), None);
+        assert_eq!(s.get(&too_long).unwrap(), None);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

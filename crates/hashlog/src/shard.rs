@@ -11,6 +11,9 @@ use crate::HashLogConfig;
 /// follows, then `vcap` bytes of which the first `vlen` are the value.
 const HEADER: usize = 10;
 
+/// The longest key a record header can describe.
+pub(crate) const MAX_KEY_BYTES: usize = u16::MAX as usize;
+
 /// A record's header, decoded. [`Header::read`] and [`Header::encode`] are
 /// the record format's only codec.
 #[derive(Clone, Copy)]

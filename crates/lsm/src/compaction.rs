@@ -11,22 +11,19 @@
 //! 3. **Level size** — when level *i* exceeds its size target, its oldest
 //!    file is merged into level *i+1*.
 //!
-//! Execution is a streaming k-way merge ordered by `(key, age)`: for each
-//! key the newest entry wins, merge-operand stacks are folded onto the
-//! first full value or tombstone beneath them, and tombstones are dropped
-//! once the output level is the bottom of the tree for that key range.
+//! Execution is the streaming k-way merge scans use (`merge::MergedKeys`),
+//! over the input tables newest first: each key's versions resolve by the
+//! one merge rule, and tombstones are dropped once the output level is the
+//! bottom of the tree for that key range.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use crate::config::LsmConfig;
-use crate::memtable::{fold_merge, FlushEntry};
-use crate::sstable::{TableHandle, TableIterator, TableWriter};
+use crate::memtable::FlushEntry;
+use crate::merge::MergedKeys;
+use crate::sstable::{TableHandle, TableWriter};
 use crate::version::{table_path, Version};
 
 /// A planned compaction.
@@ -182,34 +179,6 @@ pub struct CompactionOutput {
     pub tombstones_dropped: u64,
 }
 
-struct HeapItem {
-    key: Vec<u8>,
-    entry: FlushEntry,
-    /// Smaller rank = newer data.
-    rank: usize,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.rank == other.rank
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so smallest (key, rank) pops first.
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-
 /// Executes `job`, writing outputs into `dir` with file numbers drawn from
 /// `next_file_no`.
 pub fn run_compaction(
@@ -219,13 +188,8 @@ pub fn run_compaction(
     next_file_no: &mut u64,
     creation_seq: u64,
 ) -> io::Result<CompactionOutput> {
-    let mut iters: Vec<TableIterator<'_>> = job.inputs.iter().map(|t| t.iter()).collect();
-    let mut heap = BinaryHeap::new();
-    for (rank, it) in iters.iter_mut().enumerate() {
-        if let Some((key, entry)) = it.next()? {
-            heap.push(HeapItem { key, entry, rank });
-        }
-    }
+    let sources = job.inputs.iter().map(|t| t.records()).collect();
+    let merged = MergedKeys::new(sources, job.bottom_most)?;
 
     let bytes_read: u64 = job.inputs.iter().map(|t| t.size).sum();
     let mut new_tables = Vec::new();
@@ -240,29 +204,13 @@ pub fn run_compaction(
         .max(1);
     let mut bytes_written = 0u64;
 
-    // Pops every entry for the next key, newest first, and combines them.
-    while let Some(first) = heap.pop() {
-        let key = first.key.clone();
-        // Collect all versions of `key` (they pop in rank order thanks to
-        // the heap ordering), refilling iterators as we drain them.
-        let mut versions = vec![first];
-        refill(&mut iters, &mut heap, versions.last().unwrap().rank)?;
-        while let Some(top) = heap.peek() {
-            if top.key != key {
-                break;
-            }
-            let item = heap.pop().expect("peeked");
-            refill(&mut iters, &mut heap, item.rank)?;
-            versions.push(item);
-        }
-
-        let combined = combine_versions(versions, job.bottom_most);
-        let out_entry = match combined {
-            Combined::Drop => {
-                tombstones_dropped += 1;
-                continue;
-            }
-            Combined::Keep(e) => e,
+    for next in merged {
+        let (key, resolved) = next?;
+        // Nothing is kept of a key only when a bottom-most job drops its
+        // tombstone.
+        let Some(out_entry) = resolved else {
+            tombstones_dropped += 1;
+            continue;
         };
 
         let w = match writer.as_mut() {
@@ -307,57 +255,6 @@ pub fn run_compaction(
     })
 }
 
-fn refill(
-    iters: &mut [TableIterator<'_>],
-    heap: &mut BinaryHeap<HeapItem>,
-    rank: usize,
-) -> io::Result<()> {
-    if let Some((key, entry)) = iters[rank].next()? {
-        heap.push(HeapItem { key, entry, rank });
-    }
-    Ok(())
-}
-
-enum Combined {
-    Keep(FlushEntry),
-    Drop,
-}
-
-/// Combines all versions of one key (newest first) into the output entry.
-fn combine_versions(versions: Vec<HeapItem>, bottom_most: bool) -> Combined {
-    let mut pending: Vec<Bytes> = Vec::new();
-    for item in versions {
-        match item.entry {
-            FlushEntry::Put(v) => {
-                return Combined::Keep(FlushEntry::Put(fold_merge(Some(&v), &pending)));
-            }
-            FlushEntry::Delete => {
-                if !pending.is_empty() {
-                    // Merge stack over a tombstone rebuilds from empty; the
-                    // result is a full value that shadows deeper data.
-                    return Combined::Keep(FlushEntry::Put(fold_merge(None, &pending)));
-                }
-                return if bottom_most {
-                    Combined::Drop
-                } else {
-                    Combined::Keep(FlushEntry::Delete)
-                };
-            }
-            FlushEntry::Merge(mut ops) => {
-                // `ops` is older than `pending` collected so far.
-                ops.append(&mut pending);
-                pending = ops;
-            }
-        }
-    }
-    // Only merge operands were found.
-    if bottom_most {
-        Combined::Keep(FlushEntry::Put(fold_merge(None, &pending)))
-    } else {
-        Combined::Keep(FlushEntry::Merge(pending))
-    }
-}
-
 fn entry_size(e: &FlushEntry) -> usize {
     match e {
         FlushEntry::Put(v) => v.len(),
@@ -371,6 +268,7 @@ mod tests {
     use super::*;
     use crate::cache::BlockCache;
     use crate::version::table_file_name;
+    use bytes::Bytes;
     use gadget_kv::testutil::TestDir;
 
     fn tmpdir(name: &str) -> TestDir {
@@ -415,11 +313,11 @@ mod tests {
         let t = &out.new_tables[0];
         assert_eq!(
             t.get(&1u64.to_be_bytes(), &cache).unwrap(),
-            crate::memtable::Lookup::Value(Bytes::from_static(b"new"))
+            Some(put("new"))
         );
         assert_eq!(
             t.get(&2u64.to_be_bytes(), &cache).unwrap(),
-            crate::memtable::Lookup::Value(Bytes::from_static(b"keep"))
+            Some(put("keep"))
         );
     }
 
@@ -484,7 +382,7 @@ mod tests {
         let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(
             out.new_tables[0].get(&1u64.to_be_bytes(), &cache).unwrap(),
-            crate::memtable::Lookup::Value(Bytes::from_static(b"abc"))
+            Some(put("abc"))
         );
     }
 
@@ -510,7 +408,7 @@ mod tests {
         let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(
             out.new_tables[0].get(&1u64.to_be_bytes(), &cache).unwrap(),
-            crate::memtable::Lookup::Operands(vec![Bytes::from_static(b"x")])
+            Some(FlushEntry::Merge(vec![Bytes::from_static(b"x")]))
         );
     }
 
@@ -538,7 +436,7 @@ mod tests {
         let out = run_compaction(&job, dir.root(), &cfg, &mut next, 0).unwrap();
         assert_eq!(
             out.new_tables[0].get(&1u64.to_be_bytes(), &cache).unwrap(),
-            crate::memtable::Lookup::Value(Bytes::from_static(b"z"))
+            Some(put("z"))
         );
     }
 

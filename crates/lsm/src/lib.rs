@@ -40,6 +40,7 @@ pub mod compaction;
 pub mod config;
 pub mod crc;
 pub mod memtable;
+mod merge;
 pub mod sstable;
 pub mod store;
 pub mod version;

@@ -21,30 +21,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use gadget_kv::key::{Key, INLINE_KEY_BYTES};
 
-/// Result of probing one level of the read path for a key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lookup {
-    /// A definitive value.
-    Value(Bytes),
-    /// A definitive tombstone: the key is deleted.
-    Deleted,
-    /// Unresolved merge operands (oldest first); the reader must continue
-    /// to older data and prepend whatever base it finds.
-    Operands(Vec<Bytes>),
-    /// This level knows nothing about the key.
-    NotFound,
-}
-
-/// What a table that holds `entry` for a key answers a probe for it.
-impl From<FlushEntry> for Lookup {
-    fn from(entry: FlushEntry) -> Self {
-        match entry {
-            FlushEntry::Put(v) => Lookup::Value(v),
-            FlushEntry::Delete => Lookup::Deleted,
-            FlushEntry::Merge(ops) => Lookup::Operands(ops),
-        }
-    }
-}
+use crate::merge::Source;
 
 /// Folds a base value and merge operands into the full value, using the
 /// list-append merge operator.
@@ -343,16 +320,13 @@ impl MemTable {
     /// Probes the memtable for a key: as a [`Key`] if it fits inline, so
     /// each tree node costs a few word compares, else as its bytes.
     /// Neither probe allocates.
-    pub fn get(&self, key: &[u8]) -> Lookup {
+    pub fn get(&self, key: &[u8]) -> Option<FlushEntry> {
         let slot = if key.len() <= INLINE_KEY_BYTES {
             self.entries.get(&Key::new(key))
         } else {
             self.entries.get(key)
         };
-        match slot {
-            None => Lookup::NotFound,
-            Some(slot) => self.resolve(slot).into(),
-        }
+        slot.map(|slot| self.resolve(slot))
     }
 
     /// Iterates entries in key order for flushing, folding resolved merges.
@@ -365,6 +339,11 @@ impl MemTable {
         self.entries
             .iter()
             .map(|(k, slot)| (k.as_slice(), self.resolve(slot)))
+    }
+
+    /// [`MemTable::flush_iter`] as a source for a merge.
+    pub(crate) fn records(&self) -> Source<'_> {
+        Box::new(self.flush_iter().map(|(k, e)| Ok((k.to_vec(), e))))
     }
 }
 
@@ -387,8 +366,8 @@ mod tests {
     fn put_then_get() {
         let mut m = MemTable::new();
         m.put(b"a", b"1");
-        assert_eq!(m.get(b"a"), Lookup::Value(Bytes::from_static(b"1")));
-        assert_eq!(m.get(b"b"), Lookup::NotFound);
+        assert_eq!(m.get(b"a"), Some(FlushEntry::Put(Bytes::from_static(b"1"))));
+        assert_eq!(m.get(b"b"), None);
     }
 
     #[test]
@@ -396,7 +375,7 @@ mod tests {
         let mut m = MemTable::new();
         m.put(b"a", b"1");
         m.delete(b"a");
-        assert_eq!(m.get(b"a"), Lookup::Deleted);
+        assert_eq!(m.get(b"a"), Some(FlushEntry::Delete));
         assert_eq!(m.tombstones(), 1);
     }
 
@@ -406,7 +385,10 @@ mod tests {
         m.put(b"a", b"base");
         m.merge(b"a", b"+1");
         m.merge(b"a", b"+2");
-        assert_eq!(m.get(b"a"), Lookup::Value(Bytes::from_static(b"base+1+2")));
+        assert_eq!(
+            m.get(b"a"),
+            Some(FlushEntry::Put(Bytes::from_static(b"base+1+2")))
+        );
     }
 
     #[test]
@@ -415,7 +397,10 @@ mod tests {
         m.put(b"a", b"old");
         m.delete(b"a");
         m.merge(b"a", b"new");
-        assert_eq!(m.get(b"a"), Lookup::Value(Bytes::from_static(b"new")));
+        assert_eq!(
+            m.get(b"a"),
+            Some(FlushEntry::Put(Bytes::from_static(b"new")))
+        );
         assert_eq!(m.tombstones(), 0);
     }
 
@@ -426,7 +411,10 @@ mod tests {
         m.merge(b"a", b"y");
         assert_eq!(
             m.get(b"a"),
-            Lookup::Operands(vec![Bytes::from_static(b"x"), Bytes::from_static(b"y")])
+            Some(FlushEntry::Merge(vec![
+                Bytes::from_static(b"x"),
+                Bytes::from_static(b"y")
+            ]))
         );
     }
 

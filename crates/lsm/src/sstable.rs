@@ -37,7 +37,8 @@ use bytes::Bytes;
 use crate::bloom::{hash_pair, BloomFilter};
 use crate::cache::{Block, BlockCache};
 use crate::crc::crc32c;
-use crate::memtable::{fold_merge, FlushEntry, Lookup};
+use crate::memtable::FlushEntry;
+use crate::merge::Source;
 
 const MAGIC: u64 = 0x6761_6467_6574_5353; // "gadgetSS"
 const FOOTER_LEN: usize = 56;
@@ -178,8 +179,8 @@ fn fill_block(data: Vec<u8>) -> Block {
 /// Searches one data block for `key`: binary-searches the record starts,
 /// compares keys where they lie, and decodes only a matching record. A
 /// key past every whole record of a torn block may lie in the damage, so
-/// that search fails rather than answer `NotFound`.
-fn find_in_block(block: &Block, key: &[u8]) -> io::Result<Lookup> {
+/// that search fails rather than answer that the key is absent.
+fn find_in_block(block: &Block, key: &[u8]) -> io::Result<Option<FlushEntry>> {
     let data = &block.data[..];
     // Every start was checked by `fill_block`: its key lies in the block.
     let key_at = |start: u32| {
@@ -191,11 +192,10 @@ fn find_in_block(block: &Block, key: &[u8]) -> io::Result<Lookup> {
     match block.starts.get(i) {
         Some(&start) if key_at(start) == key => {
             let rec = record_at(data, start as usize)?;
-            Ok(decode_entry(data, &rec)?.into())
+            Ok(Some(decode_entry(data, &rec)?))
         }
-        Some(_) => Ok(Lookup::NotFound),
         None if block.torn => Err(truncated()),
-        None => Ok(Lookup::NotFound),
+        _ => Ok(None),
     }
 }
 
@@ -584,10 +584,10 @@ impl TableHandle {
         Ok(block)
     }
 
-    /// Point lookup within this table.
-    pub fn get(&self, key: &[u8], cache: &BlockCache) -> io::Result<Lookup> {
+    /// Point lookup within this table: the key's record, if it has one.
+    pub fn get(&self, key: &[u8], cache: &BlockCache) -> io::Result<Option<FlushEntry>> {
         if !self.key_in_range(key) {
-            return Ok(Lookup::NotFound);
+            return Ok(None);
         }
         self.get_hashed(key, hash_pair(key), cache)
     }
@@ -600,15 +600,15 @@ impl TableHandle {
         key: &[u8],
         hash: (u64, u64),
         cache: &BlockCache,
-    ) -> io::Result<Lookup> {
+    ) -> io::Result<Option<FlushEntry>> {
         if let Some(bloom) = self.bloom.as_ref() {
             if !bloom.may_contain_hashed(hash) {
                 cache.note_bloom_negative();
-                return Ok(Lookup::NotFound);
+                return Ok(None);
             }
         }
         match self.index.block_for(key) {
-            None => Ok(Lookup::NotFound),
+            None => Ok(None),
             Some(block) => find_in_block(&*self.read_block(block, cache)?, key),
         }
     }
@@ -621,6 +621,12 @@ impl TableHandle {
             buf: Vec::new(),
             pos: 0,
         }
+    }
+
+    /// [`TableHandle::iter`] as a source for a merge.
+    pub(crate) fn records(&self) -> Source<'_> {
+        let mut it = self.iter();
+        Box::new(std::iter::from_fn(move || it.next().transpose()))
     }
 }
 
@@ -678,31 +684,6 @@ impl TableIterator<'_> {
     }
 }
 
-/// Folds a [`Lookup`] chain result with deeper data, used by multi-level
-/// read paths: `acc` holds operands collected so far (newest levels first
-/// in *application order*, i.e. oldest-first within each level and levels
-/// prepended).
-pub fn resolve_with(acc: &mut Vec<Bytes>, deeper: Lookup) -> Option<Option<Bytes>> {
-    match deeper {
-        Lookup::Value(v) => Some(Some(fold_merge(Some(&v), acc))),
-        Lookup::Deleted => {
-            // A bare tombstone means "absent"; only a merge stack above it
-            // rebuilds a value from the empty base.
-            if acc.is_empty() {
-                Some(None)
-            } else {
-                Some(Some(fold_merge(None, acc)))
-            }
-        }
-        Lookup::NotFound => None,
-        Lookup::Operands(mut ops) => {
-            ops.append(acc);
-            *acc = ops;
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,15 +718,18 @@ mod tests {
         for i in 0..300u64 {
             let got = t.get(&i.to_be_bytes(), &cache).unwrap();
             match i % 3 {
-                0 => assert_eq!(got, Lookup::Value(Bytes::from(format!("value-{i}")))),
-                1 => assert_eq!(got, Lookup::Deleted),
-                _ => assert_eq!(got, Lookup::Operands(vec![Bytes::from(format!("op-{i}"))])),
+                0 => assert_eq!(
+                    got,
+                    Some(FlushEntry::Put(Bytes::from(format!("value-{i}"))))
+                ),
+                1 => assert_eq!(got, Some(FlushEntry::Delete)),
+                _ => assert_eq!(
+                    got,
+                    Some(FlushEntry::Merge(vec![Bytes::from(format!("op-{i}"))]))
+                ),
             }
         }
-        assert_eq!(
-            t.get(&1_000u64.to_be_bytes(), &cache).unwrap(),
-            Lookup::NotFound
-        );
+        assert_eq!(t.get(&1_000u64.to_be_bytes(), &cache).unwrap(), None);
     }
 
     #[test]
@@ -761,7 +745,7 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         assert_eq!(
             reopened.get(&0u64.to_be_bytes(), &cache).unwrap(),
-            Lookup::Value(Bytes::from_static(b"value-0"))
+            Some(FlushEntry::Put(Bytes::from_static(b"value-0")))
         );
     }
 
@@ -800,7 +784,7 @@ mod tests {
         (block, b_at, c_at)
     }
 
-    fn find(block: &[u8], key: &[u8]) -> io::Result<Lookup> {
+    fn find(block: &[u8], key: &[u8]) -> io::Result<Option<FlushEntry>> {
         find_in_block(&fill_block(block.to_vec()), key)
     }
 
@@ -816,20 +800,20 @@ mod tests {
         let (block, ..) = sample_block();
         assert_eq!(
             find(&block, b"key-a").unwrap(),
-            Lookup::Value(Bytes::from_static(b"va"))
+            Some(FlushEntry::Put(Bytes::from_static(b"va")))
         );
         assert_eq!(
             find(&block, b"key-b").unwrap(),
-            Lookup::Operands(vec![
+            Some(FlushEntry::Merge(vec![
                 Bytes::from_static(b"op1"),
                 Bytes::from_static(b"op22")
-            ])
+            ]))
         );
-        assert_eq!(find(&block, b"key-c").unwrap(), Lookup::Deleted);
+        assert_eq!(find(&block, b"key-c").unwrap(), Some(FlushEntry::Delete));
         for absent in [&b"key-"[..], b"key-aa", b"key-d", b""] {
-            assert_eq!(find(&block, absent).unwrap(), Lookup::NotFound);
+            assert_eq!(find(&block, absent).unwrap(), None);
         }
-        assert_eq!(find(&[], b"key-a").unwrap(), Lookup::NotFound);
+        assert_eq!(find(&[], b"key-a").unwrap(), None);
     }
 
     #[test]
@@ -841,7 +825,7 @@ mod tests {
             let torn = &block[..cut];
             if cut == b_at || cut == c_at {
                 // Cut between two records: a shorter block, but a whole one.
-                assert_eq!(find(torn, b"key-c").unwrap(), Lookup::NotFound);
+                assert_eq!(find(torn, b"key-c").unwrap(), None);
             } else {
                 assert_invalid(torn, b"key-c", &format!("cut at {cut}"));
             }
@@ -849,7 +833,7 @@ mod tests {
             if cut > b_at {
                 assert_eq!(
                     find(torn, b"key-a").unwrap(),
-                    Lookup::Value(Bytes::from_static(b"va"))
+                    Some(FlushEntry::Put(Bytes::from_static(b"va")))
                 );
             }
         }
@@ -869,7 +853,7 @@ mod tests {
         bad[b_at] = 9;
         assert_invalid(&bad, b"key-b", "bad tag");
         // ... is not looked at on a record that is only stepped over.
-        assert_eq!(find(&bad, b"key-c").unwrap(), Lookup::Deleted);
+        assert_eq!(find(&bad, b"key-c").unwrap(), Some(FlushEntry::Delete));
 
         // Inside the matching merge record: an operand count the value
         // cannot hold, an operand length past the value, no count at all.
@@ -915,12 +899,9 @@ mod tests {
         assert!(t.bloom.is_none());
         let cache = BlockCache::new(1 << 20);
         for i in 0..300u64 {
-            assert_ne!(t.get(&i.to_be_bytes(), &cache).unwrap(), Lookup::NotFound);
+            assert_ne!(t.get(&i.to_be_bytes(), &cache).unwrap(), None);
         }
-        assert_eq!(
-            t.get(&1_000u64.to_be_bytes(), &cache).unwrap(),
-            Lookup::NotFound
-        );
+        assert_eq!(t.get(&1_000u64.to_be_bytes(), &cache).unwrap(), None);
     }
 
     #[test]
@@ -944,32 +925,5 @@ mod tests {
         assert!(!t.key_in_range(&100u64.to_be_bytes()));
         assert!(t.overlaps(&3u64.to_be_bytes(), &20u64.to_be_bytes()));
         assert!(!t.overlaps(&20u64.to_be_bytes(), &30u64.to_be_bytes()));
-    }
-
-    #[test]
-    fn resolve_with_folds_chains() {
-        let mut acc = vec![Bytes::from_static(b"c")];
-        // Deeper level contributes older operands.
-        assert_eq!(
-            resolve_with(&mut acc, Lookup::Operands(vec![Bytes::from_static(b"b")])),
-            None
-        );
-        assert_eq!(
-            acc,
-            vec![Bytes::from_static(b"b"), Bytes::from_static(b"c")]
-        );
-        let out = resolve_with(&mut acc, Lookup::Value(Bytes::from_static(b"a")));
-        assert_eq!(out, Some(Some(Bytes::from_static(b"abc"))));
-        let mut acc2 = vec![Bytes::from_static(b"x")];
-        assert_eq!(
-            resolve_with(&mut acc2, Lookup::Deleted),
-            Some(Some(Bytes::from_static(b"x")))
-        );
-        let mut acc3 = vec![Bytes::from_static(b"y")];
-        assert_eq!(resolve_with(&mut acc3, Lookup::NotFound), None);
-        // A tombstone with no operands above it resolves to "absent",
-        // never to an empty value.
-        let mut acc4 = Vec::new();
-        assert_eq!(resolve_with(&mut acc4, Lookup::Deleted), Some(None));
     }
 }

@@ -1,6 +1,7 @@
 //! The public LSM store.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,7 +21,8 @@ use gadget_types::Op;
 use crate::cache::BlockCache;
 use crate::compaction::{pick_compaction, run_compaction, CompactionReason};
 use crate::config::LsmConfig;
-use crate::memtable::{FlushEntry, Lookup, MemTable};
+use crate::memtable::{FlushEntry, MemTable};
+use crate::merge::{value_of, MergedKeys, Resolver, Source};
 use crate::sstable::TableWriter;
 use crate::version::{recover_version, table_path, Version};
 use crate::wal::{Wal, WalMetrics, WalOp, WalRecord};
@@ -269,103 +271,39 @@ impl LsmStore {
         }
     }
 
-    /// Merging range scan across memtables and all levels.
+    /// Merging range scan across memtables and all levels: one
+    /// [`MergedKeys`] over the memtable cut taken under the state lock,
+    /// the immutables and the tables, each newest first.
     fn scan_impl(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
-        use std::collections::btree_map::Entry;
-        use std::collections::BTreeMap;
-
-        enum Partial {
-            Final(Option<Bytes>),
-            Pending(Vec<Bytes>),
-        }
-
-        fn absorb(
-            acc: &mut BTreeMap<Vec<u8>, Partial>,
-            key: &[u8],
-            entry: crate::memtable::FlushEntry,
-        ) {
-            use crate::memtable::{fold_merge, FlushEntry};
-            match acc.entry(key.to_vec()) {
-                Entry::Vacant(slot) => {
-                    slot.insert(match entry {
-                        FlushEntry::Put(v) => Partial::Final(Some(v)),
-                        FlushEntry::Delete => Partial::Final(None),
-                        FlushEntry::Merge(ops) => Partial::Pending(ops),
-                    });
-                }
-                Entry::Occupied(mut slot) => match slot.get_mut() {
-                    Partial::Final(_) => {} // Newer data shadows this entry.
-                    Partial::Pending(pending) => {
-                        // `entry` is older than the pending operands.
-                        let resolved = match entry {
-                            FlushEntry::Put(v) => Some(fold_merge(Some(&v), pending)),
-                            FlushEntry::Delete => Some(fold_merge(None, pending)),
-                            FlushEntry::Merge(mut ops) => {
-                                ops.append(pending);
-                                *pending = ops;
-                                return;
-                            }
-                        };
-                        *slot.get_mut() = Partial::Final(resolved);
-                    }
-                },
-            }
-        }
-
-        let mut acc: BTreeMap<Vec<u8>, Partial> = BTreeMap::new();
-        // Snapshot sources under the state lock for consistency with gets.
-        let (mem_entries, imm_tables, version) = {
+        let (mem, immutables, version) = {
             let state = self.inner.state.lock();
             if state.closed {
                 return Err(StoreError::Closed);
             }
-            let mem_entries: Vec<(Vec<u8>, crate::memtable::FlushEntry)> = state
-                .mem
-                .flush_iter()
-                .filter(|(k, _)| *k >= lo && *k <= hi)
-                .map(|(k, e)| (k.to_vec(), e))
-                .collect();
-            let imm: Vec<std::sync::Arc<crate::memtable::MemTable>> =
+            let mem: Vec<_> = clip(state.mem.records(), lo, hi).collect();
+            let immutables: Vec<Arc<MemTable>> =
                 state.immutables.iter().map(|(_, m)| m.clone()).collect();
-            (mem_entries, imm, self.inner.version.read().clone())
+            (mem, immutables, self.inner.version.read().clone())
         };
-        for (k, e) in mem_entries {
-            absorb(&mut acc, &k, e);
-        }
-        // Immutable memtables, newest first.
-        for imm in imm_tables.iter().rev() {
-            for (k, e) in imm.flush_iter() {
-                if k >= lo && k <= hi {
-                    absorb(&mut acc, k, e);
-                }
-            }
-        }
-        // L0 newest-first, then deeper levels.
-        for level in &version.levels {
-            for table in level {
-                if !table.overlaps(lo, hi) {
-                    continue;
-                }
-                let mut it = table.iter();
-                while let Some((k, e)) = it.next()? {
-                    if k.as_slice() > hi {
-                        break;
-                    }
-                    if k.as_slice() >= lo {
-                        absorb(&mut acc, &k, e);
-                    }
-                }
-            }
-        }
-
-        let mut out = Vec::with_capacity(acc.len());
-        for (k, partial) in acc {
-            match partial {
-                Partial::Final(Some(v)) => out.push((Bytes::from(k), v)),
-                Partial::Final(None) => {}
-                Partial::Pending(ops) => {
-                    out.push((Bytes::from(k), crate::memtable::fold_merge(None, &ops)))
-                }
+        let mut sources: Vec<Source<'_>> = vec![Box::new(mem.into_iter())];
+        sources.extend(
+            immutables
+                .iter()
+                .rev()
+                .map(|imm| clip(imm.records(), lo, hi)),
+        );
+        // L0 newest first, then deeper levels.
+        let tables = version
+            .levels
+            .iter()
+            .flatten()
+            .filter(|t| t.overlaps(lo, hi));
+        sources.extend(tables.map(|t| clip(t.records(), lo, hi)));
+        let mut out = Vec::new();
+        for next in MergedKeys::new(sources, true)? {
+            let (key, resolved) = next?;
+            if let Some(value) = value_of(resolved) {
+                out.push((Bytes::from(key), value));
             }
         }
         Ok(out)
@@ -607,6 +545,18 @@ impl LsmStore {
     }
 }
 
+/// The part of the sorted `source` inside `[lo, hi]`.
+fn clip<'a>(source: Source<'a>, lo: &'a [u8], hi: &'a [u8]) -> Source<'a> {
+    fn key(record: &std::io::Result<(Vec<u8>, FlushEntry)>) -> Option<&[u8]> {
+        record.as_ref().ok().map(|(key, _)| key.as_slice())
+    }
+    Box::new(
+        source
+            .skip_while(move |r| key(r).is_some_and(|k| k < lo))
+            .take_while(move |r| key(r).is_none_or(|k| k <= hi)),
+    )
+}
+
 /// Applies one logged operation to a memtable.
 fn apply_to_memtable(mem: &mut MemTable, rec: WalRecord<'_>) {
     match rec {
@@ -644,30 +594,24 @@ fn log_memtable(wal: &mut Wal, mem: &MemTable) -> std::io::Result<()> {
     wal.flush()
 }
 
-/// What the write-side state alone says about a key.
-enum MemProbe {
-    /// The memtables settle it: the value, or `None` for deleted.
-    Resolved(Option<Bytes>),
-    /// They hold only these merge operands (application order, possibly
-    /// none); the base is in the SSTables, if anywhere.
-    Pending(Vec<Bytes>),
-}
-
-/// Probes the active memtable, then the immutables newest first. Every
-/// point read starts here, under the state lock.
-fn probe_memtables(state: &WriteState, key: &[u8]) -> MemProbe {
-    let mut pending = match state.mem.get(key) {
-        Lookup::Value(v) => return MemProbe::Resolved(Some(v)),
-        Lookup::Deleted => return MemProbe::Resolved(None),
-        Lookup::Operands(ops) => ops,
-        Lookup::NotFound => Vec::new(),
-    };
-    for (_, imm) in state.immutables.iter().rev() {
-        if let Some(r) = crate::sstable::resolve_with(&mut pending, imm.get(key)) {
-            return MemProbe::Resolved(r);
+/// Every point read starts here, under the state lock: the active
+/// memtable, then the immutables newest first. Breaks with the value when
+/// they settle the key; else hands on what they held of it and the version
+/// whose tables hold the rest, taken under the same lock so a concurrent
+/// flush cannot duplicate or hide data between the two probes.
+fn probe_memtables(
+    inner: &Inner,
+    state: &WriteState,
+    key: &[u8],
+) -> ControlFlow<Option<Bytes>, (Resolver, Arc<Version>)> {
+    let mut resolver = Resolver::new(true);
+    let immutables = state.immutables.iter().rev().map(|(_, imm)| &**imm);
+    for mem in std::iter::once(&state.mem).chain(immutables) {
+        if let Some(entry) = mem.get(key) {
+            resolver.push(entry).map_break(value_of)?;
         }
     }
-    MemProbe::Pending(pending)
+    ControlFlow::Continue((resolver, inner.version.read().clone()))
 }
 
 /// Rotates the active memtable into the immutable queue, stalling if the
@@ -850,6 +794,7 @@ fn flush_one(inner: &Inner) -> Result<bool, StoreError> {
     }
     let mut handle = writer.finish(file_no)?;
     handle.creation_seq = inner.seq.load(Ordering::Relaxed);
+    let size = handle.size;
     {
         // Install the new table and retire the memtable atomically w.r.t.
         // readers, so no key is visible twice or not at all.
@@ -866,14 +811,14 @@ fn flush_one(inner: &Inner) -> Result<bool, StoreError> {
             *vguard = Arc::new(new_version);
         }
         state.immutables.pop_front();
+        // Counted before the flush is announced, so a `compact_and_wait`
+        // that returns on it reads the counters with it.
+        inner.flushes.inc();
+        inner.flush_bytes_written.add(size);
         inner.progress.fetch_add(1, Ordering::SeqCst);
         inner.stall_cv.notify_all();
     }
     let _ = std::fs::remove_file(inner.dir.join(wal_file_name(gen)));
-    inner.flushes.inc();
-    if let Ok(meta) = std::fs::metadata(&path) {
-        inner.flush_bytes_written.add(meta.len());
-    }
     Ok(true)
 }
 
@@ -888,20 +833,18 @@ impl StateStore for LsmStore {
 
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
         self.inner.counters.record_get();
-        let (pending, version) = {
+        let (resolver, version) = {
             let state = self.inner.state.lock();
             if state.closed {
                 return Err(StoreError::Closed);
             }
-            match probe_memtables(&state, key) {
-                MemProbe::Resolved(r) => return Ok(r),
-                // Snapshot the version under the same lock so a concurrent
-                // flush cannot duplicate or hide data between the two
-                // probes; the SSTables are then read without it.
-                MemProbe::Pending(pending) => (pending, self.inner.version.read().clone()),
+            match probe_memtables(&self.inner, &state, key) {
+                ControlFlow::Break(value) => return Ok(value),
+                // The SSTables are read without the lock.
+                ControlFlow::Continue(rest) => rest,
             }
         };
-        Ok(version.get(key, &self.inner.cache, pending)?)
+        Ok(version.get(key, &self.inner.cache, resolver)?)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
@@ -984,11 +927,10 @@ impl StateStore for LsmStore {
                     // see its own earlier writes, and releasing the lock
                     // mid-batch would forfeit the single-acquisition
                     // batching contract.
-                    let value = match probe_memtables(&state, key) {
-                        MemProbe::Resolved(r) => r,
-                        MemProbe::Pending(pending) => {
-                            let version = inner.version.read().clone();
-                            version.get(key, &inner.cache, pending)?
+                    let value = match probe_memtables(inner, &state, key) {
+                        ControlFlow::Break(value) => value,
+                        ControlFlow::Continue((resolver, version)) => {
+                            version.get(key, &inner.cache, resolver)?
                         }
                     };
                     out.push(BatchResult::Value(value));

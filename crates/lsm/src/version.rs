@@ -10,6 +10,7 @@
 //! trades a little rename traffic for a much simpler recovery path and is
 //! documented behaviour of this substrate.
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -17,7 +18,8 @@ use bytes::Bytes;
 
 use crate::bloom::hash_pair;
 use crate::cache::BlockCache;
-use crate::sstable::{resolve_with, TableHandle};
+use crate::merge::{value_of, Resolver};
+use crate::sstable::TableHandle;
 
 /// Immutable snapshot of the level layout.
 #[derive(Debug, Clone, Default)]
@@ -52,14 +54,14 @@ impl Version {
 
     /// Point lookup across all levels, resolving merge chains.
     ///
-    /// `pending` carries merge operands already collected from the
-    /// memtables (application order). Returns `Ok(None)` if the key is
-    /// absent everywhere and no operands were pending.
-    pub fn get(
+    /// `resolver` carries what the memtables held of the key above the
+    /// tables: merge operands, if anything. Returns `Ok(None)` if the key
+    /// has no value.
+    pub(crate) fn get(
         &self,
         key: &[u8],
         cache: &BlockCache,
-        mut pending: Vec<Bytes>,
+        mut resolver: Resolver,
     ) -> std::io::Result<Option<Bytes>> {
         // Hashed for the bloom filters on the first table whose range holds
         // the key, then handed to every later one.
@@ -75,17 +77,13 @@ impl Version {
                 continue;
             }
             let hash = *hash.get_or_insert_with(|| hash_pair(key));
-            let lookup = table.get_hashed(key, hash, cache)?;
-            if let Some(resolved) = resolve_with(&mut pending, lookup) {
-                return Ok(resolved);
+            if let Some(entry) = table.get_hashed(key, hash, cache)? {
+                if let ControlFlow::Break(resolved) = resolver.push(entry) {
+                    return Ok(value_of(resolved));
+                }
             }
         }
-        // Bottom reached: operands (if any) fold over an empty base.
-        if pending.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(crate::memtable::fold_merge(None, &pending)))
-        }
+        Ok(value_of(resolver.finish()))
     }
 
     /// Files on `level` whose ranges overlap `[lo, hi]`.
@@ -187,12 +185,14 @@ mod tests {
 
     #[test]
     fn empty_version_get_returns_pending_fold() {
+        use crate::memtable::FlushEntry;
         let v = Version::empty(3);
         let cache = BlockCache::new(1024);
-        assert_eq!(v.get(b"k", &cache, Vec::new()).unwrap(), None);
-        let out = v
-            .get(b"k", &cache, vec![Bytes::from_static(b"ab")])
-            .unwrap();
+        assert_eq!(v.get(b"k", &cache, Resolver::new(true)).unwrap(), None);
+        let mut pending = Resolver::new(true);
+        let ops = vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")];
+        assert!(pending.push(FlushEntry::Merge(ops)).is_continue());
+        let out = v.get(b"k", &cache, pending).unwrap();
         assert_eq!(out, Some(Bytes::from_static(b"ab")));
     }
 
@@ -222,7 +222,7 @@ mod tests {
         // Newest L0 file wins the read.
         let cache = BlockCache::new(1024);
         assert_eq!(
-            v.get(b"k", &cache, Vec::new()).unwrap(),
+            v.get(b"k", &cache, Resolver::new(true)).unwrap(),
             Some(Bytes::from_static(b"v3"))
         );
     }

@@ -10,7 +10,7 @@ use std::cell::Cell;
 use bytes::Bytes;
 use gadget_kv::testutil::TestDir;
 use gadget_lsm::cache::BlockCache;
-use gadget_lsm::memtable::{FlushEntry, Lookup, MemTable};
+use gadget_lsm::memtable::{FlushEntry, MemTable};
 use gadget_lsm::sstable::TableWriter;
 
 /// The system allocator, counting each thread's calls on that thread, so
@@ -129,7 +129,9 @@ fn a_memtable_read_allocates_only_its_value() {
         let allocs = ALLOCS.get() - before;
         assert_eq!(
             found,
-            Lookup::Value(Bytes::from_static(b"a value of 24 bytes ....."))
+            Some(FlushEntry::Put(Bytes::from_static(
+                b"a value of 24 bytes ....."
+            )))
         );
         assert_eq!(allocs, 1, "{}-byte key", probe.len());
     }
@@ -152,7 +154,7 @@ fn a_block_cache_miss_allocates_one_block() {
     let probe = 1_234u64.to_be_bytes();
     let before = BLOCK_SIZED.get();
     let found = table.get(&probe, &cache).unwrap();
-    assert_eq!(found, Lookup::Value(Bytes::from(vec![7; 100])));
+    assert_eq!(found, Some(FlushEntry::Put(Bytes::from(vec![7; 100]))));
     assert_eq!(cache.stats(), (0, 1));
     // The buffer the block is read into is the one the cache keeps: the
     // block is never copied into a second one.

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use gadget_kv::testutil::TestDir;
 use gadget_lsm::cache::BlockCache;
-use gadget_lsm::memtable::{FlushEntry, Lookup, MemTable};
+use gadget_lsm::memtable::{FlushEntry, MemTable};
 use gadget_lsm::sstable::{TableHandle, TableWriter};
 use gadget_lsm::wal::{Wal, WalOp};
 
@@ -52,7 +52,7 @@ fn reference_decode(block: &[u8], pos: usize) -> Option<(&[u8], FlushEntry, usiz
 /// data blocks lie back to back from offset 0 to the bloom block (whose
 /// offset is bytes 16..24 of the 56-byte footer), and no record straddles
 /// two of them.
-fn reference_get(file: &[u8], key: &[u8]) -> Lookup {
+fn reference_get(file: &[u8], key: &[u8]) -> Option<FlushEntry> {
     let footer = &file[file.len() - 56..];
     let data_end = u64::from_le_bytes(footer[16..24].try_into().unwrap()) as usize;
     let data = &file[..data_end];
@@ -60,11 +60,11 @@ fn reference_get(file: &[u8], key: &[u8]) -> Lookup {
     while pos < data.len() {
         let (k, entry, next) = reference_decode(data, pos).expect("the writer's own records");
         if k == key {
-            return entry.into();
+            return Some(entry);
         }
         pos = next;
     }
-    Lookup::NotFound
+    None
 }
 
 /// The memtable as it stood before it owned its bytes: a map from a heap
@@ -74,7 +74,7 @@ mod reference {
     use std::collections::BTreeMap;
 
     use bytes::Bytes;
-    use gadget_lsm::memtable::{fold_merge, FlushEntry, Lookup};
+    use gadget_lsm::memtable::{fold_merge, FlushEntry};
 
     enum MemEntry {
         Put(Bytes),
@@ -159,17 +159,16 @@ mod reference {
             }
         }
 
-        pub fn get(&self, key: &[u8]) -> Lookup {
-            match self.entries.get(key) {
-                None => Lookup::NotFound,
-                Some(MemEntry::Put(v)) => Lookup::Value(v.clone()),
-                Some(MemEntry::Delete) => Lookup::Deleted,
-                Some(MemEntry::Merge { base, operands }) => match base {
-                    Some(BaseRepr::Value(v)) => Lookup::Value(fold_merge(Some(v), operands)),
-                    Some(BaseRepr::Tombstone) => Lookup::Value(fold_merge(None, operands)),
-                    None => Lookup::Operands(operands.clone()),
+        pub fn get(&self, key: &[u8]) -> Option<FlushEntry> {
+            Some(match self.entries.get(key)? {
+                MemEntry::Put(v) => FlushEntry::Put(v.clone()),
+                MemEntry::Delete => FlushEntry::Delete,
+                MemEntry::Merge { base, operands } => match base {
+                    Some(BaseRepr::Value(v)) => FlushEntry::Put(fold_merge(Some(v), operands)),
+                    Some(BaseRepr::Tombstone) => FlushEntry::Put(fold_merge(None, operands)),
+                    None => FlushEntry::Merge(operands.clone()),
                 },
-            }
+            })
         }
 
         pub fn flush_iter(&self) -> impl Iterator<Item = (&[u8], FlushEntry)> + '_ {
@@ -429,7 +428,7 @@ proptest! {
 
         for (k, e) in &entries {
             let got = table.get(k, &cache).unwrap();
-            prop_assert_eq!(got, Lookup::from(e.clone()));
+            prop_assert_eq!(got, Some(e.clone()));
         }
 
         // Reopen from disk and iterate: same entries, same order.
@@ -509,11 +508,11 @@ proptest! {
         for (key, expected) in model {
             let got = mem.get(&[key]);
             match (got, expected) {
-                (Lookup::Value(v), Some(e)) => prop_assert_eq!(v.as_ref(), &e[..]),
-                (Lookup::Deleted, None) => {}
+                (Some(FlushEntry::Put(v)), Some(e)) => prop_assert_eq!(v.as_ref(), &e[..]),
+                (Some(FlushEntry::Delete), None) => {}
                 // Merge-without-base keys report operands; fold equals the
                 // model value (delete-then-merge folds from empty).
-                (Lookup::Operands(ops), Some(e)) => {
+                (Some(FlushEntry::Merge(ops)), Some(e)) => {
                     let folded: Vec<u8> =
                         ops.iter().flat_map(|o| o.iter().copied()).collect();
                     prop_assert_eq!(folded, e);

@@ -41,9 +41,9 @@ fn key_bytes(k: u16) -> [u8; 8] {
     (k as u64).to_be_bytes()
 }
 
-/// Applies the sequence to both stores, asserting every get agrees, and
-/// then asserts the full final keyspace agrees.
-fn run_differential(ops: &[Op], store: &dyn StateStore, label: &str) {
+/// Applies the sequence to both stores, asserting every get agrees, then
+/// `settle`s the store and asserts the full final keyspace agrees.
+fn run_differential(ops: &[Op], store: &dyn StateStore, label: &str, settle: impl FnOnce()) {
     let oracle = MemStore::new();
     for (i, op) in ops.iter().enumerate() {
         match op {
@@ -75,6 +75,7 @@ fn run_differential(ops: &[Op], store: &dyn StateStore, label: &str) {
             }
         }
     }
+    settle();
     if store.supports_scan() {
         let full_got = store.scan(&key_bytes(0), &key_bytes(u16::MAX)).unwrap();
         let full_expected = oracle.scan(&key_bytes(0), &key_bytes(u16::MAX)).unwrap();
@@ -87,34 +88,73 @@ fn run_differential(ops: &[Op], store: &dyn StateStore, label: &str) {
     }
 }
 
+/// What a memtable charges for the writes in `ops`.
+fn memtable_charge(ops: &[Op]) -> usize {
+    let key = key_bytes(0).len();
+    ops.iter()
+        .map(|op| match op {
+            Op::Put(_, v) | Op::Merge(_, v) => key + v.len() + 16,
+            Op::Delete(_) => key + 16,
+            Op::Get(_) | Op::Scan(..) => 0,
+        })
+        .sum()
+}
+
+/// `base` with a memtable of a few dozen writes and a low L0 trigger, so
+/// a generated sequence flushes, compacts, and reads merge stacks that
+/// lie across memtables and levels.
+fn spilling(base: LsmConfig) -> LsmConfig {
+    LsmConfig {
+        memtable_bytes: 1 << 10,
+        block_bytes: 128,
+        l0_compaction_trigger: 2,
+        l1_target_bytes: 4 << 10,
+        target_file_bytes: 1 << 10,
+        ..base
+    }
+}
+
+/// One LSM leg: the differential, ended by pushing every write through
+/// flush and compaction, and a check that a sequence that wrote more than
+/// one memtable holds did leave the memtable.
+fn lsm_leg(ops: &[Op], config: LsmConfig, label: &str) {
+    let tmp = TestDir::new(&format!("difftest-{label}"));
+    let memtable_bytes = config.memtable_bytes;
+    let store = LsmStore::open(tmp.root(), config).unwrap();
+    run_differential(ops, &store, label, || store.compact_and_wait().unwrap());
+    let flushes = store.metrics().unwrap().counter("flushes").unwrap();
+    assert!(
+        memtable_charge(ops) <= memtable_bytes || flushes > 0,
+        "{label}: wrote more than a memtable and never flushed"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn lsm_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let tmp = TestDir::new("difftest-lsm");
-        let store = LsmStore::open(tmp.root(), LsmConfig::small()).unwrap();
-        run_differential(&ops, &store, "lsm");
+        lsm_leg(&ops, LsmConfig::small(), "lsm");
+        lsm_leg(&ops, spilling(LsmConfig::small()), "lsm-spilling");
     }
 
     #[test]
     fn lethe_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let tmp = TestDir::new("difftest-lethe");
-        let store = LsmStore::open(tmp.root(), LsmConfig::small_lethe()).unwrap();
-        run_differential(&ops, &store, "lethe");
+        lsm_leg(&ops, LsmConfig::small_lethe(), "lethe");
+        lsm_leg(&ops, spilling(LsmConfig::small_lethe()), "lethe-spilling");
     }
 
     #[test]
     fn hashlog_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
         let store = HashLogStore::new(HashLogConfig::small());
-        run_differential(&ops, &store, "hashlog");
+        run_differential(&ops, &store, "hashlog", || {});
     }
 
     #[test]
     fn btree_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..300)) {
         let tmp = TestDir::new("difftest-btree");
         let store = BTreeStore::open(tmp.path("data.db"), BTreeConfig::small()).unwrap();
-        run_differential(&ops, &store, "btree");
+        run_differential(&ops, &store, "btree", || {});
     }
 }
 
