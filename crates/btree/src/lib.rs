@@ -105,24 +105,12 @@ impl StateStore for BTreeStore {
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         self.counters.record_put();
-        self.tree.lock().insert(key, value)?;
-        Ok(())
+        self.tree.lock().insert(key, value)
     }
 
     fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
         self.counters.record_merge();
-        // Read-modify-write: B+Trees have no lazy merge. The copy cost for
-        // growing values is the behaviour under study.
-        let mut tree = self.tree.lock();
-        let merged = match tree.get(key)? {
-            Some(mut v) => {
-                v.extend_from_slice(operand);
-                v
-            }
-            None => operand.to_vec(),
-        };
-        tree.insert(key, &merged)?;
-        Ok(())
+        self.tree.lock().merge(key, operand)
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
@@ -223,14 +211,7 @@ impl StateStore for BTreeStore {
                 }
                 Op::Merge { key, operand } => {
                     self.counters.record_merge();
-                    let merged = match tree.get(key)? {
-                        Some(mut v) => {
-                            v.extend_from_slice(operand);
-                            v
-                        }
-                        None => operand.to_vec(),
-                    };
-                    tree.insert(key, &merged)?;
+                    tree.merge(key, operand)?;
                     out.push(BatchResult::Applied);
                 }
                 Op::Delete { key } => {

@@ -13,7 +13,7 @@ pub const KIND_LEAF: u8 = 2;
 pub const KIND_OVERFLOW: u8 = 3;
 
 /// A value stored in a leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum LeafValue {
     /// Small value stored inline in the leaf page.
     Inline(Vec<u8>),
@@ -35,8 +35,12 @@ impl LeafValue {
     }
 }
 
-/// A decoded B+Tree node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A leaf entry: a key and its value.
+pub type Entry = (Vec<u8>, LeafValue);
+
+/// A decoded B+Tree node. Not `Clone`: the cache edits its one copy in
+/// place.
+#[derive(Debug, PartialEq, Eq)]
 pub enum Node {
     /// Router node: `children.len() == keys.len() + 1`; keys separate the
     /// children (`child[i]` covers keys `< keys[i]`).
@@ -49,7 +53,7 @@ pub enum Node {
     /// Leaf node: sorted `(key, value)` entries plus a right-sibling link.
     Leaf {
         /// Sorted entries.
-        entries: Vec<(Vec<u8>, LeafValue)>,
+        entries: Vec<Entry>,
         /// Right sibling page id (0 = none).
         next: u32,
     },
@@ -69,6 +73,38 @@ impl Node {
                         .iter()
                         .map(|(k, v)| 1 + k.len() + v.encoded_size())
                         .sum::<usize>()
+            }
+        }
+    }
+
+    /// Moves the upper part of an oversized node into a new right sibling
+    /// that will live at page `right_pid`; returns the separator for the
+    /// parent and the sibling. A leaf's separator is the sibling's first
+    /// key; an internal node's middle key moves up.
+    pub fn split_off(&mut self, right_pid: u32) -> (Vec<u8>, Node) {
+        match self {
+            Node::Leaf { entries, next } => {
+                let at = cut(entries.iter().map(|(k, v)| 1 + k.len() + v.encoded_size()));
+                let right = entries.split_off(at);
+                let sep = right[0].0.clone();
+                let next = std::mem::replace(next, right_pid);
+                (
+                    sep,
+                    Node::Leaf {
+                        entries: right,
+                        next,
+                    },
+                )
+            }
+            Node::Internal { keys, children } => {
+                // An item is a key and the child to its right; each half
+                // also holds its leftmost child.
+                let at = cut(keys.iter().map(|k| 1 + k.len() + 4));
+                let right = Node::Internal {
+                    keys: keys.split_off(at + 1),
+                    children: children.split_off(at + 1),
+                };
+                (keys.pop().expect("key `at` moves up"), right)
             }
         }
     }
@@ -213,6 +249,27 @@ impl Node {
             _ => Err(bad()),
         }
     }
+}
+
+/// Where a split cuts items of the given encoded `sizes`: at the middle,
+/// unless a half would still not fit a page (a few long entries beside
+/// many short ones); then where the bytes balance.
+fn cut(sizes: impl Iterator<Item = usize> + Clone) -> usize {
+    let total: usize = sizes.clone().sum();
+    let mid = sizes.clone().count() / 2;
+    let left: usize = sizes.clone().take(mid).sum();
+    // Seven bytes of header (or of header and leftmost child) per half.
+    if 7 + left.max(total - left) <= PAGE_SIZE {
+        return mid;
+    }
+    let mut left = 0;
+    sizes
+        .take_while(|s| {
+            left += s;
+            2 * left < total
+        })
+        .count()
+        .max(1)
 }
 
 #[cfg(test)]

@@ -161,16 +161,21 @@ impl Pager {
         Ok(node)
     }
 
-    /// Mutates a cached node in place (no structural checks): the hot path
-    /// for value overwrites. The caller must guarantee the mutation keeps
-    /// the node within [`PAGE_SIZE`] when encoded.
-    pub fn mutate_node(&mut self, pid: u32, f: impl FnOnce(&mut Node)) -> io::Result<()> {
-        // Ensure the node is resident.
+    /// Edits a node in place in the cache, loading it first if it is not
+    /// resident, and marks it dirty. No structural checks: a node the edit
+    /// leaves over [`PAGE_SIZE`] must be split before anything is
+    /// installed, which could evict (and encode) it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a caller still holds the node's `Arc`: the edit never
+    /// copies a node another reader can see.
+    pub fn mutate_node<R>(&mut self, pid: u32, f: impl FnOnce(&mut Node) -> R) -> io::Result<R> {
         self.read_node(pid)?;
         let slot = self.cache.get_mut(&pid).expect("just loaded");
-        f(Arc::make_mut(&mut slot.node));
+        let node = Arc::get_mut(&mut slot.node).expect("no reader holds a page being edited");
         slot.dirty = true;
-        Ok(())
+        Ok(f(node))
     }
 
     /// Writes a node page, through the cache (write-back).
@@ -340,16 +345,16 @@ mod tests {
         let path = dir.path("nodes.db");
         let mut pager = Pager::open(&path, 8 * PAGE_SIZE).unwrap();
         let pid = pager.alloc();
-        let node = Node::Leaf {
+        let node = || Node::Leaf {
             entries: vec![(b"k".to_vec(), LeafValue::Inline(b"v".to_vec()))],
             next: 0,
         };
-        pager.write_node(pid, node.clone()).unwrap();
-        assert_eq!(*pager.read_node(pid).unwrap(), node);
+        pager.write_node(pid, node()).unwrap();
+        assert_eq!(*pager.read_node(pid).unwrap(), node());
         pager.flush().unwrap();
         drop(pager);
         let mut pager = Pager::open(&path, 8 * PAGE_SIZE).unwrap();
-        assert_eq!(*pager.read_node(pid).unwrap(), node);
+        assert_eq!(*pager.read_node(pid).unwrap(), node());
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! The B+Tree logic: search, insert with splits, lazy delete.
+//! The B+Tree logic: search, one in-place write path with bottom-up
+//! splits, lazy delete.
 
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use gadget_kv::StoreError;
 
-use crate::node::{LeafValue, Node, PAGE_SIZE};
+use crate::node::{Entry, LeafValue, Node, PAGE_SIZE};
 use crate::pager::Pager;
 
 /// Configuration for [`BTreeStore`](crate::BTreeStore).
@@ -41,17 +43,21 @@ impl BTreeConfig {
 pub struct Tree {
     pager: Pager,
     config: BTreeConfig,
+    /// The internal pages the last [`Tree::descend`] passed through, root
+    /// first, each with the child slot it took: where a split's separator
+    /// goes. Kept between calls so a descent does not allocate.
+    path: Vec<(u32, usize)>,
 }
-
-/// Result of a recursive insert: `Some` means the child split and the
-/// parent must add a separator.
-type SplitResult = Option<(Vec<u8>, u32)>;
 
 impl Tree {
     /// Opens (or creates) a tree at `path`.
     pub fn open(path: &Path, config: BTreeConfig) -> io::Result<Self> {
         let pager = Pager::open(path, config.page_cache_bytes)?;
-        Ok(Tree { pager, config })
+        Ok(Tree {
+            pager,
+            config,
+            path: Vec::new(),
+        })
     }
 
     /// Registers the pager's counters in `registry`; see
@@ -65,275 +71,220 @@ impl Tree {
         self.pager.cached_pages()
     }
 
-    /// Descends to the leaf page covering `key`.
-    fn find_leaf(&mut self, key: &[u8]) -> io::Result<u32> {
+    /// Descends to the leaf covering `key`, recording the way down in
+    /// `self.path`; `None` if the tree is empty. The leaf comes back as the
+    /// cache's `Arc`: drop it before editing the page, or the edit panics.
+    fn descend(&mut self, key: &[u8]) -> io::Result<Option<(u32, Arc<Node>)>> {
+        self.path.clear();
         let mut pid = self.pager.root;
+        if pid == 0 {
+            return Ok(None);
+        }
         loop {
-            match &*self.pager.read_node(pid)? {
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    pid = children[idx];
-                }
-                Node::Leaf { .. } => return Ok(pid),
-            }
+            let node = self.pager.read_node(pid)?;
+            let Node::Internal { keys, children } = &*node else {
+                return Ok(Some((pid, node)));
+            };
+            let slot = keys.partition_point(|k| k.as_slice() <= key);
+            self.path.push((pid, slot));
+            pid = children[slot];
+        }
+    }
+
+    /// Copies a leaf value out, reading an overflow chain from disk.
+    fn value_of(&mut self, value: &LeafValue) -> io::Result<Vec<u8>> {
+        match value {
+            LeafValue::Inline(v) => Ok(v.clone()),
+            LeafValue::Overflow { len, head } => self.pager.read_overflow(*head, *len),
+        }
+    }
+
+    /// `key`'s value in `leaf`, copied out.
+    fn lookup(&mut self, leaf: &Node, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
+        let (entries, _) = leaf_parts(leaf)?;
+        match search(entries, key) {
+            Ok(i) => self.value_of(&entries[i].1).map(Some),
+            Err(_) => Ok(None),
         }
     }
 
     /// Point lookup.
     pub fn get(&mut self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        if self.pager.root == 0 {
-            return Ok(None);
-        }
-        let pid = self.find_leaf(key)?;
-        let node = self.pager.read_node(pid)?;
-        let Node::Leaf { entries, .. } = &*node else {
-            unreachable!("find_leaf returns a leaf")
-        };
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => match &entries[i].1 {
-                LeafValue::Inline(v) => Ok(Some(v.clone())),
-                LeafValue::Overflow { len, head } => {
-                    let (len, head) = (*len, *head);
-                    drop(node);
-                    Ok(Some(self.pager.read_overflow(head, len)?))
-                }
-            },
-            Err(_) => Ok(None),
+        match self.descend(key)? {
+            Some((_, leaf)) => self.lookup(&leaf, key),
+            None => Ok(None),
         }
     }
 
     /// Inserts or overwrites a key; a page records a key's length in one
     /// byte, so the key must be 1..=255 bytes.
     pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        if key.is_empty() || key.len() > 255 {
-            return Err(StoreError::InvalidArgument(format!(
-                "btree keys must be 1..=255 bytes, not {}",
-                key.len()
-            )));
-        }
-        // Fast path: in-place overwrite of an existing inline value when
-        // the leaf stays within the page (BerkeleyDB-style in-place
-        // update, the property that wins update-heavy workloads).
-        if self.pager.root != 0 && value.len() <= self.config.overflow_threshold {
-            let pid = self.find_leaf(key)?;
-            let node = self.pager.read_node(pid)?;
-            let Node::Leaf { entries, .. } = &*node else {
-                unreachable!("find_leaf returns a leaf")
-            };
-            if let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                if let LeafValue::Inline(old) = &entries[i].1 {
-                    let grows = value.len().saturating_sub(old.len());
-                    if node.encoded_size() + grows <= PAGE_SIZE {
-                        drop(node);
-                        self.pager.mutate_node(pid, |n| {
-                            if let Node::Leaf { entries, .. } = n {
-                                entries[i].1 = LeafValue::Inline(value.to_vec());
-                            }
-                        })?;
-                        return Ok(());
-                    }
-                }
-            }
-        }
+        check_key(key)?;
+        let leaf = self.descend(key)?.map(|(pid, _)| pid);
+        Ok(self.write(leaf, key, value)?)
+    }
 
-        let leaf_value = self.make_leaf_value(value)?;
-        if self.pager.root == 0 {
-            let root = self.pager.alloc();
-            self.pager.write_node(
-                root,
-                Node::Leaf {
-                    entries: vec![(key.to_vec(), leaf_value)],
-                    next: 0,
-                },
-            )?;
-            self.pager.set_root(root);
-            return Ok(());
+    /// Read-modify-write, as B+Trees have no lazy merge: copies the old
+    /// value out and writes it back with `operand` appended. The copy of a
+    /// growing value is the cost under study.
+    pub fn merge(&mut self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
+        check_key(key)?;
+        let leaf = self.descend(key)?;
+        let mut merged = match &leaf {
+            Some((_, node)) => self.lookup(node, key)?.unwrap_or_default(),
+            None => Vec::new(),
+        };
+        merged.extend_from_slice(operand);
+        Ok(self.write(leaf.map(|(pid, _)| pid), key, &merged)?)
+    }
+
+    /// Writes `key`'s value into `leaf`, the page [`Tree::descend`] found
+    /// for it (`None`: the tree is empty and gets a root leaf). A value
+    /// over the threshold is written to its overflow chain first.
+    fn write(&mut self, leaf: Option<u32>, key: &[u8], value: &[u8]) -> io::Result<()> {
+        let value = if value.len() > self.config.overflow_threshold {
+            LeafValue::Overflow {
+                len: value.len() as u32,
+                head: self.pager.write_overflow(value)?,
+            }
+        } else {
+            LeafValue::Inline(value.to_vec())
+        };
+        let pid = match leaf {
+            Some(pid) => pid,
+            None => self.grow_root(Node::Leaf {
+                entries: Vec::new(),
+                next: 0,
+            })?,
+        };
+        self.edit_leaf(pid, |entries| match search(entries, key) {
+            Ok(i) => Some(std::mem::replace(&mut entries[i].1, value)),
+            Err(i) => {
+                entries.insert(i, (key.to_vec(), value));
+                None
+            }
+        })
+    }
+
+    /// The one write path: edits the entries of leaf `pid` in place in the
+    /// page cache, frees the overflow chain of the value `edit` displaced,
+    /// and, if the leaf no longer fits a page, splits it. The chain is
+    /// freed before a split allocates, so the split reuses its pages.
+    fn edit_leaf(
+        &mut self,
+        pid: u32,
+        edit: impl FnOnce(&mut Vec<Entry>) -> Option<LeafValue>,
+    ) -> io::Result<()> {
+        let (displaced, oversized) = self.pager.mutate_node(pid, |node| {
+            let Node::Leaf { entries, .. } = node else {
+                unreachable!("descend ends at a leaf")
+            };
+            (edit(entries), node.encoded_size() > PAGE_SIZE)
+        })?;
+        if let Some(LeafValue::Overflow { head, .. }) = displaced {
+            self.pager.free_overflow(head)?;
         }
-        let root = self.pager.root;
-        if let Some((sep, right)) = self.insert_rec(root, key, leaf_value)? {
-            let new_root = self.pager.alloc();
-            self.pager.write_node(
-                new_root,
-                Node::Internal {
-                    keys: vec![sep],
-                    children: vec![root, right],
-                },
-            )?;
-            self.pager.set_root(new_root);
+        if oversized {
+            self.split(pid)?;
         }
         Ok(())
     }
 
-    fn make_leaf_value(&mut self, value: &[u8]) -> io::Result<LeafValue> {
-        if value.len() > self.config.overflow_threshold {
-            let head = self.pager.write_overflow(value)?;
-            Ok(LeafValue::Overflow {
-                len: value.len() as u32,
-                head,
-            })
-        } else {
-            Ok(LeafValue::Inline(value.to_vec()))
-        }
-    }
-
-    fn insert_rec(&mut self, pid: u32, key: &[u8], value: LeafValue) -> io::Result<SplitResult> {
-        match (*self.pager.read_node(pid)?).clone() {
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let child = children[idx];
-                if let Some((sep, right)) = self.insert_rec(child, key, value)? {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                }
-                let node = Node::Internal { keys, children };
-                if node.encoded_size() > PAGE_SIZE {
-                    self.pager.note_split();
-                    let (left, sep, right) = split_internal(node);
-                    let right_pid = self.pager.alloc();
-                    self.pager.write_node(right_pid, right)?;
-                    self.pager.write_node(pid, left)?;
-                    Ok(Some((sep, right_pid)))
-                } else {
-                    self.pager.write_node(pid, node)?;
-                    Ok(None)
-                }
-            }
-            Node::Leaf { mut entries, next } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        // In-place overwrite; free any replaced overflow chain.
-                        let old = std::mem::replace(&mut entries[i].1, value);
-                        if let LeafValue::Overflow { head, .. } = old {
-                            self.pager.free_overflow(head)?;
-                        }
-                    }
-                    Err(i) => entries.insert(i, (key.to_vec(), value)),
-                }
-                let node = Node::Leaf { entries, next };
-                if node.encoded_size() > PAGE_SIZE {
-                    self.pager.note_split();
-                    let (left, sep, right) = split_leaf(node, pid, &mut self.pager)?;
-                    self.pager.write_node(pid, left)?;
-                    Ok(Some((sep, right)))
-                } else {
-                    self.pager.write_node(pid, node)?;
-                    Ok(None)
-                }
-            }
-        }
-    }
-
-    /// Range scan: every `(key, value)` with `lo <= key <= hi`, sorted.
-    pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        if self.pager.root == 0 || lo > hi {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        let mut pid = self.find_leaf(lo)?;
+    /// Splits the oversized page `pid`, then, bottom-up along the recorded
+    /// path, each parent the new separator overfills; a split root grows
+    /// the tree a level. Pages are allocated leaf first, then parents, then
+    /// the new root. The oversized page was touched last, so nothing can
+    /// evict (and encode) it before it is cut.
+    fn split(&mut self, mut pid: u32) -> io::Result<()> {
         loop {
-            let node = self.pager.read_node(pid)?;
-            let Node::Leaf { entries, next } = &*node else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "leaf chain reached an internal page",
-                ));
+            self.pager.note_split();
+            let right_pid = self.pager.alloc();
+            let (sep, right) = self
+                .pager
+                .mutate_node(pid, |node| node.split_off(right_pid))?;
+            self.pager.write_node(right_pid, right)?;
+            let Some((parent, slot)) = self.path.pop() else {
+                self.grow_root(Node::Internal {
+                    keys: vec![sep],
+                    children: vec![pid, right_pid],
+                })?;
+                return Ok(());
             };
-            // Collect matching entries; resolve overflow chains after the
-            // borrow on the node ends.
-            let mut pending_overflow: Vec<(Vec<u8>, u32, u32)> = Vec::new();
-            let mut done = false;
-            for (k, v) in entries {
-                if k.as_slice() > hi {
-                    done = true;
-                    break;
-                }
-                if k.as_slice() < lo {
-                    continue;
-                }
-                match v {
-                    LeafValue::Inline(data) => out.push((k.clone(), data.clone())),
-                    LeafValue::Overflow { len, head } => {
-                        pending_overflow.push((k.clone(), *len, *head))
-                    }
-                }
+            let oversized = self.pager.mutate_node(parent, |node| {
+                let Node::Internal { keys, children } = node else {
+                    unreachable!("the path holds internal pages")
+                };
+                keys.insert(slot, sep);
+                children.insert(slot + 1, right_pid);
+                node.encoded_size() > PAGE_SIZE
+            })?;
+            if !oversized {
+                return Ok(());
             }
-            let next = *next;
-            drop(node);
-            for (k, len, head) in pending_overflow {
-                out.push((k, self.pager.read_overflow(head, len)?));
-            }
-            if done || next == 0 {
-                break;
-            }
-            pid = next;
+            pid = parent;
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+    }
+
+    /// Writes `node` to a fresh page and makes it the root.
+    fn grow_root(&mut self, node: Node) -> io::Result<u32> {
+        let pid = self.pager.alloc();
+        self.pager.write_node(pid, node)?;
+        self.pager.set_root(pid);
+        Ok(pid)
+    }
+
+    /// Range scan: every `(key, value)` with `lo <= key <= hi`, in the
+    /// leaf chain's order, which is key order.
+    pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut out = Vec::new();
+        if lo > hi {
+            return Ok(out);
+        }
+        let Some((_, mut leaf)) = self.descend(lo)? else {
+            return Ok(out);
+        };
+        loop {
+            let (entries, next) = leaf_parts(&leaf)?;
+            for (k, v) in entries.iter().skip_while(|(k, _)| k.as_slice() < lo) {
+                if k.as_slice() > hi {
+                    return Ok(out);
+                }
+                out.push((k.clone(), self.value_of(v)?));
+            }
+            if next == 0 {
+                return Ok(out);
+            }
+            leaf = self.pager.read_node(next)?;
+        }
     }
 
     /// Removes a key. Pages are not rebalanced (lazy deletion); space is
     /// reused when neighbouring inserts land on the sparse page.
-    pub fn remove(&mut self, key: &[u8]) -> io::Result<bool> {
-        if self.pager.root == 0 {
-            return Ok(false);
-        }
-        let pid = self.find_leaf(key)?;
-        let node = self.pager.read_node(pid)?;
-        let Node::Leaf { entries, .. } = &*node else {
-            unreachable!("find_leaf returns a leaf")
+    pub fn remove(&mut self, key: &[u8]) -> io::Result<()> {
+        let Some((pid, leaf)) = self.descend(key)? else {
+            return Ok(());
         };
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => {
-                let overflow = match &entries[i].1 {
-                    LeafValue::Overflow { head, .. } => Some(*head),
-                    LeafValue::Inline(_) => None,
-                };
-                drop(node);
-                // Removal only shrinks the page: mutate in place.
-                self.pager.mutate_node(pid, |n| {
-                    if let Node::Leaf { entries, .. } = n {
-                        entries.remove(i);
-                    }
-                })?;
-                if let Some(head) = overflow {
-                    self.pager.free_overflow(head)?;
-                }
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
+        let Ok(i) = search(leaf_parts(&leaf)?.0, key) else {
+            return Ok(());
+        };
+        drop(leaf);
+        self.edit_leaf(pid, |entries| Some(entries.remove(i).1))
     }
 
-    /// Counts live keys by walking the leaf chain.
+    /// Counts live keys by walking the leaf chain from the leftmost leaf
+    /// (every key sorts at or after the empty one).
     pub fn count(&mut self) -> io::Result<usize> {
-        if self.pager.root == 0 {
+        let Some((_, mut leaf)) = self.descend(&[])? else {
             return Ok(0);
-        }
-        // Descend to the leftmost leaf.
-        let mut pid = self.pager.root;
-        while let Node::Internal { children, .. } = &*self.pager.read_node(pid)? {
-            pid = children[0];
-        }
-        let mut total = 0usize;
+        };
+        let mut total = 0;
         loop {
-            match &*self.pager.read_node(pid)? {
-                Node::Leaf { entries, next } => {
-                    total += entries.len();
-                    if *next == 0 {
-                        return Ok(total);
-                    }
-                    pid = *next;
-                }
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "leaf chain reached an internal page",
-                    ))
-                }
+            let (entries, next) = leaf_parts(&leaf)?;
+            total += entries.len();
+            if next == 0 {
+                return Ok(total);
             }
+            leaf = self.pager.read_node(next)?;
         }
     }
 
@@ -343,55 +294,31 @@ impl Tree {
     }
 }
 
-/// Splits an oversized leaf in half; returns `(left, separator, right_pid)`.
-fn split_leaf(node: Node, left_pid: u32, pager: &mut Pager) -> io::Result<(Node, Vec<u8>, u32)> {
-    let Node::Leaf { mut entries, next } = node else {
-        unreachable!("split_leaf called on internal node")
-    };
-    let mid = entries.len() / 2;
-    let right_entries = entries.split_off(mid);
-    let sep = right_entries[0].0.clone();
-    let right_pid = pager.alloc();
-    pager.write_node(
-        right_pid,
-        Node::Leaf {
-            entries: right_entries,
-            next,
-        },
-    )?;
-    let _ = left_pid;
-    Ok((
-        Node::Leaf {
-            entries,
-            next: right_pid,
-        },
-        sep,
-        right_pid,
-    ))
+/// A page records a key's length in one byte: keys are 1..=255 bytes.
+fn check_key(key: &[u8]) -> Result<(), StoreError> {
+    if key.is_empty() || key.len() > 255 {
+        return Err(StoreError::InvalidArgument(format!(
+            "btree keys must be 1..=255 bytes, not {}",
+            key.len()
+        )));
+    }
+    Ok(())
 }
 
-/// Splits an oversized internal node; the middle key moves up.
-fn split_internal(node: Node) -> (Node, Vec<u8>, Node) {
-    let Node::Internal {
-        mut keys,
-        mut children,
-    } = node
-    else {
-        unreachable!("split_internal called on leaf")
-    };
-    let mid = keys.len() / 2;
-    let sep = keys[mid].clone();
-    let right_keys = keys.split_off(mid + 1);
-    keys.pop(); // Remove the separator from the left.
-    let right_children = children.split_off(mid + 1);
-    (
-        Node::Internal { keys, children },
-        sep,
-        Node::Internal {
-            keys: right_keys,
-            children: right_children,
-        },
-    )
+/// A leaf's entries and right sibling; an internal page where the chain
+/// or a descent should have reached a leaf is corruption.
+fn leaf_parts(node: &Node) -> io::Result<(&[Entry], u32)> {
+    match node {
+        Node::Leaf { entries, next } => Ok((entries, *next)),
+        Node::Internal { .. } => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "leaf chain reached an internal page",
+        )),
+    }
+}
+
+fn search(entries: &[Entry], key: &[u8]) -> Result<usize, usize> {
+    entries.binary_search_by(|(k, _)| k.as_slice().cmp(key))
 }
 
 #[cfg(test)]
@@ -481,6 +408,25 @@ mod tests {
     }
 
     #[test]
+    fn a_skewed_split_leaves_both_halves_within_a_page() {
+        let dir = TestDir::new("tree-a-skewed-split-leaves-both-halves-within-a-page");
+        let mut t = Tree::open(&dir.path("skew.db"), BTreeConfig::default()).unwrap();
+        // Cut at its middle entry, the eight-entry leaf would keep all four
+        // long values on the left: 4 127 bytes.
+        for k in [b"a1", b"a2", b"a3"] {
+            t.insert(k, &[1; 1024]).unwrap();
+        }
+        for k in [b"z1", b"z2", b"z3", b"z4"] {
+            t.insert(k, b"s").unwrap();
+        }
+        t.insert(b"a4", &[1; 1024]).unwrap();
+        // Flushing encodes every page, which panics on one over a page.
+        t.flush().unwrap();
+        assert_eq!(t.count().unwrap(), 8);
+        assert_eq!(t.get(b"a4").unwrap().unwrap(), [1; 1024]);
+    }
+
+    #[test]
     fn leaf_chain_stays_sorted_after_splits() {
         let dir = TestDir::new("tree-leaf-chain-stays-sorted-after-splits");
         let mut t = Tree::open(&dir.path("chain.db"), BTreeConfig::small()).unwrap();
@@ -497,19 +443,19 @@ mod tests {
         let mut prev: Option<Vec<u8>> = None;
         let mut count = 0;
         loop {
-            match (*t.pager.read_node(pid).unwrap()).clone() {
+            match &*t.pager.read_node(pid).unwrap() {
                 Node::Leaf { entries, next } => {
                     for (k, _) in entries {
                         if let Some(p) = &prev {
-                            assert!(*p < k);
+                            assert!(p < k);
                         }
-                        prev = Some(k);
+                        prev = Some(k.clone());
                         count += 1;
                     }
-                    if next == 0 {
+                    if *next == 0 {
                         break;
                     }
-                    pid = next;
+                    pid = *next;
                 }
                 _ => unreachable!(),
             }

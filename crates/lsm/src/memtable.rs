@@ -17,6 +17,7 @@
 //! or three heap blocks per write that the writer allocated.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use bytes::Bytes;
 use gadget_kv::key::{Key, INLINE_KEY_BYTES};
@@ -341,9 +342,17 @@ impl MemTable {
             .map(|(k, slot)| (k.as_slice(), self.resolve(slot)))
     }
 
-    /// [`MemTable::flush_iter`] as a source for a merge.
-    pub(crate) fn records(&self) -> Source<'_> {
-        Box::new(self.flush_iter().map(|(k, e)| Ok((k.to_vec(), e))))
+    /// The entries with `lo <= key <= hi` as a source for a merge, resolved
+    /// as [`MemTable::flush_iter`] resolves them. The map is entered at
+    /// `lo`, so no entry below it is resolved or copied.
+    pub(crate) fn records(&self, lo: &[u8], hi: &[u8]) -> Source<'_> {
+        if lo > hi {
+            return Box::new(std::iter::empty());
+        }
+        let range = self
+            .entries
+            .range::<[u8], _>((Bound::Included(lo), Bound::Included(hi)));
+        Box::new(range.map(|(k, slot)| Ok((k.as_slice().to_vec(), self.resolve(slot)))))
     }
 }
 

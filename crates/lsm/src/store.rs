@@ -280,18 +280,13 @@ impl LsmStore {
             if state.closed {
                 return Err(StoreError::Closed);
             }
-            let mem: Vec<_> = clip(state.mem.records(), lo, hi).collect();
+            let mem: Vec<_> = state.mem.records(lo, hi).collect();
             let immutables: Vec<Arc<MemTable>> =
                 state.immutables.iter().map(|(_, m)| m.clone()).collect();
             (mem, immutables, self.inner.version.read().clone())
         };
         let mut sources: Vec<Source<'_>> = vec![Box::new(mem.into_iter())];
-        sources.extend(
-            immutables
-                .iter()
-                .rev()
-                .map(|imm| clip(imm.records(), lo, hi)),
-        );
+        sources.extend(immutables.iter().rev().map(|imm| imm.records(lo, hi)));
         // L0 newest first, then deeper levels.
         let tables = version
             .levels

@@ -2,16 +2,19 @@
 //! a memtable write does not allocate, dropping a table frees its chunks
 //! and tree nodes (not a block or three per write), a memtable read
 //! allocates only the value it returns, and a block-cache miss reads its
-//! block into the one buffer the cache keeps.
+//! block into the one buffer the cache keeps, and a scan of the memtable
+//! enters it at its low key.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::Bytes;
 use gadget_kv::testutil::TestDir;
+use gadget_kv::StateStore;
 use gadget_lsm::cache::BlockCache;
 use gadget_lsm::memtable::{FlushEntry, MemTable};
 use gadget_lsm::sstable::TableWriter;
+use gadget_lsm::{LsmConfig, LsmStore};
 
 /// The system allocator, counting each thread's calls on that thread, so
 /// tests running side by side do not see each other's.
@@ -167,4 +170,30 @@ fn a_block_cache_miss_allocates_one_block() {
     table.get(&probe, &cache).unwrap();
     assert_eq!(cache.stats(), (1, 1));
     assert_eq!(BLOCK_SIZED.get() - before, 0, "a hit reads no block");
+}
+
+#[test]
+fn a_memtable_scan_does_not_copy_the_keys_below_it() {
+    let dir = TestDir::new("alloc-memtable-scan");
+    let config = LsmConfig {
+        memtable_bytes: 64 << 20,
+        wal: false,
+        ..LsmConfig::small()
+    };
+    let store = LsmStore::open(dir.root(), config).unwrap();
+    for i in 0..10_000u64 {
+        store.put(&i.to_be_bytes(), b"a value").unwrap();
+    }
+    let scan_allocs = |i: u64| {
+        let k = i.to_be_bytes();
+        let before = ALLOCS.get();
+        let found = store.scan(&k, &k).unwrap();
+        let allocs = ALLOCS.get() - before;
+        assert_eq!(found.len(), 1, "key {i}");
+        allocs
+    };
+    let first = scan_allocs(5);
+    for i in [5_000, 9_995] {
+        assert_eq!(scan_allocs(i), first, "a one-key scan at key {i}");
+    }
 }

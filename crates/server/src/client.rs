@@ -12,11 +12,10 @@ use std::io::{BufReader, Write};
 use std::net::{Shutdown as SockShutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use bytes::Bytes;
 use gadget_kv::{
-    BatchResult, CheckpointManifest, Durability, OpTimers, ReshardEvent, StateStore, StoreError,
+    BatchResult, CheckpointManifest, Durability, ReshardEvent, StateStore, StoreError,
 };
 use gadget_obs::trace::{self, record_complete2, Category, ClockSample, OffsetEstimator};
 use gadget_obs::{Counter, LogHistogram, MetricsRegistry, MetricsSnapshot};
@@ -185,7 +184,6 @@ pub struct NetStore {
     conn: Mutex<Conn>,
     next_id: AtomicU64,
     metrics: MetricsRegistry,
-    timers: OpTimers,
     bytes_in: Counter,
     bytes_out: Counter,
     requests: Counter,
@@ -207,7 +205,6 @@ impl NetStore {
             addr: addr.to_string(),
             conn: Mutex::new(conn),
             next_id: AtomicU64::new(1),
-            timers: OpTimers::registered(&metrics, 0),
             bytes_in: metrics.counter("net_bytes_in"),
             bytes_out: metrics.counter("net_bytes_out"),
             requests: metrics.counter("net_requests"),
@@ -461,11 +458,7 @@ impl StateStore for NetStore {
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
-        match self
-            .timers
-            .get
-            .time(|| self.call_one(Op::get(key.to_vec())))?
-        {
+        match self.call_one(Op::get(key.to_vec()))? {
             BatchResult::Value(v) => Ok(v),
             BatchResult::Applied => {
                 Err(StoreError::Corruption("write result for a get".to_string()))
@@ -474,23 +467,17 @@ impl StateStore for NetStore {
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.timers
-            .put
-            .time(|| self.call_one(Op::put(key.to_vec(), value.to_vec())))?;
+        self.call_one(Op::put(key.to_vec(), value.to_vec()))?;
         Ok(())
     }
 
     fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
-        self.timers
-            .merge
-            .time(|| self.call_one(Op::merge(key.to_vec(), operand.to_vec())))?;
+        self.call_one(Op::merge(key.to_vec(), operand.to_vec()))?;
         Ok(())
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.timers
-            .delete
-            .time(|| self.call_one(Op::delete(key.to_vec())))?;
+        self.call_one(Op::delete(key.to_vec()))?;
         Ok(())
     }
 
@@ -526,11 +513,7 @@ impl StateStore for NetStore {
     }
 
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
-        let started = Instant::now();
-        let results = self.call(batch)?;
-        self.timers
-            .record_batch(batch, started.elapsed().as_nanos() as u64);
-        Ok(results)
+        self.call(batch)
     }
 
     fn metrics(&self) -> Option<MetricsSnapshot> {

@@ -214,6 +214,86 @@ fn lsm_differential_through_compactions() {
     assert!(compactions > 0, "torture test never compacted");
 }
 
+/// Key `i` of the B+Tree torture sequence: 1..=255 bytes, led by `i`
+/// itself so neighbouring `i` are neighbouring keys.
+fn torture_key(i: u64) -> Vec<u8> {
+    let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let len = 1 + (x >> 40) as usize % 255;
+    let mut k = (i as u16).to_be_bytes().to_vec();
+    k.extend((0..len).map(|j| (x >> (j % 7 * 8)) as u8));
+    k.truncate(len);
+    k
+}
+
+/// A deterministic torture sequence that splits leaves and internal
+/// nodes, evicts dirty pages from an 8-page cache and moves values in and
+/// out of overflow chains, with every get and scan checked.
+#[test]
+fn btree_differential_through_splits() {
+    const KEYS: u64 = 3_000;
+    let tmp = TestDir::new("difftest-btree-torture");
+    let config = BTreeConfig {
+        page_cache_bytes: 0,
+        overflow_threshold: 64,
+    };
+    let store = BTreeStore::open(tmp.path("data.db"), config).unwrap();
+    let oracle = MemStore::new();
+    let mut x = 11u64;
+    for i in 0..40_000u64 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let n = (x >> 33) % KEYS;
+        let k = torture_key(n);
+        match x % 16 {
+            0..=6 => {
+                let v = vec![(i % 251) as u8; (x >> 20) as usize % 120 + 1];
+                store.put(&k, &v).unwrap();
+                oracle.put(&k, &v).unwrap();
+            }
+            7..=9 => {
+                let v = vec![(i % 13) as u8; (x >> 20) as usize % 24 + 1];
+                store.merge(&k, &v).unwrap();
+                oracle.merge(&k, &v).unwrap();
+            }
+            10 => {
+                store.delete(&k).unwrap();
+                oracle.delete(&k).unwrap();
+            }
+            11..=14 => {
+                assert_eq!(
+                    store.get(&k).unwrap(),
+                    oracle.get(&k).unwrap(),
+                    "get diverged at op {i}"
+                );
+            }
+            _ => {
+                let hi = torture_key((n + (x >> 12) % 40).min(KEYS - 1));
+                let (lo, hi) = (k.clone().min(hi.clone()), k.max(hi));
+                assert_eq!(
+                    store.scan(&lo, &hi).unwrap(),
+                    oracle.scan(&lo, &hi).unwrap(),
+                    "scan diverged at op {i}"
+                );
+            }
+        }
+    }
+    let (first, last) = ([0u8][..].to_vec(), [0xFFu8; 255].to_vec());
+    assert_eq!(
+        store.scan(&first, &last).unwrap(),
+        oracle.scan(&first, &last).unwrap(),
+        "final full scan diverged"
+    );
+    for n in 0..KEYS {
+        let k = torture_key(n);
+        assert_eq!(store.get(&k).unwrap(), oracle.get(&k).unwrap(), "key {n}");
+    }
+    let snap = store.metrics().expect("btree exposes metrics");
+    for counter in ["page_splits", "dirty_writebacks", "overflow_pages_written"] {
+        assert!(snap.counter(counter).unwrap() > 0, "{counter} stayed 0");
+    }
+}
+
 /// The delegation probe: a backend that records which trait methods
 /// reached it and answers each with a value no `inner() == None` default
 /// produces, driven through every pointer impl, every decorator, and
