@@ -66,25 +66,18 @@ impl Node {
             Node::Internal { keys, children } => {
                 1 + 2 + children.len() * 4 + keys.iter().map(|k| 1 + k.len()).sum::<usize>()
             }
-            Node::Leaf { entries, .. } => {
-                1 + 2
-                    + 4
-                    + entries
-                        .iter()
-                        .map(|(k, v)| 1 + k.len() + v.encoded_size())
-                        .sum::<usize>()
-            }
+            Node::Leaf { entries, .. } => 1 + 2 + 4 + entries.iter().map(entry_size).sum::<usize>(),
         }
     }
 
     /// Moves the upper part of an oversized node into a new right sibling
     /// that will live at page `right_pid`; returns the separator for the
     /// parent and the sibling. A leaf's separator is the sibling's first
-    /// key; an internal node's middle key moves up.
+    /// key; an internal node's key at the cut moves up.
     pub fn split_off(&mut self, right_pid: u32) -> (Vec<u8>, Node) {
         match self {
             Node::Leaf { entries, next } => {
-                let at = cut(entries.iter().map(|(k, v)| 1 + k.len() + v.encoded_size()));
+                let at = cut(entries.iter().map(entry_size));
                 let right = entries.split_off(at);
                 let sep = right[0].0.clone();
                 let next = std::mem::replace(next, right_pid);
@@ -249,6 +242,11 @@ impl Node {
             _ => Err(bad()),
         }
     }
+}
+
+/// Bytes a leaf entry occupies in its page.
+fn entry_size((k, v): &Entry) -> usize {
+    1 + k.len() + v.encoded_size()
 }
 
 /// Where a split cuts items of the given encoded `sizes`: at the middle,
