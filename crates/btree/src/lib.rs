@@ -320,6 +320,22 @@ mod tests {
     }
 
     #[test]
+    fn a_merge_reads_the_overflow_chain_it_replaces_once() {
+        let dir = TestDir::new("btree-merge-reads-overflow-once");
+        let s = BTreeStore::open(dir.path("merge.db"), BTreeConfig::small()).unwrap();
+        let old = vec![0xABu8; 40_000];
+        let pages = old.len().div_ceil(crate::node::PAGE_SIZE - 7) as u64;
+        s.put(b"big", &old).unwrap();
+        let read = || s.metrics().unwrap().counter("overflow_pages_read").unwrap();
+        let before = read();
+        s.merge(b"big", b"+op").unwrap();
+        assert_eq!(read() - before, pages, "one read of the {pages}-page chain");
+        let mut merged = old;
+        merged.extend_from_slice(b"+op");
+        assert_eq!(s.get(b"big").unwrap().as_deref(), Some(&merged[..]));
+    }
+
+    #[test]
     fn persistence_across_reopen() {
         let dir = TestDir::new("btree-persistence-across-reopen");
         let path = dir.path("persist.db");

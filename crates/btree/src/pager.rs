@@ -30,6 +30,12 @@ pub struct Pager {
     pub root: u32,
     next_pid: u32,
     free: Vec<u32>,
+    /// The pages of the chain [`Pager::read_overflow`] read last, head
+    /// first, so that freeing that chain (a merge's read-modify-write
+    /// displaces the value it just read) need not read its links again.
+    /// A chain is never rewritten while it is allocated, so its links
+    /// hold until it is freed.
+    last_read_chain: Vec<u32>,
     cache: HashMap<u32, CacheSlot>,
     recency_index: BTreeMap<u64, u32>,
     tick: u64,
@@ -41,6 +47,7 @@ pub struct Pager {
     cache_misses: Counter,
     pages_written: Counter,
     overflow_pages_written: Counter,
+    overflow_pages_read: Counter,
     dirty_writebacks: Counter,
     page_splits: Counter,
 }
@@ -77,6 +84,7 @@ impl Pager {
             root,
             next_pid,
             free: Vec::new(),
+            last_read_chain: Vec::new(),
             cache: HashMap::new(),
             recency_index: BTreeMap::new(),
             tick: 0,
@@ -86,6 +94,7 @@ impl Pager {
             cache_misses: Counter::new(),
             pages_written: Counter::new(),
             overflow_pages_written: Counter::new(),
+            overflow_pages_read: Counter::new(),
             dirty_writebacks: Counter::new(),
             page_splits: Counter::new(),
         })
@@ -99,6 +108,7 @@ impl Pager {
         self.cache_misses = registry.counter("page_cache_misses");
         self.pages_written = registry.counter("pages_written");
         self.overflow_pages_written = registry.counter("overflow_pages_written");
+        self.overflow_pages_read = registry.counter("overflow_pages_read");
         self.dirty_writebacks = registry.counter("dirty_writebacks");
         self.page_splits = registry.counter("page_splits");
     }
@@ -251,20 +261,30 @@ impl Pager {
         Ok(next_pid)
     }
 
+    /// Reads overflow page `pid` from disk.
+    fn read_overflow_page(&mut self, pid: u32) -> io::Result<[u8; PAGE_SIZE]> {
+        let mut page = [0u8; PAGE_SIZE];
+        self.file
+            .read_exact_at(&mut page, pid as u64 * PAGE_SIZE as u64)?;
+        self.overflow_pages_read.inc();
+        Ok(page)
+    }
+
     /// Reads an overflow chain of total length `len` starting at `head`.
     pub fn read_overflow(&mut self, head: u32, len: u32) -> io::Result<Vec<u8>> {
         let mut out = Vec::with_capacity(len as usize);
+        let mut chain = std::mem::take(&mut self.last_read_chain);
+        chain.clear();
         let mut pid = head;
         while pid != 0 && out.len() < len as usize {
-            let mut page = [0u8; PAGE_SIZE];
-            self.file
-                .read_exact_at(&mut page, pid as u64 * PAGE_SIZE as u64)?;
+            let page = self.read_overflow_page(pid)?;
             if page[0] != KIND_OVERFLOW {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "broken overflow chain",
                 ));
             }
+            chain.push(pid);
             let next = u32::from_le_bytes(page[1..5].try_into().unwrap());
             let chunk_len = u16::from_le_bytes(page[5..7].try_into().unwrap()) as usize;
             out.extend_from_slice(&page[7..7 + chunk_len]);
@@ -276,16 +296,25 @@ impl Pager {
                 "short overflow chain",
             ));
         }
+        if pid == 0 {
+            self.last_read_chain = chain;
+        }
         Ok(out)
     }
 
-    /// Frees every page of an overflow chain.
+    /// Frees every page of an overflow chain, in chain order. Only a
+    /// chain other than the one read last has its links read from disk.
     pub fn free_overflow(&mut self, head: u32) -> io::Result<()> {
+        if self.last_read_chain.first() == Some(&head) {
+            let chain = std::mem::take(&mut self.last_read_chain);
+            for &pid in &chain {
+                self.free_page(pid);
+            }
+            return Ok(());
+        }
         let mut pid = head;
         while pid != 0 {
-            let mut page = [0u8; PAGE_SIZE];
-            self.file
-                .read_exact_at(&mut page, pid as u64 * PAGE_SIZE as u64)?;
+            let page = self.read_overflow_page(pid)?;
             let next = u32::from_le_bytes(page[1..5].try_into().unwrap());
             self.free_page(pid);
             pid = next;

@@ -12,6 +12,7 @@ use std::io::{self, Seek, Write};
 use std::ops::ControlFlow;
 
 use gadget_obs::MetricsSnapshot;
+use gadget_types::hash::TableHash;
 use gadget_types::{
     Event, StateAccess, StatsCounter, StreamElement, Timestamp, Trace, TraceStats, TraceWriter,
 };
@@ -125,7 +126,7 @@ impl Driver {
     where
         I: Iterator<Item = StreamElement>,
     {
-        let mut input_keys: HashSet<u64> = HashSet::new();
+        let mut input_keys: HashSet<u64, TableHash> = HashSet::default();
         let events_before = self.events_in;
         let failed = self.drive(stream, out, |_, event, accesses| {
             if let Some(event) = event {

@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use gadget_types::hash::TableHash;
 use gadget_types::{Event, StateAccess, StateKey, Timestamp};
 
 use crate::operator::{Operator, WindowMode};
@@ -34,7 +35,7 @@ pub struct SessionWindow {
     mode: WindowMode,
     accumulator_size: u32,
     /// Active sessions per key, sorted by start.
-    sessions: HashMap<u64, Vec<Session>>,
+    sessions: HashMap<u64, Vec<Session>, TableHash>,
     /// vIndex: candidate expiry time → (key, session start). Entries may be
     /// stale after extensions; they are validated at fire time.
     vindex: BTreeMap<Timestamp, Vec<(u64, Timestamp)>>,
@@ -58,7 +59,7 @@ impl SessionWindow {
             gap,
             mode,
             accumulator_size,
-            sessions: HashMap::new(),
+            sessions: HashMap::default(),
             vindex: BTreeMap::new(),
         }
     }

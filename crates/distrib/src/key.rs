@@ -76,6 +76,8 @@ pub struct ZipfianKeys {
     zetan: f64,
     eta: f64,
     zeta2theta: f64,
+    /// `1 + 0.5^theta`: draws with `u * zetan` below it pick key 1.
+    key1_bound: f64,
 }
 
 impl ZipfianKeys {
@@ -98,6 +100,7 @@ impl ZipfianKeys {
             zetan,
             eta,
             zeta2theta,
+            key1_bound: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -131,7 +134,7 @@ impl KeyDistribution for ZipfianKeys {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.key1_bound {
             return 1;
         }
         let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

@@ -117,13 +117,17 @@ struct TimerShared {
 
 static NEXT_TIMER_ID: AtomicU64 = AtomicU64::new(0);
 
+/// Entries in each thread's slot cache: a timer caches at `id % SLOT_CACHE`.
+const SLOT_CACHE: usize = 8;
+
 thread_local! {
-    /// Most-recently-used (timer id, slot) on this thread. Hot loops
-    /// hammer one timer (a get storm, a preload's put storm), so this
-    /// one-entry cache turns the common tick into a handful of
-    /// unshared loads and stores.
-    static LAST_SLOT: std::cell::Cell<Option<(usize, TickSlot)>> =
-        const { std::cell::Cell::new(None) };
+    /// This thread's recently used (timer id, slot) pairs, direct-mapped
+    /// by id. A store's op timers are registered back to back, so their
+    /// consecutive ids take distinct entries: a get, put, get, put… run
+    /// hits on every call, as a get storm does, and the common tick stays
+    /// a handful of unshared loads and stores.
+    static SLOT_CACHE_ENTRIES: [std::cell::Cell<Option<(usize, TickSlot)>>; SLOT_CACHE] =
+        const { [const { std::cell::Cell::new(None) }; SLOT_CACHE] };
     /// This thread's tick slots, indexed by timer id. Ids are never
     /// reused, so an entry can only ever belong to one timer.
     static TICK_SLOTS: std::cell::RefCell<Vec<Option<TickSlot>>> =
@@ -147,16 +151,15 @@ impl Timer {
     #[inline(always)]
     fn slot(&self) -> TickSlot {
         let id = self.id;
-        if let Some((cached_id, slot)) = LAST_SLOT.with(std::cell::Cell::get) {
-            if cached_id == id {
-                return slot;
-            }
+        let cached = SLOT_CACHE_ENTRIES.with(|cache| cache[id % SLOT_CACHE].get());
+        match cached {
+            Some((cached_id, slot)) if cached_id == id => slot,
+            _ => self.slot_uncached(id),
         }
-        self.slot_uncached(id)
     }
 
     /// Slot via the thread's full table (registering this thread with
-    /// the timer on first contact), refreshing the MRU cache.
+    /// the timer on first contact), refreshing its cache entry.
     #[cold]
     #[inline(never)]
     fn slot_uncached(&self, id: usize) -> TickSlot {
@@ -174,7 +177,7 @@ impl Timer {
                     slot
                 }
             };
-            LAST_SLOT.with(|cache| cache.set(Some((id, slot))));
+            SLOT_CACHE_ENTRIES.with(|cache| cache[id % SLOT_CACHE].set(Some((id, slot))));
             slot
         })
     }
@@ -429,6 +432,23 @@ mod tests {
         let total = THREADS as u64 * PER_THREAD;
         assert_eq!(timer.calls(), total);
         assert_eq!(timer.snapshot().count(), total >> SHIFT);
+    }
+
+    #[test]
+    fn interleaved_timers_count_exactly_through_the_slot_cache() {
+        // More timers than cache entries, ticked round-robin on one
+        // thread: timers whose ids share an entry evict each other on
+        // every call, and each still counts and samples its own calls.
+        let timers: Vec<Timer> = (0..2 * SLOT_CACHE + 1).map(|_| Timer::new(2)).collect();
+        for _ in 0..1_000 {
+            for timer in &timers {
+                timer.time(|| std::hint::black_box(0u64));
+            }
+        }
+        for timer in &timers {
+            assert_eq!(timer.calls(), 1_000);
+            assert_eq!(timer.snapshot().count(), 250);
+        }
     }
 
     #[test]

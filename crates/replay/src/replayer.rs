@@ -1,7 +1,7 @@
 //! Trace replay, online execution, and concurrent-operator runs.
 
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -521,13 +521,27 @@ impl<'a> Measuring<'a> {
     }
 }
 
+/// The 1 MiB of deterministic filler bytes every replayer's values are
+/// cut from, built once per process: online runs and `drive` build a
+/// replayer per call.
+fn filler() -> Bytes {
+    static FILLER: OnceLock<Bytes> = OnceLock::new();
+    FILLER
+        .get_or_init(|| {
+            (0..1 << 20)
+                .map(|i| (i * 31 + 7) as u8)
+                .collect::<Vec<u8>>()
+                .into()
+        })
+        .clone()
+}
+
 impl TraceReplayer {
     /// Creates a replayer.
     pub fn new(options: ReplayOptions) -> Self {
-        let payload: Vec<u8> = (0..1 << 20).map(|i| (i * 31 + 7) as u8).collect();
         TraceReplayer {
             options,
-            payload: Bytes::from(payload),
+            payload: filler(),
         }
     }
 
@@ -912,6 +926,19 @@ mod tests {
     use gadget_core::{GeneratorConfig, OperatorKind};
     use gadget_kv::MemStore;
     use gadget_types::StateKey;
+
+    #[test]
+    fn replayers_share_one_filler_payload() {
+        let (a, b) = (TraceReplayer::default(), TraceReplayer::default());
+        assert_eq!(a.payload.as_ptr(), b.payload.as_ptr(), "built once");
+        assert_eq!(a.payload.len(), 1 << 20);
+        // The bytes `materialize` and the crash harness re-derive ops from.
+        assert!(a
+            .payload
+            .iter()
+            .enumerate()
+            .all(|(i, &byte)| byte == (i * 31 + 7) as u8));
+    }
 
     fn small_trace(kind: OperatorKind) -> Trace {
         let cfg = GadgetConfig::synthetic(

@@ -14,10 +14,12 @@
 //!   them is a batch for `StateStore::apply_batch`.
 //!
 //! Everything here is plain data: no I/O beyond trace (de)serialization, no
-//! randomness, no store logic.
+//! randomness, no store logic. The one exception is [`hash::TableHash`],
+//! the hash every in-process table of the workspace uses.
 
 pub mod batch;
 pub mod event;
+pub mod hash;
 pub mod op;
 pub mod time;
 pub mod trace;
