@@ -37,6 +37,7 @@ pub mod error;
 pub mod hash;
 pub mod instrument;
 pub mod key;
+pub mod lru;
 pub mod mem;
 pub mod observed;
 pub mod router;
@@ -53,6 +54,7 @@ pub use error::StoreError;
 pub use hash::{fnv1a, TableHash};
 pub use instrument::InstrumentedStore;
 pub use key::Key;
+pub use lru::Lru;
 pub use mem::MemStore;
 pub use observed::{ObservedStore, OpTimers};
 pub use router::{shard_of, slot_of_key, ReshardEvent, SlotTable, SLOTS};
