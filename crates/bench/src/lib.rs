@@ -221,14 +221,6 @@ pub fn emit_run_report(
     }
 }
 
-/// Reports directory for criterion benches, which run with the package
-/// directory as cwd: resolves to `<workspace>/results/reports`.
-pub fn bench_reports_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/reports")
-}
-
 /// Formats a ratio as a fixed-width percentage-like fraction.
 pub fn fr(x: f64) -> String {
     format!("{x:.3}")

@@ -1,16 +1,12 @@
 //! Access-trace instrumentation.
 
-use std::time::Instant;
-
 use parking_lot::Mutex;
 
 use bytes::Bytes;
-use gadget_obs::{MetricsRegistry, MetricsSnapshot};
 use gadget_types::{Op, OpType, StateAccess, StateKey, Timestamp, Trace};
 
 use crate::error::StoreError;
-use crate::observed::OpTimers;
-use crate::store::{apply_ops_serially, BatchResult, StateStore};
+use crate::store::{BatchResult, StateStore};
 
 /// A store wrapper that records every access into a [`Trace`].
 ///
@@ -27,22 +23,15 @@ pub struct InstrumentedStore<S> {
     inner: S,
     trace: Mutex<Trace>,
     clock: Mutex<Timestamp>,
-    metrics: MetricsRegistry,
-    timers: OpTimers,
 }
 
 impl<S: StateStore> InstrumentedStore<S> {
     /// Wraps `inner`, starting with an empty trace.
     pub fn new(inner: S) -> Self {
-        let metrics = MetricsRegistry::new();
-        // Trace recording dwarfs a clock read, so time every call.
-        let timers = OpTimers::registered(&metrics, 0);
         InstrumentedStore {
             inner,
             trace: Mutex::new(Trace::new()),
             clock: Mutex::new(0),
-            metrics,
-            timers,
         }
     }
 
@@ -90,22 +79,22 @@ impl<S: StateStore> StateStore for InstrumentedStore<S> {
 
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
         self.record(OpType::Get, key, 0);
-        self.timers.get.time(|| self.inner.get(key))
+        self.inner.get(key)
     }
 
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         self.record(OpType::Put, key, value.len() as u32);
-        self.timers.put.time(|| self.inner.put(key, value))
+        self.inner.put(key, value)
     }
 
     fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
         self.record(OpType::Merge, key, operand.len() as u32);
-        self.timers.merge.time(|| self.inner.merge(key, operand))
+        self.inner.merge(key, operand)
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
         self.record(OpType::Delete, key, 0);
-        self.timers.delete.time(|| self.inner.delete(key))
+        self.inner.delete(key)
     }
 
     fn scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
@@ -119,27 +108,13 @@ impl<S: StateStore> StateStore for InstrumentedStore<S> {
     }
 
     fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
-        if batch.len() <= 1 {
-            return apply_ops_serially(self, batch);
-        }
         // Trace entries are recorded per op, in issue order, with the same
         // (op, key, size, ts) tuples the unbatched path produces — batching
         // must be invisible in the trace.
         for op in batch {
             self.record(op.op_type(), op.key(), op.payload().len() as u32);
         }
-        let started = Instant::now();
-        let out = self.inner.apply_batch(batch)?;
-        self.timers
-            .record_batch(batch, started.elapsed().as_nanos() as u64);
-        Ok(out)
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        let mut snap = self.inner.metrics().unwrap_or_default();
-        snap.merge(&self.metrics.snapshot());
-        snap.push_gauge("trace_len", self.trace.lock().len() as i64);
-        Some(snap)
+        self.inner.apply_batch(batch)
     }
 }
 
@@ -201,20 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_time_every_operation() {
-        let s = InstrumentedStore::new(MemStore::new());
-        s.put(b"k", b"v").unwrap();
-        s.get(b"k").unwrap();
-        s.get(b"k").unwrap();
-        let snap = s.metrics().unwrap();
-        assert_eq!(snap.counter("get_calls"), Some(2));
-        assert_eq!(snap.histogram("get_ns").unwrap().count(), 2);
-        assert_eq!(snap.gauge("trace_len"), Some(3));
-        // Inner MemStore metrics ride along.
-        assert_eq!(snap.counter("puts"), Some(1));
-    }
-
-    #[test]
     fn batch_trace_is_identical_to_op_by_op() {
         let batched = InstrumentedStore::new(MemStore::new());
         let serial = InstrumentedStore::new(MemStore::new());
@@ -231,20 +192,6 @@ mod tests {
         let expect = crate::store::apply_ops_serially(&serial, &ops).unwrap();
         assert_eq!(out, expect);
         assert_eq!(batched.take_trace().accesses, serial.take_trace().accesses);
-    }
-
-    #[test]
-    fn batch_keeps_per_op_call_counts() {
-        let s = InstrumentedStore::new(MemStore::new());
-        let ops = vec![
-            Op::put(b"a".to_vec(), b"1".to_vec()),
-            Op::put(b"b".to_vec(), b"2".to_vec()),
-            Op::get(b"a".to_vec()),
-        ];
-        s.apply_batch(&ops).unwrap();
-        let snap = s.metrics().unwrap();
-        assert_eq!(snap.counter("put_calls"), Some(2));
-        assert_eq!(snap.counter("get_calls"), Some(1));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use instrument::InstrumentedStore;
 pub use key::Key;
 pub use lru::Lru;
 pub use mem::MemStore;
-pub use observed::{ObservedStore, OpTimers};
+pub use observed::ObservedStore;
 pub use router::{shard_of, slot_of_key, ReshardEvent, SlotTable, SLOTS};
 pub use sharded::ShardedStore;
 pub use store::{apply_ops_serially, BatchResult, StateStore, StoreCounters};

@@ -74,7 +74,7 @@ pub fn pick_compaction(
         inputs.extend(l1);
         return Some(CompactionJob {
             level: 0,
-            bottom_most: is_bottom_most(version, 1, &lo, &hi),
+            bottom_most: is_bottom_most(version, 1, &inputs),
             inputs,
             output_level: 1,
             reason: CompactionReason::L0FileCount,
@@ -126,15 +126,13 @@ fn make_level_job(
     table: Arc<TableHandle>,
     reason: CompactionReason,
 ) -> CompactionJob {
-    let lo = table.smallest.clone();
-    let hi = table.largest.clone();
-    let mut inputs = vec![table];
-    let mut next = version.overlapping(level + 1, &lo, &hi);
+    let mut next = version.overlapping(level + 1, &table.smallest, &table.largest);
     next.sort_by(|a, b| a.smallest.cmp(&b.smallest));
+    let mut inputs = vec![table];
     inputs.extend(next);
     CompactionJob {
         level,
-        bottom_most: is_bottom_most(version, level + 1, &lo, &hi),
+        bottom_most: is_bottom_most(version, level + 1, &inputs),
         inputs,
         output_level: level + 1,
         reason,
@@ -142,13 +140,17 @@ fn make_level_job(
 }
 
 /// True if no level deeper than `output_level` holds data overlapping
-/// `[lo, hi]`, so tombstones in the output may be dropped.
-fn is_bottom_most(version: &Version, output_level: usize, lo: &[u8], hi: &[u8]) -> bool {
+/// the key range of all of `inputs`, so tombstones in the output may be
+/// dropped. The range is the inputs' own, not the range that picked
+/// them: an output-level input can reach past it, and its tombstones
+/// out there may still shadow a deeper version.
+fn is_bottom_most(version: &Version, output_level: usize, inputs: &[Arc<TableHandle>]) -> bool {
+    let (lo, hi) = key_range(inputs);
     version
         .levels
         .iter()
         .skip(output_level + 1)
-        .all(|level| level.iter().all(|t| !t.overlaps(lo, hi)))
+        .all(|level| level.iter().all(|t| !t.overlaps(&lo, &hi)))
 }
 
 /// Smallest and largest key across `tables`.
@@ -464,6 +466,24 @@ mod tests {
         // Same layout, vanilla config: no compaction is needed.
         let vanilla = LsmConfig::small();
         assert!(pick_compaction(&version, &vanilla, 10_000).is_none());
+    }
+
+    #[test]
+    fn bottom_most_covers_every_input_not_just_the_picked_file() {
+        // The aged L1 file spans key 5 only, but the L2 file it overlaps
+        // reaches down to key 1, whose older version sits on L3: the
+        // tombstone for 1 must survive the job.
+        let dir = tmpdir("bottom-range");
+        let cfg = LsmConfig::small_lethe();
+        let picked = write_table(&dir, 1, 3, &[(5, FlushEntry::Delete)]);
+        let below = write_table(&dir, 2, 2, &[(1, FlushEntry::Delete), (9, put("v"))]);
+        let deeper = write_table(&dir, 3, 1, &[(1, put("old"))]);
+        let version =
+            Version::empty(cfg.num_levels).apply(&[], &[(1, picked), (2, below), (3, deeper)]);
+        let job = pick_compaction(&version, &cfg, 10_000).expect("lethe job");
+        assert_eq!(job.reason, CompactionReason::DeletePersistence);
+        assert_eq!(job.inputs.len(), 2);
+        assert!(!job.bottom_most, "key 1 has an older version on L3");
     }
 
     #[test]

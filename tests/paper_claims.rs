@@ -8,13 +8,14 @@ use gadget::analysis::{
     key_sequence, ks_test, rank_normalize, shuffled_keys, stack_distances, ttl_distribution,
     unique_sequences,
 };
+use gadget::btree::{BTreeConfig, BTreeStore};
 use gadget::core::{Driver, GadgetConfig, OperatorKind};
 use gadget::datasets::DatasetSpec;
 use gadget::distrib::{seeded_rng, KeyDistribution, ZipfianKeys};
 use gadget::flinksim::run_reference;
 use gadget::hashlog::{HashLogConfig, HashLogStore};
 use gadget::kv::{Lru, MemStore, StateStore};
-use gadget::lsm::{LsmConfig, LsmStore};
+use gadget::lsm::{LethePolicy, LsmConfig, LsmStore};
 use gadget::types::OpType;
 use gadget::ycsb::{RequestDistribution, YcsbConfig};
 
@@ -295,6 +296,130 @@ fn finding_holistic_appends_are_merges_on_the_lsm_and_copies_on_the_hashlog() {
         let bucket = hashlog.get(&b.to_be_bytes()).unwrap().unwrap();
         assert_eq!(bucket.len(), bucket_bytes);
     }
+}
+
+/// The B+Tree leg of the same appends: it has no merge, so each append
+/// is a read-modify-write of the bucket. Once a bucket outgrows the
+/// overflow threshold, its value lives in a chain of overflow pages, and
+/// every append reads the whole old chain once and writes a whole new
+/// one, where the LSM logs one record. The store has no background
+/// thread, so the counts are exact.
+#[test]
+fn finding_holistic_appends_rewrite_the_overflow_chain_on_the_btree() {
+    const BUCKETS: u64 = 8;
+    const APPENDS: usize = 200;
+    const OPERAND: [u8; 64] = [5; 64];
+    /// What one 4 KiB overflow page holds after its 7-byte link header.
+    const PAGE_PAYLOAD: usize = 4096 - 7;
+    let config = BTreeConfig::small();
+    let chain_pages = |appends: usize| {
+        let bytes = appends * OPERAND.len();
+        if bytes > config.overflow_threshold {
+            bytes.div_ceil(PAGE_PAYLOAD) as u64
+        } else {
+            0
+        }
+    };
+
+    let tmp = common::TestDir::new("claims-holistic-btree");
+    let btree = BTreeStore::open(tmp.path("btree.db"), config.clone()).unwrap();
+    for _ in 0..APPENDS {
+        for b in 0..BUCKETS {
+            btree.merge(&b.to_be_bytes(), &OPERAND).unwrap();
+        }
+    }
+    let snap = btree.metrics().unwrap();
+    // The n-th append writes the chain of n operands and reads the chain
+    // of the n - 1 before it.
+    let written: u64 = (1..=APPENDS).map(chain_pages).sum();
+    let read: u64 = (1..=APPENDS).map(|n| chain_pages(n - 1)).sum();
+    assert_eq!((written, read), (403, 399), "per bucket");
+    assert_eq!(snap.counter("merges"), Some(BUCKETS * APPENDS as u64));
+    assert_eq!(snap.counter("gets"), Some(0));
+    assert_eq!(
+        snap.counter("overflow_pages_written"),
+        Some(BUCKETS * written)
+    );
+    assert_eq!(
+        snap.counter("overflow_pages_read"),
+        Some(BUCKETS * read),
+        "each append reads the chain it replaces once"
+    );
+    for b in 0..BUCKETS {
+        let bucket = btree.get(&b.to_be_bytes()).unwrap().unwrap();
+        assert_eq!(bucket.len(), APPENDS * OPERAND.len());
+    }
+}
+
+/// Lethe's FADE (DESIGN §8): a level file whose tombstones are older than
+/// the delete-persistence threshold, counted in ops, is compacted down
+/// whatever its level's size. A vanilla LSM keeps tombstones until a
+/// size-triggered compaction carries them to the bottom, so a later read
+/// of a deleted key wades through tombstone blocks a tight threshold has
+/// already purged. Asserted on the compaction and block-cache counters,
+/// never on time.
+///
+/// The table layout a `compact_and_wait` leaves varies from run to run,
+/// so the assertions are relations. Over 40 runs vanilla dropped no
+/// tombstone and its reads touched 217 blocks; 500 ops ran 7–11 Lethe
+/// compactions, dropped 4 096–8 000 tombstones and touched 0–106 blocks.
+/// The oldest tombstone tables are up to 10 000 ops old by the reads, so
+/// 5 000 ops is sometimes reached too: it ran 0 or 1 Lethe compaction.
+#[test]
+fn finding_lethe_purges_tombstones_older_than_its_threshold() {
+    const KEYS: u64 = 20_000;
+    const DELETED: u64 = 8_000;
+    let blocks = |store: &LsmStore| {
+        let snap = store.metrics().unwrap();
+        snap.counter("block_cache_hits").unwrap() + snap.counter("block_cache_misses").unwrap()
+    };
+    let run = |label: &str, threshold: Option<u64>| {
+        let dir = common::TestDir::new(&format!("claims-lethe-{label}"));
+        let store = LsmStore::open(
+            dir.root(),
+            LsmConfig {
+                lethe: threshold.map(|delete_persistence_ops| LethePolicy {
+                    delete_persistence_ops,
+                }),
+                ..LsmConfig::small()
+            },
+        )
+        .unwrap();
+        for k in 0..KEYS {
+            store.put(&k.to_be_bytes(), &[2u8; 64]).unwrap();
+        }
+        store.compact_and_wait().unwrap();
+        for k in 0..DELETED {
+            store.delete(&k.to_be_bytes()).unwrap();
+        }
+        store.compact_and_wait().unwrap();
+        // Age the newest tombstones by 2 000 ops: past 500, short of 5 000.
+        for i in 0..2_000u64 {
+            store
+                .put(&(KEYS + i % 10).to_be_bytes(), &[3u8; 64])
+                .unwrap();
+        }
+        store.compact_and_wait().unwrap();
+        let before = blocks(&store);
+        for k in (0..DELETED).step_by(37) {
+            assert_eq!(store.get(&k.to_be_bytes()).unwrap(), None, "key {k}");
+        }
+        let snap = store.metrics().unwrap();
+        let lethe = snap.counter("compactions_lethe").unwrap();
+        let dropped = snap.counter("tombstones_dropped").unwrap();
+        (lethe, dropped, blocks(&store) - before)
+    };
+    let vanilla = run("vanilla", None);
+    let tight = run("500", Some(500));
+    let lax = run("5000", Some(5_000));
+    let all = format!(
+        "(lethe compactions, tombstones dropped, blocks read): \
+         vanilla {vanilla:?}, 500 {tight:?}, 5 000 {lax:?}"
+    );
+    assert!(tight.0 >= 1 && tight.1 > DELETED / 2, "{all}");
+    assert!(vanilla.1 < tight.1, "{all}");
+    assert!(tight.2 < vanilla.2, "{all}");
+    assert!(lax.0 < tight.0 && lax.2 > tight.2, "{all}");
 }
 
 /// §8's cache-sizing model describes the cache the stores run: the LSM's
